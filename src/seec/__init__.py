@@ -14,6 +14,7 @@ from .criterion import (
     EntropyReport,
     IntegralBundle,
     ScalingTransform,
+    criterion_curve,
     criterion_f,
     integral_bundle,
     is_entangled,
@@ -77,6 +78,7 @@ __all__ = [
     "UnsupportedOrderError",
     "UnsupportedRegimeError",
     "backend",
+    "criterion_curve",
     "criterion_f",
     "diagonalize",
     "energy",

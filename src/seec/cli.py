@@ -26,8 +26,7 @@ from . import __version__, criterion, oscillator, svgplot, verification
 from .errors import DomainError
 
 
-def _fmt(x):
-    return format(x, ".12g")
+_BOOL_TEXT = ("false", "true")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -68,14 +67,42 @@ def _parse_modes(text):
     return modes
 
 
-def _csv(header, rows):
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
-    return "\n".join(lines) + "\n"
+def _finite(name, values):
+    """The float array values as a list; a DomainError if any is nan or inf."""
+    if not np.isfinite(values).all():
+        raise DomainError(f"{name} is not finite for these inputs")
+    return values.tolist()
+
+
+def _csv(header, row, columns):
+    """CSV text: the header line, then one line row % fields per row of columns."""
+    return ",".join(header) + "\n" + "".join(map(row.__mod__, zip(*columns)))
+
+
+def _json_records(columns):
+    """json.dumps(records, indent=2) + "\n" for the records whose fields are
+    columns [(key, values)], written from one template per record.
+
+    Keys are plain identifiers.  Values are lists of bools, ints, finite
+    floats or JSON literals already formatted as str; every field goes
+    through %s, and str of a float is its repr, the digits json writes.
+    """
+    if not columns[0][1]:
+        return "[]\n"
+    fields = []
+    for _, values in columns:
+        if type(values[0]) is bool:
+            values = [_BOOL_TEXT[v] for v in values]
+        fields.append(values)
+    record = "  {\n" + ",\n".join(f'    "{key}": %s' for key, _ in columns) + "\n  }"
+    return "[\n" + ",\n".join(map(record.__mod__, zip(*fields))) + "\n]\n"
 
 
 def _json_text(payload):
-    return json.dumps(payload, indent=2) + "\n"
+    try:
+        return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        raise DomainError("the result is not finite for these inputs") from None
 
 
 def _cmd_sweep(args):
@@ -87,31 +114,33 @@ def _cmd_sweep(args):
             f"eta-min must be below eta-max, got [{args.eta_min}, {args.eta_max}]"
         )
     grid = np.linspace(args.eta_min, args.eta_max, args.steps)
-    records = []
-    for n, m in modes:
-        for eta in grid:
-            rep = criterion.criterion_f(n, m, float(eta))
-            records.append(rep)
+    if not np.isfinite(grid).all():
+        # an infinite bound, or finite bounds whose span overflows
+        raise DomainError(
+            f"eta-min and eta-max must span a finite grid, got [{args.eta_min}, {args.eta_max}]"
+        )
+    curves = [criterion.criterion_curve(n, m, grid) for n, m in modes]
+    f = _finite("f", np.concatenate([c[0] for c in curves]))
+    entangled = np.concatenate([c[1] for c in curves]).tolist()
+    ns = [n for n, _ in modes for _ in range(args.steps)]
+    ms = [m for _, m in modes for _ in range(args.steps)]
     if args.format == "json":
-        payload = [
-            {"eta": r.eta, "n": r.n, "m": r.m, "f": r.f, "entangled": r.entangled}
-            for r in records
-        ]
-        text = _json_text(payload)
+        etas = list(map(repr, grid.tolist())) * len(modes)
+        text = _json_records(
+            [("eta", etas), ("n", ns), ("m", ms), ("f", f), ("entangled", entangled)]
+        )
     else:
-        rows = [
-            [_fmt(r.eta), str(r.n), str(r.m), _fmt(r.f), "true" if r.entangled else "false"]
-            for r in records
-        ]
-        text = _csv(["eta", "n", "m", "f", "entangled"], rows)
+        etas = list(map("%.12g".__mod__, grid.tolist())) * len(modes)
+        text = _csv(
+            ["eta", "n", "m", "f", "entangled"],
+            "%s,%d,%d,%.12g,%s\n",
+            (etas, ns, ms, f, [_BOOL_TEXT[e] for e in entangled]),
+        )
     _write_text(text, args.out)
     if args.svg:
         series = [
-            (
-                f"(n,m)=({n},{m})",
-                [(r.eta, r.f) for r in records if r.n == n and r.m == m],
-            )
-            for n, m in modes
+            (f"(n,m)=({n},{m})", np.column_stack((grid, f_mode)))
+            for (n, m), (f_mode, _) in zip(modes, curves)
         ]
         _write_text(svgplot.line_plot(series, "eta", "f"), args.svg)
     return 0
@@ -121,17 +150,13 @@ def _cmd_threshold(args):
     for name, v in (("n-max", args.n_max), ("m-max", args.m_max)):
         if v < 0 or v > criterion.MODE_N_MAX:
             raise DomainError(f"{name} must be in [0, {criterion.MODE_N_MAX}], got {v}")
-    triples = [
-        (n, m, criterion.threshold_eta0(n, m))
-        for n in range(args.n_max + 1)
-        for m in range(args.m_max + 1)
-    ]
+    ns = [n for n in range(args.n_max + 1) for _ in range(args.m_max + 1)]
+    ms = list(range(args.m_max + 1)) * (args.n_max + 1)
+    eta0 = _finite("eta0", np.array([criterion.threshold_eta0(n, m) for n, m in zip(ns, ms)]))
     if args.format == "json":
-        text = _json_text([{"n": n, "m": m, "eta0": e} for n, m, e in triples])
+        text = _json_records([("n", ns), ("m", ms), ("eta0", eta0)])
     else:
-        text = _csv(
-            ["n", "m", "eta0"], [[str(n), str(m), _fmt(e)] for n, m, e in triples]
-        )
+        text = _csv(["n", "m", "eta0"], "%d,%d,%.12g\n", (ns, ms, eta0))
     _write_text(text, args.out)
     return 0
 
@@ -225,11 +250,11 @@ def _cmd_wavefunction(args):
     values = oscillator.wavefunction(
         mode, args.eta, args.space, grid[:, None], grid[None, :]
     )
-    rows = []
-    for i, u_plus in enumerate(grid):
-        for j, u_minus in enumerate(grid):
-            rows.append([_fmt(u_plus), _fmt(u_minus), _fmt(values[i, j])])
-    _write_text(_csv(["u_plus", "u_minus", "value"], rows), args.out)
+    values = _finite("wavefunction value", values.ravel())
+    u = list(map("%.12g".__mod__, grid.tolist()))
+    u_plus = [x for x in u for _ in u]
+    text = _csv(["u_plus", "u_minus", "value"], "%s,%s,%.12g\n", (u_plus, u * len(u), values))
+    _write_text(text, args.out)
     return 0
 
 
@@ -294,7 +319,11 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # overflow shows up as nan or inf in the result, which the output
+        # gate turns into one DomainError line; numpy's warnings would only
+        # add lines before it
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except DomainError as exc:
         print(f"seec: error: {exc}", file=sys.stderr)
         return 1

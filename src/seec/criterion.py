@@ -47,8 +47,7 @@ class ScalingTransform:
             raise DomainError(f"eta must be finite, got {self.eta}")
         object.__setattr__(self, "eta", eta)
         object.__setattr__(self, "t", math.exp(0.5 * eta) / math.sqrt(2.0))
-        # kept linear in eta (not log(t)) so entropies are exactly linear
-        object.__setattr__(self, "ln_t", 0.5 * eta - 0.5 * _LN2)
+        object.__setattr__(self, "ln_t", _ln_t(eta))
 
     def z1(self, x_minus):
         return self.t * x_minus
@@ -61,6 +60,12 @@ class ScalingTransform:
 
     def p2(self, p_plus):
         return self.t * p_plus
+
+
+def _ln_t(eta):
+    # kept linear in eta (not log(t)) so entropies are exactly linear, and
+    # finite for every finite eta, where t itself overflows above ~1419
+    return 0.5 * eta - 0.5 * _LN2
 
 
 def _check_mode(n, m):
@@ -291,9 +296,9 @@ def criterion_f(n, m, eta):
     if not math.isfinite(eta):
         raise DomainError(f"eta must be finite, got {eta}")
     eta0 = threshold_eta0(n, m)
-    tr = ScalingTransform(eta)
-    h_w = standard_entropy(n) - tr.ln_t
-    h_v = standard_entropy(m) - tr.ln_t
+    ln_t = _ln_t(eta)
+    h_w = standard_entropy(n) - ln_t
+    h_v = standard_entropy(m) - ln_t
     f = eta0 - eta
     deltas = [d for d in (_closed_form_entropy_delta(n), _closed_form_entropy_delta(m)) if d is not None]
     return EntropyReport(
@@ -308,6 +313,20 @@ def criterion_f(n, m, eta):
         alt_f=eta0 + eta,
         oracle_delta=max(deltas) if deltas else None,
     )
+
+
+def criterion_curve(n, m, etas):
+    """Criterion curve of mode pair (n, m) over an array of couplings.
+
+    Returns the arrays (f, entangled) with f = eta0(n, m) - etas, the
+    values criterion_f reports point by point, from one cached threshold
+    and one array subtraction.
+    """
+    etas = np.asarray(etas, dtype=np.float64)
+    if not np.isfinite(etas).all():
+        raise DomainError("eta must be finite")
+    f = threshold_eta0(n, m) - etas
+    return f, f < 0.0
 
 
 def is_entangled(n, m, eta):

@@ -91,10 +91,12 @@ def diagonalize(h):
         eta = 0.25 * math.log((2.0 * a_bar + abs(h.C)) / (2.0 * a_bar - abs(h.C)))
         alpha = math.pi / 4.0 if h.C < 0.0 else -math.pi / 4.0
         return DiagonalizedSystem(M, K, omega, eta, alpha, True)
+    # for A < B, A + B - disc cancels near C^2 = 4AB; its conjugate
+    # 4K^2 / (A + B + disc) turns e^{2 eta} into 2K / (A + B + disc)
     disc = math.hypot(h.A - h.B, h.C)
-    sign = 1.0 if h.A > h.B else -1.0
-    e2eta = (h.A + h.B + sign * disc) / (2.0 * K)
-    eta = 0.5 * math.log(e2eta)
+    eta = 0.5 * math.log((h.A + h.B + disc) / (2.0 * K))
+    if h.A < h.B:
+        eta = -eta
     alpha = 0.5 * math.atan(h.C / (h.B - h.A))
     return DiagonalizedSystem(M, K, omega, eta, alpha, False)
 

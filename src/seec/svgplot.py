@@ -1,5 +1,7 @@
 """Minimal static SVG line plots (no renderer dependency)."""
 
+import numpy as np
+
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#17becf")
 
 _WIDTH, _HEIGHT = 800, 600
@@ -7,10 +9,10 @@ _LEFT, _RIGHT, _TOP, _BOTTOM = 70, 780, 25, 555
 
 
 def _spans(series):
-    xs = [x for _, pts in series for x, _ in pts]
-    ys = [y for _, pts in series for _, y in pts]
-    x0, x1 = min(xs), max(xs)
-    y0, y1 = min(ys), max(ys)
+    xs = np.concatenate([pts[:, 0] for _, pts in series])
+    ys = np.concatenate([pts[:, 1] for _, pts in series])
+    x0, x1 = float(xs.min()), float(xs.max())
+    y0, y1 = float(ys.min()), float(ys.max())
     if x1 == x0:
         x1 = x0 + 1.0
     if y1 == y0:
@@ -20,7 +22,9 @@ def _spans(series):
 
 
 def line_plot(series, x_label, y_label):
-    """SVG text for polylines; series is [(label, [(x, y), ...]), ...]."""
+    """SVG text for polylines; series is [(label, pts), ...] with pts an
+    (N, 2) array or a sequence of (x, y) pairs."""
+    series = [(label, np.asarray(pts, dtype=np.float64)) for label, pts in series]
     x0, x1, y0, y1 = _spans(series)
 
     def px(x):
@@ -60,7 +64,8 @@ def line_plot(series, x_label, y_label):
         )
     for i, (label, pts) in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]
-        coords = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in pts)
+        xs, ys = px(pts[:, 0]).tolist(), py(pts[:, 1]).tolist()
+        coords = " ".join(map("%.2f,%.2f".__mod__, zip(xs, ys)))
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{coords}"/>'
         )

@@ -231,6 +231,40 @@ class TestWavefunction:
         assert len(rows) == 9
 
 
+class TestOutputGate:
+    """For finite input the CLI writes finite numbers or exits 1 with one
+    'seec: error:' line."""
+
+    @pytest.mark.parametrize(
+        "args,flag",
+        [
+            (("sweep", "--eta-max", "inf"), "eta-max"),
+            (("sweep", "--eta-min", "nan"), "eta-min"),
+            (("sweep", "--eta-min=-1e308", "--eta-max=1e308"), "eta-max"),
+            (("diagonalize", "--A", "1e308", "--B", "1e308", "--C", "1"), None),
+            (("wavefunction", "--n", "60", "--eta", "30"), None),
+        ],
+    )
+    def test_non_finite_is_a_one_line_domain_error(self, args, flag):
+        code, out, err = run_cli(*args)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("seec: error: ") and err.count("\n") == 1
+        if flag is not None:
+            assert flag in err
+
+    @pytest.mark.parametrize(
+        "args",
+        [("criterion", "--n", "1", "--m", "2", "--eta", "2000"), ("sweep", "--eta-max", "1e308")],
+    )
+    def test_large_finite_eta_gives_finite_output(self, args, capsys):
+        from seec import cli
+
+        assert cli.main(list(args)) == 0
+        out = capsys.readouterr().out
+        assert "nan" not in out.lower() and "inf" not in out.lower()
+
+
 class TestUsageErrors:
     def test_unknown_command_exits_one(self):
         code, _, err = run_cli("nonsense")

@@ -247,6 +247,27 @@ class TestCriterionF:
         with pytest.raises(DomainError):
             criterion.criterion_f(0, 0, math.nan)
 
+    def test_finite_where_the_scale_overflows(self):
+        rep = criterion.criterion_f(1, 2, 2000.0)  # e^{eta/2} overflows a double
+        assert rep.f == criterion.threshold_eta0(1, 2) - 2000.0
+        assert math.isfinite(rep.H_w_minus) and math.isfinite(rep.H_v_plus)
+
+
+class TestCriterionCurve:
+    @pytest.mark.parametrize("n,m", [(0, 0), (1, 1), (3, 2), (32, 7)])
+    def test_matches_pointwise_reports(self, n, m):
+        etas = np.concatenate([np.linspace(-3.0, 3.0, 61), [0.0, -0.0, 1e-300, 1e308]])
+        f, entangled = criterion.criterion_curve(n, m, etas)
+        reports = [criterion.criterion_f(n, m, eta) for eta in etas.tolist()]
+        assert f.tolist() == [r.f for r in reports]
+        assert entangled.tolist() == [r.entangled for r in reports]
+
+    def test_validates_once(self):
+        with pytest.raises(DomainError):
+            criterion.criterion_curve(0, 0, [0.0, math.inf])
+        with pytest.raises(UnsupportedOrderError):
+            criterion.criterion_curve(33, 0, [0.0])
+
 
 class TestThreshold:
     def test_ground_state_is_exact_zero(self):

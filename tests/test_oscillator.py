@@ -110,6 +110,23 @@ class TestReconstruct:
         h = oscillator.CoupledHamiltonian(1.3, 0.7, a, b, c)
         assert _rel_roundtrip_error(h) <= 1e-9
 
+    def test_unbound_edge_seeded(self):
+        # C = +-2 sqrt(AB) up to rounding: 4AB - C^2 is a few ulps either
+        # side of zero, where A + B - disc cancels to <= 0 when A < B
+        rng = np.random.default_rng(2002)
+        finite = 0
+        for _ in range(2000):
+            a, b = 10.0 ** rng.uniform(-3.0, 3.0, 2)
+            c = float(rng.choice([-1.0, 1.0])) * 2.0 * math.sqrt(a * b)
+            try:
+                h = oscillator.CoupledHamiltonian(1.0, 1.0, a, b, c)
+            except DomainError:
+                continue
+            assert math.isfinite(oscillator.diagonalize(h).eta)
+            assert _rel_roundtrip_error(h) <= 1e-12
+            finite += 1
+        assert finite >= 100
+
     def test_omega_consistency_enforced(self):
         with pytest.raises(DomainError):
             oscillator.DiagonalizedSystem(M=1.0, K=4.0, omega=1.0, eta=0.0, alpha=0.0)
