@@ -9,7 +9,6 @@ table eta0(n, m).
 
 __version__ = "0.1.0"
 
-from ._kernels import backend
 from .criterion import (
     EntropyReport,
     IntegralBundle,
@@ -77,7 +76,6 @@ __all__ = [
     "UnboundModeError",
     "UnsupportedOrderError",
     "UnsupportedRegimeError",
-    "backend",
     "criterion_curve",
     "criterion_f",
     "diagonalize",

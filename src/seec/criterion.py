@@ -45,8 +45,12 @@ class ScalingTransform:
         eta = float(self.eta)
         if not math.isfinite(eta):
             raise DomainError(f"eta must be finite, got {self.eta}")
+        try:
+            t = math.exp(0.5 * eta) / math.sqrt(2.0)
+        except OverflowError:
+            raise DomainError(f"eta too large: e^(eta/2) overflows, got {eta}") from None
         object.__setattr__(self, "eta", eta)
-        object.__setattr__(self, "t", math.exp(0.5 * eta) / math.sqrt(2.0))
+        object.__setattr__(self, "t", t)
         object.__setattr__(self, "ln_t", _ln_t(eta))
 
     def z1(self, x_minus):
@@ -190,8 +194,13 @@ def marginal(side, n, m, eta, u):
         raise DomainError("coordinate must be finite")
     scalar = u.ndim == 0
     z = tr.t * np.atleast_1d(u)
-    h = _kernels.hermite_values(order, np.ascontiguousarray(z))
-    value = math.exp(ln_pref) * np.exp(-z * z) * h * h
+    with np.errstate(over="ignore", invalid="ignore"):
+        gauss = np.exp(-z * z)
+        h = _kernels.hermite_values(order, np.ascontiguousarray(z))
+        value = math.exp(ln_pref) * gauss * h * h
+    # nan where H_n overflows and the Gaussian has underflowed to 0; the
+    # true value rounds to 0 there
+    value[np.isnan(value) & (gauss == 0.0)] = 0.0
     if scalar:
         return float(value[0])
     return value.reshape(u.shape)

@@ -82,7 +82,15 @@ def diagonalize(h):
     used with eta >= 0 and alpha = +/-45 degrees (+ for C < 0).
     """
     M = math.sqrt(h.m1 * h.m2)
-    K = math.sqrt(h.A * h.B - 0.25 * h.C * h.C)
+    k2 = h.A * h.B - 0.25 * h.C * h.C
+    if not (0.0 < M < math.inf and 0.0 < k2 < math.inf):
+        # m1 m2 underflows or overflows, or AB - C^2/4 does (nan when AB
+        # and C^2 both overflow)
+        raise DomainError(
+            f"the scales M^2 = m1 m2 and K^2 = AB - C^2/4 must be positive and "
+            f"finite in floating point, got M^2 = {h.m1 * h.m2}, K^2 = {k2}"
+        )
+    K = math.sqrt(k2)
     omega = math.sqrt(K / M)
     if abs(h.A - h.B) <= DEGENERACY_THRESHOLD * (h.A + h.B):
         if h.C == 0.0:
@@ -187,10 +195,20 @@ def wavefunction(mode, eta, space, u_plus, u_minus, alpha_deg=45.0):
         # alpha = -45: mode 1 couples to the sum coordinate and the
         # difference coordinate enters with a sign flip
         g1, g2 = up, -um
-    arg1 = (math.exp(0.5 * s) / _SQRT2) * g1
-    arg2 = (math.exp(-0.5 * s) / _SQRT2) * g2
-    gauss = np.exp(-0.5 * (arg1 * arg1 + arg2 * arg2))
-    value = mode.c1 * mode.c2 * gauss * _hermite_grid(mode.n, arg1) * _hermite_grid(mode.m, arg2)
+    try:
+        scale1, scale2 = math.exp(0.5 * s), math.exp(-0.5 * s)
+    except OverflowError:
+        raise DomainError(f"eta too large: e^(|eta|/2) overflows, got {eta}") from None
+    with np.errstate(over="ignore", invalid="ignore"):
+        arg1 = (scale1 / _SQRT2) * g1
+        arg2 = (scale2 / _SQRT2) * g2
+        gauss = np.exp(-0.5 * (arg1 * arg1 + arg2 * arg2))
+        h1, h2 = _hermite_grid(mode.n, arg1), _hermite_grid(mode.m, arg2)
+        value = mode.c1 * mode.c2 * gauss * h1 * h2
+    # far out the recurrence overflows to inf (or inf - inf) where the
+    # Gaussian has underflowed to 0; the product, whose true value rounds
+    # to 0 there, is then nan
+    value = np.where(np.isnan(value) & (gauss == 0.0), 0.0, value)
     if scalar:
         return float(value)
     return value

@@ -76,15 +76,6 @@ def hermite_values(n, z):
     return _kernels.hermite_values(n, z)
 
 
-def _hermite_with_prev(n, z):
-    # (H_n(z), H_{n-1}(z)) for n >= 1; feeds the Newton polish via
-    # H_n' = 2 n H_{n-1}
-    h_prev, h = 1.0, 2.0 * z
-    for k in range(1, n):
-        h, h_prev = 2.0 * z * h - (2.0 * k) * h_prev, h
-    return h, h_prev
-
-
 @dataclass(frozen=True, eq=False)
 class RootSet:
     """All real roots of H_n, ascending.  Construction validates the count,
@@ -103,16 +94,17 @@ class RootSet:
             raise DomainError("roots must be strictly increasing")
         if np.max(np.abs(r + r[::-1])) > 1e-13:
             raise DomainError("roots must be symmetric about zero")
-        for x in r:
-            hn, hm1 = _hermite_with_prev(self.n, float(x))
-            scale = max(1.0, abs(2.0 * self.n * hm1))
-            if abs(hn) > 1e-10 * scale:
-                raise DomainError(f"root {x} has residual {hn} above tolerance")
+        hn, hm1 = _kernels.hermite_pair(self.n, r)
+        bad = np.abs(hn) > 1e-10 * np.maximum(1.0, np.abs(2.0 * self.n * hm1))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise DomainError(f"root {r[i]} has residual {hn[i]} above tolerance")
 
 
 def _roots_array(n):
     # Jacobi-matrix eigenvalues (off-diagonal sqrt(k/2)) polished by two
-    # Newton steps; supports n <= EVAL_N_MAX for internal quadrature use.
+    # Newton steps with H_n' = 2 n H_{n-1}; supports n <= EVAL_N_MAX for
+    # internal quadrature use.
     if n == 0:
         roots = np.empty(0)
     elif n == 1:
@@ -122,8 +114,7 @@ def _roots_array(n):
         jacobi = np.diag(band, 1) + np.diag(band, -1)
         roots = np.linalg.eigvalsh(jacobi)
         for _ in range(2):
-            hn = _kernels.hermite_values(n, roots)
-            hm1 = _kernels.hermite_values(n - 1, roots)
+            hn, hm1 = _kernels.hermite_pair(n, roots)
             roots = roots - hn / (2.0 * n * hm1)
         roots = 0.5 * (roots - roots[::-1])
     roots.setflags(write=False)

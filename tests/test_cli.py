@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
 import math
+import re
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seec import criterion
 
@@ -231,6 +236,53 @@ class TestWavefunction:
         assert len(rows) == 9
 
 
+NON_FINITE_FIELDS = {"nan", "-nan", "NaN", "inf", "-inf", "Infinity", "-Infinity"}
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_ORDER = st.integers(-2, 70)
+_STEPS = st.integers(-1, 60)  # grids stay small
+
+
+def _command(name, options):
+    """argv lists for one subcommand, each option present or left at its
+    default; '--key=value' keeps a negative value from reading as an option."""
+    return st.fixed_dictionaries({}, optional=options).map(
+        lambda opts: [name] + [f"--{key}={value}" for key, value in opts.items()]
+    )
+
+
+CLI_ARGV = st.one_of(
+    _command("sweep", {
+        "modes": st.lists(st.tuples(_ORDER, _ORDER), min_size=1, max_size=3).map(
+            lambda modes: ",".join(f"{n}:{m}" for n, m in modes)),
+        "eta-min": _FINITE,
+        "eta-max": _FINITE,
+        "steps": _STEPS,
+        "format": st.sampled_from(("csv", "json")),
+    }),
+    _command("threshold", {
+        "n-max": st.integers(-1, 33),
+        "m-max": st.integers(-1, 33),
+        "format": st.sampled_from(("csv", "json")),
+    }),
+    _command("criterion", {"n": _ORDER, "m": _ORDER, "eta": _FINITE}),
+    _command("diagonalize", {key: _FINITE for key in ("m1", "m2", "A", "B", "C")}),
+    _command("verify", {
+        "n-max": st.integers(-1, 13),
+        "format": st.sampled_from(("table", "json")),
+    }),
+    _command("wavefunction", {
+        "n": _ORDER,
+        "m": _ORDER,
+        "eta": _FINITE,
+        "space": st.sampled_from(("position", "momentum")),
+        "u-min": _FINITE,
+        "u-max": _FINITE,
+        "steps": _STEPS,
+    }),
+)
+
+
 class TestOutputGate:
     """For finite input the CLI writes finite numbers or exits 1 with one
     'seec: error:' line."""
@@ -242,7 +294,12 @@ class TestOutputGate:
             (("sweep", "--eta-min", "nan"), "eta-min"),
             (("sweep", "--eta-min=-1e308", "--eta-max=1e308"), "eta-max"),
             (("diagonalize", "--A", "1e308", "--B", "1e308", "--C", "1"), None),
-            (("wavefunction", "--n", "60", "--eta", "30"), None),
+            (("diagonalize", "--m1", "1e-268", "--m2", "1e-143", "--A", "3e16",
+              "--B", "1e-268", "--C", "1e-268"), None),
+            (("diagonalize", "--m1", "1e273", "--m2", "1e273", "--A", "1e273",
+              "--B", "1e273", "--C", "1.7e308"), None),
+            (("wavefunction", "--eta", "1500"), "eta"),
+            (("wavefunction", "--eta=-1500", "--space", "momentum"), "eta"),
         ],
     )
     def test_non_finite_is_a_one_line_domain_error(self, args, flag):
@@ -255,7 +312,11 @@ class TestOutputGate:
 
     @pytest.mark.parametrize(
         "args",
-        [("criterion", "--n", "1", "--m", "2", "--eta", "2000"), ("sweep", "--eta-max", "1e308")],
+        [
+            ("criterion", "--n", "1", "--m", "2", "--eta", "2000"),
+            ("sweep", "--eta-max", "1e308"),
+            ("wavefunction", "--n", "60", "--eta", "30"),
+        ],
     )
     def test_large_finite_eta_gives_finite_output(self, args, capsys):
         from seec import cli
@@ -263,6 +324,24 @@ class TestOutputGate:
         assert cli.main(list(args)) == 0
         out = capsys.readouterr().out
         assert "nan" not in out.lower() and "inf" not in out.lower()
+
+    @given(argv=CLI_ARGV)
+    @settings(max_examples=100)
+    def test_finite_arguments_keep_the_contract(self, argv):
+        from seec import cli
+
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse rejected the arguments
+                code = exc.code
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if code == 0:
+            # fields, not substrings: verify's table prints "informational"
+            fields = set(re.split(r'[\s,:"\[\]{}]+', out.getvalue()))
+            assert not fields & NON_FINITE_FIELDS, argv
 
 
 class TestUsageErrors:

@@ -120,9 +120,11 @@ class TestMarginal:
             )
 
     def test_nonnegative(self):
-        xs = np.linspace(-8, 8, 401)
-        assert np.all(criterion.marginal("w_minus", 3, 2, 0.6, xs) >= 0.0)
-        assert np.all(criterion.marginal("v_plus", 3, 2, 0.6, xs) >= 0.0)
+        # far out H_32 overflows where the Gaussian underflows to 0
+        xs = np.append(np.linspace(-8, 8, 401), 1e10)
+        for n, m in ((3, 2), (32, 32)):
+            assert np.all(criterion.marginal("w_minus", n, m, 0.6, xs) >= 0.0)
+            assert np.all(criterion.marginal("v_plus", n, m, 0.6, xs) >= 0.0)
 
     def test_normalization_against_uniform_panels(self):
         # independent oracle: equal panels, no root splitting

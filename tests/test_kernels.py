@@ -1,20 +1,6 @@
 import numpy as np
-import pytest
 
 from seec import _kernels
-from seec._kernels import _fallback
-
-try:
-    from seec._kernels import _core
-except ImportError:
-    _core = None
-
-BACKENDS = [("python", _fallback)] + ([("compiled", _core)] if _core else [])
-
-
-@pytest.fixture(params=BACKENDS, ids=[name for name, _ in BACKENDS])
-def backend(request):
-    return request.param[1]
 
 
 def _panel_inputs(n):
@@ -24,64 +10,43 @@ def _panel_inputs(n):
     return rule.nodes, rule.weights
 
 
-def test_active_backend_reported():
-    assert _kernels.backend() in ("compiled", "python")
-    assert _kernels.hermite_values is not None
-
-
 class TestHermiteValues:
-    def test_low_orders(self, backend):
+    def test_low_orders(self):
         z = np.array([0.0, 0.5, 1.0, -2.0])
-        np.testing.assert_array_equal(backend.hermite_values(0, z), np.ones(4))
-        np.testing.assert_array_equal(backend.hermite_values(1, z), 2.0 * z)
-        np.testing.assert_array_equal(backend.hermite_values(2, z), 4.0 * z * z - 2.0)
+        np.testing.assert_array_equal(_kernels.hermite_values(0, z), np.ones(4))
+        np.testing.assert_array_equal(_kernels.hermite_values(1, z), 2.0 * z)
+        np.testing.assert_array_equal(_kernels.hermite_values(2, z), 4.0 * z * z - 2.0)
 
-    def test_determinism(self, backend):
+    def test_determinism(self):
         z = np.linspace(-6.0, 6.0, 2001)
-        first = backend.hermite_values(23, z)
-        second = backend.hermite_values(23, z)
+        first = _kernels.hermite_values(23, z)
+        second = _kernels.hermite_values(23, z)
         np.testing.assert_array_equal(first, second)
-
-    @pytest.mark.skipif(_core is None, reason="compiled kernels not built")
-    def test_backends_agree(self):
-        z = np.linspace(-8.0, 8.0, 4097)
-        for n in (1, 7, 24, 40, 64):
-            a = _fallback.hermite_values(n, z)
-            b = _core.hermite_values(n, z)
-            np.testing.assert_allclose(a, b, rtol=1e-14, atol=0.0)
 
 
 class TestEntropyWeightedSum:
-    def test_matches_explicit_formula(self, backend):
+    def test_matches_explicit_formula(self):
         nodes, weights = _panel_inputs(3)
-        h = _fallback.hermite_values(3, nodes)
+        h = _kernels.hermite_values(3, nodes)
         h2 = h * h
         expected = float(np.dot(weights, np.exp(-nodes * nodes) * h2 * np.log(h2)))
-        got = backend.entropy_weighted_sum(3, nodes, weights)
+        got = _kernels.entropy_weighted_sum(3, nodes, weights)
         assert abs(got - expected) <= 1e-13 * max(1.0, abs(expected))
 
-    def test_order_zero_is_exactly_zero(self, backend):
+    def test_order_zero_is_exactly_zero(self):
         nodes, weights = _panel_inputs(0)
-        assert backend.entropy_weighted_sum(0, nodes, weights) == 0.0
+        assert _kernels.entropy_weighted_sum(0, nodes, weights) == 0.0
 
-    def test_determinism(self, backend):
+    def test_determinism(self):
         nodes, weights = _panel_inputs(5)
-        assert backend.entropy_weighted_sum(5, nodes, weights) == backend.entropy_weighted_sum(
+        assert _kernels.entropy_weighted_sum(5, nodes, weights) == _kernels.entropy_weighted_sum(
             5, nodes, weights
         )
 
-    @pytest.mark.skipif(_core is None, reason="compiled kernels not built")
-    def test_backends_agree(self):
-        for n in (1, 4, 9, 16, 32):
-            nodes, weights = _panel_inputs(n)
-            a = _fallback.entropy_weighted_sum(n, nodes, weights)
-            b = _core.entropy_weighted_sum(n, nodes, weights)
-            assert abs(a - b) <= 1e-13 * max(1.0, abs(a))
-
-    def test_zero_polynomial_value_contributes_zero(self, backend):
+    def test_zero_polynomial_value_contributes_zero(self):
         # force an exact root onto a node: H_1(0) = 0
         nodes = np.array([0.0, 1.0])
         weights = np.array([1.0, 1.0])
-        value = backend.entropy_weighted_sum(1, nodes, weights)
+        value = _kernels.entropy_weighted_sum(1, nodes, weights)
         expected = np.exp(-1.0) * 4.0 * np.log(4.0)
         assert abs(value - expected) <= 1e-15 * expected

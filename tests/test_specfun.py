@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from seec import specfun
+from seec import _kernels, specfun
 from seec.errors import DomainError, UnsupportedOrderError
 
 from oracles import hyp1f1_direct
@@ -80,10 +80,15 @@ class TestHermiteEval:
 
     def test_array_matches_scalar_bitwise(self):
         z = np.linspace(-5.0, 5.0, 101)
+        ref = [
+            np.array([specfun.hermite_eval(n, x) for x in z])
+            for n in range(specfun.EVAL_N_MAX + 1)
+        ]
         for n in (0, 1, 5, 17, 32):
-            vec = specfun.hermite_values(n, z)
-            ref = np.array([specfun.hermite_eval(n, x) for x in z])
-            assert np.array_equal(vec, ref)
+            assert np.array_equal(specfun.hermite_values(n, z), ref[n])
+        for n in range(1, specfun.EVAL_N_MAX + 1):
+            hn, hm1 = _kernels.hermite_pair(n, z)
+            assert np.array_equal(hn, ref[n]) and np.array_equal(hm1, ref[n - 1])
 
 
 class TestHermiteRoots:
