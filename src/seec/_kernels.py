@@ -8,15 +8,21 @@ def hermite_pair(n, z):
     """(H_n, H_{n-1}) at every element of ``z``, with H_{-1} = 0.
 
     One pass of the three-term recurrence H_{k+1} = 2 z H_k - 2 k H_{k-1},
-    vectorized over the evaluation points.
+    vectorized over the evaluation points.  Each step runs in place in
+    three rotating buffers, in the operation order of the formula.
     """
     z = np.ascontiguousarray(z, dtype=np.float64)
-    h = np.ones_like(z)
+    h_prev = np.ones_like(z)
     if n == 0:
-        return h, np.zeros_like(z)
-    h, h_prev = 2.0 * z, h
+        return h_prev, np.zeros_like(z)
+    z2 = 2.0 * z
+    h = z2.copy()
+    spare = np.empty_like(z)
     for k in range(1, n):
-        h, h_prev = 2.0 * z * h - (2.0 * k) * h_prev, h
+        np.multiply(z2, h, out=spare)
+        h_prev *= 2.0 * k
+        spare -= h_prev
+        h_prev, h, spare = h, spare, h_prev
     return h, h_prev
 
 
@@ -29,11 +35,18 @@ def entropy_weighted_sum(n, nodes, weights):
     """Weighted sum of e^{-z^2} H_n(z)^2 ln(H_n(z)^2) over the nodes.
 
     The integrand is continued by zero where H_n(z)^2 underflows to zero
-    (u ln u -> 0 at the polynomial roots).
+    (u ln u -> 0 at the polynomial roots).  The products run in place, in
+    the order e^{-z^2} * h^2 * ln(h^2).
     """
     nodes = np.ascontiguousarray(nodes, dtype=np.float64)
     weights = np.ascontiguousarray(weights, dtype=np.float64)
-    h = hermite_pair(n, nodes)[0]
-    h2 = h * h
-    logs = np.log(np.where(h2 > 0.0, h2, 1.0))
-    return float(np.dot(weights, np.exp(-nodes * nodes) * h2 * logs))
+    h2 = hermite_pair(n, nodes)[0]
+    h2 *= h2
+    logs = np.where(h2 > 0.0, h2, 1.0)
+    np.log(logs, out=logs)
+    terms = -nodes
+    terms *= nodes
+    np.exp(terms, out=terms)
+    terms *= h2
+    terms *= logs
+    return float(np.dot(weights, terms))

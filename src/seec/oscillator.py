@@ -42,11 +42,14 @@ class CoupledHamiltonian:
                 raise DomainError(f"{name} must be positive and finite, got {v}")
         if not math.isfinite(self.C):
             raise DomainError(f"C must be finite, got {self.C}")
-        if 4.0 * self.A * self.B - self.C * self.C <= 0.0:
-            raise UnboundModeError(
-                "bound normal modes require 4AB - C^2 > 0, got "
-                f"{4.0 * self.A * self.B - self.C * self.C}"
+        disc = 4.0 * self.A * self.B - self.C * self.C
+        if math.isnan(disc):
+            # 4AB and C^2 both overflow, so the sign of the difference is unknown
+            raise DomainError(
+                f"the discriminant 4AB - C^2 is not finite in floating point, got {disc}"
             )
+        if disc <= 0.0:
+            raise UnboundModeError(f"bound normal modes require 4AB - C^2 > 0, got {disc}")
 
 
 @dataclass(frozen=True)

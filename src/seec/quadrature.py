@@ -44,6 +44,8 @@ class QuadratureRule:
     def __post_init__(self):
         if self.kind not in ("gauss-hermite", "legendre-panels"):
             raise DomainError(f"unknown rule kind {self.kind!r}")
+        if not (np.all(np.isfinite(self.nodes)) and np.all(np.isfinite(self.weights))):
+            raise DomainError("quadrature nodes and weights must be finite")
         if not np.all(self.weights > 0.0):
             raise DomainError("all quadrature weights must be strictly positive")
         if self.kind == "gauss-hermite":
@@ -55,7 +57,7 @@ class QuadratureRule:
         else:
             if self.panels is None or len(self.panels) < 2:
                 raise DomainError("panel rule requires at least one panel")
-            if not all(a < b for a, b in zip(self.panels, self.panels[1:])):
+            if not np.all(np.diff(self.panels) > 0.0):
                 raise DomainError("panel boundaries must be strictly increasing")
 
 
@@ -93,22 +95,25 @@ def _leggauss(order):
     return nodes, weights
 
 
-def legendre_panel_rule(order, boundaries):
-    """Composite Gauss-Legendre rule with ``order`` points per panel."""
+def _check_panel_order(order):
     if not isinstance(order, (int, np.integer)) or isinstance(order, bool):
         raise DomainError(f"order must be an integer, got {order!r}")
     order = int(order)
     if order < 1:
         raise UnsupportedOrderError(f"panel order must be >= 1, got {order}")
+    return order
+
+
+def legendre_panel_rule(order, boundaries):
+    """Composite Gauss-Legendre rule with ``order`` points per panel."""
+    order = _check_panel_order(order)
     boundaries = tuple(float(b) for b in boundaries)
     base_x, base_w = _leggauss(order)
-    nodes = np.empty((len(boundaries) - 1) * order)
-    weights = np.empty_like(nodes)
-    for i, (a, b) in enumerate(zip(boundaries, boundaries[1:])):
-        mid = 0.5 * (a + b)
-        half = 0.5 * (b - a)
-        nodes[i * order : (i + 1) * order] = mid + half * base_x
-        weights[i * order : (i + 1) * order] = half * base_w
+    edges = np.array(boundaries)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    nodes = (mid[:, None] + half[:, None] * base_x).ravel()
+    weights = (half[:, None] * base_w).ravel()
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return QuadratureRule("legendre-panels", order, nodes, weights, panels=boundaries)
@@ -137,8 +142,13 @@ def integrate_panels(f, rule):
 
 
 _GRADING_LEVELS = 10
+# dyadic grading factors: away from a root (2^-10 .. 2^0) and toward one
+# (2^-1 .. 2^-10)
+_GRADE_AWAY = 2.0 ** -np.arange(_GRADING_LEVELS, -1, -1)
+_GRADE_TOWARD = 2.0 ** -np.arange(1, _GRADING_LEVELS + 1)
 
 
+@lru_cache(maxsize=None)
 def entropy_panel_boundaries(n, max_width=_MAX_PANEL_WIDTH):
     """Panel boundaries for the entropy integrand of order n.
 
@@ -148,41 +158,56 @@ def entropy_panel_boundaries(n, max_width=_MAX_PANEL_WIDTH):
     analytic, so per-panel Gauss-Legendre converges geometrically and only
     the innermost sliver (width 2^-10 of the half-gap, holding an
     O(width^3 ln width) share of the integral) sees the singularity at
-    all.  Panels away from roots are capped at ``max_width``.
+    all.  Panels away from roots are capped at ``max_width``.  Cached: the
+    boundaries of each order are built once per process.
     """
+    roots = specfun.hermite_roots(n).roots
     cut = math.sqrt(2.0 * n + 1.0) + 10.0
-    raw = [-cut]
-    if n >= 1:
-        raw.extend(float(x) for x in specfun._roots_array(n))
-    raw.append(cut)
-    boundaries = [-cut]
-    last = len(raw) - 2
-    for i, (a, b) in enumerate(zip(raw, raw[1:])):
-        mid = 0.5 * (a + b)
-        if i > 0:  # left end is a root: grade away from it
-            boundaries.extend(a + (mid - a) * 2.0 ** (-j) for j in range(_GRADING_LEVELS, -1, -1))
-        else:
-            boundaries.append(mid)
-        if i < last:  # right end is a root: grade toward it
-            boundaries.extend(b - (b - mid) * 2.0 ** (-j) for j in range(1, _GRADING_LEVELS + 1))
-        boundaries.append(b)
-    refined = []
-    for a, b in zip(boundaries, boundaries[1:]):
-        pieces = max(1, math.ceil((b - a) / max_width))
-        refined.extend(a + (b - a) * j / pieces for j in range(pieces))
-    refined.append(cut)
-    return tuple(refined)
+    raw = np.concatenate(([-cut], roots, [cut]))
+    a, b = raw[:-1], raw[1:]
+    mid = 0.5 * (a + b)
+    # one row per gap between consecutive raw points: the points graded
+    # away from its left root, those graded toward its right root, then b
+    rows = np.hstack(
+        (
+            a[:, None] + (mid - a)[:, None] * _GRADE_AWAY,
+            b[:, None] - (b - mid)[:, None] * _GRADE_TOWARD,
+            b[:, None],
+        )
+    )
+    keep = np.ones(rows.shape, dtype=bool)
+    # the window edges are not roots: the first gap starts at its midpoint
+    # (set exactly, since a + (mid - a) need not round to mid), and the last
+    # one is not graded toward its right end
+    keep[0, :_GRADING_LEVELS] = False
+    rows[0, _GRADING_LEVELS] = mid[0]
+    keep[-1, _GRADING_LEVELS + 1 : -1] = False
+    graded = np.concatenate(([-cut], rows[keep]))
+    width = graded[1:] - graded[:-1]
+    pieces = np.maximum(1, np.ceil(width / max_width)).astype(np.int64)
+    # piece j of a gap split into `pieces` starts at a + (b - a) * j / pieces
+    j = np.arange(pieces.sum()) - np.repeat(np.cumsum(pieces) - pieces, pieces)
+    step = np.repeat(width, pieces) * j / np.repeat(pieces, pieces)
+    refined = np.repeat(graded[:-1], pieces) + step
+    return tuple(refined.tolist()) + (cut,)
 
 
-@lru_cache(maxsize=None)
 def entropy_integral_numeric(n, panel_order=DEFAULT_PANEL_ORDER):
     """Integral of e^{-z^2} H_n^2(z) ln(H_n^2(z)) over the real line.
 
     Panels split at the roots of H_n (the integrand is continued by its
     limit 0 there); per-panel Gauss-Legendre of ``panel_order`` points.
     Truncation at |z| = sqrt(2n + 1) + 10 leaves a Gaussian tail below
-    1e-40 of the result.
+    1e-40 of the result.  Each (n, panel_order) is integrated once per
+    process, however the call spells it.
     """
     n = specfun._check_order(n, specfun.ROOTS_N_MAX)
+    return _entropy_integral(n, _check_panel_order(panel_order))
+
+
+@lru_cache(maxsize=None)
+def _entropy_integral(n, panel_order):
+    # keyed on validated ints, so (k), (k, 48) and (np.int64(k), 48) share
+    # one entry; the rule's nodes are dropped after the sum
     rule = legendre_panel_rule(panel_order, entropy_panel_boundaries(n))
     return _kernels.entropy_weighted_sum(n, rule.nodes, rule.weights)

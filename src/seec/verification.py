@@ -45,12 +45,14 @@ def _gh_integral(order, f):
     return quadrature.integrate_panels(f, rule)
 
 
-def _marginal_residual(side, n, m, eta):
-    order = n if side == "w_minus" else m
+def _marginal_rule(order, eta):
     t = criterion.ScalingTransform(eta).t
     # the density support in u is the z-window scaled by 1/t
     bounds = [b / t for b in quadrature.entropy_panel_boundaries(order)]
-    rule = quadrature.legendre_panel_rule(32, bounds)
+    return quadrature.legendre_panel_rule(32, bounds)
+
+
+def _marginal_residual(side, n, m, eta, rule):
     total = quadrature.integrate_panels(
         lambda u: criterion.marginal(side, n, m, eta, u), rule
     )
@@ -110,11 +112,14 @@ def collect_checks(n_max):
                 )
             )
     cap = min(n_max, _NORMALIZATION_CAP)
+    etas = (0.0, 0.5)
+    # a marginal's rule depends only on its own order and eta
+    rules = {(k, eta): _marginal_rule(k, eta) for k in range(cap + 1) for eta in etas}
     for n in range(cap + 1):
         for m in range(cap + 1):
-            for eta in (0.0, 0.5):
-                for side, tag in (("w_minus", "w"), ("v_plus", "v")):
-                    res = _marginal_residual(side, n, m, eta)
+            for eta in etas:
+                for side, tag, order in (("w_minus", "w", n), ("v_plus", "v", m)):
+                    res = _marginal_residual(side, n, m, eta, rules[order, eta])
                     checks.append(
                         _check(f"norm_{tag}[{n},{m},eta={eta}]", 1.0 + res, 1.0, 1e-8)
                     )

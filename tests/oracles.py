@@ -61,3 +61,53 @@ def density_entropy(density, a, b, panels=128, order=24):
 def gauss_entropy(sigma2):
     """Differential entropy of a normal density with variance sigma2."""
     return 0.5 * math.log(2.0 * math.pi * math.e * sigma2)
+
+
+def panel_rule_loop(order, boundaries):
+    """(nodes, weights) of the composite Gauss-Legendre rule built one
+    panel at a time: the reference for the broadcast panel rule."""
+    base_x, base_w = np.polynomial.legendre.leggauss(order)
+    boundaries = tuple(float(b) for b in boundaries)
+    nodes = np.empty((len(boundaries) - 1) * order)
+    weights = np.empty_like(nodes)
+    for i, (a, b) in enumerate(zip(boundaries, boundaries[1:])):
+        mid = 0.5 * (a + b)
+        half = 0.5 * (b - a)
+        nodes[i * order : (i + 1) * order] = mid + half * base_x
+        weights[i * order : (i + 1) * order] = half * base_w
+    return nodes, weights
+
+
+def entropy_panel_boundaries_loop(n, roots, max_width=2.0):
+    """Entropy panel boundaries built point by point from the roots of H_n:
+    the reference for the array construction."""
+    cut = math.sqrt(2.0 * n + 1.0) + 10.0
+    raw = [-cut, *(float(x) for x in roots), cut]
+    boundaries = [-cut]
+    last = len(raw) - 2
+    for i, (a, b) in enumerate(zip(raw, raw[1:])):
+        mid = 0.5 * (a + b)
+        if i > 0:  # left end is a root: grade away from it
+            boundaries.extend(a + (mid - a) * 2.0 ** (-j) for j in range(10, -1, -1))
+        else:
+            boundaries.append(mid)
+        if i < last:  # right end is a root: grade toward it
+            boundaries.extend(b - (b - mid) * 2.0 ** (-j) for j in range(1, 11))
+        boundaries.append(b)
+    refined = []
+    for a, b in zip(boundaries, boundaries[1:]):
+        pieces = max(1, math.ceil((b - a) / max_width))
+        refined.extend(a + (b - a) * j / pieces for j in range(pieces))
+    refined.append(cut)
+    return tuple(refined)
+
+
+def hermite_pair_allocating(n, z):
+    """(H_n, H_{n-1}) by the recurrence written as one expression per step,
+    a new array each: the reference for the in-place kernel."""
+    h_prev, h = np.ones_like(z), 2.0 * z
+    if n == 0:
+        return h_prev, np.zeros_like(z)
+    for k in range(1, n):
+        h, h_prev = 2.0 * z * h - (2.0 * k) * h_prev, h
+    return h, h_prev

@@ -1,6 +1,13 @@
 import numpy as np
+import pytest
 
+import oracles
 from seec import _kernels
+
+# panel-like points, exact roots and zeros, and points where H_n overflows
+_GRID = np.concatenate(
+    (np.linspace(-12.0, 12.0, 4001), [0.0, -0.0, 1e-300, 1.0 / np.sqrt(2.0), 40.0, -1e3])
+)
 
 
 def _panel_inputs(n):
@@ -50,3 +57,22 @@ class TestEntropyWeightedSum:
         value = _kernels.entropy_weighted_sum(1, nodes, weights)
         expected = np.exp(-1.0) * 4.0 * np.log(4.0)
         assert abs(value - expected) <= 1e-15 * expected
+
+
+class TestInPlaceBitIdentity:
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 32, 64])
+    def test_hermite_pair_matches_allocating_recurrence(self, n):
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = _kernels.hermite_pair(n, _GRID)
+            expected = oracles.hermite_pair_allocating(n, _GRID)
+        for g, e in zip(got, expected):
+            assert g.tobytes() == e.tobytes()
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 32])
+    def test_weighted_sum_matches_allocating_formula(self, n):
+        nodes, weights = _panel_inputs(n)
+        h = oracles.hermite_pair_allocating(n, nodes)[0]
+        h2 = h * h
+        logs = np.log(np.where(h2 > 0.0, h2, 1.0))
+        expected = float(np.dot(weights, np.exp(-nodes * nodes) * h2 * logs))
+        assert _kernels.entropy_weighted_sum(n, nodes, weights) == expected

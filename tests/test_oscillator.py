@@ -34,6 +34,11 @@ class TestCoupledHamiltonian:
         with pytest.raises(UnboundModeError):
             oscillator.CoupledHamiltonian(1.0, 1.0, 1.0, 1.0, -2.5)
 
+    def test_rejects_nan_discriminant(self):
+        # 4AB and C^2 both overflow to inf, and inf - inf is nan
+        with pytest.raises(DomainError, match="discriminant 4AB - C\\^2 is not finite.*nan"):
+            oscillator.CoupledHamiltonian(1e273, 1e273, 1e273, 1e273, 1.7e308)
+
 
 class TestDiagonalize:
     def test_degenerate_example(self):

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from seec import quadrature, specfun
+from seec import _kernels, quadrature, specfun
 from seec.errors import DomainError, IntegrandEvaluationError, UnsupportedOrderError
+
+import oracles
 
 SQRT_PI = specfun.CONSTANTS.sqrt_pi
 EULER_GAMMA = specfun.CONSTANTS.euler_gamma
@@ -80,6 +82,30 @@ class TestPanelRule:
     def test_increasing_boundaries_required(self):
         with pytest.raises(DomainError):
             quadrature.legendre_panel_rule(8, (0.0, 0.0, 1.0))
+
+    @pytest.mark.parametrize("boundaries", [(-math.inf, 0.0), (0.0, math.inf), (-1e308, 1e308)])
+    def test_nonfinite_rule_rejected(self, boundaries):
+        # an infinite end, or a width that overflows, makes nodes and weights
+        # inf or nan
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DomainError, match="finite"):
+            quadrature.legendre_panel_rule(4, boundaries)
+
+    @pytest.mark.parametrize(
+        "boundaries",
+        [
+            (-1.0, 1.0),
+            (0.0, 1e-300, 1.0),
+            (-3.5, -0.1, 0.0, 2.0 / 3.0, 7.25),
+            tuple(np.linspace(-9.0, 13.0, 23)),
+            tuple(np.sort(np.random.default_rng(7).uniform(-20.0, 20.0, 41))),
+        ],
+    )
+    @pytest.mark.parametrize("order", [1, 5, 32])
+    def test_bit_identical_to_panel_loop(self, order, boundaries):
+        rule = quadrature.legendre_panel_rule(order, boundaries)
+        nodes, weights = oracles.panel_rule_loop(order, boundaries)
+        assert rule.nodes.tobytes() == nodes.tobytes()
+        assert rule.weights.tobytes() == weights.tobytes()
 
     def test_gaussian_integral(self):
         rule = quadrature.legendre_panel_rule(32, (-10.0, 0.0, 10.0))
@@ -160,3 +186,35 @@ class TestEntropyIntegral:
         for root in specfun.hermite_roots(n).roots:
             assert any(abs(b - root) < 1e-12 for b in bounds)
         assert all(a < b for a, b in zip(bounds, bounds[1:]))
+
+    @pytest.mark.parametrize("n", range(0, 33))
+    def test_boundaries_and_rules_bit_identical_to_loops(self, n):
+        bounds = quadrature.entropy_panel_boundaries(n)
+        reference = oracles.entropy_panel_boundaries_loop(n, specfun.hermite_roots(n).roots)
+        assert np.array(bounds).tobytes() == np.array(reference).tobytes()
+        for order in (32, 48, 96):
+            rule = quadrature.legendre_panel_rule(order, bounds)
+            nodes, weights = oracles.panel_rule_loop(order, reference)
+            assert rule.nodes.tobytes() == nodes.tobytes()
+            assert rule.weights.tobytes() == weights.tobytes()
+
+    def test_one_integration_per_order_and_panel_order(self, monkeypatch):
+        calls = []
+        weighted_sum = _kernels.entropy_weighted_sum
+
+        def counted(*args):
+            calls.append(args[0])
+            return weighted_sum(*args)
+
+        monkeypatch.setattr(_kernels, "entropy_weighted_sum", counted)
+        quadrature._entropy_integral.cache_clear()
+        values = {
+            quadrature.entropy_integral_numeric(7),
+            quadrature.entropy_integral_numeric(7, 48),
+            quadrature.entropy_integral_numeric(np.int64(7), 48),
+        }
+        assert calls == [7] and len(values) == 1
+        # the cached (7, 48) entry must not answer for a malformed order
+        for bad in (48.0, True):
+            with pytest.raises(DomainError):
+                quadrature.entropy_integral_numeric(7, bad)
