@@ -229,12 +229,8 @@ def _cmd_verify(args):
                 f"{c.name:<{width}}  {c.value:>22.15g}  {c.reference:>22.15g}  "
                 f"{c.delta:>12.3e}  {c.status}"
             )
-        n_exp = sum(1 for c in checks if c.status == "EXPERIMENTAL")
         lines.append("")
-        lines.append(
-            f"normative checks: {'all passed' if passed else 'FAILURES PRESENT'}; "
-            f"experimental closed-form disagreements: {n_exp} (informational)"
-        )
+        lines.append(f"normative checks: {'all passed' if passed else 'FAILURES PRESENT'}")
         text = "\n".join(lines) + "\n"
     _write_text(text, args.out)
     return 0 if passed else 2

@@ -26,7 +26,6 @@ from .errors import DomainError
 
 MODE_N_MAX = 32
 LN_2PI_E = specfun.CONSTANTS.ln_2pi_e
-CLOSED_FORM_GATE_RTOL = 1e-6
 
 _LN2 = math.log(2.0)
 _SIDES = ("w_minus", "v_plus")
@@ -84,20 +83,11 @@ def _ln_norm(k):
     return 0.5 * math.log(math.pi) + specfun.ln_factorial(k) + k * _LN2
 
 
-@lru_cache(maxsize=None)
-def _closed_form_i3(k):
-    """(value, validated) for the experimental closed-form entropy integral,
-    gated per order against the normative quadrature."""
-    value = specfun.entropy_integral_closed_form(k)
-    reference = quadrature.entropy_integral_numeric(k)
-    validated = abs(value - reference) <= CLOSED_FORM_GATE_RTOL * max(1.0, abs(reference))
-    return value, validated
-
-
 @dataclass(frozen=True)
 class IntegralBundle:
     """Closed-form integrals I0..I2 / J0..J2, the entropy integrals I3/J3
-    with their provenance, and the marginal prefactors q_nm, r_nm.
+    (panel quadrature) with their closed-form oracle values, and the
+    marginal prefactors q_nm, r_nm.
 
     The I-side lives in the difference coordinate (order n), the J-side is
     its momentum-sum mirror (order m), so I0 = J1-at-n and so on with
@@ -117,45 +107,25 @@ class IntegralBundle:
     J3: float
     q_nm: float
     r_nm: float
-    i3_source: str
-    j3_source: str
-    i3_closed_form: float | None = None
-    j3_closed_form: float | None = None
+    i3_closed_form: float
+    j3_closed_form: float
 
 
-def integral_bundle(n, m, eta=0.0, i3_path="quadrature"):
+def integral_bundle(n, m, eta=0.0):
     """Assemble the integral bundle for mode pair (n, m) at coupling eta.
 
-    I3/J3 come from the panel quadrature by default; the experimental
-    closed-form route is recorded alongside whenever it survives its
-    per-order gate, and may be selected with i3_path='closed-form' only
-    where validated.
+    I3/J3 come from the normative panel quadrature; the closed form from
+    the logarithmic potential is recorded alongside as its oracle.
 
     The prefactors use the normalization-preserving constant
     q_nm = t I0 / (pi n! m! 2^{n+m}) (and the r_nm mirror): 2^{n+m} is the
     unique power for which the marginals integrate to one.
     """
     n, m = _check_mode(n, m)
-    if i3_path not in ("quadrature", "closed-form"):
-        raise DomainError(f"i3_path must be 'quadrature' or 'closed-form', got {i3_path!r}")
     tr = ScalingTransform(eta)
     ln_n, ln_m = _ln_norm(n), _ln_norm(m)
     i1 = math.exp(ln_n)  # 2^n n! sqrt(pi)
     j1 = math.exp(ln_m)
-    i3_quad = quadrature.entropy_integral_numeric(n)
-    j3_quad = quadrature.entropy_integral_numeric(m)
-    i3_closed, i3_ok = _closed_form_i3(n)
-    j3_closed, j3_ok = _closed_form_i3(m)
-    if i3_path == "closed-form":
-        if not (i3_ok and j3_ok):
-            raise DomainError(
-                f"closed-form entropy integral not validated for orders ({n}, {m})"
-            )
-        i3, j3 = i3_closed, j3_closed
-        i3_source = j3_source = "closed-form"
-    else:
-        i3, j3 = i3_quad, j3_quad
-        i3_source = j3_source = "quadrature"
     return IntegralBundle(
         n=n,
         m=m,
@@ -163,17 +133,15 @@ def integral_bundle(n, m, eta=0.0, i3_path="quadrature"):
         I0=j1,
         I1=i1,
         I2=-i1 * (n + 0.5),
-        I3=i3,
+        I3=quadrature.entropy_integral_numeric(n),
         J0=i1,
         J1=j1,
         J2=-j1 * (m + 0.5),
-        J3=j3,
+        J3=quadrature.entropy_integral_numeric(m),
         q_nm=math.exp(tr.ln_t - ln_n),
         r_nm=math.exp(tr.ln_t - ln_m),
-        i3_source=i3_source,
-        j3_source=j3_source,
-        i3_closed_form=i3_closed if i3_ok else None,
-        j3_closed_form=j3_closed if j3_ok else None,
+        i3_closed_form=_closed_form_oracle(n)[0],
+        j3_closed_form=_closed_form_oracle(m)[0],
     )
 
 
@@ -206,19 +174,33 @@ def marginal(side, n, m, eta, u):
     return value.reshape(u.shape)
 
 
-@lru_cache(maxsize=None)
+def _entropy_from_i3(k, i3):
+    # S_k = ln(sqrt(pi) k! 2^k) + k + 1/2 - I3(k) / (2^k k! sqrt(pi))
+    ln_norm = _ln_norm(k)
+    return ln_norm + k + 0.5 - i3 * math.exp(-ln_norm)
+
+
 def standard_entropy(k, panel_order=quadrature.DEFAULT_PANEL_ORDER):
     """Entropy S_k of the unit-scale level-k density c_k^2 e^{-z^2} H_k^2(z):
 
         S_k = ln(sqrt(pi) k! 2^k) + k + 1/2 - I3(k) / (2^k k! sqrt(pi))
 
-    with I3 from the normative quadrature.  Cached write-once; the value is
-    a pure function of k so cold, warm and raced lookups agree.
+    with I3 from the normative quadrature.  The arguments are validated on
+    every call, then each (k, panel_order) is computed once per process,
+    however the call spells it; the value is a pure function of k, so cold,
+    warm and raced lookups agree.
     """
     k = specfun._check_order(k, MODE_N_MAX, "k")
-    ln_norm = _ln_norm(k)
-    i3 = quadrature.entropy_integral_numeric(k, panel_order)
-    return ln_norm + k + 0.5 - i3 * math.exp(-ln_norm)
+    return _standard_entropy(k, quadrature._check_panel_order(panel_order))
+
+
+@lru_cache(maxsize=None)
+def _standard_entropy(k, panel_order):
+    return _entropy_from_i3(k, quadrature.entropy_integral_numeric(k, panel_order))
+
+
+standard_entropy.cache_info = _standard_entropy.cache_info
+standard_entropy.cache_clear = _standard_entropy.cache_clear
 
 
 @lru_cache(maxsize=None)
@@ -253,14 +235,11 @@ def shannon_entropy(side, n, m, eta=0.0, bundle=None):
 
 
 @lru_cache(maxsize=None)
-def _closed_form_entropy_delta(k):
-    # |S_k(quadrature) - S_k(closed form)| where the closed form validates
-    value, ok = _closed_form_i3(k)
-    if not ok:
-        return None
-    ln_norm = _ln_norm(k)
-    s_closed = ln_norm + k + 0.5 - value * math.exp(-ln_norm)
-    return abs(standard_entropy(k) - s_closed)
+def _closed_form_oracle(k):
+    # (I3(k) by the closed form, |S_k(quadrature) - S_k(closed form)|),
+    # computed once per order
+    i3 = specfun.entropy_integral_closed_form(k)
+    return i3, abs(standard_entropy(k) - _entropy_from_i3(k, i3))
 
 
 @dataclass(frozen=True)
@@ -270,9 +249,8 @@ class EntropyReport:
     ``f`` is the criterion function (entangled iff f < 0), ``eta0`` its
     eta-intercept, ``alt_f`` the alternate pairing H[w+] + H[v-] -
     ln(2 pi e) (reported, never substituted: its analytic form is
-    eta0 + eta, not eta0 - eta), and ``oracle_delta`` the closed-form vs
-    quadrature entropy disagreement where the experimental path validates
-    (None otherwise).
+    eta0 + eta, not eta0 - eta), and ``oracle_delta`` the larger of the
+    two closed-form vs quadrature entropy disagreements.
     """
 
     n: int
@@ -284,7 +262,7 @@ class EntropyReport:
     eta0: float
     entangled: bool
     alt_f: float
-    oracle_delta: float | None
+    oracle_delta: float
 
 
 def threshold_eta0(n, m):
@@ -309,7 +287,6 @@ def criterion_f(n, m, eta):
     h_w = standard_entropy(n) - ln_t
     h_v = standard_entropy(m) - ln_t
     f = eta0 - eta
-    deltas = [d for d in (_closed_form_entropy_delta(n), _closed_form_entropy_delta(m)) if d is not None]
     return EntropyReport(
         n=n,
         m=m,
@@ -320,7 +297,7 @@ def criterion_f(n, m, eta):
         eta0=eta0,
         entangled=f < 0.0,
         alt_f=eta0 + eta,
-        oracle_delta=max(deltas) if deltas else None,
+        oracle_delta=max(_closed_form_oracle(n)[1], _closed_form_oracle(m)[1]),
     )
 
 

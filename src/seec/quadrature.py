@@ -87,14 +87,6 @@ def gauss_hermite_rule(order):
     return QuadratureRule("gauss-hermite", order, nodes, weights)
 
 
-@lru_cache(maxsize=None)
-def _leggauss(order):
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
-
-
 def _check_panel_order(order):
     if not isinstance(order, (int, np.integer)) or isinstance(order, bool):
         raise DomainError(f"order must be an integer, got {order!r}")
@@ -108,7 +100,7 @@ def legendre_panel_rule(order, boundaries):
     """Composite Gauss-Legendre rule with ``order`` points per panel."""
     order = _check_panel_order(order)
     boundaries = tuple(float(b) for b in boundaries)
-    base_x, base_w = _leggauss(order)
+    base_x, base_w = specfun._leggauss(order)
     edges = np.array(boundaries)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
@@ -162,7 +154,7 @@ def entropy_panel_boundaries(n, max_width=_MAX_PANEL_WIDTH):
     boundaries of each order are built once per process.
     """
     roots = specfun.hermite_roots(n).roots
-    cut = math.sqrt(2.0 * n + 1.0) + 10.0
+    cut = specfun._entropy_window(n)
     raw = np.concatenate(([-cut], roots, [cut]))
     a, b = raw[:-1], raw[1:]
     mid = 0.5 * (a + b)

@@ -1,5 +1,7 @@
-"""Hermite polynomials, their roots, factorial helpers, and the two
-hypergeometric functions entering the logarithmic potential V_n.
+"""Hermite polynomials, their roots, factorial helpers, the Gauss-argument
+hypergeometric functions 1F1(1; 1/2; -x^2) and 2F2(1, 1; 3/2, 2; -x^2), and
+the logarithmic potential V_n with the closed-form entropy integral built
+on it.
 
 Everything here is a pure function of its arguments.  Cached values (root
 sets) are immutable after construction, so sharing across threads is safe:
@@ -10,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -202,6 +203,10 @@ def hyp1f1_gauss(x):
 def hyp2f2_gauss(x):
     """2F2(1, 1; 3/2, 2; -x^2) by its alternating series.
 
+    x^2 times it is int_0^inf e^{-k^2/4} (1 - cos kx) / k dk, the k
+    integral of V_0; log_potential reaches every order through that
+    integral, not through this series.
+
     No sign-definite transformation exists here, so the sum is accumulated
     in extended precision with Neumaier compensation; cancellation grows
     like e^{x^2}, and the result always carries an estimated absolute
@@ -240,56 +245,95 @@ def hyp2f2_gauss(x):
     return SeriesValue(value, err, degraded)
 
 
-@dataclass(frozen=True)
-class LogPotentialValue:
-    """V_n evaluation; ``experimental`` is always set because this closed
-    form only reproduces the quadrature oracle at n = 1 (its binomial sum
-    is inconsistent for n >= 2), so consumers must gate it per order
-    against the oracle."""
 
-    value: float
-    experimental: bool
-    hyp_degraded: bool
+@lru_cache(maxsize=None)
+def _leggauss(order):
+    # the Gauss-Legendre base rule on [-1, 1], built once per order and
+    # shared by the entropy panel quadrature and the k rule of V_n
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
 
-    def __float__(self):
-        return self.value
+
+def _entropy_window(n):
+    # half-width of the z window outside which e^{-z^2} H_n^2 is negligible
+    return math.sqrt(2.0 * n + 1.0) + 10.0
+
+
+def _k_cutoff(n):
+    # e^{-k^2/4} L_n(k^2/2) oscillates up to k = 2 sqrt(2n + 1) and has
+    # decayed below 1e-21 twelve units beyond
+    return 2.0 * math.sqrt(2.0 * n + 1.0) + 12.0
+
+
+# ln|y| = _LN_ABS_C0 + int_0^inf (e^{-k^2/4} - cos ky) / k dk
+_LN_ABS_C0 = -(_LN2 + 0.5 * CONSTANTS.euler_gamma)
+_K_PANEL_ORDER = 48  # the panel quadrature's default, so its base rule is shared
+# radians of integrand phase per k panel: 48-point panels stay at roundoff
+# up to about 120
+_K_PANEL_PHASE = 80.0
 
 
 @lru_cache(maxsize=None)
-def _binomial_sum(n):
-    # sum_{k=1..n} C(n,k) (-2)^k / k, exact rational then one rounding
-    return float(sum(Fraction(math.comb(n, k) * (-2) ** k, k) for k in range(1, n + 1)))
+def _fourier_laguerre_rule(n, panels):
+    """(k, c, a) for V_n on ``panels`` equal Gauss-Legendre panels over
+    [0, 2 sqrt(2n+1) + 12]: the nodes k, the constant
+    c = ln-constant + sum w e^{-k^2/4} / k, and a = w e^{-k^2/4} L_n(k^2/2) / k,
+    so that -V_n(x) / (2^n n! sqrt(pi)) = c - sum a cos(k x)."""
+    base_x, base_w = _leggauss(_K_PANEL_ORDER)
+    edges = np.linspace(0.0, _k_cutoff(n), panels + 1)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    k = (mid[:, None] + half[:, None] * base_x).ravel()
+    w_over_k = (half[:, None] * base_w).ravel() / k
+    t = 0.5 * k * k
+    gauss = np.exp(-0.5 * t)
+    # e^{-t/2} L_j(t) by (j + 1) L_{j+1} = (2j + 1 - t) L_j - j L_{j-1};
+    # bounded by 1 in magnitude, so nothing overflows or cancels
+    lag_prev, lag = np.zeros_like(k), gauss
+    for j in range(n):
+        lag_prev, lag = lag, ((2.0 * j + 1.0 - t) * lag - j * lag_prev) / (j + 1.0)
+    k.setflags(write=False)
+    amplitude = w_over_k * lag
+    amplitude.setflags(write=False)
+    return k, _LN_ABS_C0 + float(np.dot(w_over_k, gauss)), amplitude
 
 
 def log_potential(n, x):
-    """Logarithmic potential V_n(x) of the Hermite polynomial H_n:
+    """Logarithmic potential V_n(x) = -int e^{-z^2} H_n(z)^2 ln|z - x| dz.
 
-        2^n n! sqrt(pi) [ ln 2 + gamma/2 - x^2 2F2(1,1;3/2,2;-x^2)
-                          + (1/2) sum_{k=1..n} C(n,k) (-2)^k / k
-                            * 1F1(1;1/2;-x^2) ]
+    Exact to roundoff by the Fourier-Frullani form of the logarithm and the
+    characteristic function int e^{-z^2} H_n^2 e^{ikz} dz
+    = 2^n n! sqrt(pi) e^{-k^2/4} L_n(k^2/2):
 
-    Experimental path: see LogPotentialValue.
+        V_n(x) = -2^n n! sqrt(pi) [ -(ln 2 + gamma/2)
+                 + int_0^inf e^{-k^2/4} (1 - L_n(k^2/2) cos kx) / k dk ]
+
+    The integrand is smooth and bounded; the k integral takes a composite
+    Gauss-Legendre rule whose panel count grows with max |x|.  Accepts a
+    scalar or an array of points with |x| <= sqrt(2n + 1) + 10 (the
+    entropy window); returns a float or an array of the same shape.
     """
     n = _check_order(n, ROOTS_N_MAX)
     if n == 0:
         raise DomainError("V_n requires n >= 1 (H_0 has no roots)")
-    x = float(x)
-    if not math.isfinite(x):
-        raise DomainError(f"evaluation point must be finite, got {x}")
-    f22 = hyp2f2_gauss(x)
-    f11 = hyp1f1_gauss(x)
-    prefactor = math.exp(n * _LN2 + ln_factorial(n) + 0.5 * _LN_PI)
-    bracket = (
-        _LN2
-        + 0.5 * CONSTANTS.euler_gamma
-        - x * x * f22.value
-        + 0.5 * _binomial_sum(n) * f11.value
-    )
-    return LogPotentialValue(
-        value=prefactor * bracket,
-        experimental=True,
-        hyp_degraded=f11.degraded or f22.degraded,
-    )
+    x = np.asarray(x, dtype=np.float64)
+    if not np.all(np.isfinite(x)):
+        raise DomainError("evaluation points must be finite")
+    reach = float(np.max(np.abs(x), initial=0.0))
+    window = _entropy_window(n)
+    if reach > window:
+        raise DomainError(
+            f"|x| must be at most sqrt(2n + 1) + 10 = {window:.6g} for n = {n}, got {reach}"
+        )
+    # the integrand's phase rate in k is at most |x| + sqrt(2n + 1)
+    rate = reach + math.sqrt(2.0 * n + 1.0)
+    panels = math.ceil(rate * _k_cutoff(n) / _K_PANEL_PHASE)
+    k, constant, amplitude = _fourier_laguerre_rule(n, panels)
+    norm = math.exp(n * _LN2 + ln_factorial(n) + 0.5 * _LN_PI)
+    v = -norm * (constant - np.cos(np.multiply.outer(x, k)) @ amplitude)
+    return float(v) if v.ndim == 0 else v
 
 
 def entropy_integral_closed_form(n):
@@ -297,13 +341,13 @@ def entropy_integral_closed_form(n):
 
         2^n n! sqrt(pi) ln(2^{2n}) - 2 sum_k V_n(x_{n,k})
 
-    summed over the roots x_{n,k} of H_n.  Inherits the experimental
-    status of log_potential; the panel quadrature in ``quadrature`` is the
-    normative route.
+    summed over the roots x_{n,k} of H_n, from one log_potential call.  The
+    independent oracle of the panel quadrature in ``quadrature``, which
+    stays the normative route.
     """
     n = _check_order(n, ROOTS_N_MAX)
     if n == 0:
         return 0.0
-    v_sum = math.fsum(log_potential(n, x).value for x in hermite_roots(n).roots)
+    v_sum = math.fsum(log_potential(n, hermite_roots(n).roots))
     prefactor = math.exp(n * _LN2 + ln_factorial(n) + 0.5 * _LN_PI)
     return prefactor * (2.0 * n * _LN2) - 2.0 * v_sum

@@ -221,12 +221,21 @@ def test_criterion_10_cli_reproduction():
     code_thr, out_thr, _ = _run_cli("threshold", "--n-max", "5", "--m-max", "5")
     grid_rows = out_thr.strip().split("\n")[1:]
     threshold_ok = code_thr == 0 and len(grid_rows) == 36
-    code_ver, out_ver, _ = _run_cli("verify", "--n-max", "8")
-    verify_ok = code_ver == 0 and "EXPERIMENTAL" in out_ver
+    code_ver, out_ver, _ = _run_cli("verify", "--n-max", "8", "--format", "json")
+    verify_ok = code_ver == 0
+    if verify_ok:
+        payload = json.loads(out_ver)
+        closed = {c["name"]: c for c in payload["checks"] if c["name"].startswith("I3closed[")}
+        verify_ok = (
+            payload["pass"] is True
+            and all(c["status"] in ("ok", "report") for c in payload["checks"])
+            and sorted(closed) == sorted(f"I3closed[{n}]" for n in range(9))
+            and all(c["normative"] and c["status"] == "ok" for c in closed.values())
+        )
     ok = sweep_ok and brackets_ok and threshold_ok and verify_ok
     _report(
         10,
-        "CLI sweep brackets the thresholds; threshold emits the 6x6 grid; verify exits 0 with EXPERIMENTAL flags",
+        "CLI sweep brackets the thresholds; threshold emits the 6x6 grid; verify passes with normative I3closed rows",
         ok,
         f"sweep={sweep_ok} brackets={brackets_ok} threshold={threshold_ok} verify={verify_ok}",
     )

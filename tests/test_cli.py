@@ -147,10 +147,12 @@ class TestCriterionCommand:
         assert abs(payload["f"] - (payload["eta0"] - 0.3)) <= 1e-12
         assert abs(payload["alt_f"] - (payload["eta0"] + 0.3)) <= 1e-12
 
-    def test_oracle_delta_null_where_closed_form_invalid(self):
-        code, out, _ = run_cli("criterion", "--n", "2", "--m", "2", "--eta", "0.1")
-        assert code == 0
-        assert json.loads(out)["oracle_delta"] is None
+    def test_oracle_delta_reported_at_every_order(self):
+        for n, m in (("2", "2"), ("32", "7")):
+            code, out, _ = run_cli("criterion", "--n", n, "--m", m, "--eta", "0.1")
+            assert code == 0
+            delta = json.loads(out)["oracle_delta"]
+            assert isinstance(delta, float) and 0.0 <= delta <= 1e-10
 
 
 class TestDiagonalize:
@@ -185,11 +187,15 @@ class TestDiagonalize:
 
 
 class TestVerify:
-    def test_exit_zero_and_experimental_flags(self):
+    def test_exit_zero_with_normative_closed_form_rows(self):
         code, out, _ = run_cli("verify", "--n-max", "2")
         assert code == 0
-        assert "EXPERIMENTAL" in out  # the n=2 closed form disagrees, reported not failed
-        assert "all passed" in out
+        rows = {line.split()[0]: line.split()[-1] for line in out.splitlines()[1:-2]}
+        for n in range(3):
+            assert rows[f"I3closed[{n}]"] == "ok"
+            assert rows[f"S_closed_delta[{n}]"] == "ok"
+        assert set(rows.values()) <= {"ok", "report"}
+        assert out.splitlines()[-1] == "normative checks: all passed"
 
     def test_json_format(self):
         code, out, _ = run_cli("verify", "--n-max", "1", "--format", "json")
@@ -199,7 +205,10 @@ class TestVerify:
         names = {c["name"] for c in payload["checks"]}
         assert "I3anchor[1]" in names
         statuses = {c["status"] for c in payload["checks"]}
-        assert statuses <= {"ok", "EXPERIMENTAL", "report"}
+        assert statuses <= {"ok", "report"}
+        closed = [c for c in payload["checks"] if c["name"].startswith("I3closed[")]
+        assert len(closed) == 2 and all(c["normative"] for c in closed)
+        assert all(c["tol"] == 1e-12 * max(1.0, abs(c["reference"])) for c in closed)
 
     def test_gaussian_only_case_all_deltas_vanish(self):
         code, out, _ = run_cli("verify", "--n-max", "0", "--format", "json")

@@ -73,20 +73,20 @@ class TestIntegralBundle:
 
     def test_quadrature_is_normative_source(self):
         b = criterion.integral_bundle(3, 2, 0.4)
-        assert b.i3_source == "quadrature" and b.j3_source == "quadrature"
         assert b.I3 == quadrature.entropy_integral_numeric(3)
         assert b.J3 == quadrature.entropy_integral_numeric(2)
 
-    def test_closed_form_recorded_only_where_validated(self):
-        b = criterion.integral_bundle(1, 2, 0.0)
-        assert b.i3_closed_form is not None  # n=1 validates
-        assert b.j3_closed_form is None  # n=2 does not
+    @pytest.mark.parametrize("n,m", [(1, 2), (2, 2), (7, 0), (12, 32)])
+    def test_closed_form_recorded_at_every_order(self, n, m):
+        b = criterion.integral_bundle(n, m, 0.0)
+        assert b.i3_closed_form == specfun.entropy_integral_closed_form(n)
+        assert b.j3_closed_form == specfun.entropy_integral_closed_form(m)
+        assert abs(b.i3_closed_form - b.I3) <= 1e-12 * max(1.0, abs(b.I3))
+        assert abs(b.j3_closed_form - b.J3) <= 1e-12 * max(1.0, abs(b.J3))
 
-    def test_closed_form_path_rejected_when_not_validated(self):
-        with pytest.raises(DomainError):
+    def test_quadrature_is_the_only_path(self):
+        with pytest.raises(TypeError):
             criterion.integral_bundle(2, 2, 0.0, i3_path="closed-form")
-        b = criterion.integral_bundle(1, 0, 0.0, i3_path="closed-form")
-        assert b.i3_source == "closed-form"
 
     def test_prefactor_matches_expanded_constant(self):
         # q_nm = t I0 / (pi n! m! 2^{n+m}); r_nm mirror
@@ -194,6 +194,22 @@ class TestStandardEntropy:
         values = [criterion.standard_entropy(k) for k in range(9)]
         assert all(b > a for a, b in zip(values, values[1:]))
 
+    def test_validates_before_the_cache(self):
+        # warm entries must not answer for spellings that are not orders
+        criterion.standard_entropy(3, 48)
+        criterion.standard_entropy(1, 48)
+        for args in ((3.0, 48), (3, 48.0), (True, 48), (3, True)):
+            with pytest.raises(DomainError):
+                criterion.standard_entropy(*args)
+
+    def test_spellings_share_one_entry(self):
+        criterion.standard_entropy.cache_clear()
+        first = criterion.standard_entropy(4)
+        assert criterion.standard_entropy(4, 48) == first
+        assert criterion.standard_entropy(np.int64(4), np.int64(48)) == first
+        info = criterion.standard_entropy.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+
     def test_cache_is_stable_under_threads(self):
         criterion.standard_entropy.cache_clear()
         criterion._entropy_excess.cache_clear()
@@ -201,6 +217,32 @@ class TestStandardEntropy:
             results = list(pool.map(criterion.standard_entropy, [3] * 64))
         assert len(set(results)) == 1
         assert results[0] == criterion.standard_entropy(3)
+
+
+class TestClosedFormOracle:
+    def test_collect_checks_computes_each_order_once(self, monkeypatch):
+        from seec import verification
+
+        calls = []
+
+        def counted(n):
+            calls.append(n)
+            return closed_form(n)
+
+        closed_form = specfun.entropy_integral_closed_form
+        monkeypatch.setattr(specfun, "entropy_integral_closed_form", counted)
+        criterion._closed_form_oracle.cache_clear()
+        try:
+            checks = verification.collect_checks(4)
+            criterion.criterion_f(2, 1, 0.3)
+        finally:
+            criterion._closed_form_oracle.cache_clear()
+        assert calls == [0, 1, 2, 3, 4]
+        names = {c.name: c for c in checks}
+        for n in range(5):
+            assert names[f"I3closed[{n}]"].normative and names[f"I3closed[{n}]"].status == "ok"
+            assert names[f"S_closed_delta[{n}]"].normative
+            assert names[f"S_closed_delta[{n}]"].status == "ok"
 
 
 class TestCriterionF:
@@ -239,11 +281,11 @@ class TestCriterionF:
         f_zero = criterion.criterion_f(n, m, 0.0).f
         assert abs(f_eta - (f_zero - eta)) <= 1e-9
 
-    def test_oracle_delta_present_only_where_validated(self):
-        assert criterion.criterion_f(1, 1, 0.2).oracle_delta is not None
-        assert criterion.criterion_f(1, 1, 0.2).oracle_delta <= 1e-7
-        assert criterion.criterion_f(2, 2, 0.2).oracle_delta is None
-        assert criterion.criterion_f(2, 1, 0.2).oracle_delta is not None
+    @pytest.mark.parametrize("n,m", [(0, 0), (1, 1), (2, 2), (2, 1), (12, 5), (32, 32)])
+    def test_oracle_delta_bounded_at_every_order(self, n, m):
+        delta = criterion.criterion_f(n, m, 0.2).oracle_delta
+        assert isinstance(delta, float)
+        assert 0.0 <= delta <= 1e-10
 
     def test_rejects_nonfinite_eta(self):
         with pytest.raises(DomainError):

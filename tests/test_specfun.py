@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from seec import _kernels, specfun
 from seec.errors import DomainError, UnsupportedOrderError
 
-from oracles import hyp1f1_direct
+import oracles
 
 # 40-digit reference values for the hypergeometric evaluations
 F11_REFERENCE = {
@@ -32,7 +32,6 @@ I3_QUADRATURE = {
     3: 538.87027741580162596,
     4: 6347.7943239842902189,
 }
-I3_CLOSED_FORM_N2 = 23.441726675733584
 
 
 class TestHermiteEval:
@@ -210,7 +209,7 @@ class TestHyp1F1:
     @given(st.floats(min_value=-2.0, max_value=2.0, allow_nan=False))
     def test_agrees_with_direct_series(self, x):
         transformed = specfun.hyp1f1_gauss(x).value
-        direct = hyp1f1_direct(x)
+        direct = oracles.hyp1f1_direct(x)
         assert abs(transformed - direct) <= 1e-10 * max(abs(direct), 1e-3)
 
 
@@ -237,21 +236,60 @@ class TestHyp2F2:
     def test_degraded_beyond_validated_range(self):
         assert specfun.hyp2f2_gauss(3.5).degraded
 
+    def test_matches_the_order_zero_k_integral(self):
+        # x^2 2F2 = int_0^inf e^{-k^2/4} (1 - cos kx) / k dk and
+        # 1F1 = 1 - x int_0^inf e^{-k^2/4} sin kx dk, on the k rule of V_0
+        k, _, amplitude = specfun._fourier_laguerre_rule(0, 1)
+        for x in np.linspace(0.25, specfun.HYP2F2_VALID_RANGE, 12):
+            f22 = 2.0 * np.dot(amplitude, np.sin(0.5 * k * x) ** 2) / (x * x)
+            f11 = 1.0 - x * np.dot(amplitude * k, np.sin(k * x))
+            assert abs(f22 - specfun.hyp2f2_gauss(x).value) <= 1e-13 * f22
+            assert abs(f11 - specfun.hyp1f1_gauss(x).value) <= 1e-13
+
 
 class TestLogPotential:
     def test_value_at_origin_order_one(self):
         v = specfun.log_potential(1, 0.0)
-        assert abs(v.value - V1_AT_ZERO) <= 1e-12
-        assert v.experimental
+        assert isinstance(v, float)
+        assert abs(v - V1_AT_ZERO) <= 1e-12
 
     def test_even_in_x(self):
-        left = specfun.log_potential(2, -0.7071068).value
-        right = specfun.log_potential(2, 0.7071068).value
+        left = specfun.log_potential(2, -0.7071068)
+        right = specfun.log_potential(2, 0.7071068)
         assert left == right
 
     def test_order_zero_rejected(self):
         with pytest.raises(DomainError):
             specfun.log_potential(0, 0.3)
+
+    def test_array_keeps_its_shape(self):
+        x = np.array([[0.0, 0.5], [-1.5, 2.25]])
+        v = specfun.log_potential(3, x)
+        assert v.shape == x.shape
+        norm = 48.0 * math.sqrt(math.pi)  # 2^3 3! sqrt(pi)
+        for p, vp in zip(x.ravel(), v.ravel()):
+            assert abs(vp - specfun.log_potential(3, p)) <= 1e-13 * norm
+
+    @pytest.mark.parametrize("n", [1, 5, 12, 32])
+    def test_matches_direct_integral_off_the_roots(self, n):
+        # across the whole window, including its edges, against the z
+        # integral graded toward the logarithmic singularity
+        window = math.sqrt(2.0 * n + 1.0) + 10.0
+        x = np.concatenate((np.linspace(-window, window, 23) + 0.0137, [-window, window, 1e-9]))
+        x = x[np.abs(x) <= window]
+        norm = math.exp(n * math.log(2.0) + specfun.ln_factorial(n) + 0.5 * math.log(math.pi))
+        expected = np.array([oracles.log_potential_direct(n, float(p)) for p in x])
+        assert np.max(np.abs(specfun.log_potential(n, x) - expected)) <= 1e-13 * norm
+
+    def test_rejects_points_beyond_the_window(self):
+        window = math.sqrt(2.0 * 5 + 1.0) + 10.0
+        specfun.log_potential(5, window)
+        with pytest.raises(DomainError):
+            specfun.log_potential(5, np.nextafter(window, math.inf))
+        with pytest.raises(DomainError):
+            specfun.log_potential(5, [0.0, -30.0])
+        with pytest.raises(DomainError):
+            specfun.log_potential(5, [0.0, math.nan])
 
     def test_closed_form_entropy_integral_matches_oracle_at_n1(self):
         from seec import quadrature
@@ -261,15 +299,18 @@ class TestLogPotential:
         analytic = 4.0 * specfun.CONSTANTS.sqrt_pi * (1.0 - 0.5 * specfun.CONSTANTS.euler_gamma)
         assert abs(closed - analytic) <= 1e-12
 
-    def test_closed_form_fails_beyond_n1(self):
-        # the binomial-sum closed form does not reproduce the oracle past
-        # n=1; this mismatch is what quarantines it
+    @pytest.mark.parametrize("n", range(specfun.ROOTS_N_MAX + 1))
+    def test_closed_form_matches_quadrature(self, n):
         from seec import quadrature
 
-        closed = specfun.entropy_integral_closed_form(2)
-        assert abs(closed - I3_CLOSED_FORM_N2) <= 1e-9 * abs(I3_CLOSED_FORM_N2)
-        reference = quadrature.entropy_integral_numeric(2)
-        assert abs(closed - reference) > 1e-6 * max(1.0, abs(reference))
+        closed = specfun.entropy_integral_closed_form(n)
+        reference = quadrature.entropy_integral_numeric(n)
+        assert abs(closed - reference) <= 1e-12 * max(1.0, abs(reference))
+
+    def test_closed_form_frozen_references(self):
+        for n, expected in I3_QUADRATURE.items():
+            closed = specfun.entropy_integral_closed_form(n)
+            assert abs(closed - expected) <= 1e-13 * expected
 
     def test_closed_form_zero_at_order_zero(self):
         assert specfun.entropy_integral_closed_form(0) == 0.0
