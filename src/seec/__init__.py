@@ -49,12 +49,9 @@ from .specfun import (
     CONSTANTS,
     MathConstants,
     RootSet,
-    SeriesValue,
     hermite_eval,
     hermite_roots,
     hermite_values,
-    hyp1f1_gauss,
-    hyp2f2_gauss,
     ln_factorial,
     log_potential,
 )
@@ -72,7 +69,6 @@ __all__ = [
     "QuadratureRule",
     "RootSet",
     "ScalingTransform",
-    "SeriesValue",
     "UnboundModeError",
     "UnsupportedOrderError",
     "UnsupportedRegimeError",
@@ -85,8 +81,6 @@ __all__ = [
     "hermite_eval",
     "hermite_roots",
     "hermite_values",
-    "hyp1f1_gauss",
-    "hyp2f2_gauss",
     "integral_bundle",
     "integrate_panels",
     "is_entangled",

@@ -22,7 +22,7 @@ import tempfile
 
 import numpy as np
 
-from . import __version__, criterion, oscillator, svgplot, verification
+from . import __version__, criterion, oscillator, specfun, svgplot, verification
 from .errors import DomainError
 
 
@@ -148,8 +148,7 @@ def _cmd_sweep(args):
 
 def _cmd_threshold(args):
     for name, v in (("n-max", args.n_max), ("m-max", args.m_max)):
-        if v < 0 or v > criterion.MODE_N_MAX:
-            raise DomainError(f"{name} must be in [0, {criterion.MODE_N_MAX}], got {v}")
+        specfun._check_order(v, criterion.MODE_N_MAX, name)
     ns = [n for n in range(args.n_max + 1) for _ in range(args.m_max + 1)]
     ms = list(range(args.m_max + 1)) * (args.n_max + 1)
     eta0 = _finite("eta0", np.array([criterion.threshold_eta0(n, m) for n, m in zip(ns, ms)]))

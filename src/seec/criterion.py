@@ -24,10 +24,9 @@ import numpy as np
 from . import _kernels, quadrature, specfun
 from .errors import DomainError
 
-MODE_N_MAX = 32
+MODE_N_MAX = specfun.ROOTS_N_MAX
 LN_2PI_E = specfun.CONSTANTS.ln_2pi_e
 
-_LN2 = math.log(2.0)
 _SIDES = ("w_minus", "v_plus")
 
 
@@ -68,7 +67,7 @@ class ScalingTransform:
 def _ln_t(eta):
     # kept linear in eta (not log(t)) so entropies are exactly linear, and
     # finite for every finite eta, where t itself overflows above ~1419
-    return 0.5 * eta - 0.5 * _LN2
+    return 0.5 * eta - 0.5 * specfun._LN2
 
 
 def _check_mode(n, m):
@@ -76,11 +75,6 @@ def _check_mode(n, m):
         specfun._check_order(n, MODE_N_MAX, "n"),
         specfun._check_order(m, MODE_N_MAX, "m"),
     )
-
-
-def _ln_norm(k):
-    # ln(sqrt(pi) k! 2^k); its exponential is the orthogonality norm of H_k
-    return 0.5 * math.log(math.pi) + specfun.ln_factorial(k) + k * _LN2
 
 
 @dataclass(frozen=True)
@@ -123,7 +117,7 @@ def integral_bundle(n, m, eta=0.0):
     """
     n, m = _check_mode(n, m)
     tr = ScalingTransform(eta)
-    ln_n, ln_m = _ln_norm(n), _ln_norm(m)
+    ln_n, ln_m = specfun._ln_norm(n), specfun._ln_norm(m)
     i1 = math.exp(ln_n)  # 2^n n! sqrt(pi)
     j1 = math.exp(ln_m)
     return IntegralBundle(
@@ -156,7 +150,7 @@ def marginal(side, n, m, eta, u):
         raise DomainError(f"side must be one of {_SIDES}, got {side!r}")
     tr = ScalingTransform(eta)
     order = n if side == "w_minus" else m
-    ln_pref = tr.ln_t - _ln_norm(order)
+    ln_pref = tr.ln_t - specfun._ln_norm(order)
     u = np.asarray(u, dtype=np.float64)
     if not np.all(np.isfinite(u)):
         raise DomainError("coordinate must be finite")
@@ -176,7 +170,7 @@ def marginal(side, n, m, eta, u):
 
 def _entropy_from_i3(k, i3):
     # S_k = ln(sqrt(pi) k! 2^k) + k + 1/2 - I3(k) / (2^k k! sqrt(pi))
-    ln_norm = _ln_norm(k)
+    ln_norm = specfun._ln_norm(k)
     return ln_norm + k + 0.5 - i3 * math.exp(-ln_norm)
 
 
@@ -226,11 +220,11 @@ def shannon_entropy(side, n, m, eta=0.0, bundle=None):
         bundle = integral_bundle(n, m, eta)
     tr = ScalingTransform(eta)
     if side == "w_minus":
-        ln_q = tr.ln_t - _ln_norm(n)
-        c2 = math.exp(-_ln_norm(n))  # q_nm / t
+        ln_q = tr.ln_t - specfun._ln_norm(n)
+        c2 = math.exp(-specfun._ln_norm(n))  # q_nm / t
         return -c2 * (ln_q * bundle.I1 + bundle.I2 + bundle.I3)
-    ln_r = tr.ln_t - _ln_norm(m)
-    c2 = math.exp(-_ln_norm(m))
+    ln_r = tr.ln_t - specfun._ln_norm(m)
+    c2 = math.exp(-specfun._ln_norm(m))
     return -c2 * (ln_r * bundle.J1 + bundle.J2 + bundle.J3)
 
 

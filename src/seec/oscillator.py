@@ -22,7 +22,6 @@ from .errors import DomainError, UnboundModeError, UnsupportedRegimeError
 
 DEGENERACY_THRESHOLD = 1e-12
 _SQRT2 = math.sqrt(2.0)
-_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -127,7 +126,7 @@ def reconstruct(d):
 
 def _norm_constant(k):
     # 1 / sqrt(sqrt(pi) k! 2^k), computed in the log domain
-    return math.exp(-0.5 * (0.5 * math.log(math.pi) + specfun.ln_factorial(k) + k * _LN2))
+    return math.exp(-0.5 * specfun._ln_norm(k))
 
 
 @dataclass(frozen=True)
@@ -152,7 +151,14 @@ class ModePair:
 def energy(mode, eta):
     """Eigenenergy e^{eta} (n + 1/2) + e^{-eta} (m + 1/2) in units of
     hbar omega."""
-    return math.exp(eta) * (mode.n + 0.5) + math.exp(-eta) * (mode.m + 0.5)
+    eta = float(eta)
+    try:
+        e = math.exp(eta) * (mode.n + 0.5) + math.exp(-eta) * (mode.m + 0.5)
+    except OverflowError:
+        e = math.inf
+    if not math.isfinite(e):  # nan or infinite eta, or an overflow
+        raise DomainError(f"eta must be finite and keep the energy finite, got {eta}")
+    return e
 
 
 def _hermite_grid(order, arg):

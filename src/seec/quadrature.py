@@ -16,9 +16,9 @@ from functools import lru_cache
 import numpy as np
 
 from . import _kernels, specfun
-from .errors import DomainError, IntegrandEvaluationError, UnsupportedOrderError
+from .errors import DomainError, IntegrandEvaluationError
 
-GAUSS_HERMITE_MAX_ORDER = 64
+GAUSS_HERMITE_MAX_ORDER = specfun.EVAL_N_MAX
 DEFAULT_PANEL_ORDER = 48
 _MAX_PANEL_WIDTH = 2.0
 _SQRT_PI = specfun.CONSTANTS.sqrt_pi
@@ -61,22 +61,20 @@ class QuadratureRule:
                 raise DomainError("panel boundaries must be strictly increasing")
 
 
-@lru_cache(maxsize=None)
 def gauss_hermite_rule(order):
     """Gauss-Hermite rule of the given order (1 <= order <= 64).
 
     Nodes are the polished Jacobi-matrix roots of H_order; weights come
     from the analytic identity w_i = 2^{n-1} n! sqrt(pi) / (n H_{n-1}(x_i))^2
     evaluated in the log domain.  A rule of order q integrates
-    z^p e^{-z^2} exactly (to roundoff) for p <= 2q - 1.
+    z^p e^{-z^2} exactly (to roundoff) for p <= 2q - 1.  Validated on every
+    call, then built once per order.
     """
-    if not isinstance(order, (int, np.integer)) or isinstance(order, bool):
-        raise DomainError(f"order must be an integer, got {order!r}")
-    order = int(order)
-    if order < 1 or order > GAUSS_HERMITE_MAX_ORDER:
-        raise UnsupportedOrderError(
-            f"order must be in [1, {GAUSS_HERMITE_MAX_ORDER}], got {order}"
-        )
+    return _gauss_hermite_rule(specfun._check_order(order, GAUSS_HERMITE_MAX_ORDER, n_min=1))
+
+
+@lru_cache(maxsize=None)
+def _gauss_hermite_rule(order):
     nodes = specfun._roots_array(order)
     h_prev = _kernels.hermite_values(order - 1, nodes)
     ln_pref = (
@@ -88,26 +86,14 @@ def gauss_hermite_rule(order):
 
 
 def _check_panel_order(order):
-    if not isinstance(order, (int, np.integer)) or isinstance(order, bool):
-        raise DomainError(f"order must be an integer, got {order!r}")
-    order = int(order)
-    if order < 1:
-        raise UnsupportedOrderError(f"panel order must be >= 1, got {order}")
-    return order
+    return specfun._check_order(order, what="panel order", n_min=1)
 
 
 def legendre_panel_rule(order, boundaries):
     """Composite Gauss-Legendre rule with ``order`` points per panel."""
     order = _check_panel_order(order)
     boundaries = tuple(float(b) for b in boundaries)
-    base_x, base_w = specfun._leggauss(order)
-    edges = np.array(boundaries)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * base_x).ravel()
-    weights = (half[:, None] * base_w).ravel()
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
+    nodes, weights = specfun._panel_nodes(order, np.array(boundaries))
     return QuadratureRule("legendre-panels", order, nodes, weights, panels=boundaries)
 
 

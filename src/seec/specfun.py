@@ -1,5 +1,5 @@
-"""Hermite polynomials, their roots, factorial helpers, the Gauss-argument
-hypergeometric functions 1F1(1; 1/2; -x^2) and 2F2(1, 1; 3/2, 2; -x^2), and
+"""Hermite polynomials, their roots and norms, factorial helpers, the order
+caps and the one order check, the composite Gauss-Legendre panel rule, and
 the logarithmic potential V_n with the closed-form entropy integral built
 on it.
 
@@ -22,9 +22,6 @@ from .errors import DomainError, UnsupportedOrderError
 ROOTS_N_MAX = 32  # largest order with root-finding support
 EVAL_N_MAX = 64  # largest order for polynomial evaluation
 
-HYP1F1_VALID_RANGE = 8.0
-HYP2F2_VALID_RANGE = 3.0
-
 _LN2 = math.log(2.0)
 _LN_PI = math.log(math.pi)
 
@@ -41,12 +38,15 @@ class MathConstants:
 CONSTANTS = MathConstants()
 
 
-def _check_order(n, n_max, what="order"):
+def _check_order(n, n_max=math.inf, what="order", n_min=0):
+    # the one order check: a Python or numpy integer (never a bool or a
+    # float) in [n_min, n_max], returned as an int
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
         raise DomainError(f"{what} must be an integer, got {n!r}")
     n = int(n)
-    if n < 0 or n > n_max:
-        raise UnsupportedOrderError(f"{what} must be in [0, {n_max}], got {n}")
+    if not n_min <= n <= n_max:
+        bound = f">= {n_min}" if n_max == math.inf else f"in [{n_min}, {n_max}]"
+        raise UnsupportedOrderError(f"{what} must be {bound}, got {n}")
     return n
 
 
@@ -122,128 +122,29 @@ def _roots_array(n):
     return roots
 
 
-@lru_cache(maxsize=None)
 def hermite_roots(n):
-    """RootSet of H_n for 0 <= n <= ROOTS_N_MAX (n = 0 gives an empty set)."""
-    n = _check_order(n, ROOTS_N_MAX)
+    """RootSet of H_n for 0 <= n <= ROOTS_N_MAX (n = 0 gives an empty set).
+    Validated on every call, then built once per order."""
+    return _root_set(_check_order(n, ROOTS_N_MAX))
+
+
+@lru_cache(maxsize=None)
+def _root_set(n):
     return RootSet(n=n, roots=_roots_array(n))
 
 
 def ln_factorial(n):
     """ln(n!): exact-to-double through 20! by integer product, log-gamma
     beyond (relative error below 1e-14)."""
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise DomainError(f"n must be an integer, got {n!r}")
-    n = int(n)
-    if n < 0:
-        raise DomainError(f"n must be nonnegative, got {n}")
+    n = _check_order(n, what="n")
     if n <= 20:
         return math.log(math.factorial(n))
     return math.lgamma(n + 1.0)
 
 
-@dataclass(frozen=True)
-class SeriesValue:
-    """Series evaluation with accuracy metadata.
-
-    ``degraded`` is set when the argument lies outside the validated range
-    (or the estimated error exceeds the advertised accuracy)."""
-
-    value: float
-    error_estimate: float
-    degraded: bool = False
-
-    def __float__(self):
-        return self.value
-
-
-def hyp1f1_gauss(x):
-    """1F1(1; 1/2; -x^2) via the Kummer-transformed series
-    e^{-x^2} * 1F1(-1/2; 1/2; x^2).
-
-    After the first term the transformed series is sign-definite, so the
-    alternating cancellation of the direct series never appears.  Relative
-    accuracy is 1e-12 or better for |x| <= 8; larger arguments carry the
-    degraded flag.
-    """
-    x = float(x)
-    if not math.isfinite(x):
-        raise DomainError(f"argument must be finite, got {x}")
-    y = x * x
-    if y == 0.0:
-        return SeriesValue(1.0, 0.0, False)
-    degraded = abs(x) > HYP1F1_VALID_RANGE
-    if y > 700.0:
-        # e^{-x^2} underflows; fall back to the leading large-argument
-        # behaviour -1/(2x^2) (1 + 3/(2x^2)) rather than returning zero
-        v = -0.5 / y * (1.0 + 1.5 / y)
-        return SeriesValue(v, abs(v) * 15.0 / (y * y), True)
-    w = math.exp(-y)
-    # sum_{k>=1} y^k / ((2k-1) k!) with the e^{-x^2} factor folded into the
-    # terms; Neumaier compensation on the (positive) partial sums
-    term = y * w
-    total = 0.0
-    comp = 0.0
-    k = 1
-    while term > 1e-20 * (total + w) and k < 500:
-        t = total + term
-        if abs(total) >= abs(term):
-            comp += (total - t) + term
-        else:
-            comp += (term - t) + total
-        total = t
-        k += 1
-        term *= y * (2.0 * k - 3.0) / ((2.0 * k - 1.0) * k)
-    total += comp
-    value = w - total
-    err = 4.0 * np.finfo(float).eps * (w + total)
-    return SeriesValue(value, err, degraded)
-
-
-def hyp2f2_gauss(x):
-    """2F2(1, 1; 3/2, 2; -x^2) by its alternating series.
-
-    x^2 times it is int_0^inf e^{-k^2/4} (1 - cos kx) / k dk, the k
-    integral of V_0; log_potential reaches every order through that
-    integral, not through this series.
-
-    No sign-definite transformation exists here, so the sum is accumulated
-    in extended precision with Neumaier compensation; cancellation grows
-    like e^{x^2}, and the result always carries an estimated absolute
-    error.  Guaranteed to 1e-12 relative for |x| <= 3.
-    """
-    x = float(x)
-    if not math.isfinite(x):
-        raise DomainError(f"argument must be finite, got {x}")
-    y = x * x
-    if y == 0.0:
-        return SeriesValue(1.0, 0.0, False)
-    ld = np.longdouble
-    eps_ld = float(np.finfo(ld).eps)
-    yl = ld(y)
-    term = ld(1.0)
-    total = ld(0.0)
-    comp = ld(0.0)
-    sum_abs = ld(0.0)
-    k = 0
-    while k < 1000:
-        t = total + term
-        if abs(total) >= abs(term):
-            comp += (total - t) + term
-        else:
-            comp += (term - t) + total
-        total = t
-        sum_abs += abs(term)
-        # term_{k+1}/term_k = -y (k+1) / ((k + 3/2)(k + 2))
-        term = term * (-yl) * (k + 1) / ((k + ld(1.5)) * (k + 2))
-        k += 1
-        if abs(term) < 1e-24 * max(float(abs(total)), 1e-300):
-            break
-    value = float(total + comp)
-    err = max(eps_ld * k * float(sum_abs), abs(value) * eps_ld)
-    degraded = abs(x) > HYP2F2_VALID_RANGE or err > 1e-12 * max(abs(value), 1e-300)
-    return SeriesValue(value, err, degraded)
-
+def _ln_norm(k):
+    # ln(sqrt(pi) k! 2^k); its exponential is the orthogonality norm of H_k
+    return 0.5 * _LN_PI + ln_factorial(k) + k * _LN2
 
 
 @lru_cache(maxsize=None)
@@ -251,6 +152,19 @@ def _leggauss(order):
     # the Gauss-Legendre base rule on [-1, 1], built once per order and
     # shared by the entropy panel quadrature and the k rule of V_n
     nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
+def _panel_nodes(order, edges):
+    # (nodes, weights) of the composite rule with ``order`` Gauss-Legendre
+    # points on each panel between consecutive edges, in ascending order
+    base_x, base_w = _leggauss(order)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    nodes = (mid[:, None] + half[:, None] * base_x).ravel()
+    weights = (half[:, None] * base_w).ravel()
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights
@@ -281,12 +195,8 @@ def _fourier_laguerre_rule(n, panels):
     [0, 2 sqrt(2n+1) + 12]: the nodes k, the constant
     c = ln-constant + sum w e^{-k^2/4} / k, and a = w e^{-k^2/4} L_n(k^2/2) / k,
     so that -V_n(x) / (2^n n! sqrt(pi)) = c - sum a cos(k x)."""
-    base_x, base_w = _leggauss(_K_PANEL_ORDER)
-    edges = np.linspace(0.0, _k_cutoff(n), panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    k = (mid[:, None] + half[:, None] * base_x).ravel()
-    w_over_k = (half[:, None] * base_w).ravel() / k
+    k, w = _panel_nodes(_K_PANEL_ORDER, np.linspace(0.0, _k_cutoff(n), panels + 1))
+    w_over_k = w / k
     t = 0.5 * k * k
     gauss = np.exp(-0.5 * t)
     # e^{-t/2} L_j(t) by (j + 1) L_{j+1} = (2j + 1 - t) L_j - j L_{j-1};
@@ -294,7 +204,6 @@ def _fourier_laguerre_rule(n, panels):
     lag_prev, lag = np.zeros_like(k), gauss
     for j in range(n):
         lag_prev, lag = lag, ((2.0 * j + 1.0 - t) * lag - j * lag_prev) / (j + 1.0)
-    k.setflags(write=False)
     amplitude = w_over_k * lag
     amplitude.setflags(write=False)
     return k, _LN_ABS_C0 + float(np.dot(w_over_k, gauss)), amplitude
@@ -331,8 +240,7 @@ def log_potential(n, x):
     rate = reach + math.sqrt(2.0 * n + 1.0)
     panels = math.ceil(rate * _k_cutoff(n) / _K_PANEL_PHASE)
     k, constant, amplitude = _fourier_laguerre_rule(n, panels)
-    norm = math.exp(n * _LN2 + ln_factorial(n) + 0.5 * _LN_PI)
-    v = -norm * (constant - np.cos(np.multiply.outer(x, k)) @ amplitude)
+    v = -math.exp(_ln_norm(n)) * (constant - np.cos(np.multiply.outer(x, k)) @ amplitude)
     return float(v) if v.ndim == 0 else v
 
 
@@ -349,5 +257,4 @@ def entropy_integral_closed_form(n):
     if n == 0:
         return 0.0
     v_sum = math.fsum(log_potential(n, hermite_roots(n).roots))
-    prefactor = math.exp(n * _LN2 + ln_factorial(n) + 0.5 * _LN_PI)
-    return prefactor * (2.0 * n * _LN2) - 2.0 * v_sum
+    return math.exp(_ln_norm(n)) * (2.0 * n * _LN2) - 2.0 * v_sum

@@ -7,10 +7,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import criterion, quadrature, specfun
-from .errors import DomainError
 
 VERIFY_N_MAX = 12
 # I3 closed form vs panel quadrature, relative to max(1, |I3|); both agree
@@ -63,16 +60,12 @@ def _marginal_residual(side, n, m, eta, rule):
 
 def collect_checks(n_max):
     """All verification rows for orders up to n_max (<= 12)."""
-    if not isinstance(n_max, (int, np.integer)) or isinstance(n_max, bool):
-        raise DomainError(f"n_max must be an integer, got {n_max!r}")
-    n_max = int(n_max)
-    if n_max < 0 or n_max > VERIFY_N_MAX:
-        raise DomainError(f"n_max must be in [0, {VERIFY_N_MAX}], got {n_max}")
+    n_max = specfun._check_order(n_max, VERIFY_N_MAX, "n_max")
     gamma = specfun.CONSTANTS.euler_gamma
     sqrt_pi = specfun.CONSTANTS.sqrt_pi
     checks = []
     for n in range(n_max + 1):
-        norm = math.exp(0.5 * math.log(math.pi) + specfun.ln_factorial(n) + n * math.log(2.0))
+        norm = math.exp(specfun._ln_norm(n))
         i0 = _gh_integral(n + 1, lambda z, n=n: specfun.hermite_values(n, z) ** 2)
         checks.append(_check(f"I0[{n}]", i0, norm, 1e-10, scale=norm))
         i1 = _gh_integral(n + 2, lambda z, n=n: specfun.hermite_values(n, z) ** 2)

@@ -1,8 +1,8 @@
 """Independent brute-force oracles for the test suite.
 
-Deliberately separate from the package's own quadrature and series code:
-uniform panels here (no root splitting), direct series instead of the
-transformed one, direct integrals in z instead of the k transform of V_n.
+Deliberately separate from the package's own quadrature code: uniform
+panels here (no root splitting), loops instead of broadcasting, direct
+integrals in z instead of the k transform of V_n.
 Expected constants frozen in the tests were computed with 40-digit
 arithmetic.
 """
@@ -10,28 +10,6 @@ arithmetic.
 import math
 
 import numpy as np
-
-
-def hyp1f1_direct(x, min_terms=50):
-    """1F1(1; 1/2; -x^2) by its direct alternating series with Neumaier
-    compensation; adequate for |x| <= 2 where cancellation stays mild."""
-    z = -x * x
-    term = 1.0
-    total = 0.0
-    comp = 0.0
-    k = 0
-    while k < 400:
-        t = total + term
-        if abs(total) >= abs(term):
-            comp += (total - t) + term
-        else:
-            comp += (term - t) + total
-        total = t
-        term *= z / (0.5 + k)
-        k += 1
-        if k >= min_terms and abs(term) < 1e-18 * max(abs(total), 1e-30):
-            break
-    return total + comp
 
 
 def uniform_panel_integral(f, a, b, panels=64, order=24):

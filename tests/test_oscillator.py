@@ -164,6 +164,16 @@ class TestEnergy:
             e2 = oscillator.energy(oscillator.ModePair(m, n), 0.7)
             assert e1 != e2
 
+    @pytest.mark.parametrize("eta", [math.nan, math.inf, -math.inf, 1000.0, -1000.0, 709.0])
+    def test_rejects_nonfinite_and_overflowing_eta(self, eta):
+        # e^{709} is finite but times n + 1/2 = 64.5 it is not
+        with pytest.raises(DomainError):
+            oscillator.energy(oscillator.ModePair(64, 64), eta)
+
+    def test_largest_finite_energy_is_returned(self):
+        e = oscillator.energy(oscillator.ModePair(0, 0), 709.0)
+        assert math.isfinite(e) and e == 0.5 * math.exp(709.0) + 0.5 * math.exp(-709.0)
+
 
 def _norm_2d(mode, eta, space, alpha_deg=45.0, half_width=12.0):
     axis = quadrature.legendre_panel_rule(24, tuple(np.linspace(-half_width, half_width, 13)))

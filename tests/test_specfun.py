@@ -5,26 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from seec import _kernels, specfun
+import seec
+from seec import _kernels, criterion, quadrature, specfun, verification
 from seec.errors import DomainError, UnsupportedOrderError
 
 import oracles
 
-# 40-digit reference values for the hypergeometric evaluations
-F11_REFERENCE = {
-    0.5: 0.57556361649797770407,
-    1.0: -0.076159013825536838273,
-    2.0: -0.20536155569516786414,
-    3.0: -0.069626183663349724056,
-    5.0: -0.021340744242768354386,
-    8.0: -0.0080031793208542067079,
-}
-F22_REFERENCE = {
-    0.5: 0.92193734569406867331,
-    1.0: 0.7394416300990793005,
-    2.0: 0.39809360242258329982,
-    3.0: 0.22773416911232712538,
-}
 V1_AT_ZERO = -0.064676794897770027658
 I3_QUADRATURE = {
     1: 5.0436391475066444583,
@@ -179,74 +165,6 @@ class TestConstants:
         assert abs(c.ln_2pi_e - (math.log(2.0 * math.pi) + 1.0)) < 1e-15
 
 
-class TestHyp1F1:
-    def test_at_zero(self):
-        r = specfun.hyp1f1_gauss(0.0)
-        assert r.value == 1.0 and not r.degraded
-
-    @pytest.mark.parametrize("x,expected", sorted(F11_REFERENCE.items()))
-    def test_reference_values(self, x, expected):
-        r = specfun.hyp1f1_gauss(x)
-        assert abs(r.value - expected) <= 1e-12 * abs(expected)
-        assert not r.degraded
-
-    def test_even_in_x(self):
-        assert specfun.hyp1f1_gauss(-1.5).value == specfun.hyp1f1_gauss(1.5).value
-
-    def test_degraded_flag_outside_validated_range(self):
-        assert specfun.hyp1f1_gauss(8.5).degraded
-        assert not specfun.hyp1f1_gauss(8.0).degraded
-
-    def test_huge_argument_keeps_leading_behaviour(self):
-        r = specfun.hyp1f1_gauss(40.0)
-        assert r.degraded
-        assert abs(r.value - (-1.0 / 3200.0)) < 1e-3 / 3200.0
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(DomainError):
-            specfun.hyp1f1_gauss(math.nan)
-
-    @given(st.floats(min_value=-2.0, max_value=2.0, allow_nan=False))
-    def test_agrees_with_direct_series(self, x):
-        transformed = specfun.hyp1f1_gauss(x).value
-        direct = oracles.hyp1f1_direct(x)
-        assert abs(transformed - direct) <= 1e-10 * max(abs(direct), 1e-3)
-
-
-class TestHyp2F2:
-    def test_at_zero(self):
-        r = specfun.hyp2f2_gauss(0.0)
-        assert r.value == 1.0 and r.error_estimate == 0.0
-
-    @pytest.mark.parametrize("x,expected", sorted(F22_REFERENCE.items()))
-    def test_reference_values(self, x, expected):
-        r = specfun.hyp2f2_gauss(x)
-        assert abs(r.value - expected) <= 1e-12 * abs(expected)
-
-    def test_value_at_inverse_sqrt2(self):
-        r = specfun.hyp2f2_gauss(1.0 / math.sqrt(2.0))
-        assert abs(r.value - 0.85337120859208961159) <= 1e-12
-
-    def test_error_estimate_within_guarantee(self):
-        for x in (0.25, 1.0, 2.0, 3.0):
-            r = specfun.hyp2f2_gauss(x)
-            assert 0.0 < r.error_estimate <= 1e-12 * abs(r.value)
-            assert not r.degraded
-
-    def test_degraded_beyond_validated_range(self):
-        assert specfun.hyp2f2_gauss(3.5).degraded
-
-    def test_matches_the_order_zero_k_integral(self):
-        # x^2 2F2 = int_0^inf e^{-k^2/4} (1 - cos kx) / k dk and
-        # 1F1 = 1 - x int_0^inf e^{-k^2/4} sin kx dk, on the k rule of V_0
-        k, _, amplitude = specfun._fourier_laguerre_rule(0, 1)
-        for x in np.linspace(0.25, specfun.HYP2F2_VALID_RANGE, 12):
-            f22 = 2.0 * np.dot(amplitude, np.sin(0.5 * k * x) ** 2) / (x * x)
-            f11 = 1.0 - x * np.dot(amplitude * k, np.sin(k * x))
-            assert abs(f22 - specfun.hyp2f2_gauss(x).value) <= 1e-13 * f22
-            assert abs(f11 - specfun.hyp1f1_gauss(x).value) <= 1e-13
-
-
 class TestLogPotential:
     def test_value_at_origin_order_one(self):
         v = specfun.log_potential(1, 0.0)
@@ -314,3 +232,47 @@ class TestLogPotential:
 
     def test_closed_form_zero_at_order_zero(self):
         assert specfun.entropy_integral_closed_form(0) == 0.0
+
+
+# every public entry that takes an order, as a call of the order alone,
+# with its cap (None where there is none)
+ORDER_ENTRIES = {
+    "hermite_eval": (lambda n: specfun.hermite_eval(n, 0.5), specfun.EVAL_N_MAX),
+    "hermite_values": (lambda n: specfun.hermite_values(n, [0.5]), specfun.EVAL_N_MAX),
+    "hermite_roots": (specfun.hermite_roots, specfun.ROOTS_N_MAX),
+    "ln_factorial": (specfun.ln_factorial, None),
+    "gauss_hermite_rule": (quadrature.gauss_hermite_rule, quadrature.GAUSS_HERMITE_MAX_ORDER),
+    "legendre_panel_rule": (lambda n: quadrature.legendre_panel_rule(n, (0.0, 1.0)), None),
+    "entropy_integral_numeric": (quadrature.entropy_integral_numeric, specfun.ROOTS_N_MAX),
+    "standard_entropy": (criterion.standard_entropy, criterion.MODE_N_MAX),
+    "threshold_eta0": (lambda n: criterion.threshold_eta0(n, 0), criterion.MODE_N_MAX),
+    "collect_checks": (verification.collect_checks, verification.VERIFY_N_MAX),
+}
+REMOVED_NAMES = (
+    "SeriesValue",
+    "hyp1f1_gauss",
+    "hyp2f2_gauss",
+    "HYP1F1_VALID_RANGE",
+    "HYP2F2_VALID_RANGE",
+)
+
+
+@pytest.mark.parametrize("entry", sorted(ORDER_ENTRIES))
+def test_order_entries_share_one_check(entry):
+    call, cap = ORDER_ENTRIES[entry]
+    # numpy integers are orders; warming 1 and 2 this way also puts equal
+    # keys in any cache, which must not answer for True or 2.0
+    call(np.int64(1))
+    call(np.int64(2))
+    for bad in (True, 2.0, -1) + (() if cap is None else (cap + 1,)):
+        with pytest.raises(DomainError):
+            call(bad)
+    with pytest.raises(UnsupportedOrderError):
+        call(-1)
+
+
+def test_public_names():
+    for name in seec.__all__:
+        assert hasattr(seec, name), name
+    for name in REMOVED_NAMES:
+        assert not hasattr(seec, name) and not hasattr(specfun, name), name
