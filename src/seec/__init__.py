@@ -5,93 +5,85 @@ evaluates the Shannon entropies of the sum/difference-coordinate marginal
 densities (closed forms cross-checked against panel quadrature), and
 reports the entanglement criterion f(eta) = eta0 - eta with its threshold
 table eta0(n, m).
+
+The package imports lazily (PEP 562): ``import seec`` loads no submodule,
+and each public name or submodule is imported on first access, so code
+that needs no arrays never imports numpy.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .criterion import (
-    EntropyReport,
-    IntegralBundle,
-    ScalingTransform,
-    criterion_curve,
-    criterion_f,
-    integral_bundle,
-    is_entangled,
-    marginal,
-    shannon_entropy,
-    standard_entropy,
-    threshold_eta0,
-)
-from .errors import (
-    DomainError,
-    IntegrandEvaluationError,
-    UnboundModeError,
-    UnsupportedOrderError,
-    UnsupportedRegimeError,
-)
-from .oscillator import (
-    CoupledHamiltonian,
-    DiagonalizedSystem,
-    ModePair,
-    diagonalize,
-    energy,
-    reconstruct,
-    wavefunction,
-)
-from .quadrature import (
-    QuadratureRule,
-    entropy_integral_numeric,
-    gauss_hermite_rule,
-    integrate_panels,
-    legendre_panel_rule,
-)
-from .specfun import (
-    CONSTANTS,
-    MathConstants,
-    RootSet,
-    hermite_eval,
-    hermite_roots,
-    hermite_values,
-    ln_factorial,
-    log_potential,
+# public name -> the submodule that defines it
+_EXPORTS = {
+    "EntropyReport": "criterion",
+    "IntegralBundle": "criterion",
+    "ScalingTransform": "criterion",
+    "criterion_curve": "criterion",
+    "criterion_f": "criterion",
+    "integral_bundle": "criterion",
+    "is_entangled": "criterion",
+    "marginal": "criterion",
+    "shannon_entropy": "criterion",
+    "standard_entropy": "criterion",
+    "threshold_eta0": "criterion",
+    "DomainError": "errors",
+    "IntegrandEvaluationError": "errors",
+    "UnboundModeError": "errors",
+    "UnsupportedOrderError": "errors",
+    "UnsupportedRegimeError": "errors",
+    "CoupledHamiltonian": "oscillator",
+    "DiagonalizedSystem": "oscillator",
+    "ModePair": "oscillator",
+    "diagonalize": "oscillator",
+    "energy": "oscillator",
+    "reconstruct": "oscillator",
+    "wavefunction": "oscillator",
+    "QuadratureRule": "quadrature",
+    "entropy_integral_numeric": "quadrature",
+    "gauss_hermite_rule": "quadrature",
+    "integrate_panels": "quadrature",
+    "legendre_panel_rule": "quadrature",
+    "CONSTANTS": "scalars",
+    "MathConstants": "scalars",
+    "ln_factorial": "scalars",
+    "RootSet": "specfun",
+    "hermite_eval": "specfun",
+    "hermite_roots": "specfun",
+    "hermite_values": "specfun",
+    "log_potential": "specfun",
+}
+
+_SUBMODULES = frozenset(
+    {
+        "_kernels",
+        "cli",
+        "criterion",
+        "errors",
+        "oscillator",
+        "quadrature",
+        "scalars",
+        "specfun",
+        "svgplot",
+        "verification",
+    }
 )
 
-__all__ = [
-    "CONSTANTS",
-    "CoupledHamiltonian",
-    "DiagonalizedSystem",
-    "DomainError",
-    "EntropyReport",
-    "IntegralBundle",
-    "IntegrandEvaluationError",
-    "MathConstants",
-    "ModePair",
-    "QuadratureRule",
-    "RootSet",
-    "ScalingTransform",
-    "UnboundModeError",
-    "UnsupportedOrderError",
-    "UnsupportedRegimeError",
-    "criterion_curve",
-    "criterion_f",
-    "diagonalize",
-    "energy",
-    "entropy_integral_numeric",
-    "gauss_hermite_rule",
-    "hermite_eval",
-    "hermite_roots",
-    "hermite_values",
-    "integral_bundle",
-    "integrate_panels",
-    "is_entangled",
-    "legendre_panel_rule",
-    "ln_factorial",
-    "log_potential",
-    "marginal",
-    "reconstruct",
-    "shannon_entropy",
-    "standard_entropy",
-    "threshold_eta0",
-    "wavefunction",
-    "__version__",
-]
+__all__ = sorted(_EXPORTS) + ["__version__"]
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        # importing a submodule also binds it as a package attribute
+        return importlib.import_module(f"{__name__}.{name}")
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__) | _SUBMODULES)

@@ -9,20 +9,21 @@ Output is deterministic: identical invocations produce byte-identical
 CSV/JSON, files are written atomically (temp + rename), numeric CSV fields
 carry 12 significant digits.  Exit codes: 0 success, 1 usage or domain
 error, 2 verification failure.
+
+Each subcommand imports the modules it uses when it runs: threshold and
+diagonalize work on floats alone and never import numpy, and tempfile and
+json load only for the output that needs them.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import functools
 import math
 import os
 import sys
-import tempfile
 
-import numpy as np
-
-from . import __version__, criterion, oscillator, specfun, svgplot, verification
+from . import __version__
 from .errors import DomainError
 
 
@@ -39,6 +40,8 @@ def _write_text(text, out_path):
     if out_path is None or out_path == "-":
         sys.stdout.write(text)
         return
+    import tempfile
+
     directory = os.path.dirname(os.path.abspath(out_path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".seec-", suffix=".tmp")
     try:
@@ -69,9 +72,29 @@ def _parse_modes(text):
 
 def _finite(name, values):
     """The float array values as a list; a DomainError if any is nan or inf."""
+    import numpy as np
+
     if not np.isfinite(values).all():
         raise DomainError(f"{name} is not finite for these inputs")
     return values.tolist()
+
+
+def _array_command(func):
+    """Run the subcommand with numpy's floating-point warnings off.
+
+    Overflow shows up as nan or inf in the result, which the output gate
+    turns into one DomainError line; numpy's warnings would only add lines
+    before it.
+    """
+
+    @functools.wraps(func)
+    def run(args):
+        import numpy as np
+
+        with np.errstate(all="ignore"):
+            return func(args)
+
+    return run
 
 
 def _csv(header, row, columns):
@@ -99,13 +122,20 @@ def _json_records(columns):
 
 
 def _json_text(payload):
+    import json
+
     try:
         return json.dumps(payload, indent=2, allow_nan=False) + "\n"
     except ValueError:
         raise DomainError("the result is not finite for these inputs") from None
 
 
+@_array_command
 def _cmd_sweep(args):
+    import numpy as np
+
+    from . import criterion, svgplot
+
     modes = _parse_modes(args.modes)
     if args.steps < 2:
         raise DomainError(f"steps must be >= 2, got {args.steps}")
@@ -147,11 +177,16 @@ def _cmd_sweep(args):
 
 
 def _cmd_threshold(args):
+    from . import criterion
+    from .scalars import _check_order
+
     for name, v in (("n-max", args.n_max), ("m-max", args.m_max)):
-        specfun._check_order(v, criterion.MODE_N_MAX, name)
+        _check_order(v, criterion.MODE_N_MAX, name)
     ns = [n for n in range(args.n_max + 1) for _ in range(args.m_max + 1)]
     ms = list(range(args.m_max + 1)) * (args.n_max + 1)
-    eta0 = _finite("eta0", np.array([criterion.threshold_eta0(n, m) for n, m in zip(ns, ms)]))
+    eta0 = list(map(criterion.threshold_eta0, ns, ms))
+    if not all(map(math.isfinite, eta0)):
+        raise DomainError("eta0 is not finite for these inputs")
     if args.format == "json":
         text = _json_records([("n", ns), ("m", ms), ("eta0", eta0)])
     else:
@@ -160,7 +195,11 @@ def _cmd_threshold(args):
     return 0
 
 
+@_array_command
 def _cmd_criterion(args):
+    # the report's oracle_delta runs the closed form, which takes arrays
+    from . import criterion
+
     rep = criterion.criterion_f(args.n, args.m, args.eta)
     payload = {
         "n": rep.n,
@@ -179,6 +218,8 @@ def _cmd_criterion(args):
 
 
 def _cmd_diagonalize(args):
+    from . import oscillator
+
     h = oscillator.CoupledHamiltonian(args.m1, args.m2, args.A, args.B, args.C)
     d = oscillator.diagonalize(h)
     rec_a, rec_b, rec_c = oscillator.reconstruct(d)
@@ -197,7 +238,10 @@ def _cmd_diagonalize(args):
     return 0
 
 
+@_array_command
 def _cmd_verify(args):
+    from . import verification
+
     checks = verification.collect_checks(args.n_max)
     passed = verification.all_normative_pass(checks)
     if args.format == "json":
@@ -235,7 +279,12 @@ def _cmd_verify(args):
     return 0 if passed else 2
 
 
+@_array_command
 def _cmd_wavefunction(args):
+    import numpy as np
+
+    from . import oscillator
+
     if args.steps < 2:
         raise DomainError(f"steps must be >= 2, got {args.steps}")
     if not args.u_min < args.u_max:
@@ -314,11 +363,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # overflow shows up as nan or inf in the result, which the output
-        # gate turns into one DomainError line; numpy's warnings would only
-        # add lines before it
-        with np.errstate(all="ignore"):
-            return args.func(args)
+        return args.func(args)
     except DomainError as exc:
         print(f"seec: error: {exc}", file=sys.stderr)
         return 1

@@ -11,6 +11,10 @@ The eta dependence of each entropy is analytic (a pure -ln t scale term
 with t = e^{eta/2}/sqrt(2)), so entropies decompose as S_k - ln t where
 S_k is the unit-scale level entropy.  Sweeps over eta therefore never
 re-integrate, and f(eta) = eta0 - eta holds exactly by construction.
+At the default panel order S_k is read from the frozen table in
+``scalars``, so standard_entropy and threshold_eta0 never import numpy;
+the array routes, and criterion_f for its closed-form oracle_delta, import
+it when called.
 """
 
 from __future__ import annotations
@@ -19,13 +23,20 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-import numpy as np
-
-from . import _kernels, quadrature, specfun
 from .errors import DomainError
+from .scalars import (
+    CONSTANTS,
+    DEFAULT_PANEL_ORDER,
+    ROOTS_N_MAX,
+    S_TABLE,
+    _check_order,
+    _check_panel_order,
+    _LN2,
+    _ln_norm,
+)
 
-MODE_N_MAX = specfun.ROOTS_N_MAX
-LN_2PI_E = specfun.CONSTANTS.ln_2pi_e
+MODE_N_MAX = ROOTS_N_MAX
+LN_2PI_E = CONSTANTS.ln_2pi_e
 
 _SIDES = ("w_minus", "v_plus")
 
@@ -67,14 +78,11 @@ class ScalingTransform:
 def _ln_t(eta):
     # kept linear in eta (not log(t)) so entropies are exactly linear, and
     # finite for every finite eta, where t itself overflows above ~1419
-    return 0.5 * eta - 0.5 * specfun._LN2
+    return 0.5 * eta - 0.5 * _LN2
 
 
 def _check_mode(n, m):
-    return (
-        specfun._check_order(n, MODE_N_MAX, "n"),
-        specfun._check_order(m, MODE_N_MAX, "m"),
-    )
+    return _check_order(n, MODE_N_MAX, "n"), _check_order(m, MODE_N_MAX, "m")
 
 
 @dataclass(frozen=True)
@@ -115,9 +123,11 @@ def integral_bundle(n, m, eta=0.0):
     q_nm = t I0 / (pi n! m! 2^{n+m}) (and the r_nm mirror): 2^{n+m} is the
     unique power for which the marginals integrate to one.
     """
+    from . import quadrature
+
     n, m = _check_mode(n, m)
     tr = ScalingTransform(eta)
-    ln_n, ln_m = specfun._ln_norm(n), specfun._ln_norm(m)
+    ln_n, ln_m = _ln_norm(n), _ln_norm(m)
     i1 = math.exp(ln_n)  # 2^n n! sqrt(pi)
     j1 = math.exp(ln_m)
     return IntegralBundle(
@@ -145,12 +155,16 @@ def marginal(side, n, m, eta, u):
 
     Accepts a scalar or array of coordinates; nonnegative everywhere.
     """
+    import numpy as np
+
+    from . import _kernels
+
     n, m = _check_mode(n, m)
     if side not in _SIDES:
         raise DomainError(f"side must be one of {_SIDES}, got {side!r}")
     tr = ScalingTransform(eta)
     order = n if side == "w_minus" else m
-    ln_pref = tr.ln_t - specfun._ln_norm(order)
+    ln_pref = tr.ln_t - _ln_norm(order)
     u = np.asarray(u, dtype=np.float64)
     if not np.all(np.isfinite(u)):
         raise DomainError("coordinate must be finite")
@@ -170,26 +184,32 @@ def marginal(side, n, m, eta, u):
 
 def _entropy_from_i3(k, i3):
     # S_k = ln(sqrt(pi) k! 2^k) + k + 1/2 - I3(k) / (2^k k! sqrt(pi))
-    ln_norm = specfun._ln_norm(k)
+    ln_norm = _ln_norm(k)
     return ln_norm + k + 0.5 - i3 * math.exp(-ln_norm)
 
 
-def standard_entropy(k, panel_order=quadrature.DEFAULT_PANEL_ORDER):
+def standard_entropy(k, panel_order=DEFAULT_PANEL_ORDER):
     """Entropy S_k of the unit-scale level-k density c_k^2 e^{-z^2} H_k^2(z):
 
         S_k = ln(sqrt(pi) k! 2^k) + k + 1/2 - I3(k) / (2^k k! sqrt(pi))
 
     with I3 from the normative quadrature.  The arguments are validated on
-    every call, then each (k, panel_order) is computed once per process,
-    however the call spells it; the value is a pure function of k, so cold,
-    warm and raced lookups agree.
+    every call.  At the default panel order the value is the frozen
+    ``scalars.S_TABLE[k]``, the quadrature's own result; any other panel
+    order is integrated once per process, however the call spells it.
+    Both are pure functions of k, so cold, warm and raced lookups agree.
     """
-    k = specfun._check_order(k, MODE_N_MAX, "k")
-    return _standard_entropy(k, quadrature._check_panel_order(panel_order))
+    k = _check_order(k, MODE_N_MAX, "k")
+    panel_order = _check_panel_order(panel_order)
+    if panel_order == DEFAULT_PANEL_ORDER:
+        return S_TABLE[k]
+    return _standard_entropy(k, panel_order)
 
 
 @lru_cache(maxsize=None)
 def _standard_entropy(k, panel_order):
+    from . import quadrature
+
     return _entropy_from_i3(k, quadrature.entropy_integral_numeric(k, panel_order))
 
 
@@ -220,18 +240,20 @@ def shannon_entropy(side, n, m, eta=0.0, bundle=None):
         bundle = integral_bundle(n, m, eta)
     tr = ScalingTransform(eta)
     if side == "w_minus":
-        ln_q = tr.ln_t - specfun._ln_norm(n)
-        c2 = math.exp(-specfun._ln_norm(n))  # q_nm / t
+        ln_q = tr.ln_t - _ln_norm(n)
+        c2 = math.exp(-_ln_norm(n))  # q_nm / t
         return -c2 * (ln_q * bundle.I1 + bundle.I2 + bundle.I3)
-    ln_r = tr.ln_t - specfun._ln_norm(m)
-    c2 = math.exp(-specfun._ln_norm(m))
+    ln_r = tr.ln_t - _ln_norm(m)
+    c2 = math.exp(-_ln_norm(m))
     return -c2 * (ln_r * bundle.J1 + bundle.J2 + bundle.J3)
 
 
 @lru_cache(maxsize=None)
 def _closed_form_oracle(k):
-    # (I3(k) by the closed form, |S_k(quadrature) - S_k(closed form)|),
+    # (I3(k) by the closed form, |S_k(table) - S_k(closed form)|),
     # computed once per order
+    from . import specfun
+
     i3 = specfun.entropy_integral_closed_form(k)
     return i3, abs(standard_entropy(k) - _entropy_from_i3(k, i3))
 
@@ -244,7 +266,7 @@ class EntropyReport:
     eta-intercept, ``alt_f`` the alternate pairing H[w+] + H[v-] -
     ln(2 pi e) (reported, never substituted: its analytic form is
     eta0 + eta, not eta0 - eta), and ``oracle_delta`` the larger of the
-    two closed-form vs quadrature entropy disagreements.
+    two disagreements between the closed-form and the tabulated entropy.
     """
 
     n: int
@@ -302,6 +324,8 @@ def criterion_curve(n, m, etas):
     values criterion_f reports point by point, from one cached threshold
     and one array subtraction.
     """
+    import numpy as np
+
     etas = np.asarray(etas, dtype=np.float64)
     if not np.isfinite(etas).all():
         raise DomainError("eta must be finite")

@@ -8,6 +8,7 @@ to its diagonal dimensionless form and evaluates eigenenergies and the
 position/momentum eigenfunctions in sum/difference coordinates.  Internally
 everything is dimensionless (hbar = M = K = omega = 1); raw-unit couplings
 are scaled on entry and the scales (M, K, omega) are reported alongside.
+Only the eigenfunctions need arrays, so only ``wavefunction`` imports numpy.
 """
 
 from __future__ import annotations
@@ -15,10 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from . import _kernels, specfun
 from .errors import DomainError, UnboundModeError, UnsupportedRegimeError
+from .scalars import EVAL_N_MAX, _check_order, _ln_norm
 
 DEGENERACY_THRESHOLD = 1e-12
 _SQRT2 = math.sqrt(2.0)
@@ -126,7 +125,7 @@ def reconstruct(d):
 
 def _norm_constant(k):
     # 1 / sqrt(sqrt(pi) k! 2^k), computed in the log domain
-    return math.exp(-0.5 * specfun._ln_norm(k))
+    return math.exp(-0.5 * _ln_norm(k))
 
 
 @dataclass(frozen=True)
@@ -140,8 +139,8 @@ class ModePair:
     c2: float = field(init=False)
 
     def __post_init__(self):
-        n = specfun._check_order(self.n, specfun.EVAL_N_MAX, "n")
-        m = specfun._check_order(self.m, specfun.EVAL_N_MAX, "m")
+        n = _check_order(self.n, EVAL_N_MAX, "n")
+        m = _check_order(self.m, EVAL_N_MAX, "m")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "c1", _norm_constant(n))
@@ -161,11 +160,6 @@ def energy(mode, eta):
     return e
 
 
-def _hermite_grid(order, arg):
-    flat = _kernels.hermite_values(order, np.ascontiguousarray(arg.ravel()))
-    return flat.reshape(arg.shape)
-
-
 def wavefunction(mode, eta, space, u_plus, u_minus, alpha_deg=45.0):
     """Eigenfunction in sum/difference coordinates, alpha = +/-45 regime.
 
@@ -180,6 +174,10 @@ def wavefunction(mode, eta, space, u_plus, u_minus, alpha_deg=45.0):
     outside |alpha| = 45 degrees get UnsupportedRegimeError instead of a
     silently wrong formula.
     """
+    import numpy as np
+
+    from . import _kernels
+
     if abs(abs(alpha_deg) - 45.0) > 1e-9:
         raise UnsupportedRegimeError(
             f"sum/difference form requires alpha = +/-45 degrees, got {alpha_deg}"
@@ -212,7 +210,8 @@ def wavefunction(mode, eta, space, u_plus, u_minus, alpha_deg=45.0):
         arg1 = (scale1 / _SQRT2) * g1
         arg2 = (scale2 / _SQRT2) * g2
         gauss = np.exp(-0.5 * (arg1 * arg1 + arg2 * arg2))
-        h1, h2 = _hermite_grid(mode.n, arg1), _hermite_grid(mode.m, arg2)
+        h1 = _kernels.hermite_values(mode.n, arg1.ravel()).reshape(arg1.shape)
+        h2 = _kernels.hermite_values(mode.m, arg2.ravel()).reshape(arg2.shape)
         value = mode.c1 * mode.c2 * gauss * h1 * h2
     # far out the recurrence overflows to inf (or inf - inf) where the
     # Gaussian has underflowed to 0; the product, whose true value rounds

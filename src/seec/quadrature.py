@@ -17,10 +17,13 @@ import numpy as np
 
 from . import _kernels, specfun
 from .errors import DomainError, IntegrandEvaluationError
+from .scalars import DEFAULT_PANEL_ORDER, _check_panel_order
 
 GAUSS_HERMITE_MAX_ORDER = specfun.EVAL_N_MAX
-DEFAULT_PANEL_ORDER = 48
 _MAX_PANEL_WIDTH = 2.0
+# the finest panel cap entropy_panel_boundaries takes is this fraction of
+# its window, a guard on memory; the default cap leaves a few hundred panels
+_MIN_WIDTH_FRACTION = 2.0**-20
 _SQRT_PI = specfun.CONSTANTS.sqrt_pi
 
 
@@ -85,10 +88,6 @@ def _gauss_hermite_rule(order):
     return QuadratureRule("gauss-hermite", order, nodes, weights)
 
 
-def _check_panel_order(order):
-    return specfun._check_order(order, what="panel order", n_min=1)
-
-
 def legendre_panel_rule(order, boundaries):
     """Composite Gauss-Legendre rule with ``order`` points per panel."""
     order = _check_panel_order(order)
@@ -126,7 +125,6 @@ _GRADE_AWAY = 2.0 ** -np.arange(_GRADING_LEVELS, -1, -1)
 _GRADE_TOWARD = 2.0 ** -np.arange(1, _GRADING_LEVELS + 1)
 
 
-@lru_cache(maxsize=None)
 def entropy_panel_boundaries(n, max_width=_MAX_PANEL_WIDTH):
     """Panel boundaries for the entropy integrand of order n.
 
@@ -136,9 +134,25 @@ def entropy_panel_boundaries(n, max_width=_MAX_PANEL_WIDTH):
     analytic, so per-panel Gauss-Legendre converges geometrically and only
     the innermost sliver (width 2^-10 of the half-gap, holding an
     O(width^3 ln width) share of the integral) sees the singularity at
-    all.  Panels away from roots are capped at ``max_width``.  Cached: the
-    boundaries of each order are built once per process.
+    all.  Panels away from roots are capped at ``max_width``, which must be
+    finite and at least 2^-20 of the window's width 2L.  Validated on every
+    call, then built once per (n, max_width).
     """
+    n = specfun._check_order(n, specfun.ROOTS_N_MAX)
+    try:
+        width = float(max_width)
+    except (TypeError, ValueError):
+        raise DomainError(f"max_width must be a number, got {max_width!r}") from None
+    floor = _MIN_WIDTH_FRACTION * 2.0 * specfun._entropy_window(n)
+    if not floor <= width < math.inf:
+        raise DomainError(
+            f"max_width must be finite and at least {floor:.6g} for n = {n}, got {max_width!r}"
+        )
+    return _entropy_panel_boundaries(n, width)
+
+
+@lru_cache(maxsize=None)
+def _entropy_panel_boundaries(n, max_width):
     roots = specfun.hermite_roots(n).roots
     cut = specfun._entropy_window(n)
     raw = np.concatenate(([-cut], roots, [cut]))

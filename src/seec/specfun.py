@@ -1,7 +1,7 @@
-"""Hermite polynomials, their roots and norms, factorial helpers, the order
-caps and the one order check, the composite Gauss-Legendre panel rule, and
-the logarithmic potential V_n with the closed-form entropy integral built
-on it.
+"""Hermite polynomials and their roots, the composite Gauss-Legendre panel
+rule, and the logarithmic potential V_n with the closed-form entropy
+integral built on it.  The order caps, the order check, the constants,
+ln(n!) and the Hermite norm come from ``scalars`` and are re-exported here.
 
 Everything here is a pure function of its arguments.  Cached values (root
 sets) are immutable after construction, so sharing across threads is safe:
@@ -17,37 +17,17 @@ from functools import lru_cache
 import numpy as np
 
 from . import _kernels
-from .errors import DomainError, UnsupportedOrderError
-
-ROOTS_N_MAX = 32  # largest order with root-finding support
-EVAL_N_MAX = 64  # largest order for polynomial evaluation
-
-_LN2 = math.log(2.0)
-_LN_PI = math.log(math.pi)
-
-
-@dataclass(frozen=True)
-class MathConstants:
-    """High-precision constants used throughout the entropy formulas."""
-
-    euler_gamma: float = 0.57721566490153286061
-    sqrt_pi: float = 1.77245385090551602730
-    ln_2pi_e: float = 2.83787706640934548356
-
-
-CONSTANTS = MathConstants()
-
-
-def _check_order(n, n_max=math.inf, what="order", n_min=0):
-    # the one order check: a Python or numpy integer (never a bool or a
-    # float) in [n_min, n_max], returned as an int
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise DomainError(f"{what} must be an integer, got {n!r}")
-    n = int(n)
-    if not n_min <= n <= n_max:
-        bound = f">= {n_min}" if n_max == math.inf else f"in [{n_min}, {n_max}]"
-        raise UnsupportedOrderError(f"{what} must be {bound}, got {n}")
-    return n
+from .errors import DomainError
+from .scalars import (  # noqa: F401  (re-exported; defined once, in scalars)
+    CONSTANTS,
+    EVAL_N_MAX,
+    ROOTS_N_MAX,
+    MathConstants,
+    _check_order,
+    _LN2,
+    _ln_norm,
+    ln_factorial,
+)
 
 
 def hermite_eval(n, z):
@@ -131,20 +111,6 @@ def hermite_roots(n):
 @lru_cache(maxsize=None)
 def _root_set(n):
     return RootSet(n=n, roots=_roots_array(n))
-
-
-def ln_factorial(n):
-    """ln(n!): exact-to-double through 20! by integer product, log-gamma
-    beyond (relative error below 1e-14)."""
-    n = _check_order(n, what="n")
-    if n <= 20:
-        return math.log(math.factorial(n))
-    return math.lgamma(n + 1.0)
-
-
-def _ln_norm(k):
-    # ln(sqrt(pi) k! 2^k); its exponential is the orthogonality norm of H_k
-    return 0.5 * _LN_PI + ln_factorial(k) + k * _LN2
 
 
 @lru_cache(maxsize=None)

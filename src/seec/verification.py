@@ -1,6 +1,7 @@
 """Self-verification: cross-checks every closed form against the numeric
-oracle, and the panel quadrature of the entropy integral against its
-closed-form oracle from the logarithmic potential."""
+oracle, the panel quadrature of the entropy integral against its
+closed-form oracle from the logarithmic potential, and the frozen S_k table
+against both."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ import math
 from dataclasses import dataclass
 
 from . import criterion, quadrature, specfun
+from .scalars import S_TABLE
 
 VERIFY_N_MAX = 12
 # I3 closed form vs panel quadrature, relative to max(1, |I3|); both agree
@@ -16,6 +18,10 @@ I3_CLOSED_RTOL = 1e-12
 # the same bound carried to S_k = ... - I3 / (2^k k! sqrt(pi)): |I3| / norm
 # stays below 40 for n <= 12, so 1e-12 on I3 is at most 4e-11 on S_k
 S_CLOSED_TOL = 1e-10
+# the frozen S_k against the live default-order quadrature; equal to the
+# last bit on the platform that wrote the table, so this bounds only how a
+# CPU or numpy build rounds the quadrature sum
+S_TABLE_TOL = 1e-13
 _NORMALIZATION_CAP = 5  # (n, m) grid cap for the marginal-normalization block
 
 
@@ -82,10 +88,13 @@ def collect_checks(n_max):
         if n == 1:
             analytic = 4.0 * sqrt_pi * (1.0 - 0.5 * gamma)
             checks.append(_check("I3anchor[1]", i3, analytic, 1e-9))
+        s_live = criterion._entropy_from_i3(n, i3)
+        checks.append(_check(f"S_table[{n}]", S_TABLE[n], s_live, S_TABLE_TOL))
         closed, s_delta = criterion._closed_form_oracle(n)
         checks.append(
             _check(f"I3closed[{n}]", closed, i3, I3_CLOSED_RTOL, scale=max(1.0, abs(i3)))
         )
+        # the table against the closed form
         checks.append(_check(f"S_closed_delta[{n}]", s_delta, 0.0, S_CLOSED_TOL))
     cap = min(n_max, _NORMALIZATION_CAP)
     etas = (0.0, 0.5)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from seec import criterion, quadrature, specfun
+from seec import criterion, quadrature, scalars, specfun
 from seec.errors import DomainError, UnsupportedOrderError
 
 from oracles import density_entropy, gauss_entropy, uniform_panel_integral
@@ -203,20 +203,41 @@ class TestStandardEntropy:
                 criterion.standard_entropy(*args)
 
     def test_spellings_share_one_entry(self):
+        # the default order reads the table, however it is spelled
         criterion.standard_entropy.cache_clear()
-        first = criterion.standard_entropy(4)
-        assert criterion.standard_entropy(4, 48) == first
-        assert criterion.standard_entropy(np.int64(4), np.int64(48)) == first
+        for args in ((4,), (4, 48), (np.int64(4), np.int64(48))):
+            assert criterion.standard_entropy(*args) == scalars.S_TABLE[4]
+        # any other order is integrated once, however it is spelled
+        first = criterion.standard_entropy(4, 64)
+        assert criterion.standard_entropy(np.int64(4), 64) == first
+        assert criterion.standard_entropy(4, np.int64(64)) == first
         info = criterion.standard_entropy.cache_info()
         assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+        # bad spellings raise before any lookup
+        for args in ((4.0,), (True,), (4, 48.0), (4, 64.0), (np.True_, 64)):
+            with pytest.raises(DomainError):
+                criterion.standard_entropy(*args)
+        assert criterion.standard_entropy.cache_info() == info
 
     def test_cache_is_stable_under_threads(self):
         criterion.standard_entropy.cache_clear()
         criterion._entropy_excess.cache_clear()
         with ThreadPoolExecutor(max_workers=8) as pool:
-            results = list(pool.map(criterion.standard_entropy, [3] * 64))
+            results = list(pool.map(criterion.standard_entropy, [3] * 64, [64] * 64))
         assert len(set(results)) == 1
-        assert results[0] == criterion.standard_entropy(3)
+        assert results[0] == criterion.standard_entropy(3, 64)
+
+
+class TestEntropyTable:
+    def test_one_entry_per_mode_order(self):
+        assert len(scalars.S_TABLE) == criterion.MODE_N_MAX + 1
+
+    @pytest.mark.parametrize("k", range(criterion.MODE_N_MAX + 1))
+    def test_is_the_default_quadrature_bit_for_bit(self, k):
+        # the assumption tests/test_golden.py makes: the quadrature rounds
+        # here as it did where the table was written
+        i3 = quadrature.entropy_integral_numeric(k, scalars.DEFAULT_PANEL_ORDER)
+        assert scalars.S_TABLE[k] == criterion._entropy_from_i3(k, i3)
 
 
 class TestClosedFormOracle:

@@ -1,0 +1,146 @@
+"""The package imports lazily, and the scalar commands never import numpy.
+
+Each case runs in a fresh interpreter, since this test process has numpy
+loaded already.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import seec
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(seec.__file__)))
+
+# runs seec's CLI on argv, then reports on stderr's last line whether numpy
+# was imported
+CLI_SCRIPT = """
+import sys
+from seec import cli
+try:
+    code = cli.main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+sys.stdout.flush()
+sys.stderr.write("numpy imported: %s\\n" % ("numpy" in sys.modules))
+sys.exit(code)
+"""
+
+
+def run_python(code, *args, cwd=None):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, cwd=cwd
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def run_cli(*args, cwd=None):
+    code, out, err = run_python(CLI_SCRIPT, *args, cwd=cwd)
+    *lines, last = err.splitlines()
+    return code, out, lines, last == "numpy imported: True"
+
+
+def test_bare_import_loads_no_submodule():
+    code, out, _ = run_python(
+        "import sys, seec; print(sorted(m for m in sys.modules if m.startswith(('seec', 'numpy'))))"
+    )
+    assert code == 0
+    assert out.strip() == "['seec']"
+
+
+def test_version_skips_numpy():
+    code, out, lines, numpy_imported = run_cli("--version")
+    assert code == 0 and out == f"seec {seec.__version__}\n" and lines == []
+    assert not numpy_imported
+
+
+# (argv, records in the output: None for a single JSON object)
+SCALAR_COMMANDS = [
+    (("diagonalize",), None),
+    (("diagonalize", "--m1", "2", "--A", "3", "--B", "1.5", "--C", "0.4"), None),
+    (("threshold",), 36),
+    (("threshold", "--format", "json"), 36),
+    (("threshold", "--n-max", "32", "--m-max", "32"), 33 * 33),
+    (("threshold", "--n-max", "32", "--m-max", "32", "--format", "json"), 33 * 33),
+]
+
+
+@pytest.mark.parametrize("dest", ["stdout", "file"])
+@pytest.mark.parametrize(
+    "args,records", SCALAR_COMMANDS, ids=[" ".join(args) for args, _ in SCALAR_COMMANDS]
+)
+def test_scalar_commands_skip_numpy(args, records, dest, tmp_path):
+    out_path = tmp_path / "out.txt"
+    extra = ("--out", str(out_path)) if dest == "file" else ()
+    code, out, lines, numpy_imported = run_cli(*args, *extra, cwd=tmp_path)
+    assert code == 0 and lines == []
+    assert not numpy_imported
+    if dest == "file":
+        assert out == ""
+        text = out_path.read_text()
+    else:
+        assert not out_path.exists()
+        text = out
+    if records is None:
+        assert isinstance(json.loads(text), dict)
+    elif "json" in args:
+        assert len(json.loads(text)) == records
+    else:
+        assert text.count("\n") == records + 1
+
+
+def test_scalar_errors_skip_numpy():
+    code, out, lines, numpy_imported = run_cli("threshold", "--n-max", "33")
+    assert code == 1 and out == "" and len(lines) == 1
+    assert lines[0].startswith("seec: error: ")
+    assert not numpy_imported
+
+
+def test_array_command_imports_numpy():
+    # the control for the cases above: run_cli does see numpy when it loads
+    code, _, lines, numpy_imported = run_cli("sweep", "--steps", "3")
+    assert code == 0 and lines == []
+    assert numpy_imported
+
+
+LAZY_SCRIPT = """
+import json, sys
+import seec
+resolved = [name for name in seec.__all__ if getattr(seec, name) is not None]
+checks = {
+    "all": resolved == seec.__all__,
+    "dir": set(seec.__all__) <= set(dir(seec)),
+    "same_object": seec.criterion_f is seec.criterion.criterion_f
+    and seec.CONSTANTS is seec.specfun.CONSTANTS is seec.scalars.CONSTANTS,
+    "oscillator": seec.oscillator.ModePair(1, 2).n == 1,
+    "verification": callable(seec.verification.collect_checks),
+    "unknown": not hasattr(seec, "hyp1f1_gauss"),
+}
+print(json.dumps(checks))
+"""
+
+
+def test_public_names_and_submodules_resolve_lazily():
+    code, out, err = run_python(LAZY_SCRIPT)
+    assert code == 0, err
+    assert json.loads(out) == dict.fromkeys(
+        ("all", "dir", "same_object", "oscillator", "verification", "unknown"), True
+    )
+
+
+def test_scalar_library_calls_skip_numpy():
+    code, out, err = run_python(
+        "import sys, seec\n"
+        "seec.threshold_eta0(3, 2)\n"
+        "seec.standard_entropy(7)\n"
+        "d = seec.diagonalize(seec.CoupledHamiltonian(1.0, 2.0, 3.0, 1.0, 0.5))\n"
+        "seec.reconstruct(d)\n"
+        "seec.energy(seec.ModePair(2, 1), d.eta)\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    assert code == 0, err
+    assert out == "False\n"

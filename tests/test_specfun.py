@@ -244,6 +244,7 @@ ORDER_ENTRIES = {
     "gauss_hermite_rule": (quadrature.gauss_hermite_rule, quadrature.GAUSS_HERMITE_MAX_ORDER),
     "legendre_panel_rule": (lambda n: quadrature.legendre_panel_rule(n, (0.0, 1.0)), None),
     "entropy_integral_numeric": (quadrature.entropy_integral_numeric, specfun.ROOTS_N_MAX),
+    "entropy_panel_boundaries": (quadrature.entropy_panel_boundaries, specfun.ROOTS_N_MAX),
     "standard_entropy": (criterion.standard_entropy, criterion.MODE_N_MAX),
     "threshold_eta0": (lambda n: criterion.threshold_eta0(n, 0), criterion.MODE_N_MAX),
     "collect_checks": (verification.collect_checks, verification.VERIFY_N_MAX),
