@@ -11,10 +11,9 @@ The eta dependence of each entropy is analytic (a pure -ln t scale term
 with t = e^{eta/2}/sqrt(2)), so entropies decompose as S_k - ln t where
 S_k is the unit-scale level entropy.  Sweeps over eta therefore never
 re-integrate, and f(eta) = eta0 - eta holds exactly by construction.
-At the default panel order S_k is read from the frozen table in
-``scalars``, so standard_entropy and threshold_eta0 never import numpy;
-the array routes, and criterion_f for its closed-form oracle_delta, import
-it when called.
+S_k is read from the frozen table in ``scalars``, so standard_entropy and
+threshold_eta0 never import numpy; the array routes, and criterion_f for
+its closed-form oracle_delta, import it when called.
 """
 
 from __future__ import annotations
@@ -24,16 +23,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import DomainError
-from .scalars import (
-    CONSTANTS,
-    DEFAULT_PANEL_ORDER,
-    ROOTS_N_MAX,
-    S_TABLE,
-    _check_order,
-    _check_panel_order,
-    _LN2,
-    _ln_norm,
-)
+from .scalars import CONSTANTS, ROOTS_N_MAX, S_TABLE, _check_order, _LN2, _ln_norm
 
 MODE_N_MAX = ROOTS_N_MAX
 LN_2PI_E = CONSTANTS.ln_2pi_e
@@ -188,33 +178,28 @@ def _entropy_from_i3(k, i3):
     return ln_norm + k + 0.5 - i3 * math.exp(-ln_norm)
 
 
-def standard_entropy(k, panel_order=DEFAULT_PANEL_ORDER):
+def standard_entropy(k):
     """Entropy S_k of the unit-scale level-k density c_k^2 e^{-z^2} H_k^2(z):
 
         S_k = ln(sqrt(pi) k! 2^k) + k + 1/2 - I3(k) / (2^k k! sqrt(pi))
 
-    with I3 from the normative quadrature.  The arguments are validated on
-    every call.  At the default panel order the value is the frozen
-    ``scalars.S_TABLE[k]``, the quadrature's own result; any other panel
-    order is integrated once per process, however the call spells it.
-    Both are pure functions of k, so cold, warm and raced lookups agree.
+    with I3 from the normative panel quadrature at its default order, read
+    from the frozen ``scalars.S_TABLE``.  k is validated on every call, and
+    the lookup is cached on the validated order, so (k) and (np.int64(k))
+    share one entry.  Another panel order is
+    _entropy_from_i3(k, quadrature.entropy_integral_numeric(k, order)).
     """
-    k = _check_order(k, MODE_N_MAX, "k")
-    panel_order = _check_panel_order(panel_order)
-    if panel_order == DEFAULT_PANEL_ORDER:
-        return S_TABLE[k]
-    return _standard_entropy(k, panel_order)
+    return _table_entropy(_check_order(k, MODE_N_MAX, "k"))
 
 
 @lru_cache(maxsize=None)
-def _standard_entropy(k, panel_order):
-    from . import quadrature
+def _table_entropy(k):
+    # cached so that standard_entropy.cache_info() counts the table lookups
+    return S_TABLE[k]
 
-    return _entropy_from_i3(k, quadrature.entropy_integral_numeric(k, panel_order))
 
-
-standard_entropy.cache_info = _standard_entropy.cache_info
-standard_entropy.cache_clear = _standard_entropy.cache_clear
+standard_entropy.cache_info = _table_entropy.cache_info
+standard_entropy.cache_clear = _table_entropy.cache_clear
 
 
 @lru_cache(maxsize=None)

@@ -17,14 +17,19 @@ import numpy as np
 
 from . import _kernels, specfun
 from .errors import DomainError, IntegrandEvaluationError
-from .scalars import DEFAULT_PANEL_ORDER, _check_panel_order
+from .scalars import (
+    CONSTANTS,
+    DEFAULT_PANEL_ORDER,
+    EVAL_N_MAX,
+    ROOTS_N_MAX,
+    _check_order,
+    _check_panel_order,
+    ln_factorial,
+)
 
-GAUSS_HERMITE_MAX_ORDER = specfun.EVAL_N_MAX
+GAUSS_HERMITE_MAX_ORDER = EVAL_N_MAX
 _MAX_PANEL_WIDTH = 2.0
-# the finest panel cap entropy_panel_boundaries takes is this fraction of
-# its window, a guard on memory; the default cap leaves a few hundred panels
-_MIN_WIDTH_FRACTION = 2.0**-20
-_SQRT_PI = specfun.CONSTANTS.sqrt_pi
+_SQRT_PI = CONSTANTS.sqrt_pi
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,7 +78,7 @@ def gauss_hermite_rule(order):
     z^p e^{-z^2} exactly (to roundoff) for p <= 2q - 1.  Validated on every
     call, then built once per order.
     """
-    return _gauss_hermite_rule(specfun._check_order(order, GAUSS_HERMITE_MAX_ORDER, n_min=1))
+    return _gauss_hermite_rule(_check_order(order, GAUSS_HERMITE_MAX_ORDER, n_min=1))
 
 
 @lru_cache(maxsize=None)
@@ -81,7 +86,7 @@ def _gauss_hermite_rule(order):
     nodes = specfun._roots_array(order)
     h_prev = _kernels.hermite_values(order - 1, nodes)
     ln_pref = (
-        (order - 1) * math.log(2.0) + specfun.ln_factorial(order) + 0.5 * math.log(math.pi)
+        (order - 1) * math.log(2.0) + ln_factorial(order) + 0.5 * math.log(math.pi)
     )
     weights = np.exp(ln_pref - 2.0 * np.log(np.abs(order * h_prev)))
     weights.setflags(write=False)
@@ -125,7 +130,7 @@ _GRADE_AWAY = 2.0 ** -np.arange(_GRADING_LEVELS, -1, -1)
 _GRADE_TOWARD = 2.0 ** -np.arange(1, _GRADING_LEVELS + 1)
 
 
-def entropy_panel_boundaries(n, max_width=_MAX_PANEL_WIDTH):
+def entropy_panel_boundaries(n):
     """Panel boundaries for the entropy integrand of order n.
 
     The window [-L, L] with L = sqrt(2n + 1) + 10 is split at every root
@@ -134,25 +139,14 @@ def entropy_panel_boundaries(n, max_width=_MAX_PANEL_WIDTH):
     analytic, so per-panel Gauss-Legendre converges geometrically and only
     the innermost sliver (width 2^-10 of the half-gap, holding an
     O(width^3 ln width) share of the integral) sees the singularity at
-    all.  Panels away from roots are capped at ``max_width``, which must be
-    finite and at least 2^-20 of the window's width 2L.  Validated on every
-    call, then built once per (n, max_width).
+    all.  Panels away from roots are at most 2 wide.  Validated on every
+    call, then built once per order.
     """
-    n = specfun._check_order(n, specfun.ROOTS_N_MAX)
-    try:
-        width = float(max_width)
-    except (TypeError, ValueError):
-        raise DomainError(f"max_width must be a number, got {max_width!r}") from None
-    floor = _MIN_WIDTH_FRACTION * 2.0 * specfun._entropy_window(n)
-    if not floor <= width < math.inf:
-        raise DomainError(
-            f"max_width must be finite and at least {floor:.6g} for n = {n}, got {max_width!r}"
-        )
-    return _entropy_panel_boundaries(n, width)
+    return _entropy_panel_boundaries(_check_order(n, ROOTS_N_MAX))
 
 
 @lru_cache(maxsize=None)
-def _entropy_panel_boundaries(n, max_width):
+def _entropy_panel_boundaries(n):
     roots = specfun.hermite_roots(n).roots
     cut = specfun._entropy_window(n)
     raw = np.concatenate(([-cut], roots, [cut]))
@@ -176,7 +170,7 @@ def _entropy_panel_boundaries(n, max_width):
     keep[-1, _GRADING_LEVELS + 1 : -1] = False
     graded = np.concatenate(([-cut], rows[keep]))
     width = graded[1:] - graded[:-1]
-    pieces = np.maximum(1, np.ceil(width / max_width)).astype(np.int64)
+    pieces = np.maximum(1, np.ceil(width / _MAX_PANEL_WIDTH)).astype(np.int64)
     # piece j of a gap split into `pieces` starts at a + (b - a) * j / pieces
     j = np.arange(pieces.sum()) - np.repeat(np.cumsum(pieces) - pieces, pieces)
     step = np.repeat(width, pieces) * j / np.repeat(pieces, pieces)
@@ -193,7 +187,7 @@ def entropy_integral_numeric(n, panel_order=DEFAULT_PANEL_ORDER):
     1e-40 of the result.  Each (n, panel_order) is integrated once per
     process, however the call spells it.
     """
-    n = specfun._check_order(n, specfun.ROOTS_N_MAX)
+    n = _check_order(n, ROOTS_N_MAX)
     return _entropy_integral(n, _check_panel_order(panel_order))
 
 

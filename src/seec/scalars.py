@@ -4,14 +4,14 @@ the frozen table of level entropies S_k.
 
 ``criterion``, ``oscillator`` and ``cli`` answer their scalar questions
 (the threshold table, the criterion value, the normal modes) from here, so
-those commands never import numpy; ``specfun`` and ``quadrature`` re-import
-these names rather than redefining them.
+those commands never import numpy; every other module imports these names
+from here rather than redefining them.
 """
 
 from __future__ import annotations
 
 import math
-import operator
+import sys
 from dataclasses import dataclass
 
 from .errors import DomainError, UnsupportedOrderError
@@ -37,18 +37,20 @@ CONSTANTS = MathConstants()
 
 
 def _check_order(n, n_max=math.inf, what="order", n_min=0):
-    # the one order check: a Python or numpy integer (never a bool or a
-    # float) in [n_min, n_max], returned as an int
-    if isinstance(n, bool):
+    # the one order check: a Python or numpy integer (never a bool, a numpy
+    # bool, an array or a float) in [n_min, n_max], returned as an int.  A
+    # numpy integer can only exist once numpy is imported, so the check
+    # looks numpy up in sys.modules instead of importing it.
+    np = sys.modules.get("numpy")
+    if isinstance(n, bool) or not (
+        isinstance(n, int) or (np is not None and isinstance(n, np.integer))
+    ):
         raise DomainError(f"{what} must be an integer, got {n!r}")
-    try:
-        value = operator.index(n)
-    except TypeError:
-        raise DomainError(f"{what} must be an integer, got {n!r}") from None
-    if not n_min <= value <= n_max:
+    n = int(n)
+    if not n_min <= n <= n_max:
         bound = f">= {n_min}" if n_max == math.inf else f"in [{n_min}, {n_max}]"
-        raise UnsupportedOrderError(f"{what} must be {bound}, got {value}")
-    return value
+        raise UnsupportedOrderError(f"{what} must be {bound}, got {n}")
+    return n
 
 
 def _check_panel_order(order):
@@ -73,9 +75,10 @@ def _ln_norm(k):
 # e^{-z^2} H_k(z)^2 / (2^k k! sqrt(pi)), for k = 0..ROOTS_N_MAX at
 # DEFAULT_PANEL_ORDER: the panel quadrature's own values, written out with
 # repr so that each literal reads back as the same double, as printed by
-# [criterion._standard_entropy(k, 48) for k in range(33)].  verify checks
-# every row against the live quadrature and against the closed form, and
-# tests/test_criterion.py recomputes the whole table.
+#   [criterion._entropy_from_i3(k, quadrature.entropy_integral_numeric(k))
+#    for k in range(33)]
+# verify checks every row against the live quadrature and against the
+# closed form, and tests/test_criterion.py recomputes the whole table.
 S_TABLE = (
     1.0723649429247,
     1.3427277883861777,

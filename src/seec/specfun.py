@@ -1,7 +1,7 @@
 """Hermite polynomials and their roots, the composite Gauss-Legendre panel
 rule, and the logarithmic potential V_n with the closed-form entropy
 integral built on it.  The order caps, the order check, the constants,
-ln(n!) and the Hermite norm come from ``scalars`` and are re-exported here.
+ln(n!) and the Hermite norm come from ``scalars``.
 
 Everything here is a pure function of its arguments.  Cached values (root
 sets) are immutable after construction, so sharing across threads is safe:
@@ -18,16 +18,8 @@ import numpy as np
 
 from . import _kernels
 from .errors import DomainError
-from .scalars import (  # noqa: F401  (re-exported; defined once, in scalars)
-    CONSTANTS,
-    EVAL_N_MAX,
-    ROOTS_N_MAX,
-    MathConstants,
-    _check_order,
-    _LN2,
-    _ln_norm,
-    ln_factorial,
-)
+from .scalars import CONSTANTS, EVAL_N_MAX, ROOTS_N_MAX, _check_order, _LN2, _ln_norm
+from .scalars import ln_factorial  # noqa: F401  (public here too)
 
 
 def hermite_eval(n, z):

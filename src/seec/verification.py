@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass
 
 from . import criterion, quadrature, specfun
-from .scalars import S_TABLE
+from .scalars import CONSTANTS, S_TABLE, _check_order, _ln_norm
 
 VERIFY_N_MAX = 12
 # I3 closed form vs panel quadrature, relative to max(1, |I3|); both agree
@@ -66,12 +66,12 @@ def _marginal_residual(side, n, m, eta, rule):
 
 def collect_checks(n_max):
     """All verification rows for orders up to n_max (<= 12)."""
-    n_max = specfun._check_order(n_max, VERIFY_N_MAX, "n_max")
-    gamma = specfun.CONSTANTS.euler_gamma
-    sqrt_pi = specfun.CONSTANTS.sqrt_pi
+    n_max = _check_order(n_max, VERIFY_N_MAX, "n_max")
+    gamma = CONSTANTS.euler_gamma
+    sqrt_pi = CONSTANTS.sqrt_pi
     checks = []
     for n in range(n_max + 1):
-        norm = math.exp(specfun._ln_norm(n))
+        norm = math.exp(_ln_norm(n))
         i0 = _gh_integral(n + 1, lambda z, n=n: specfun.hermite_values(n, z) ** 2)
         checks.append(_check(f"I0[{n}]", i0, norm, 1e-10, scale=norm))
         i1 = _gh_integral(n + 2, lambda z, n=n: specfun.hermite_values(n, z) ** 2)

@@ -187,24 +187,6 @@ class TestEntropyIntegral:
             assert any(abs(b - root) < 1e-12 for b in bounds)
         assert all(a < b for a, b in zip(bounds, bounds[1:]))
 
-    def test_boundaries_max_width(self):
-        n = 3
-        coarse = quadrature.entropy_panel_boundaries(n)
-        # 1 and 1.0 are one cap, and a finer cap gives more panels over
-        # the same window
-        fine = quadrature.entropy_panel_boundaries(n, 1)
-        assert quadrature.entropy_panel_boundaries(n, 1.0) == fine
-        assert fine[0] == coarse[0] and fine[-1] == coarse[-1] and len(fine) > len(coarse)
-        widths = np.diff(fine)
-        assert widths.max() <= 1.0 and widths.min() > 0.0
-        reference = oracles.entropy_panel_boundaries_loop(n, specfun.hermite_roots(n).roots, 1.0)
-        assert np.array(fine).tobytes() == np.array(reference).tobytes()
-        # not positive, not finite, or so fine that the window would split
-        # into more than 2^20 panels
-        for bad in (0.0, -1.0, math.nan, math.inf, -math.inf, 1e-300, 5e-324, 1e-5, "x", None):
-            with pytest.raises(DomainError, match="max_width"):
-                quadrature.entropy_panel_boundaries(n, bad)
-
     @pytest.mark.parametrize("n", range(0, 33))
     def test_boundaries_and_rules_bit_identical_to_loops(self, n):
         bounds = quadrature.entropy_panel_boundaries(n)

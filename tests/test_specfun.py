@@ -265,7 +265,7 @@ def test_order_entries_share_one_check(entry):
     # keys in any cache, which must not answer for True or 2.0
     call(np.int64(1))
     call(np.int64(2))
-    for bad in (True, 2.0, -1) + (() if cap is None else (cap + 1,)):
+    for bad in (True, np.True_, np.array(2), 2.0, -1) + (() if cap is None else (cap + 1,)):
         with pytest.raises(DomainError):
             call(bad)
     with pytest.raises(UnsupportedOrderError):
