@@ -10,9 +10,9 @@ CSV/JSON, files are written atomically (temp + rename), numeric CSV fields
 carry 12 significant digits.  Exit codes: 0 success, 1 usage or domain
 error, 2 verification failure.
 
-Each subcommand imports the modules it uses when it runs: threshold and
-diagonalize work on floats alone and never import numpy, and tempfile and
-json load only for the output that needs them.
+Each subcommand imports the modules it uses when it runs: sweep (its SVG
+included), threshold and diagonalize work on floats alone and never import
+numpy, and tempfile and json load only for the output that needs them.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import argparse
 import functools
 import math
 import os
+import re
 import sys
 
 from . import __version__
@@ -31,6 +32,12 @@ _BOOL_TEXT = ("false", "true")
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # read -1e-3 as a negative number, not an option: argparse's own
+        # pattern (Python 3.11 and 3.13 alike) knows only -1 and -0.001
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     # usage errors exit 1, not argparse's default 2
     def error(self, message):
         self.exit(1, f"{self.prog}: error: {message}\n")
@@ -71,12 +78,28 @@ def _parse_modes(text):
 
 
 def _finite(name, values):
-    """The float array values as a list; a DomainError if any is nan or inf."""
-    import numpy as np
-
-    if not np.isfinite(values).all():
+    """The list of floats values; a DomainError if any is nan or inf."""
+    if not all(map(math.isfinite, values)):
         raise DomainError(f"{name} is not finite for these inputs")
-    return values.tolist()
+    return values
+
+
+def _eta_grid(lo, hi, steps):
+    """np.linspace(lo, hi, steps) as a list, bit for bit, for steps >= 2;
+    a DomainError where that grid is not finite."""
+    div = steps - 1
+    delta = hi - lo
+    step = delta / div
+    if step == 0.0:
+        # a denormal span: numpy scales each index before multiplying
+        grid = [i / div * delta + lo for i in range(div)]
+    else:
+        grid = [i * step + lo for i in range(div)]
+    grid.append(hi)
+    if not all(map(math.isfinite, grid)):
+        # an infinite bound, or finite bounds whose span overflows
+        raise DomainError(f"eta-min and eta-max must span a finite grid, got [{lo}, {hi}]")
+    return grid
 
 
 def _array_command(func):
@@ -130,10 +153,7 @@ def _json_text(payload):
         raise DomainError("the result is not finite for these inputs") from None
 
 
-@_array_command
 def _cmd_sweep(args):
-    import numpy as np
-
     from . import criterion, svgplot
 
     modes = _parse_modes(args.modes)
@@ -143,24 +163,21 @@ def _cmd_sweep(args):
         raise DomainError(
             f"eta-min must be below eta-max, got [{args.eta_min}, {args.eta_max}]"
         )
-    grid = np.linspace(args.eta_min, args.eta_max, args.steps)
-    if not np.isfinite(grid).all():
-        # an infinite bound, or finite bounds whose span overflows
-        raise DomainError(
-            f"eta-min and eta-max must span a finite grid, got [{args.eta_min}, {args.eta_max}]"
-        )
-    curves = [criterion.criterion_curve(n, m, grid) for n, m in modes]
-    f = _finite("f", np.concatenate([c[0] for c in curves]))
-    entangled = np.concatenate([c[1] for c in curves]).tolist()
+    grid = _eta_grid(args.eta_min, args.eta_max, args.steps)
+    # f = eta0 - eta, the values criterion_curve gives
+    eta0 = [criterion.threshold_eta0(n, m) for n, m in modes]
+    curves = [[e0 - e for e in grid] for e0 in eta0]
+    f = _finite("f", [v for curve in curves for v in curve])
+    entangled = [v < 0.0 for v in f]
     ns = [n for n, _ in modes for _ in range(args.steps)]
     ms = [m for _, m in modes for _ in range(args.steps)]
     if args.format == "json":
-        etas = list(map(repr, grid.tolist())) * len(modes)
+        etas = list(map(repr, grid)) * len(modes)
         text = _json_records(
             [("eta", etas), ("n", ns), ("m", ms), ("f", f), ("entangled", entangled)]
         )
     else:
-        etas = list(map("%.12g".__mod__, grid.tolist())) * len(modes)
+        etas = list(map("%.12g".__mod__, grid)) * len(modes)
         text = _csv(
             ["eta", "n", "m", "f", "entangled"],
             "%s,%d,%d,%.12g,%s\n",
@@ -169,8 +186,7 @@ def _cmd_sweep(args):
     _write_text(text, args.out)
     if args.svg:
         series = [
-            (f"(n,m)=({n},{m})", np.column_stack((grid, f_mode)))
-            for (n, m), (f_mode, _) in zip(modes, curves)
+            (f"(n,m)=({n},{m})", list(zip(grid, curve))) for (n, m), curve in zip(modes, curves)
         ]
         _write_text(svgplot.line_plot(series, "eta", "f"), args.svg)
     return 0
@@ -184,9 +200,7 @@ def _cmd_threshold(args):
         _check_order(v, criterion.MODE_N_MAX, name)
     ns = [n for n in range(args.n_max + 1) for _ in range(args.m_max + 1)]
     ms = list(range(args.m_max + 1)) * (args.n_max + 1)
-    eta0 = list(map(criterion.threshold_eta0, ns, ms))
-    if not all(map(math.isfinite, eta0)):
-        raise DomainError("eta0 is not finite for these inputs")
+    eta0 = _finite("eta0", list(map(criterion.threshold_eta0, ns, ms)))
     if args.format == "json":
         text = _json_records([("n", ns), ("m", ms), ("eta0", eta0)])
     else:
@@ -294,7 +308,9 @@ def _cmd_wavefunction(args):
     values = oscillator.wavefunction(
         mode, args.eta, args.space, grid[:, None], grid[None, :]
     )
-    values = _finite("wavefunction value", values.ravel())
+    if not np.isfinite(values).all():
+        raise DomainError("wavefunction value is not finite for these inputs")
+    values = values.ravel().tolist()
     u = list(map("%.12g".__mod__, grid.tolist()))
     u_plus = [x for x in u for _ in u]
     text = _csv(["u_plus", "u_minus", "value"], "%s,%s,%.12g\n", (u_plus, u * len(u), values))

@@ -1,6 +1,4 @@
-"""Minimal static SVG line plots (no renderer dependency)."""
-
-import numpy as np
+"""Minimal static SVG line plots (no renderer dependency, no numpy)."""
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#17becf")
 
@@ -9,10 +7,10 @@ _LEFT, _RIGHT, _TOP, _BOTTOM = 70, 780, 25, 555
 
 
 def _spans(series):
-    xs = np.concatenate([pts[:, 0] for _, pts in series])
-    ys = np.concatenate([pts[:, 1] for _, pts in series])
-    x0, x1 = float(xs.min()), float(xs.max())
-    y0, y1 = float(ys.min()), float(ys.max())
+    xs = [(min(xs), max(xs)) for _, xs, _ in series if xs]
+    ys = [(min(ys), max(ys)) for _, _, ys in series if ys]
+    x0, x1 = min(lo for lo, _ in xs), max(hi for _, hi in xs)
+    y0, y1 = min(lo for lo, _ in ys), max(hi for _, hi in ys)
     if x1 == x0:
         x1 = x0 + 1.0
     if y1 == y0:
@@ -24,14 +22,20 @@ def _spans(series):
 def line_plot(series, x_label, y_label):
     """SVG text for polylines; series is [(label, pts), ...] with pts an
     (N, 2) array or a sequence of (x, y) pairs."""
-    series = [(label, np.asarray(pts, dtype=np.float64)) for label, pts in series]
+    series = [
+        (label, [float(x) for x, _ in pts], [float(y) for _, y in pts]) for label, pts in series
+    ]
     x0, x1, y0, y1 = _spans(series)
 
-    def px(x):
-        return _LEFT + (_RIGHT - _LEFT) * (x - x0) / (x1 - x0)
+    # pixel coordinates of a list of data coordinates; the width and span
+    # are bound once, since a call per point would double the plot's cost
+    def px(xs):
+        left, width, span = _LEFT, _RIGHT - _LEFT, x1 - x0
+        return [left + width * (x - x0) / span for x in xs]
 
-    def py(y):
-        return _BOTTOM - (_BOTTOM - _TOP) * (y - y0) / (y1 - y0)
+    def py(ys):
+        bottom, height, span = _BOTTOM, _BOTTOM - _TOP, y1 - y0
+        return [bottom - height * (y - y0) / span for y in ys]
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
@@ -53,7 +57,7 @@ def line_plot(series, x_label, y_label):
         f'font-family="sans-serif" font-size="12">{y1:.4g}</text>',
     ]
     if y0 < 0.0 < y1:
-        zero = py(0.0)
+        (zero,) = py([0.0])
         parts.append(
             f'<line x1="{_LEFT}" y1="{zero:.2f}" x2="{_RIGHT}" y2="{zero:.2f}" '
             'stroke="#999999" stroke-dasharray="5,4"/>'
@@ -62,10 +66,12 @@ def line_plot(series, x_label, y_label):
             f'<text x="{_RIGHT - 4}" y="{zero - 5:.2f}" text-anchor="end" '
             'font-family="sans-serif" font-size="12" fill="#666666">0</text>'
         )
-    for i, (label, pts) in enumerate(series):
+    for i, (label, xs, ys) in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]
-        xs, ys = px(pts[:, 0]).tolist(), py(pts[:, 1]).tolist()
-        coords = " ".join(map("%.2f,%.2f".__mod__, zip(xs, ys)))
+        # one template for the whole polyline: a format call per point costs more
+        flat = [None] * (2 * len(xs))
+        flat[::2], flat[1::2] = px(xs), py(ys)
+        coords = " ".join(["%.2f,%.2f"] * len(xs)) % tuple(flat)
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{coords}"/>'
         )

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -6,11 +7,13 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from seec import criterion
+from seec import cli, criterion, svgplot
+from seec.errors import DomainError
 
 
 def run_cli(*args, env=None):
@@ -100,6 +103,107 @@ class TestSweep:
     def test_mode_order_out_of_range(self):
         code, _, err = run_cli("sweep", "--modes", "40:0")
         assert code == 1
+
+
+_BOUNDS = st.lists(
+    st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=2, unique=True
+).map(sorted)
+
+
+class TestSweepGrid:
+    """The sweep's eta grid and f column are the values np.linspace and
+    criterion_curve give, bit for bit."""
+
+    @given(bounds=_BOUNDS, steps=st.integers(2, 3000) | st.sampled_from((2, 3, 100_001)))
+    @settings(max_examples=300)
+    @example(bounds=[0.0, 1.0], steps=2)
+    @example(bounds=[-2.5, -0.25], steps=100_001)
+    @example(bounds=[0.0, 5e-324], steps=3)  # step == 0: numpy's denormal branch
+    @example(bounds=[-5e-324, 5e-324], steps=7)
+    @example(bounds=[1e-310, 1.5e-310], steps=1001)
+    @example(bounds=[-1e308, 1e308], steps=11)  # hi - lo overflows
+    @example(bounds=[-1.7976931348623157e308, 1.7976931348623157e308], steps=2)
+    def test_grid_equals_linspace(self, bounds, steps):
+        lo, hi = bounds
+        with np.errstate(all="ignore"):
+            expected = np.linspace(lo, hi, steps)
+        if not np.isfinite(expected).all():
+            with pytest.raises(DomainError, match="finite grid"):
+                cli._eta_grid(lo, hi, steps)
+            return
+        grid = np.array(cli._eta_grid(lo, hi, steps), dtype=np.float64)
+        np.testing.assert_array_equal(grid.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("modes", ["0:0", "1:1,2:0", "0:0,1:1,2:3,5:0,7:7,32:32"])
+    @pytest.mark.parametrize("bounds", [(0.0, 2.0), (-2.5, -0.25), (-0.7, 1e-3)])
+    def test_f_column_equals_criterion_curve(self, modes, bounds, capsys):
+        lo, hi = bounds
+        argv = ["sweep", "--modes", modes, "--steps", "257", "--format", "json",
+                f"--eta-min={lo!r}", f"--eta-max={hi!r}"]
+        assert cli.main(argv) == 0
+        records = json.loads(capsys.readouterr().out)
+        grid = np.linspace(lo, hi, 257)
+        pairs = cli._parse_modes(modes)
+        expected = np.concatenate([criterion.criterion_curve(n, m, grid)[0] for n, m in pairs])
+        f = np.array([r["f"] for r in records], dtype=np.float64)
+        np.testing.assert_array_equal(f.view(np.uint64), expected.view(np.uint64))
+        assert [r["entangled"] for r in records] == (expected < 0.0).tolist()
+        eta = np.array([r["eta"] for r in records], dtype=np.float64)
+        np.testing.assert_array_equal(eta.view(np.uint64), np.tile(grid, len(pairs)).view(np.uint64))
+
+
+class TestSvgPlot:
+    def test_array_and_pairs_give_the_same_bytes(self):
+        x = np.linspace(-0.5, 2.0, 101)
+        arrays = [("a", np.column_stack((x, 0.3 - x))), ("b", np.column_stack((x, np.sin(x))))]
+        pairs = [(label, [tuple(p) for p in pts.tolist()]) for label, pts in arrays]
+        svg = svgplot.line_plot(arrays, "eta", "f")
+        assert svg == svgplot.line_plot(pairs, "eta", "f")
+        assert svg.count("<polyline") == 2
+        # other dtypes convert as np.asarray(pts, dtype=float64) would; mapping
+        # float32 points in float32 would move some of them by 0.01 px
+        pts32 = np.random.default_rng(0).standard_normal((2000, 2)).astype(np.float32)
+        assert svgplot.line_plot([("a", pts32)], "x", "y") == svgplot.line_plot(
+            [("a", pts32.astype(np.float64))], "x", "y")
+        ints = [("i", [(0, 1), (2, -3), (5, 4)])]
+        assert svgplot.line_plot(ints, "x", "y") == svgplot.line_plot(
+            [("i", np.array(ints[0][1], dtype=np.float64))], "x", "y")
+
+
+def _float_options():
+    """(subcommand, option) for every option whose type is float."""
+    subparsers = next(
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    return [
+        (name, action.option_strings[0])
+        for name, parser in subparsers.choices.items()
+        for action in parser._actions
+        if action.type is float
+    ]
+
+
+class TestNegativeNumbers:
+    def test_every_float_option_is_covered(self):
+        assert len(_float_options()) == 11
+
+    @pytest.mark.parametrize("cmd,option", _float_options())
+    @pytest.mark.parametrize("value", ["-1e-3", "-5E-1", "-.5e+1", "-0.001"])
+    def test_separate_value_reads_like_attached(self, cmd, option, value, capsys):
+        # sweep's eta-max needs a lower eta-min to give a grid
+        extra = ["--eta-min=-10"] if option == "--eta-max" else []
+
+        def run(*args):
+            try:
+                code = cli.main([cmd, *extra, *args])
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            return code, out, err
+
+        separate = run(option, value)
+        assert separate == run(f"{option}={value}")
+        assert "expected one argument" not in separate[2]
 
 
 class TestThreshold:

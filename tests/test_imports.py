@@ -1,4 +1,4 @@
-"""The package imports lazily, and the scalar commands never import numpy.
+"""The package imports lazily, and the float commands never import numpy.
 
 Each case runs in a fresh interpreter, since this test process has numpy
 loaded already.
@@ -66,6 +66,11 @@ SCALAR_COMMANDS = [
     (("threshold", "--format", "json"), 36),
     (("threshold", "--n-max", "32", "--m-max", "32"), 33 * 33),
     (("threshold", "--n-max", "32", "--m-max", "32", "--format", "json"), 33 * 33),
+    (("sweep",), 4 * 201),
+    (("sweep", "--format", "json"), 4 * 201),
+    (("sweep", "--modes", "0:0,1:1,2:3", "--steps", "2001", "--svg", "plot.svg"), 3 * 2001),
+    (("sweep", "--modes", "0:0,32:32", "--eta-min", "-1e-3", "--format", "json", "--svg",
+      "plot.svg"), 2 * 201),
 ]
 
 
@@ -91,6 +96,8 @@ def test_scalar_commands_skip_numpy(args, records, dest, tmp_path):
         assert len(json.loads(text)) == records
     else:
         assert text.count("\n") == records + 1
+    if "--svg" in args:
+        assert (tmp_path / "plot.svg").read_text().count("<polyline") == args[2].count(":")
 
 
 def test_scalar_errors_skip_numpy():
@@ -100,9 +107,25 @@ def test_scalar_errors_skip_numpy():
     assert not numpy_imported
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("--eta-min=-1e308", "--eta-max=1e308", "--out", "out.txt"),  # the span overflows
+        ("--eta-max", "inf", "--svg", "plot.svg"),
+    ],
+    ids=" ".join,
+)
+def test_sweep_errors_skip_numpy(args, tmp_path):
+    code, out, lines, numpy_imported = run_cli("sweep", *args, cwd=tmp_path)
+    assert code == 1 and out == "" and len(lines) == 1
+    assert lines[0].startswith("seec: error: ") and "finite grid" in lines[0]
+    assert not numpy_imported
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_array_command_imports_numpy():
     # the control for the cases above: run_cli does see numpy when it loads
-    code, _, lines, numpy_imported = run_cli("sweep", "--steps", "3")
+    code, _, lines, numpy_imported = run_cli("wavefunction", "--steps", "3")
     assert code == 0 and lines == []
     assert numpy_imported
 
