@@ -6,6 +6,14 @@ _WIDTH, _HEIGHT = 800, 600
 _LEFT, _RIGHT, _TOP, _BOTTOM = 70, 780, 25, 555
 
 
+def _columns(pts):
+    # an array converts in one call: iterating its rows would make a numpy
+    # scalar of every coordinate
+    if hasattr(pts, "tolist"):
+        pts = pts.tolist()
+    return [float(x) for x, _ in pts], [float(y) for _, y in pts]
+
+
 def _spans(series):
     xs = [(min(xs), max(xs)) for _, xs, _ in series if xs]
     ys = [(min(ys), max(ys)) for _, _, ys in series if ys]
@@ -22,9 +30,7 @@ def _spans(series):
 def line_plot(series, x_label, y_label):
     """SVG text for polylines; series is [(label, pts), ...] with pts an
     (N, 2) array or a sequence of (x, y) pairs."""
-    series = [
-        (label, [float(x) for x, _ in pts], [float(y) for _, y in pts]) for label, pts in series
-    ]
+    series = [(label, *_columns(pts)) for label, pts in series]
     x0, x1, y0, y1 = _spans(series)
 
     # pixel coordinates of a list of data coordinates; the width and span
