@@ -11,8 +11,8 @@ carry 12 significant digits.  Exit codes: 0 success, 1 usage or domain
 error, 2 verification failure.
 
 Each subcommand imports the modules it uses when it runs: sweep (its SVG
-included), threshold and diagonalize work on floats alone and never import
-numpy, and tempfile and json load only for the output that needs them.
+included), threshold, criterion and diagonalize work on floats alone and
+never import numpy, and tempfile and json load only for the output that needs them.
 """
 
 from __future__ import annotations
@@ -209,9 +209,7 @@ def _cmd_threshold(args):
     return 0
 
 
-@_array_command
 def _cmd_criterion(args):
-    # the report's oracle_delta runs the closed form, which takes arrays
     from . import criterion
 
     rep = criterion.criterion_f(args.n, args.m, args.eta)

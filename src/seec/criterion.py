@@ -11,9 +11,9 @@ The eta dependence of each entropy is analytic (a pure -ln t scale term
 with t = e^{eta/2}/sqrt(2)), so entropies decompose as S_k - ln t where
 S_k is the unit-scale level entropy.  Sweeps over eta therefore never
 re-integrate, and f(eta) = eta0 - eta holds exactly by construction.
-S_k is read from the frozen table in ``scalars``, so standard_entropy and
-threshold_eta0 never import numpy; the array routes, and criterion_f for
-its closed-form oracle_delta, import it when called.
+S_k and its closed-form oracle are read from the frozen tables in
+``scalars``, so standard_entropy, threshold_eta0 and criterion_f never
+import numpy; the array routes import it when called.
 """
 
 from __future__ import annotations
@@ -23,7 +23,15 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import DomainError
-from .scalars import CONSTANTS, ROOTS_N_MAX, S_TABLE, _check_order, _LN2, _ln_norm
+from .scalars import (
+    CONSTANTS,
+    I3_CLOSED_TABLE,
+    ROOTS_N_MAX,
+    S_TABLE,
+    _check_order,
+    _LN2,
+    _ln_norm,
+)
 
 MODE_N_MAX = ROOTS_N_MAX
 LN_2PI_E = CONSTANTS.ln_2pi_e
@@ -240,7 +248,12 @@ def _closed_form_oracle(k):
     from . import specfun
 
     i3 = specfun.entropy_integral_closed_form(k)
-    return i3, abs(standard_entropy(k) - _entropy_from_i3(k, i3))
+    return i3, _oracle_delta(k, i3)
+
+
+def _oracle_delta(k, i3):
+    # |S_k from the table - S_k from the closed-form I3(k)|
+    return abs(standard_entropy(k) - _entropy_from_i3(k, i3))
 
 
 @dataclass(frozen=True)
@@ -251,7 +264,8 @@ class EntropyReport:
     eta-intercept, ``alt_f`` the alternate pairing H[w+] + H[v-] -
     ln(2 pi e) (reported, never substituted: its analytic form is
     eta0 + eta, not eta0 - eta), and ``oracle_delta`` the larger of the
-    two disagreements between the closed-form and the tabulated entropy.
+    two disagreements between the closed-form and the tabulated entropy
+    (both read from the frozen tables, which verify checks live).
     """
 
     n: int
@@ -298,7 +312,9 @@ def criterion_f(n, m, eta):
         eta0=eta0,
         entangled=f < 0.0,
         alt_f=eta0 + eta,
-        oracle_delta=max(_closed_form_oracle(n)[1], _closed_form_oracle(m)[1]),
+        oracle_delta=max(
+            _oracle_delta(n, I3_CLOSED_TABLE[n]), _oracle_delta(m, I3_CLOSED_TABLE[m])
+        ),
     )
 
 

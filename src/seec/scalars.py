@@ -1,10 +1,10 @@
 """The scalar decisions that load without numpy: the order caps and the one
-order check, the mathematical constants, ln(n!) and the Hermite norm, and
-the frozen table of level entropies S_k.
+order check, the mathematical constants, ln(n!) and the Hermite norm, the
+frozen table of level entropies S_k and that of their closed-form oracle.
 
 ``criterion``, ``oscillator`` and ``cli`` answer their scalar questions
-(the threshold table, the criterion value, the normal modes) from here, so
-those commands never import numpy; every other module imports these names
+(the threshold table, the criterion report, the normal modes) from here,
+so those commands never import numpy; every other module imports these names
 from here rather than redefining them.
 """
 
@@ -113,4 +113,48 @@ S_TABLE = (
     2.4415118086940026,
     2.45507845119684,
     2.4682467197741005,
+)
+
+
+# I3(k) by the closed form from the logarithmic potential, for
+# k = 0..ROOTS_N_MAX: the independent oracle of the quadrature behind
+# S_TABLE, written out with repr as printed by
+#   [specfun.entropy_integral_closed_form(k) for k in range(33)]
+# criterion_f reports its disagreement with S_TABLE as oracle_delta; verify
+# checks every row against the live closed form, and
+# tests/test_criterion.py recomputes the whole table.
+I3_CLOSED_TABLE = (
+    0.0,
+    5.043639147506628,
+    51.80098829022162,
+    538.8702774158014,
+    6347.794323984273,
+    85469.35592856038,
+    1305286.3050714254,
+    22374336.45545599,
+    426146961.6090964,
+    8937828949.72175,
+    204819536667.14407,
+    5093687703977.22,
+    136664242949873.72,
+    3935524810704543.0,
+    1.2109047883085005e+17,
+    3.964960089499607e+18,
+    1.3767117027783108e+20,
+    5.0528853109252e+21,
+    1.954718942884683e+23,
+    7.94975288478724e+24,
+    3.3909937766003964e+26,
+    1.5138200306070236e+28,
+    7.059016006739396e+29,
+    3.432060724216066e+31,
+    1.7369456554187172e+33,
+    9.136336082063935e+34,
+    4.987640876530303e+36,
+    2.822160962834601e+38,
+    1.6530927288743378e+40,
+    1.0012489894193583e+42,
+    6.263959388662837e+43,
+    4.043702943658249e+45,
+    2.691044626268025e+47,
 )

@@ -1,7 +1,7 @@
 """Self-verification: cross-checks every closed form against the numeric
 oracle, the panel quadrature of the entropy integral against its
-closed-form oracle from the logarithmic potential, and the frozen S_k table
-against both."""
+closed-form oracle from the logarithmic potential, the frozen S_k table
+against both, and the frozen closed-form table against its live route."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass
 
 from . import criterion, quadrature, specfun
-from .scalars import CONSTANTS, S_TABLE, _check_order, _ln_norm
+from .scalars import CONSTANTS, I3_CLOSED_TABLE, S_TABLE, _check_order, _ln_norm
 
 VERIFY_N_MAX = 12
 # I3 closed form vs panel quadrature, relative to max(1, |I3|); both agree
@@ -18,9 +18,10 @@ I3_CLOSED_RTOL = 1e-12
 # the same bound carried to S_k = ... - I3 / (2^k k! sqrt(pi)): |I3| / norm
 # stays below 40 for n <= 12, so 1e-12 on I3 is at most 4e-11 on S_k
 S_CLOSED_TOL = 1e-10
-# the frozen S_k against the live default-order quadrature; equal to the
-# last bit on the platform that wrote the table, so this bounds only how a
-# CPU or numpy build rounds the quadrature sum
+# the frozen S_k against the live default-order quadrature, and the frozen
+# closed-form I3 against its live route (relative to max(1, |I3|)); equal
+# to the last bit on the platform that wrote the tables, so this bounds
+# only how a CPU or numpy build rounds the two sums
 S_TABLE_TOL = 1e-13
 _NORMALIZATION_CAP = 5  # (n, m) grid cap for the marginal-normalization block
 
@@ -93,6 +94,12 @@ def collect_checks(n_max):
         closed, s_delta = criterion._closed_form_oracle(n)
         checks.append(
             _check(f"I3closed[{n}]", closed, i3, I3_CLOSED_RTOL, scale=max(1.0, abs(i3)))
+        )
+        checks.append(
+            _check(
+                f"I3closed_table[{n}]", I3_CLOSED_TABLE[n], closed, S_TABLE_TOL,
+                scale=max(1.0, abs(closed)),
+            )
         )
         # the table against the closed form
         checks.append(_check(f"S_closed_delta[{n}]", s_delta, 0.0, S_CLOSED_TOL))

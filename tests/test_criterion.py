@@ -235,6 +235,18 @@ class TestEntropyTable:
         i3 = quadrature.entropy_integral_numeric(k, scalars.DEFAULT_PANEL_ORDER)
         assert scalars.S_TABLE[k] == criterion._entropy_from_i3(k, i3)
 
+    @pytest.mark.parametrize("k", range(criterion.MODE_N_MAX + 1))
+    def test_closed_form_table_is_the_live_closed_form_bit_for_bit(self, k):
+        assert len(scalars.I3_CLOSED_TABLE) == criterion.MODE_N_MAX + 1
+        assert scalars.I3_CLOSED_TABLE[k] == specfun.entropy_integral_closed_form(k)
+
+    def test_oracle_delta_is_the_live_one(self):
+        # criterion_f reads the tables; the live route gives the same bits
+        live = [criterion._closed_form_oracle(k)[1] for k in range(criterion.MODE_N_MAX + 1)]
+        for n in range(criterion.MODE_N_MAX + 1):
+            for m in range(criterion.MODE_N_MAX + 1):
+                assert criterion.criterion_f(n, m, 0.25).oracle_delta == max(live[n], live[m])
+
 
 class TestClosedFormOracle:
     def test_collect_checks_computes_each_order_once(self, monkeypatch):
@@ -260,6 +272,8 @@ class TestClosedFormOracle:
             assert names[f"I3closed[{n}]"].normative and names[f"I3closed[{n}]"].status == "ok"
             assert names[f"S_closed_delta[{n}]"].normative
             assert names[f"S_closed_delta[{n}]"].status == "ok"
+            assert names[f"I3closed_table[{n}]"].normative
+            assert names[f"I3closed_table[{n}]"].status == "ok"
 
 
 class TestCriterionF:

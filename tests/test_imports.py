@@ -62,6 +62,8 @@ def test_version_skips_numpy():
 SCALAR_COMMANDS = [
     (("diagonalize",), None),
     (("diagonalize", "--m1", "2", "--A", "3", "--B", "1.5", "--C", "0.4"), None),
+    (("criterion",), None),
+    (("criterion", "--n", "32", "--m", "7", "--eta", "-1e-3"), None),
     (("threshold",), 36),
     (("threshold", "--format", "json"), 36),
     (("threshold", "--n-max", "32", "--m-max", "32"), 33 * 33),
@@ -101,10 +103,11 @@ def test_scalar_commands_skip_numpy(args, records, dest, tmp_path):
 
 
 def test_scalar_errors_skip_numpy():
-    code, out, lines, numpy_imported = run_cli("threshold", "--n-max", "33")
-    assert code == 1 and out == "" and len(lines) == 1
-    assert lines[0].startswith("seec: error: ")
-    assert not numpy_imported
+    for args in (("threshold", "--n-max", "33"), ("criterion", "--n", "33")):
+        code, out, lines, numpy_imported = run_cli(*args)
+        assert code == 1 and out == "" and len(lines) == 1
+        assert lines[0].startswith("seec: error: ")
+        assert not numpy_imported
 
 
 @pytest.mark.parametrize(
@@ -160,6 +163,8 @@ def test_scalar_library_calls_skip_numpy():
         "import sys, seec\n"
         "seec.threshold_eta0(3, 2)\n"
         "seec.standard_entropy(7)\n"
+        "seec.criterion_f(32, 5, -0.4)\n"
+        "seec.is_entangled(1, 1, 0.7)\n"
         "d = seec.diagonalize(seec.CoupledHamiltonian(1.0, 2.0, 3.0, 1.0, 0.5))\n"
         "seec.reconstruct(d)\n"
         "seec.energy(seec.ModePair(2, 1), d.eta)\n"
