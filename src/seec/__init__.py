@@ -18,14 +18,11 @@ __version__ = "0.1.0"
 # public name -> the submodule that defines it
 _EXPORTS = {
     "EntropyReport": "criterion",
-    "IntegralBundle": "criterion",
     "ScalingTransform": "criterion",
     "criterion_curve": "criterion",
     "criterion_f": "criterion",
-    "integral_bundle": "criterion",
     "is_entangled": "criterion",
     "marginal": "criterion",
-    "shannon_entropy": "criterion",
     "standard_entropy": "criterion",
     "threshold_eta0": "criterion",
     "DomainError": "errors",

@@ -183,12 +183,15 @@ def _cmd_sweep(args):
             "%s,%d,%d,%.12g,%s\n",
             (etas, ns, ms, f, [_BOOL_TEXT[e] for e in entangled]),
         )
-    _write_text(text, args.out)
     if args.svg:
+        # built before either file is written, so a plot error writes neither
         series = [
             (f"(n,m)=({n},{m})", list(zip(grid, curve))) for (n, m), curve in zip(modes, curves)
         ]
-        _write_text(svgplot.line_plot(series, "eta", "f"), args.svg)
+        svg = svgplot.line_plot(series, "eta", "f")
+    _write_text(text, args.out)
+    if args.svg:
+        _write_text(svg, args.svg)
     return 0
 
 

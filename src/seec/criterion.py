@@ -11,9 +11,11 @@ The eta dependence of each entropy is analytic (a pure -ln t scale term
 with t = e^{eta/2}/sqrt(2)), so entropies decompose as S_k - ln t where
 S_k is the unit-scale level entropy.  Sweeps over eta therefore never
 re-integrate, and f(eta) = eta0 - eta holds exactly by construction.
-S_k and its closed-form oracle are read from the frozen tables in
-``scalars``, so standard_entropy, threshold_eta0 and criterion_f never
-import numpy; the array routes import it when called.
+This S_k - ln t is the one route to each entropy.  S_k and the
+closed-form I3(k) of its oracle are read from the frozen tables in
+``scalars`` (``verification`` checks both against their live routes), so
+standard_entropy, threshold_eta0 and criterion_f never import numpy; the
+array routes import it when called.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from functools import lru_cache
 
 from .errors import DomainError
 from .scalars import (
-    CONSTANTS,
     I3_CLOSED_TABLE,
     ROOTS_N_MAX,
     S_TABLE,
@@ -34,15 +35,14 @@ from .scalars import (
 )
 
 MODE_N_MAX = ROOTS_N_MAX
-LN_2PI_E = CONSTANTS.ln_2pi_e
 
 _SIDES = ("w_minus", "v_plus")
 
 
 @dataclass(frozen=True)
 class ScalingTransform:
-    """Coordinate scaling with t = e^{eta/2}/sqrt(2): position maps
-    z1 = t x-, z2 = x+/(2t); momentum maps p1 = p-/(2t), p2 = t p+."""
+    """Coordinate scaling with t = e^{eta/2}/sqrt(2): the marginal w- is a
+    function of z1 = t x-, and v+ of p2 = t p+ (``marginal`` scales inline)."""
 
     eta: float
     t: float = field(init=False)
@@ -60,18 +60,6 @@ class ScalingTransform:
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "ln_t", _ln_t(eta))
 
-    def z1(self, x_minus):
-        return self.t * x_minus
-
-    def z2(self, x_plus):
-        return x_plus / (2.0 * self.t)
-
-    def p1(self, p_minus):
-        return p_minus / (2.0 * self.t)
-
-    def p2(self, p_plus):
-        return self.t * p_plus
-
 
 def _ln_t(eta):
     # kept linear in eta (not log(t)) so entropies are exactly linear, and
@@ -81,70 +69,6 @@ def _ln_t(eta):
 
 def _check_mode(n, m):
     return _check_order(n, MODE_N_MAX, "n"), _check_order(m, MODE_N_MAX, "m")
-
-
-@dataclass(frozen=True)
-class IntegralBundle:
-    """Closed-form integrals I0..I2 / J0..J2, the entropy integrals I3/J3
-    (panel quadrature) with their closed-form oracle values, and the
-    marginal prefactors q_nm, r_nm.
-
-    The I-side lives in the difference coordinate (order n), the J-side is
-    its momentum-sum mirror (order m), so I0 = J1-at-n and so on with
-    n <-> m swapped.
-    """
-
-    n: int
-    m: int
-    eta: float
-    I0: float
-    I1: float
-    I2: float
-    I3: float
-    J0: float
-    J1: float
-    J2: float
-    J3: float
-    q_nm: float
-    r_nm: float
-    i3_closed_form: float
-    j3_closed_form: float
-
-
-def integral_bundle(n, m, eta=0.0):
-    """Assemble the integral bundle for mode pair (n, m) at coupling eta.
-
-    I3/J3 come from the normative panel quadrature; the closed form from
-    the logarithmic potential is recorded alongside as its oracle.
-
-    The prefactors use the normalization-preserving constant
-    q_nm = t I0 / (pi n! m! 2^{n+m}) (and the r_nm mirror): 2^{n+m} is the
-    unique power for which the marginals integrate to one.
-    """
-    from . import quadrature
-
-    n, m = _check_mode(n, m)
-    tr = ScalingTransform(eta)
-    ln_n, ln_m = _ln_norm(n), _ln_norm(m)
-    i1 = math.exp(ln_n)  # 2^n n! sqrt(pi)
-    j1 = math.exp(ln_m)
-    return IntegralBundle(
-        n=n,
-        m=m,
-        eta=tr.eta,
-        I0=j1,
-        I1=i1,
-        I2=-i1 * (n + 0.5),
-        I3=quadrature.entropy_integral_numeric(n),
-        J0=i1,
-        J1=j1,
-        J2=-j1 * (m + 0.5),
-        J3=quadrature.entropy_integral_numeric(m),
-        q_nm=math.exp(tr.ln_t - ln_n),
-        r_nm=math.exp(tr.ln_t - ln_m),
-        i3_closed_form=_closed_form_oracle(n)[0],
-        j3_closed_form=_closed_form_oracle(m)[0],
-    )
 
 
 def marginal(side, n, m, eta, u):
@@ -214,41 +138,6 @@ standard_entropy.cache_clear = _table_entropy.cache_clear
 def _entropy_excess(k):
     # S_k - S_0; exactly zero at k = 0, which keeps eta0(0, 0) an exact 0.0
     return standard_entropy(k) - standard_entropy(0)
-
-
-def shannon_entropy(side, n, m, eta=0.0, bundle=None):
-    """Shannon entropy of the chosen marginal via the integral expansion
-
-        H = -(q/t) { (ln q) I1 + I2 + I3 }        (w- side, r/J mirror)
-
-    using the bundle's I3/J3 provenance.  Algebraically this equals the
-    scaling decomposition standard_entropy(order) - ln t, which criterion_f
-    uses for exact eta linearity; the expansion here is the cross-checkable
-    route.
-    """
-    n, m = _check_mode(n, m)
-    if side not in _SIDES:
-        raise DomainError(f"side must be one of {_SIDES}, got {side!r}")
-    if bundle is None:
-        bundle = integral_bundle(n, m, eta)
-    tr = ScalingTransform(eta)
-    if side == "w_minus":
-        ln_q = tr.ln_t - _ln_norm(n)
-        c2 = math.exp(-_ln_norm(n))  # q_nm / t
-        return -c2 * (ln_q * bundle.I1 + bundle.I2 + bundle.I3)
-    ln_r = tr.ln_t - _ln_norm(m)
-    c2 = math.exp(-_ln_norm(m))
-    return -c2 * (ln_r * bundle.J1 + bundle.J2 + bundle.J3)
-
-
-@lru_cache(maxsize=None)
-def _closed_form_oracle(k):
-    # (I3(k) by the closed form, |S_k(table) - S_k(closed form)|),
-    # computed once per order
-    from . import specfun
-
-    i3 = specfun.entropy_integral_closed_form(k)
-    return i3, _oracle_delta(k, i3)
 
 
 def _oracle_delta(k, i3):

@@ -178,7 +178,8 @@ def wavefunction(mode, eta, space, u_plus, u_minus, alpha_deg=45.0):
 
     from . import _kernels
 
-    if abs(abs(alpha_deg) - 45.0) > 1e-9:
+    # written as "not within" so that a nan angle is rejected too
+    if not abs(abs(alpha_deg) - 45.0) <= 1e-9:
         raise UnsupportedRegimeError(
             f"sum/difference form requires alpha = +/-45 degrees, got {alpha_deg}"
         )

@@ -1,5 +1,9 @@
 """Minimal static SVG line plots (no renderer dependency, no numpy)."""
 
+import math
+
+from .errors import DomainError
+
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#17becf")
 
 _WIDTH, _HEIGHT = 800, 600
@@ -24,7 +28,16 @@ def _spans(series):
     if y1 == y0:
         y1 = y0 + 1.0
     pad = 0.05 * (y1 - y0)
-    return x0, x1, y0 - pad, y1 + pad
+    y0, y1 = y0 - pad, y1 + pad
+    # the largest products the pixel maps form: where both are finite and
+    # nonzero, every point maps to a finite pixel
+    products = ((_RIGHT - _LEFT) * (x1 - x0), (_BOTTOM - _TOP) * (y1 - y0))
+    if not all(0.0 < p < math.inf for p in products):
+        raise DomainError(
+            f"cannot plot x over [{x0:.4g}, {x1:.4g}] and y over [{y0:.4g}, {y1:.4g}]: "
+            "a span overflows or vanishes"
+        )
+    return x0, x1, y0, y1
 
 
 def line_plot(series, x_label, y_label):

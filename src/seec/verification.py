@@ -1,7 +1,10 @@
 """Self-verification: cross-checks every closed form against the numeric
 oracle, the panel quadrature of the entropy integral against its
 closed-form oracle from the logarithmic potential, the frozen S_k table
-against both, and the frozen closed-form table against its live route."""
+against both, and the frozen closed-form table against its live route.
+
+collect_checks visits each order once, so it calls the live closed form
+of I3 directly, once per order, with no cache of its own."""
 
 from __future__ import annotations
 
@@ -91,7 +94,8 @@ def collect_checks(n_max):
             checks.append(_check("I3anchor[1]", i3, analytic, 1e-9))
         s_live = criterion._entropy_from_i3(n, i3)
         checks.append(_check(f"S_table[{n}]", S_TABLE[n], s_live, S_TABLE_TOL))
-        closed, s_delta = criterion._closed_form_oracle(n)
+        closed = specfun.entropy_integral_closed_form(n)
+        s_delta = criterion._oracle_delta(n, closed)
         checks.append(
             _check(f"I3closed[{n}]", closed, i3, I3_CLOSED_RTOL, scale=max(1.0, abs(i3)))
         )

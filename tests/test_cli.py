@@ -423,6 +423,18 @@ class TestOutputGate:
         if flag is not None:
             assert flag in err
 
+    def test_unplottable_span_writes_no_file(self, tmp_path):
+        # finite grid and f, but the pixel map of a 3e305-wide span overflows
+        out_path, svg_path = tmp_path / "sweep.csv", tmp_path / "sweep.svg"
+        code, out, err = run_cli(
+            "sweep", "--modes", "0:0,1:1", "--eta-min=-3e305", "--eta-max", "0",
+            "--steps", "5", "--out", str(out_path), "--svg", str(svg_path),
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("seec: error: ") and err.count("\n") == 1
+        assert not out_path.exists() and not svg_path.exists()
+
     @pytest.mark.parametrize(
         "args",
         [

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from seec import criterion, quadrature, scalars, specfun
+from seec import criterion, quadrature, scalars, specfun, verification
 from seec.errors import DomainError, UnsupportedOrderError
 
 from oracles import density_entropy, gauss_entropy, uniform_panel_integral
@@ -40,10 +40,14 @@ class TestScalingTransform:
     def test_maps(self):
         tr = criterion.ScalingTransform(0.0)
         assert abs(tr.t - 1.0 / math.sqrt(2.0)) < 1e-16
-        assert tr.z1(2.0) == tr.t * 2.0
-        assert tr.z2(2.0) == 2.0 / (2.0 * tr.t)
-        assert tr.p1(3.0) == 3.0 / (2.0 * tr.t)
-        assert tr.p2(3.0) == tr.t * 3.0
+        # the marginals are functions of z1 = t x- and p2 = t p+: at order 1
+        # the density is proportional to z^2 e^{-z^2}
+        tr = criterion.ScalingTransform(0.6)
+        for side in ("w_minus", "v_plus"):
+            ratio = criterion.marginal(side, 1, 1, 0.6, 2.0) / criterion.marginal(side, 1, 1, 0.6, 1.0)
+            z1, z2 = tr.t * 1.0, tr.t * 2.0
+            expected = (z2 * z2 * math.exp(-z2 * z2)) / (z1 * z1 * math.exp(-z1 * z1))
+            assert abs(ratio - expected) <= 1e-13 * expected
 
     def test_scale_product_is_unity(self):
         for eta in (-1.0, 0.0, 0.7, 2.0):
@@ -56,50 +60,63 @@ class TestScalingTransform:
 
 
 class TestIntegralBundle:
+    """The integrals of the entropy expansion H = -(q/t){(ln q) I1 + I2 + I3}
+    and the marginal prefactors q_nm, r_nm, pinned where they are still
+    computed: verify's rows, the quadrature and closed form behind the
+    reported entropies, and marginal."""
+
     def test_closed_forms(self):
-        b = criterion.integral_bundle(2, 1, 0.0)
-        assert abs(b.I1 - 8.0 * SQRT_PI) <= 1e-12 * b.I1
-        assert abs(b.J1 - 2.0 * SQRT_PI) <= 1e-12 * b.J1
-        assert abs(b.I2 + 8.0 * SQRT_PI * 2.5) <= 1e-12 * abs(b.I2)
-        assert abs(b.J2 + 2.0 * SQRT_PI * 1.5) <= 1e-12 * abs(b.J2)
-        assert b.I0 == b.J1 and b.J0 == b.I1  # n <-> m mirrors
+        # I1 = 2^n n! sqrt(pi) and I2 = -I1 (n + 1/2) as verify's references
+        rows = {c.name: c for c in verification.collect_checks(2)}
+        for n, norm in ((1, 2.0 * SQRT_PI), (2, 8.0 * SQRT_PI)):
+            assert abs(rows[f"I1[{n}]"].reference - norm) <= 1e-12 * norm
+            assert abs(rows[f"I2[{n}]"].reference + norm * (n + 0.5)) <= 1e-12 * norm * (n + 0.5)
+            assert rows[f"I1[{n}]"].status == rows[f"I2[{n}]"].status == "ok"
 
     def test_i2_anchor_order_one(self):
-        b = criterion.integral_bundle(1, 0, 0.0)
-        assert abs(b.I2 + 3.0 * SQRT_PI) <= 1e-12 * 3.0 * SQRT_PI
+        row = {c.name: c for c in verification.collect_checks(1)}["I2[1]"]
+        assert abs(row.reference + 3.0 * SQRT_PI) <= 1e-12 * 3.0 * SQRT_PI
+        assert abs(row.value + 3.0 * SQRT_PI) <= 1e-10 * 3.0 * SQRT_PI
 
     def test_i3_zero_at_ground_state(self):
-        assert criterion.integral_bundle(0, 0, 0.0).I3 == 0.0
+        assert quadrature.entropy_integral_numeric(0) == 0.0
+        assert criterion.standard_entropy(0) == criterion._entropy_from_i3(0, 0.0)
 
     def test_quadrature_is_normative_source(self):
-        b = criterion.integral_bundle(3, 2, 0.4)
-        assert b.I3 == quadrature.entropy_integral_numeric(3)
-        assert b.J3 == quadrature.entropy_integral_numeric(2)
+        rep = criterion.criterion_f(3, 2, 0.4)
+        ln_t = criterion.ScalingTransform(0.4).ln_t
+        for h, k in ((rep.H_w_minus, 3), (rep.H_v_plus, 2)):
+            assert h == criterion._entropy_from_i3(k, quadrature.entropy_integral_numeric(k)) - ln_t
 
     @pytest.mark.parametrize("n,m", [(1, 2), (2, 2), (7, 0), (12, 32)])
     def test_closed_form_recorded_at_every_order(self, n, m):
-        b = criterion.integral_bundle(n, m, 0.0)
-        assert b.i3_closed_form == specfun.entropy_integral_closed_form(n)
-        assert b.j3_closed_form == specfun.entropy_integral_closed_form(m)
-        assert abs(b.i3_closed_form - b.I3) <= 1e-12 * max(1.0, abs(b.I3))
-        assert abs(b.j3_closed_form - b.J3) <= 1e-12 * max(1.0, abs(b.J3))
-
-    def test_quadrature_is_the_only_path(self):
-        with pytest.raises(TypeError):
-            criterion.integral_bundle(2, 2, 0.0, i3_path="closed-form")
+        closed = {k: specfun.entropy_integral_closed_form(k) for k in (n, m)}
+        for k, i3 in closed.items():
+            reference = quadrature.entropy_integral_numeric(k)
+            assert abs(i3 - reference) <= 1e-12 * max(1.0, abs(reference))
+        delta = max(criterion._oracle_delta(k, i3) for k, i3 in closed.items())
+        assert criterion.criterion_f(n, m, 0.0).oracle_delta == delta
 
     def test_prefactor_matches_expanded_constant(self):
-        # q_nm = t I0 / (pi n! m! 2^{n+m}); r_nm mirror
+        # q_nm = t I0 / (pi n! m! 2^{n+m}) with I0 = 2^m m! sqrt(pi); r_nm mirror
+        u = np.array([-1.3, 0.2, 0.9])
         for n, m, eta in ((0, 0, 0.0), (2, 1, 0.5), (3, 4, -0.3)):
-            b = criterion.integral_bundle(n, m, eta)
             t = criterion.ScalingTransform(eta).t
             denom = math.pi * math.factorial(n) * math.factorial(m) * 2.0 ** (n + m)
-            assert abs(b.q_nm - t * b.I0 / denom) <= 1e-13 * b.q_nm
-            assert abs(b.r_nm - t * b.J0 / denom) <= 1e-13 * b.r_nm
+            for side, k, other in (("w_minus", n, m), ("v_plus", m, n)):
+                pref = t * 2.0**other * math.factorial(other) * SQRT_PI / denom
+                z = t * u
+                h = np.polynomial.hermite.hermval(z, [0.0] * k + [1.0])
+                np.testing.assert_allclose(
+                    criterion.marginal(side, n, m, eta, u), pref * np.exp(-z * z) * h * h,
+                    rtol=1e-13,
+                )
 
     def test_order_cap(self):
         with pytest.raises(UnsupportedOrderError):
-            criterion.integral_bundle(33, 0, 0.0)
+            criterion.criterion_f(33, 0, 0.0)
+        with pytest.raises(UnsupportedOrderError):
+            criterion.marginal("v_plus", 0, 33, 0.0, 0.0)
 
 
 class TestMarginal:
@@ -143,41 +160,39 @@ class TestMarginal:
 
 
 class TestShannonEntropy:
+    """The marginal entropies H[w-] and H[v+] that criterion_f reports."""
+
     def test_ground_state_anchor(self):
-        h = criterion.shannon_entropy("w_minus", 0, 0, 0.0)
-        assert abs(h - H_W_MINUS_00) <= 1e-10
-        assert abs(h - gauss_entropy(1.0)) <= 1e-10
+        rep = criterion.criterion_f(0, 0, 0.0)
+        for h in (rep.H_w_minus, rep.H_v_plus):
+            assert abs(h - H_W_MINUS_00) <= 1e-10
+            assert abs(h - gauss_entropy(1.0)) <= 1e-10
 
     def test_first_excited_anchor(self):
-        for m in (0, 2, 5):
-            h = criterion.shannon_entropy("w_minus", 1, m, 0.0)
-            assert abs(h - H_W_MINUS_1M) <= 1e-8
+        for k in (0, 2, 5):
+            assert abs(criterion.criterion_f(1, k, 0.0).H_w_minus - H_W_MINUS_1M) <= 1e-8
+            assert abs(criterion.criterion_f(k, 1, 0.0).H_v_plus - H_W_MINUS_1M) <= 1e-8
 
     def test_eta_shift_is_half_eta(self):
         for n, m in ((0, 0), (2, 1), (4, 4)):
+            base = criterion.criterion_f(n, m, 0.0)
             for eta in (0.3, 1.0, -0.8):
-                shifted = criterion.shannon_entropy("w_minus", n, m, eta)
-                base = criterion.shannon_entropy("w_minus", n, m, 0.0)
-                assert abs((shifted - base) + 0.5 * eta) <= 1e-12
-
-    def test_expansion_equals_decomposition(self):
-        for n, m in ((0, 0), (1, 3), (4, 2), (6, 6)):
-            for eta in (0.0, 0.5, -1.0):
-                tr = criterion.ScalingTransform(eta)
-                expansion_w = criterion.shannon_entropy("w_minus", n, m, eta)
-                assert abs(expansion_w - (criterion.standard_entropy(n) - tr.ln_t)) <= 1e-12
-                expansion_v = criterion.shannon_entropy("v_plus", n, m, eta)
-                assert abs(expansion_v - (criterion.standard_entropy(m) - tr.ln_t)) <= 1e-12
+                shifted = criterion.criterion_f(n, m, eta)
+                assert abs((shifted.H_w_minus - base.H_w_minus) + 0.5 * eta) <= 1e-12
+                assert abs((shifted.H_v_plus - base.H_v_plus) + 0.5 * eta) <= 1e-12
 
     def test_against_direct_entropy_oracle(self):
         # 1024 uniform panels: enough to push the oracle's own error at the
         # density zeros (t^2 ln t behaviour) below the 1e-8 comparison
         cases = ((0, 0, 0.0), (1, 1, 0.0), (2, 1, 0.5), (3, 2, -0.3))
         for n, m, eta in cases:
-            direct = density_entropy(
-                lambda u: criterion.marginal("w_minus", n, m, eta, u), -16.0, 16.0, panels=1024
-            )
-            assert abs(criterion.shannon_entropy("w_minus", n, m, eta) - direct) <= 1e-8
+            rep = criterion.criterion_f(n, m, eta)
+            for side, h in (("w_minus", rep.H_w_minus), ("v_plus", rep.H_v_plus)):
+                direct = density_entropy(
+                    lambda u, side=side: criterion.marginal(side, n, m, eta, u),
+                    -16.0, 16.0, panels=1024,
+                )
+                assert abs(h - direct) <= 1e-8, (n, m, eta, side)
 
 
 class TestStandardEntropy:
@@ -242,7 +257,10 @@ class TestEntropyTable:
 
     def test_oracle_delta_is_the_live_one(self):
         # criterion_f reads the tables; the live route gives the same bits
-        live = [criterion._closed_form_oracle(k)[1] for k in range(criterion.MODE_N_MAX + 1)]
+        live = [
+            criterion._oracle_delta(k, specfun.entropy_integral_closed_form(k))
+            for k in range(criterion.MODE_N_MAX + 1)
+        ]
         for n in range(criterion.MODE_N_MAX + 1):
             for m in range(criterion.MODE_N_MAX + 1):
                 assert criterion.criterion_f(n, m, 0.25).oracle_delta == max(live[n], live[m])
@@ -250,8 +268,6 @@ class TestEntropyTable:
 
 class TestClosedFormOracle:
     def test_collect_checks_computes_each_order_once(self, monkeypatch):
-        from seec import verification
-
         calls = []
 
         def counted(n):
@@ -260,12 +276,8 @@ class TestClosedFormOracle:
 
         closed_form = specfun.entropy_integral_closed_form
         monkeypatch.setattr(specfun, "entropy_integral_closed_form", counted)
-        criterion._closed_form_oracle.cache_clear()
-        try:
-            checks = verification.collect_checks(4)
-            criterion.criterion_f(2, 1, 0.3)
-        finally:
-            criterion._closed_form_oracle.cache_clear()
+        checks = verification.collect_checks(4)
+        criterion.criterion_f(2, 1, 0.3)
         assert calls == [0, 1, 2, 3, 4]
         names = {c.name: c for c in checks}
         for n in range(5):

@@ -211,6 +211,14 @@ class TestWavefunction:
         with pytest.raises(UnsupportedRegimeError):
             oscillator.wavefunction(oscillator.ModePair(0, 0), 0.1, "position", 0.0, 0.0, alpha_deg=30.0)
 
+    @pytest.mark.parametrize("alpha_deg", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_alpha(self, alpha_deg):
+        # a nan angle compares false with everything, so no branch may be its default
+        with pytest.raises(UnsupportedRegimeError):
+            oscillator.wavefunction(
+                oscillator.ModePair(0, 0), 0.1, "position", 0.0, 0.0, alpha_deg=alpha_deg
+            )
+
     def test_rejects_unknown_space(self):
         with pytest.raises(DomainError):
             oscillator.wavefunction(oscillator.ModePair(0, 0), 0.1, "phase", 0.0, 0.0)

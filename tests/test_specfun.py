@@ -255,6 +255,9 @@ REMOVED_NAMES = (
     "hyp2f2_gauss",
     "HYP1F1_VALID_RANGE",
     "HYP2F2_VALID_RANGE",
+    "IntegralBundle",
+    "integral_bundle",
+    "shannon_entropy",
 )
 
 
@@ -276,4 +279,6 @@ def test_public_names():
     for name in seec.__all__:
         assert hasattr(seec, name), name
     for name in REMOVED_NAMES:
-        assert not hasattr(seec, name) and not hasattr(specfun, name), name
+        assert name not in seec.__all__, name
+        for module in (seec, specfun, criterion):
+            assert not hasattr(module, name), name
