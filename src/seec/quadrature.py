@@ -3,8 +3,12 @@
 Gauss-Hermite rules handle the polynomial-weight integrals exactly; the
 panel-based Gauss-Legendre engine integrates the log-singular entropy
 integrand by splitting at the Hermite roots, where ln(H_n^2) is continuous
-but not smooth.  All results are pure functions of their inputs with a
-fixed summation order, so repeated calls are bit-identical.
+but not smooth.  All results are pure functions of their inputs, and
+repeated calls in one process give the same bits.  Each sum ends in one
+``np.dot``; above 10,000 points that is OpenBLAS's threaded ddot, which
+splits the sum by the BLAS thread count, so a run under another thread
+count (``OPENBLAS_NUM_THREADS=1``, say) can round the last bit of a long
+sum differently.
 """
 
 from __future__ import annotations
@@ -104,10 +108,11 @@ def legendre_panel_rule(order, boundaries):
 def integrate_panels(f, rule):
     """Weighted sum of f over all nodes of the rule.
 
-    Deterministic: the node evaluation order and the reduction are fixed,
-    so identical inputs give bit-identical results regardless of caller
-    threading.  A non-finite integrand value raises
-    IntegrandEvaluationError carrying the offending node.
+    The nodes are evaluated in a fixed order and summed by one ``np.dot``,
+    so identical inputs give the same bits under one BLAS thread count;
+    above 10,000 nodes OpenBLAS splits the dot product by that count, and
+    another count can move the last bit.  A non-finite integrand value
+    raises IntegrandEvaluationError carrying the offending node.
     """
     nodes = rule.nodes
     try:
@@ -142,11 +147,12 @@ def entropy_panel_boundaries(n):
     all.  Panels away from roots are at most 2 wide.  Validated on every
     call, then built once per order.
     """
-    return _entropy_panel_boundaries(_check_order(n, ROOTS_N_MAX))
+    return _entropy_panel_boundaries(_check_order(n, ROOTS_N_MAX))[0]
 
 
 @lru_cache(maxsize=None)
 def _entropy_panel_boundaries(n):
+    # (boundaries as a tuple, the same as a read-only array)
     roots = specfun.hermite_roots(n).roots
     cut = specfun._entropy_window(n)
     raw = np.concatenate(([-cut], roots, [cut]))
@@ -170,12 +176,22 @@ def _entropy_panel_boundaries(n):
     keep[-1, _GRADING_LEVELS + 1 : -1] = False
     graded = np.concatenate(([-cut], rows[keep]))
     width = graded[1:] - graded[:-1]
+    # the guarantees of a panel rule, decided here once per order: the
+    # split below cuts a gap wider than 2 into equal pieces 1 to 2 wide, so
+    # finite, strictly increasing graded points give finite, strictly
+    # increasing boundaries, and with them finite nodes and positive weights
+    if not (np.all(np.isfinite(graded)) and np.all(width > 0.0)):
+        raise DomainError(
+            f"entropy panel boundaries of order {n} must be finite and strictly increasing"
+        )
     pieces = np.maximum(1, np.ceil(width / _MAX_PANEL_WIDTH)).astype(np.int64)
     # piece j of a gap split into `pieces` starts at a + (b - a) * j / pieces
     j = np.arange(pieces.sum()) - np.repeat(np.cumsum(pieces) - pieces, pieces)
     step = np.repeat(width, pieces) * j / np.repeat(pieces, pieces)
     refined = np.repeat(graded[:-1], pieces) + step
-    return tuple(refined.tolist()) + (cut,)
+    edges = np.append(refined, cut)
+    edges.setflags(write=False)
+    return tuple(edges.tolist()), edges
 
 
 def entropy_integral_numeric(n, panel_order=DEFAULT_PANEL_ORDER):
@@ -194,6 +210,6 @@ def entropy_integral_numeric(n, panel_order=DEFAULT_PANEL_ORDER):
 @lru_cache(maxsize=None)
 def _entropy_integral(n, panel_order):
     # keyed on validated ints, so (k), (k, 48) and (np.int64(k), 48) share
-    # one entry; the rule's nodes are dropped after the sum
-    rule = legendre_panel_rule(panel_order, entropy_panel_boundaries(n))
-    return _kernels.entropy_weighted_sum(n, rule.nodes, rule.weights)
+    # one entry; the nodes are dropped after the sum
+    nodes, weights = specfun._panel_nodes(panel_order, _entropy_panel_boundaries(n)[1])
+    return _kernels.entropy_weighted_sum(n, nodes, weights)

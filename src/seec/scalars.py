@@ -19,6 +19,7 @@ from .errors import DomainError, UnsupportedOrderError
 ROOTS_N_MAX = 32  # largest order with root-finding support
 EVAL_N_MAX = 64  # largest order for polynomial evaluation
 DEFAULT_PANEL_ORDER = 48  # Gauss-Legendre points per panel of the entropy quadrature
+PANEL_ORDER_MAX = 256  # largest panel order: its base rule is an order x order eigenproblem
 
 _LN2 = math.log(2.0)
 _LN_PI = math.log(math.pi)
@@ -54,7 +55,7 @@ def _check_order(n, n_max=math.inf, what="order", n_min=0):
 
 
 def _check_panel_order(order):
-    return _check_order(order, what="panel order", n_min=1)
+    return _check_order(order, PANEL_ORDER_MAX, "panel order", n_min=1)
 
 
 def ln_factorial(n):

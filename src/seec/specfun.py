@@ -1,11 +1,12 @@
-"""Hermite polynomials and their roots, the composite Gauss-Legendre panel
-rule, and the logarithmic potential V_n with the closed-form entropy
-integral built on it.  The order caps, the order check, the constants,
-ln(n!) and the Hermite norm come from ``scalars``.
+"""Hermite polynomials and their roots, the Gauss-Legendre base rule (built
+without numpy.polynomial) and its composite panel rule, and the logarithmic
+potential V_n with the closed-form entropy integral built on it.  The order
+caps, the order check, the constants, ln(n!) and the Hermite norm come from
+``scalars``.
 
 Everything here is a pure function of its arguments.  Cached values (root
-sets) are immutable after construction, so sharing across threads is safe:
-a raced cache fill can only ever install identical objects.
+sets, base rules) are immutable after construction, so sharing across
+threads is safe: a raced cache fill can only ever install identical objects.
 """
 
 from __future__ import annotations
@@ -105,14 +106,48 @@ def _root_set(n):
     return RootSet(n=n, roots=_roots_array(n))
 
 
+def _legendre_series(x, coef):
+    # sum_j coef[j] P_j(x) by the Clenshaw recurrence, in the operation order
+    # of numpy.polynomial.legendre.legval
+    if len(coef) == 1:
+        return coef[0] + 0.0 * x
+    c0, c1 = coef[-2], coef[-1]
+    nd = len(coef)
+    for c in coef[-3::-1]:
+        nd -= 1
+        c0, c1 = c - c1 * ((nd - 1) / nd), c0 + c1 * x * ((2 * nd - 1) / nd)
+    return c0 + c1 * x
+
+
 @lru_cache(maxsize=None)
 def _leggauss(order):
     # the Gauss-Legendre base rule on [-1, 1], built once per order and
-    # shared by the entropy panel quadrature and the k rule of V_n
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
+    # shared by the entropy panel quadrature and the k rule of V_n.  The
+    # steps of numpy.polynomial.legendre.leggauss in its operation order, so
+    # the rule equals numpy's bit for bit without importing numpy.polynomial:
+    # eigenvalues of the symmetric companion matrix of P_order, one Newton
+    # step, weights from P_{order-1} and P_order' (taken before the step),
+    # then symmetrized and scaled to sum to 2.
+    p_n = [0.0] * order + [1.0]
+    # P_n' = sum (2j - 1) P_{j-1} over j = n, n - 2, ... >= 1
+    dp_n = [0.0] * order
+    for j in range(order, 0, -2):
+        dp_n[j - 1] = 2.0 * j - 1.0
+    scl = 1.0 / np.sqrt(2 * np.arange(order) + 1)
+    band = np.arange(1, order) * scl[:-1] * scl[1:]
+    x = np.linalg.eigvalsh(np.diag(band, 1) + np.diag(band, -1))
+    df = _legendre_series(x, dp_n)
+    x -= _legendre_series(x, p_n) / df
+    fm = _legendre_series(x, p_n[1:])
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()
+    w = 1 / (fm * df)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2.0 / w.sum()
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
 
 
 def _panel_nodes(order, edges):

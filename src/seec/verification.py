@@ -4,7 +4,9 @@ closed-form oracle from the logarithmic potential, the frozen S_k table
 against both, and the frozen closed-form table against its live route.
 
 collect_checks visits each order once, so it calls the live closed form
-of I3 directly, once per order, with no cache of its own."""
+of I3 directly, once per order, with no cache of its own.  Its marginal
+normalization rows take one integral per (side, order, eta), shared by
+every (n, m) row that needs it."""
 
 from __future__ import annotations
 
@@ -61,9 +63,11 @@ def _marginal_rule(order, eta):
     return quadrature.legendre_panel_rule(32, bounds)
 
 
-def _marginal_residual(side, n, m, eta, rule):
+def _marginal_residual(side, order, eta, rule):
+    # a marginal depends only on its own side's order: the other one is
+    # passed as the same order and does not enter
     total = quadrature.integrate_panels(
-        lambda u: criterion.marginal(side, n, m, eta, u), rule
+        lambda u: criterion.marginal(side, order, order, eta, u), rule
     )
     return abs(total - 1.0)
 
@@ -109,13 +113,19 @@ def collect_checks(n_max):
         checks.append(_check(f"S_closed_delta[{n}]", s_delta, 0.0, S_CLOSED_TOL))
     cap = min(n_max, _NORMALIZATION_CAP)
     etas = (0.0, 0.5)
-    # a marginal's rule depends only on its own order and eta
-    rules = {(k, eta): _marginal_rule(k, eta) for k in range(cap + 1) for eta in etas}
+    # a marginal's rule and residual depend only on its side, its own order
+    # and eta: one integral each, shared by every (n, m) row that needs it
+    residuals = {}
+    for k in range(cap + 1):
+        for eta in etas:
+            rule = _marginal_rule(k, eta)
+            for tag, side in (("w", "w_minus"), ("v", "v_plus")):
+                residuals[tag, k, eta] = _marginal_residual(side, k, eta, rule)
     for n in range(cap + 1):
         for m in range(cap + 1):
             for eta in etas:
-                for side, tag, order in (("w_minus", "w", n), ("v_plus", "v", m)):
-                    res = _marginal_residual(side, n, m, eta, rules[order, eta])
+                for tag, order in (("w", n), ("v", m)):
+                    res = residuals[tag, order, eta]
                     checks.append(
                         _check(f"norm_{tag}[{n},{m},eta={eta}]", 1.0 + res, 1.0, 1e-8)
                     )

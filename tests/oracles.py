@@ -12,9 +12,20 @@ import math
 import numpy as np
 
 
+def leggauss(order):
+    """numpy's Gauss-Legendre rule on [-1, 1]: the reference for the
+    package's own construction, which does not import numpy.polynomial."""
+    return np.polynomial.legendre.leggauss(order)
+
+
+def hermite_polynomial(k, z):
+    """H_k(z) by numpy's Hermite series evaluation."""
+    return np.polynomial.hermite.hermval(z, [0.0] * k + [1.0])
+
+
 def uniform_panel_integral(f, a, b, panels=64, order=24):
     """Composite Gauss-Legendre on equal panels (no singularity handling)."""
-    base_x, base_w = np.polynomial.legendre.leggauss(order)
+    base_x, base_w = leggauss(order)
     edges = np.linspace(a, b, panels + 1)
     total = 0.0
     for lo, hi in zip(edges, edges[1:]):
@@ -45,7 +56,7 @@ def gauss_entropy(sigma2):
 def panel_rule_loop(order, boundaries):
     """(nodes, weights) of the composite Gauss-Legendre rule built one
     panel at a time: the reference for the broadcast panel rule."""
-    base_x, base_w = np.polynomial.legendre.leggauss(order)
+    base_x, base_w = leggauss(order)
     boundaries = tuple(float(b) for b in boundaries)
     nodes = np.empty((len(boundaries) - 1) * order)
     weights = np.empty_like(nodes)
@@ -104,7 +115,7 @@ def log_potential_direct(n, x, levels=40, order=32, max_width=0.5):
     graded = [x + 2.0 ** -j for j in range(levels - 1, -1, -1)]
     right = [x, *graded, reach]
     left = [-reach, *(2.0 * x - b for b in reversed(graded)), x]
-    base_x, base_w = np.polynomial.legendre.leggauss(order)
+    base_x, base_w = leggauss(order)
     total = 0.0
     for points in (left, right):
         edges = []

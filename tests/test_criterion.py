@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from seec import criterion, quadrature, scalars, specfun, verification
 from seec.errors import DomainError, UnsupportedOrderError
 
-from oracles import density_entropy, gauss_entropy, uniform_panel_integral
+from oracles import density_entropy, gauss_entropy, hermite_polynomial, uniform_panel_integral
 
 SQRT_PI = specfun.CONSTANTS.sqrt_pi
 LN_2PI_E = specfun.CONSTANTS.ln_2pi_e
@@ -106,7 +106,7 @@ class TestIntegralBundle:
             for side, k, other in (("w_minus", n, m), ("v_plus", m, n)):
                 pref = t * 2.0**other * math.factorial(other) * SQRT_PI / denom
                 z = t * u
-                h = np.polynomial.hermite.hermval(z, [0.0] * k + [1.0])
+                h = hermite_polynomial(k, z)
                 np.testing.assert_allclose(
                     criterion.marginal(side, n, m, eta, u), pref * np.exp(-z * z) * h * h,
                     rtol=1e-13,
@@ -286,6 +286,39 @@ class TestClosedFormOracle:
             assert names[f"S_closed_delta[{n}]"].status == "ok"
             assert names[f"I3closed_table[{n}]"].normative
             assert names[f"I3closed_table[{n}]"].status == "ok"
+
+
+class TestNormalizationRows:
+    def test_one_integral_per_side_order_and_eta(self, monkeypatch):
+        calls = []
+        residual = verification._marginal_residual
+
+        def counted(side, order, eta, rule):
+            calls.append((side, order, eta))
+            return residual(side, order, eta, rule)
+
+        monkeypatch.setattr(verification, "_marginal_residual", counted)
+        checks = verification.collect_checks(12)
+        # sides x orders 0..5 x two etas, each once
+        assert len(calls) == len(set(calls)) == 2 * 6 * 2
+        rows = [c for c in checks if c.name.startswith("norm_")]
+        assert len(rows) == 2 * 6 * 6 * 2
+        # every row as its own integral over the marginal of its (n, m)
+        sides = {"w": "w_minus", "v": "v_plus"}
+        for row in rows:
+            tag, rest = row.name[len("norm_"):].split("[")
+            nm, eta = rest.rstrip("]").split(",eta=")
+            n, m = (int(k) for k in nm.split(","))
+            eta = float(eta)
+            order = n if tag == "w" else m
+            t = criterion.ScalingTransform(eta).t
+            bounds = [b / t for b in quadrature.entropy_panel_boundaries(order)]
+            rule = quadrature.legendre_panel_rule(32, bounds)
+            total = quadrature.integrate_panels(
+                lambda u: criterion.marginal(sides[tag], n, m, eta, u), rule
+            )
+            assert row.value == 1.0 + abs(total - 1.0), row.name
+            assert row.status == "ok"
 
 
 class TestCriterionF:

@@ -172,3 +172,17 @@ def test_scalar_library_calls_skip_numpy():
     )
     assert code == 0, err
     assert out == "False\n"
+
+
+def test_verification_skips_numpy_polynomial():
+    # the Gauss-Legendre base rules are built without numpy.polynomial
+    code, out, err = run_python(
+        "import sys\n"
+        "from seec import quadrature, verification\n"
+        "checks = verification.collect_checks(12)\n"
+        "quadrature.entropy_integral_numeric(32, 96)\n"
+        "print(verification.all_normative_pass(checks), 'numpy' in sys.modules,\n"
+        "      'numpy.polynomial' in sys.modules)\n"
+    )
+    assert code == 0, err
+    assert out == "True True False\n"

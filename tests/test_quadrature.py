@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from seec import _kernels, quadrature, specfun
+from seec import _kernels, quadrature, scalars, specfun
 from seec.errors import DomainError, IntegrandEvaluationError, UnsupportedOrderError
 
 import oracles
@@ -177,6 +177,34 @@ class TestEntropyIntegral:
     def test_order_cap(self):
         with pytest.raises(UnsupportedOrderError):
             quadrature.entropy_integral_numeric(33)
+
+    def test_panel_order_cap(self):
+        # refused before its order x order base rule is built
+        built = specfun._leggauss.cache_info().currsize
+        with pytest.raises(UnsupportedOrderError):
+            quadrature.entropy_integral_numeric(0, scalars.PANEL_ORDER_MAX + 1)
+        assert specfun._leggauss.cache_info().currsize == built
+
+    @pytest.mark.parametrize("n", range(0, 33))
+    def test_is_the_kernel_over_the_public_panel_rule(self, n):
+        bounds = quadrature.entropy_panel_boundaries(n)
+        for order in (32, 48, 96):
+            rule = quadrature.legendre_panel_rule(order, bounds)
+            expected = _kernels.entropy_weighted_sum(n, rule.nodes, rule.weights)
+            assert quadrature.entropy_integral_numeric(n, order) == expected
+
+    @pytest.mark.parametrize("window", [math.inf, math.nan, 0.5])
+    def test_boundaries_must_be_finite_and_increasing(self, window, monkeypatch):
+        # a window inside the outer roots of H_3 (+-1.22) folds the edges back
+        monkeypatch.setattr(specfun, "_entropy_window", lambda n: window)
+        with np.errstate(invalid="ignore"), pytest.raises(DomainError, match="increasing"):
+            quadrature._entropy_panel_boundaries.__wrapped__(3)
+
+    def test_boundary_array_is_the_tuple_read_only(self):
+        bounds, edges = quadrature._entropy_panel_boundaries(5)
+        assert quadrature.entropy_panel_boundaries(5) is bounds
+        assert np.array(bounds).tobytes() == edges.tobytes()
+        assert not edges.flags.writeable
 
     def test_boundaries_cover_window_and_roots(self):
         n = 4

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import seec
-from seec import _kernels, criterion, quadrature, specfun, verification
+from seec import _kernels, criterion, quadrature, scalars, specfun, verification
 from seec.errors import DomainError, UnsupportedOrderError
 
 import oracles
@@ -106,6 +106,16 @@ class TestHermiteRoots:
 
     def test_cached_object_reused(self):
         assert specfun.hermite_roots(7) is specfun.hermite_roots(7)
+
+
+class TestGaussLegendre:
+    @pytest.mark.parametrize("order", [*range(1, 97), 128, 200, scalars.PANEL_ORDER_MAX])
+    def test_base_rule_is_numpys_bit_for_bit(self, order):
+        nodes, weights = specfun._leggauss(order)
+        ref_nodes, ref_weights = oracles.leggauss(order)
+        assert nodes.tobytes() == ref_nodes.tobytes()
+        assert weights.tobytes() == ref_weights.tobytes()
+        assert not (nodes.flags.writeable or weights.flags.writeable)
 
 
 class TestOrthogonality:
@@ -242,7 +252,9 @@ ORDER_ENTRIES = {
     "hermite_roots": (specfun.hermite_roots, specfun.ROOTS_N_MAX),
     "ln_factorial": (specfun.ln_factorial, None),
     "gauss_hermite_rule": (quadrature.gauss_hermite_rule, quadrature.GAUSS_HERMITE_MAX_ORDER),
-    "legendre_panel_rule": (lambda n: quadrature.legendre_panel_rule(n, (0.0, 1.0)), None),
+    "legendre_panel_rule": (
+        lambda n: quadrature.legendre_panel_rule(n, (0.0, 1.0)), scalars.PANEL_ORDER_MAX
+    ),
     "entropy_integral_numeric": (quadrature.entropy_integral_numeric, specfun.ROOTS_N_MAX),
     "entropy_panel_boundaries": (quadrature.entropy_panel_boundaries, specfun.ROOTS_N_MAX),
     "standard_entropy": (criterion.standard_entropy, criterion.MODE_N_MAX),
