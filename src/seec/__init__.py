@@ -18,7 +18,6 @@ __version__ = "0.1.0"
 # public name -> the submodule that defines it
 _EXPORTS = {
     "EntropyReport": "criterion",
-    "ScalingTransform": "criterion",
     "criterion_curve": "criterion",
     "criterion_f": "criterion",
     "is_entangled": "criterion",
@@ -46,7 +45,6 @@ _EXPORTS = {
     "MathConstants": "scalars",
     "ln_factorial": "scalars",
     "RootSet": "specfun",
-    "hermite_eval": "specfun",
     "hermite_roots": "specfun",
     "hermite_values": "specfun",
     "log_potential": "specfun",

@@ -216,19 +216,7 @@ def _cmd_criterion(args):
     from . import criterion
 
     rep = criterion.criterion_f(args.n, args.m, args.eta)
-    payload = {
-        "n": rep.n,
-        "m": rep.m,
-        "eta": rep.eta,
-        "H_w_minus": rep.H_w_minus,
-        "H_v_plus": rep.H_v_plus,
-        "f": rep.f,
-        "eta0": rep.eta0,
-        "entangled": rep.entangled,
-        "alt_f": rep.alt_f,
-        "oracle_delta": rep.oracle_delta,
-    }
-    _write_text(_json_text(payload), args.out)
+    _write_text(_json_text(vars(rep)), args.out)
     return 0
 
 
@@ -263,18 +251,7 @@ def _cmd_verify(args):
         payload = {
             "n_max": args.n_max,
             "pass": passed,
-            "checks": [
-                {
-                    "name": c.name,
-                    "value": c.value,
-                    "reference": c.reference,
-                    "delta": c.delta,
-                    "tol": c.tol,
-                    "normative": c.normative,
-                    "status": c.status,
-                }
-                for c in checks
-            ],
+            "checks": [vars(c) for c in checks],
         }
         text = _json_text(payload)
     else:

@@ -21,7 +21,7 @@ array routes import it when called.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DomainError
@@ -32,33 +32,12 @@ from .scalars import (
     _check_order,
     _LN2,
     _ln_norm,
+    _mode_scale,
 )
 
 MODE_N_MAX = ROOTS_N_MAX
 
 _SIDES = ("w_minus", "v_plus")
-
-
-@dataclass(frozen=True)
-class ScalingTransform:
-    """Coordinate scaling with t = e^{eta/2}/sqrt(2): the marginal w- is a
-    function of z1 = t x-, and v+ of p2 = t p+ (``marginal`` scales inline)."""
-
-    eta: float
-    t: float = field(init=False)
-    ln_t: float = field(init=False)
-
-    def __post_init__(self):
-        eta = float(self.eta)
-        if not math.isfinite(eta):
-            raise DomainError(f"eta must be finite, got {self.eta}")
-        try:
-            t = math.exp(0.5 * eta) / math.sqrt(2.0)
-        except OverflowError:
-            raise DomainError(f"eta too large: e^(eta/2) overflows, got {eta}") from None
-        object.__setattr__(self, "eta", eta)
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "ln_t", _ln_t(eta))
 
 
 def _ln_t(eta):
@@ -73,7 +52,8 @@ def _check_mode(n, m):
 
 def marginal(side, n, m, eta, u):
     """Marginal density value: w-(x-) = q_nm e^{-z1^2} H_n^2(z1) for side
-    'w_minus', or v+(p+) = r_nm e^{-p2^2} H_m^2(p2) for side 'v_plus'.
+    'w_minus', or v+(p+) = r_nm e^{-p2^2} H_m^2(p2) for side 'v_plus',
+    with z1 = t x-, p2 = t p+ and t = e^{eta/2}/sqrt(2).
 
     Accepts a scalar or array of coordinates; nonnegative everywhere.
     """
@@ -84,14 +64,17 @@ def marginal(side, n, m, eta, u):
     n, m = _check_mode(n, m)
     if side not in _SIDES:
         raise DomainError(f"side must be one of {_SIDES}, got {side!r}")
-    tr = ScalingTransform(eta)
+    eta = float(eta)
+    if not math.isfinite(eta):
+        raise DomainError(f"eta must be finite, got {eta}")
+    t = _mode_scale(eta)
     order = n if side == "w_minus" else m
-    ln_pref = tr.ln_t - _ln_norm(order)
+    ln_pref = _ln_t(eta) - _ln_norm(order)
     u = np.asarray(u, dtype=np.float64)
     if not np.all(np.isfinite(u)):
         raise DomainError("coordinate must be finite")
     scalar = u.ndim == 0
-    z = tr.t * np.atleast_1d(u)
+    z = t * np.atleast_1d(u)
     with np.errstate(over="ignore", invalid="ignore"):
         gauss = np.exp(-z * z)
         h = _kernels.hermite_values(order, np.ascontiguousarray(z))
@@ -154,7 +137,8 @@ class EntropyReport:
     ln(2 pi e) (reported, never substituted: its analytic form is
     eta0 + eta, not eta0 - eta), and ``oracle_delta`` the larger of the
     two disagreements between the closed-form and the tabulated entropy
-    (both read from the frozen tables, which verify checks live).
+    (both read from the frozen tables, which verify checks live).  The
+    fields, in this order, are the keys of ``seec criterion``'s JSON.
     """
 
     n: int
@@ -225,4 +209,4 @@ def criterion_curve(n, m, etas):
 
 def is_entangled(n, m, eta):
     """True iff the criterion detects entanglement: f(n, m, eta) < 0."""
-    return criterion_f(n, m, eta).f < 0.0
+    return criterion_f(n, m, eta).entangled

@@ -17,10 +17,9 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import DomainError, UnboundModeError, UnsupportedRegimeError
-from .scalars import EVAL_N_MAX, _check_order, _ln_norm
+from .scalars import EVAL_N_MAX, _check_order, _ln_norm, _mode_scale
 
 DEGENERACY_THRESHOLD = 1e-12
-_SQRT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -64,10 +63,13 @@ class DiagonalizedSystem:
     degenerate_branch: bool = False
 
     def __post_init__(self):
-        if not (self.M > 0.0 and self.K > 0.0):
-            raise DomainError("M and K must be positive")
+        if not (0.0 < self.M < math.inf and 0.0 < self.K < math.inf):
+            raise DomainError(f"M and K must be positive and finite, got {self.M}, {self.K}")
+        if not (math.isfinite(self.eta) and math.isfinite(self.alpha)):
+            raise DomainError(f"eta and alpha must be finite, got {self.eta}, {self.alpha}")
         ref = math.sqrt(self.K / self.M)
-        if abs(self.omega - ref) > 1e-14 * ref:
+        # written as "not within" so that a nan omega is rejected too
+        if not abs(self.omega - ref) <= 1e-14 * ref:
             raise DomainError(f"omega must equal sqrt(K/M) = {ref}, got {self.omega}")
 
 
@@ -183,13 +185,11 @@ def wavefunction(mode, eta, space, u_plus, u_minus, alpha_deg=45.0):
         raise UnsupportedRegimeError(
             f"sum/difference form requires alpha = +/-45 degrees, got {alpha_deg}"
         )
-    if space == "position":
-        s = float(eta)
-    elif space == "momentum":
-        s = -float(eta)
-    else:
+    sign = {"position": 1.0, "momentum": -1.0}.get(space)
+    if sign is None:
         raise DomainError(f"space must be 'position' or 'momentum', got {space!r}")
-    if not math.isfinite(s):
+    eta = float(eta)
+    if not math.isfinite(eta):
         raise DomainError(f"eta must be finite, got {eta}")
     up = np.asarray(u_plus, dtype=np.float64)
     um = np.asarray(u_minus, dtype=np.float64)
@@ -203,13 +203,10 @@ def wavefunction(mode, eta, space, u_plus, u_minus, alpha_deg=45.0):
         # alpha = -45: mode 1 couples to the sum coordinate and the
         # difference coordinate enters with a sign flip
         g1, g2 = up, -um
-    try:
-        scale1, scale2 = math.exp(0.5 * s), math.exp(-0.5 * s)
-    except OverflowError:
-        raise DomainError(f"eta too large: e^(|eta|/2) overflows, got {eta}") from None
+    t1, t2 = _mode_scale(eta, sign), _mode_scale(eta, -sign)
     with np.errstate(over="ignore", invalid="ignore"):
-        arg1 = (scale1 / _SQRT2) * g1
-        arg2 = (scale2 / _SQRT2) * g2
+        arg1 = t1 * g1
+        arg2 = t2 * g2
         gauss = np.exp(-0.5 * (arg1 * arg1 + arg2 * arg2))
         h1 = _kernels.hermite_values(mode.n, arg1.ravel()).reshape(arg1.shape)
         h2 = _kernels.hermite_values(mode.m, arg2.ravel()).reshape(arg2.shape)

@@ -67,10 +67,19 @@ class QuadratureRule:
             if np.max(np.abs(self.nodes + self.nodes[::-1])) > 1e-13:
                 raise DomainError("Gauss-Hermite nodes must be symmetric about 0")
         else:
-            if self.panels is None or len(self.panels) < 2:
-                raise DomainError("panel rule requires at least one panel")
-            if not np.all(np.diff(self.panels) > 0.0):
-                raise DomainError("panel boundaries must be strictly increasing")
+            _check_panel_boundaries(self.panels)
+
+
+def _check_panel_boundaries(boundaries):
+    # at least one panel, with finite widths between finite, strictly
+    # increasing boundaries; in Python floats, whose overflow is a silent inf
+    if boundaries is None or len(boundaries) < 2:
+        raise DomainError("panel rule requires at least one panel")
+    widths = [b - a for a, b in zip(boundaries, boundaries[1:])]
+    if not all(map(math.isfinite, (*boundaries, *widths))):
+        raise DomainError("panel boundaries and their widths must be finite")
+    if not all(w > 0.0 for w in widths):
+        raise DomainError("panel boundaries must be strictly increasing")
 
 
 def gauss_hermite_rule(order):
@@ -101,6 +110,7 @@ def legendre_panel_rule(order, boundaries):
     """Composite Gauss-Legendre rule with ``order`` points per panel."""
     order = _check_panel_order(order)
     boundaries = tuple(float(b) for b in boundaries)
+    _check_panel_boundaries(boundaries)
     nodes, weights = specfun._panel_nodes(order, np.array(boundaries))
     return QuadratureRule("legendre-panels", order, nodes, weights, panels=boundaries)
 

@@ -1,6 +1,6 @@
 """The scalar decisions that load without numpy: the order caps and the one
-order check, the mathematical constants, ln(n!) and the Hermite norm, the
-frozen table of level entropies S_k and that of their closed-form oracle.
+order check, the constants, ln(n!), the Hermite norm, the mode scale
+t = e^{eta/2}/sqrt(2), and the frozen tables of S_k and of its oracle I3(k).
 
 ``criterion``, ``oscillator`` and ``cli`` answer their scalar questions
 (the threshold table, the criterion report, the normal modes) from here,
@@ -70,6 +70,15 @@ def ln_factorial(n):
 def _ln_norm(k):
     # ln(sqrt(pi) k! 2^k); its exponential is the orthogonality norm of H_k
     return 0.5 * _LN_PI + ln_factorial(k) + k * _LN2
+
+
+def _mode_scale(eta, sign=1.0):
+    # t = e^{sign eta/2}/sqrt(2): a mode coordinate is t times a sum or
+    # difference coordinate (sign -1 for the other mode, or momentum space)
+    try:
+        return math.exp(0.5 * sign * eta) / math.sqrt(2.0)
+    except OverflowError:
+        raise DomainError(f"eta too large: e^(|eta|/2) overflows, got {eta}") from None
 
 
 # S_k, the Shannon entropy of the unit-scale level-k density

@@ -23,26 +23,9 @@ from .scalars import CONSTANTS, EVAL_N_MAX, ROOTS_N_MAX, _check_order, _LN2, _ln
 from .scalars import ln_factorial  # noqa: F401  (public here too)
 
 
-def hermite_eval(n, z):
-    """H_n(z) by the recurrence H_{k+1} = 2 z H_k - 2 k H_{k-1}.
-
-    The recurrence is used verbatim (never expanded coefficients, which
-    lose precision and overflow near n = 30).
-    """
-    n = _check_order(n, EVAL_N_MAX)
-    z = float(z)
-    if not math.isfinite(z):
-        raise DomainError(f"evaluation point must be finite, got {z}")
-    if n == 0:
-        return 1.0
-    h_prev, h = 1.0, 2.0 * z
-    for k in range(1, n):
-        h, h_prev = 2.0 * z * h - (2.0 * k) * h_prev, h
-    return h
-
-
 def hermite_values(n, z):
-    """Vectorized H_n over an array of points (kernel-backed)."""
+    """H_n at every point of ``z`` by the recurrence H_{k+1} = 2 z H_k - 2 k H_{k-1}
+    (never expanded coefficients, which lose precision and overflow near n = 30)."""
     n = _check_order(n, EVAL_N_MAX)
     z = np.ascontiguousarray(z, dtype=np.float64)
     if not np.all(np.isfinite(z)):

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from . import criterion, quadrature, specfun
-from .scalars import CONSTANTS, I3_CLOSED_TABLE, S_TABLE, _check_order, _ln_norm
+from .scalars import CONSTANTS, I3_CLOSED_TABLE, S_TABLE, _check_order, _ln_norm, _mode_scale
 
 VERIFY_N_MAX = 12
 # I3 closed form vs panel quadrature, relative to max(1, |I3|); both agree
@@ -34,7 +34,8 @@ _NORMALIZATION_CAP = 5  # (n, m) grid cap for the marginal-normalization block
 @dataclass(frozen=True)
 class Check:
     """One verification row.  Non-normative rows (the pairing report)
-    never affect the exit status."""
+    never affect the exit status.  The fields, in this order, are the keys
+    of each check in ``seec verify --format json``."""
 
     name: str
     value: float
@@ -57,7 +58,7 @@ def _gh_integral(order, f):
 
 
 def _marginal_rule(order, eta):
-    t = criterion.ScalingTransform(eta).t
+    t = _mode_scale(eta)
     # the density support in u is the z-window scaled by 1/t
     bounds = [b / t for b in quadrature.entropy_panel_boundaries(order)]
     return quadrature.legendre_panel_rule(32, bounds)

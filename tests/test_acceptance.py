@@ -135,7 +135,7 @@ def test_criterion_08_normalization():
     for n in range(6):
         for m in range(6):
             for eta in (0.0, 0.5, 1.0):
-                t = criterion.ScalingTransform(eta).t
+                t = math.exp(0.5 * eta) / math.sqrt(2.0)
                 for side, order in (("w_minus", n), ("v_plus", m)):
                     bounds = [b / t for b in quadrature.entropy_panel_boundaries(order)]
                     rule = quadrature.legendre_panel_rule(32, bounds)

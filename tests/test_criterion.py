@@ -37,26 +37,33 @@ H_W_MINUS_1M = 1.6893013786661509118  # ln(2 sqrt(pi)) + gamma - 1/2 + ln(sqrt 2
 
 
 class TestScalingTransform:
+    """The mode scale t = e^{eta/2}/sqrt(2) of scalars._mode_scale."""
+
     def test_maps(self):
-        tr = criterion.ScalingTransform(0.0)
-        assert abs(tr.t - 1.0 / math.sqrt(2.0)) < 1e-16
+        assert abs(scalars._mode_scale(0.0) - 1.0 / math.sqrt(2.0)) < 1e-16
         # the marginals are functions of z1 = t x- and p2 = t p+: at order 1
         # the density is proportional to z^2 e^{-z^2}
-        tr = criterion.ScalingTransform(0.6)
+        t = scalars._mode_scale(0.6)
         for side in ("w_minus", "v_plus"):
             ratio = criterion.marginal(side, 1, 1, 0.6, 2.0) / criterion.marginal(side, 1, 1, 0.6, 1.0)
-            z1, z2 = tr.t * 1.0, tr.t * 2.0
+            z1, z2 = t * 1.0, t * 2.0
             expected = (z2 * z2 * math.exp(-z2 * z2)) / (z1 * z1 * math.exp(-z1 * z1))
             assert abs(ratio - expected) <= 1e-13 * expected
 
     def test_scale_product_is_unity(self):
         for eta in (-1.0, 0.0, 0.7, 2.0):
-            tr = criterion.ScalingTransform(eta)
-            assert (2.0 * tr.t) * (1.0 / (2.0 * tr.t)) == 1.0
+            t = scalars._mode_scale(eta)
+            assert (2.0 * t) * (1.0 / (2.0 * t)) == 1.0
+            # the other mode's scale is e^{-eta/2}/sqrt(2)
+            assert abs(2.0 * t * scalars._mode_scale(eta, -1.0) - 1.0) <= 1e-15
 
     def test_rejects_nonfinite(self):
-        with pytest.raises(DomainError):
-            criterion.ScalingTransform(math.inf)
+        with pytest.raises(DomainError, match="finite"):
+            criterion.marginal("w_minus", 0, 0, math.inf, 0.0)
+        with pytest.raises(DomainError, match="overflows, got -1500.0"):
+            scalars._mode_scale(-1500.0, -1.0)
+        with pytest.raises(DomainError, match="overflows"):
+            criterion.marginal("v_plus", 0, 0, 1500.0, 0.0)
 
 
 class TestIntegralBundle:
@@ -84,7 +91,7 @@ class TestIntegralBundle:
 
     def test_quadrature_is_normative_source(self):
         rep = criterion.criterion_f(3, 2, 0.4)
-        ln_t = criterion.ScalingTransform(0.4).ln_t
+        ln_t = criterion._ln_t(0.4)
         for h, k in ((rep.H_w_minus, 3), (rep.H_v_plus, 2)):
             assert h == criterion._entropy_from_i3(k, quadrature.entropy_integral_numeric(k)) - ln_t
 
@@ -101,7 +108,7 @@ class TestIntegralBundle:
         # q_nm = t I0 / (pi n! m! 2^{n+m}) with I0 = 2^m m! sqrt(pi); r_nm mirror
         u = np.array([-1.3, 0.2, 0.9])
         for n, m, eta in ((0, 0, 0.0), (2, 1, 0.5), (3, 4, -0.3)):
-            t = criterion.ScalingTransform(eta).t
+            t = scalars._mode_scale(eta)
             denom = math.pi * math.factorial(n) * math.factorial(m) * 2.0 ** (n + m)
             for side, k, other in (("w_minus", n, m), ("v_plus", m, n)):
                 pref = t * 2.0**other * math.factorial(other) * SQRT_PI / denom
@@ -157,6 +164,17 @@ class TestMarginal:
     def test_rejects_unknown_side(self):
         with pytest.raises(DomainError):
             criterion.marginal("w_plus", 0, 0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("n,m", [(0, 0), (1, 0), (3, 2), (7, 32)])
+    @pytest.mark.parametrize("eta", [-1.3, 0.0, 0.4, 5.0])
+    def test_sides_swap_with_the_orders(self, n, m, eta):
+        # each side reads only its own order, through the same scale and norm
+        u = np.append(np.linspace(-9.0, 9.0, 181), [1e-300, 40.0])
+        v_plus = criterion.marginal("v_plus", n, m, eta, u)
+        assert v_plus.tobytes() == criterion.marginal("w_minus", m, n, eta, u).tobytes()
+        assert criterion.marginal("v_plus", n, m, eta, 0.7) == criterion.marginal(
+            "w_minus", m, n, eta, 0.7
+        )
 
 
 class TestShannonEntropy:
@@ -311,7 +329,7 @@ class TestNormalizationRows:
             n, m = (int(k) for k in nm.split(","))
             eta = float(eta)
             order = n if tag == "w" else m
-            t = criterion.ScalingTransform(eta).t
+            t = scalars._mode_scale(eta)
             bounds = [b / t for b in quadrature.entropy_panel_boundaries(order)]
             rule = quadrature.legendre_panel_rule(32, bounds)
             total = quadrature.integrate_panels(

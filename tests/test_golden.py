@@ -55,6 +55,15 @@ GOLDEN = [
     ('threshold --n-max 32 --m-max 32 --format json',
      'c63ee6fb635de66f3cb032b8ffcc19146ef43d24339fc13186ca922d8d4a257c',
      None),
+    ('criterion --n 3 --m 2 --eta 0.4',
+     '7da5aba071fb8fb6aa7bb2004a94db5e73500c54fc103c7347ff932c28805b1e',
+     None),
+    ('criterion --n 32 --m 7 --eta -1.3',
+     '0ca82d268e74fddd1e6ca8d568de9b9af9efc9e9c433fa63c8c4ddb9eae9d154',
+     None),
+    ('diagonalize --m1 2 --m2 0.5 --A 3 --B 1 --C -0.4',
+     '98126aaa26584f035e8fc9f7a53aece23ec426e4e2c3d33494fe599872ff2cc6',
+     None),
     ('wavefunction',
      'dfe4beb814d77c220a2e59c4a85e7008374c44f4b6959a8e4b67cffe292a4640',
      None),

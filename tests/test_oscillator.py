@@ -136,6 +136,29 @@ class TestReconstruct:
         with pytest.raises(DomainError):
             oscillator.DiagonalizedSystem(M=1.0, K=4.0, omega=1.0, eta=0.0, alpha=0.0)
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            (math.inf, math.inf, 1.0, 0.0, 0.0),  # sqrt(inf/inf) is nan
+            (1.0, math.inf, math.inf, 0.0, 0.0),
+            (math.nan, 1.0, 1.0, 0.0, 0.0),
+            (1.0, 1.0, math.nan, 0.0, 0.0),
+            (1.0, 1.0, 1.0, math.nan, 0.0),
+            (1.0, 1.0, 1.0, math.inf, 0.0),
+            (1.0, 1.0, 1.0, 0.0, math.nan),
+            (1.0, 1.0, 1.0, 0.0, -math.inf),
+        ],
+    )
+    def test_nonfinite_fields_rejected(self, fields):
+        with pytest.raises(DomainError, match="finite|omega"):
+            oscillator.DiagonalizedSystem(*fields)
+
+    def test_nonfinite_eta_from_diagonalize_rejected(self):
+        # A + B + disc overflows, so e^{2 eta} is inf
+        h = oscillator.CoupledHamiltonian(1.0, 1.0, 1.7e308, 1e-300, 0.0)
+        with pytest.raises(DomainError, match="eta and alpha must be finite"):
+            oscillator.diagonalize(h)
+
 
 class TestModePair:
     def test_normalization_constants(self):

@@ -83,11 +83,25 @@ class TestPanelRule:
         with pytest.raises(DomainError):
             quadrature.legendre_panel_rule(8, (0.0, 0.0, 1.0))
 
+    @pytest.mark.parametrize(
+        "boundaries,match",
+        [
+            ((1.0, 0.0), "increasing"),
+            ((0.0, 2.0, 1.0), "increasing"),
+            ((0.0, math.nan, 1.0), "finite"),
+            ((), "at least one panel"),
+            ((0.5,), "at least one panel"),
+        ],
+    )
+    def test_boundaries_checked_before_expansion(self, boundaries, match):
+        with pytest.raises(DomainError, match=match):
+            quadrature.legendre_panel_rule(8, boundaries)
+
     @pytest.mark.parametrize("boundaries", [(-math.inf, 0.0), (0.0, math.inf), (-1e308, 1e308)])
     def test_nonfinite_rule_rejected(self, boundaries):
-        # an infinite end, or a width that overflows, makes nodes and weights
-        # inf or nan
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DomainError, match="finite"):
+        # an infinite end, or a width that overflows, would make nodes and
+        # weights inf or nan; rejected before they are built, with no warning
+        with pytest.raises(DomainError, match="finite"):
             quadrature.legendre_panel_rule(4, boundaries)
 
     @pytest.mark.parametrize(

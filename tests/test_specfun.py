@@ -22,38 +22,38 @@ I3_QUADRATURE = {
 
 class TestHermiteEval:
     def test_degree_zero_is_one(self):
-        assert specfun.hermite_eval(0, 1.7) == 1.0
+        assert specfun.hermite_values(0, [1.7]).tolist() == [1.0]
 
     def test_known_low_orders(self):
-        assert specfun.hermite_eval(2, 1.0) == 2.0  # 4z^2 - 2
-        assert specfun.hermite_eval(3, 0.5) == -5.0  # 8z^3 - 12z
-        assert specfun.hermite_eval(1, -2.25) == -4.5
+        assert specfun.hermite_values(2, [1.0]).tolist() == [2.0]  # 4z^2 - 2
+        assert specfun.hermite_values(3, [0.5]).tolist() == [-5.0]  # 8z^3 - 12z
+        assert specfun.hermite_values(1, [-2.25]).tolist() == [-4.5]
 
     def test_rejects_nonfinite(self):
         with pytest.raises(DomainError):
-            specfun.hermite_eval(3, math.inf)
+            specfun.hermite_values(3, [0.5, math.inf])
         with pytest.raises(DomainError):
-            specfun.hermite_eval(3, math.nan)
+            specfun.hermite_values(3, math.nan)
 
     def test_rejects_bad_order(self):
         with pytest.raises(UnsupportedOrderError):
-            specfun.hermite_eval(specfun.EVAL_N_MAX + 1, 0.5)
+            specfun.hermite_values(specfun.EVAL_N_MAX + 1, [0.5])
         with pytest.raises(DomainError):
-            specfun.hermite_eval(-1, 0.5)
+            specfun.hermite_values(-1, [0.5])
         with pytest.raises(DomainError):
-            specfun.hermite_eval(2.5, 0.5)
+            specfun.hermite_values(2.5, [0.5])
 
     @given(
         st.integers(min_value=1, max_value=30),
         st.floats(min_value=-6.0, max_value=6.0, allow_nan=False),
     )
     def test_recurrence_consistency(self, n, z):
-        h_np1 = specfun.hermite_eval(n + 1, z)
-        h_n = specfun.hermite_eval(n, z)
-        h_nm1 = specfun.hermite_eval(n - 1, z)
+        h_np1, h_n, h_nm1 = (specfun.hermite_values(k, [z])[0] for k in (n + 1, n, n - 1))
         residual = h_np1 - 2.0 * z * h_n + 2.0 * n * h_nm1
         scale = max(abs(h_np1), abs(2.0 * z * h_n), abs(2.0 * n * h_nm1), 1.0)
         assert abs(residual) <= 1e-9 * scale
+        # and numpy's Hermite series, an independent route, agrees
+        assert abs(h_n - float(oracles.hermite_polynomial(n, z))) <= 1e-9 * scale
 
     @given(
         st.integers(min_value=0, max_value=40),
@@ -61,12 +61,15 @@ class TestHermiteEval:
     )
     def test_parity_exact(self, n, z):
         # bitwise, not approximate: every recurrence step is sign-symmetric
-        assert specfun.hermite_eval(n, -z) == (-1.0) ** n * specfun.hermite_eval(n, z)
+        h = specfun.hermite_values(n, [z, -z])
+        assert h[1] == (-1.0) ** n * h[0]
 
     def test_array_matches_scalar_bitwise(self):
+        # each element is the value at that point alone, and hermite_pair
+        # carries the same recurrence
         z = np.linspace(-5.0, 5.0, 101)
         ref = [
-            np.array([specfun.hermite_eval(n, x) for x in z])
+            np.array([specfun.hermite_values(n, [x])[0] for x in z])
             for n in range(specfun.EVAL_N_MAX + 1)
         ]
         for n in (0, 1, 5, 17, 32):
@@ -100,8 +103,8 @@ class TestHermiteRoots:
         assert np.all(np.diff(roots) > 0)
         assert np.max(np.abs(roots + roots[::-1])) <= 1e-13
         for x in roots:
-            h_n = specfun.hermite_eval(n, float(x))
-            h_prime = 2.0 * n * specfun.hermite_eval(n - 1, float(x))
+            h_n = specfun.hermite_values(n, [x])[0]
+            h_prime = 2.0 * n * specfun.hermite_values(n - 1, [x])[0]
             assert abs(h_n) <= 1e-10 * max(1.0, abs(h_prime))
 
     def test_cached_object_reused(self):
@@ -247,7 +250,6 @@ class TestLogPotential:
 # every public entry that takes an order, as a call of the order alone,
 # with its cap (None where there is none)
 ORDER_ENTRIES = {
-    "hermite_eval": (lambda n: specfun.hermite_eval(n, 0.5), specfun.EVAL_N_MAX),
     "hermite_values": (lambda n: specfun.hermite_values(n, [0.5]), specfun.EVAL_N_MAX),
     "hermite_roots": (specfun.hermite_roots, specfun.ROOTS_N_MAX),
     "ln_factorial": (specfun.ln_factorial, None),
@@ -270,6 +272,8 @@ REMOVED_NAMES = (
     "IntegralBundle",
     "integral_bundle",
     "shannon_entropy",
+    "hermite_eval",
+    "ScalingTransform",
 )
 
 
