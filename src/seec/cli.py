@@ -10,15 +10,15 @@ CSV/JSON, files are written atomically (temp + rename), numeric CSV fields
 carry 12 significant digits.  Exit codes: 0 success, 1 usage or domain
 error, 2 verification failure.
 
-Each subcommand imports the modules it uses when it runs: sweep (its SVG
-included), threshold, criterion and diagonalize work on floats alone and
-never import numpy, and tempfile and json load only for the output that needs them.
+Each subcommand imports the modules it uses when it runs: only verify
+imports numpy.  sweep (its SVG included), threshold, criterion, diagonalize
+and wavefunction work on floats alone, and tempfile and json load only for
+the output that needs them.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import math
 import os
 import re
@@ -84,9 +84,10 @@ def _finite(name, values):
     return values
 
 
-def _eta_grid(lo, hi, steps):
+def _eta_grid(lo, hi, steps, names=("eta-min", "eta-max")):
     """np.linspace(lo, hi, steps) as a list, bit for bit, for steps >= 2;
-    a DomainError where that grid is not finite."""
+    a DomainError, naming the options ``names`` of lo and hi, where that
+    grid is not finite."""
     div = steps - 1
     delta = hi - lo
     step = delta / div
@@ -98,26 +99,8 @@ def _eta_grid(lo, hi, steps):
     grid.append(hi)
     if not all(map(math.isfinite, grid)):
         # an infinite bound, or finite bounds whose span overflows
-        raise DomainError(f"eta-min and eta-max must span a finite grid, got [{lo}, {hi}]")
+        raise DomainError(f"{names[0]} and {names[1]} must span a finite grid, got [{lo}, {hi}]")
     return grid
-
-
-def _array_command(func):
-    """Run the subcommand with numpy's floating-point warnings off.
-
-    Overflow shows up as nan or inf in the result, which the output gate
-    turns into one DomainError line; numpy's warnings would only add lines
-    before it.
-    """
-
-    @functools.wraps(func)
-    def run(args):
-        import numpy as np
-
-        with np.errstate(all="ignore"):
-            return func(args)
-
-    return run
 
 
 def _csv(header, row, columns):
@@ -241,11 +224,16 @@ def _cmd_diagonalize(args):
     return 0
 
 
-@_array_command
 def _cmd_verify(args):
+    import numpy as np
+
     from . import verification
 
-    checks = verification.collect_checks(args.n_max)
+    # overflow shows up as nan or inf in a check, which the output gate
+    # turns into one DomainError line; numpy's warnings would only add
+    # lines before it
+    with np.errstate(all="ignore"):
+        checks = verification.collect_checks(args.n_max)
     passed = verification.all_normative_pass(checks)
     if args.format == "json":
         payload = {
@@ -271,10 +259,7 @@ def _cmd_verify(args):
     return 0 if passed else 2
 
 
-@_array_command
 def _cmd_wavefunction(args):
-    import numpy as np
-
     from . import oscillator
 
     if args.steps < 2:
@@ -282,17 +267,15 @@ def _cmd_wavefunction(args):
     if not args.u_min < args.u_max:
         raise DomainError(f"u-min must be below u-max, got [{args.u_min}, {args.u_max}]")
     mode = oscillator.ModePair(args.n, args.m)
-    grid = np.linspace(args.u_min, args.u_max, args.steps)
-    values = oscillator.wavefunction(
-        mode, args.eta, args.space, grid[:, None], grid[None, :]
-    )
-    if not np.isfinite(values).all():
-        raise DomainError("wavefunction value is not finite for these inputs")
-    values = values.ravel().tolist()
-    u = list(map("%.12g".__mod__, grid.tolist()))
-    u_plus = [x for x in u for _ in u]
-    text = _csv(["u_plus", "u_minus", "value"], "%s,%s,%.12g\n", (u_plus, u * len(u), values))
-    _write_text(text, args.out)
+    grid = _eta_grid(args.u_min, args.u_max, args.steps, ("u-min", "u-max"))
+    rows = oscillator._wavefunction_rows(mode, args.eta, args.space, grid)
+    u = list(map("%.12g".__mod__, grid))
+    # one % template per grid row: its u_plus, then each u_minus and a value
+    cells = [",%s,%%.12g\n" % x for x in u]
+    text = ["u_plus,u_minus,value\n"]
+    for x, row in zip(u, rows):
+        text.append((x + x.join(cells)) % tuple(_finite("wavefunction value", row)))
+    _write_text("".join(text), args.out)
     return 0
 
 

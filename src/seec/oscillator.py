@@ -8,7 +8,8 @@ to its diagonal dimensionless form and evaluates eigenenergies and the
 position/momentum eigenfunctions in sum/difference coordinates.  Internally
 everything is dimensionless (hbar = M = K = omega = 1); raw-unit couplings
 are scaled on entry and the scales (M, K, omega) are reported alongside.
-Only the eigenfunctions need arrays, so only ``wavefunction`` imports numpy.
+Only the array form ``wavefunction`` imports numpy; ``seec wavefunction``
+evaluates its tensor grid as lists of floats and never imports it.
 """
 
 from __future__ import annotations
@@ -162,6 +163,24 @@ def energy(mode, eta):
     return e
 
 
+def _sum_difference_sign(space, eta, alpha_deg):
+    # (sign, float eta) after the checks both eigenfunction routes make
+    # before any coordinate; sign is +1 in position and -1 in momentum
+    # space.  The angle test is written as "not within" so that a nan angle
+    # is rejected too.
+    if not abs(abs(alpha_deg) - 45.0) <= 1e-9:
+        raise UnsupportedRegimeError(
+            f"sum/difference form requires alpha = +/-45 degrees, got {alpha_deg}"
+        )
+    sign = {"position": 1.0, "momentum": -1.0}.get(space)
+    if sign is None:
+        raise DomainError(f"space must be 'position' or 'momentum', got {space!r}")
+    eta = float(eta)
+    if not math.isfinite(eta):
+        raise DomainError(f"eta must be finite, got {eta}")
+    return sign, eta
+
+
 def wavefunction(mode, eta, space, u_plus, u_minus, alpha_deg=45.0):
     """Eigenfunction in sum/difference coordinates, alpha = +/-45 regime.
 
@@ -180,17 +199,7 @@ def wavefunction(mode, eta, space, u_plus, u_minus, alpha_deg=45.0):
 
     from . import _kernels
 
-    # written as "not within" so that a nan angle is rejected too
-    if not abs(abs(alpha_deg) - 45.0) <= 1e-9:
-        raise UnsupportedRegimeError(
-            f"sum/difference form requires alpha = +/-45 degrees, got {alpha_deg}"
-        )
-    sign = {"position": 1.0, "momentum": -1.0}.get(space)
-    if sign is None:
-        raise DomainError(f"space must be 'position' or 'momentum', got {space!r}")
-    eta = float(eta)
-    if not math.isfinite(eta):
-        raise DomainError(f"eta must be finite, got {eta}")
+    sign, eta = _sum_difference_sign(space, eta, alpha_deg)
     up = np.asarray(u_plus, dtype=np.float64)
     um = np.asarray(u_minus, dtype=np.float64)
     if not (np.all(np.isfinite(up)) and np.all(np.isfinite(um))):
@@ -218,3 +227,52 @@ def wavefunction(mode, eta, space, u_plus, u_minus, alpha_deg=45.0):
     if scalar:
         return float(value)
     return value
+
+
+def _hermite_list(n, zs):
+    """H_n at every float of ``zs`` as a list, without numpy: the recurrence
+    of ``_kernels.hermite_pair`` in its operation order, so each value
+    equals hermite_pair(n, zs)[0] bit for bit, overflows to inf and
+    inf - inf included."""
+    h_prev, h = [1.0] * len(zs), [2.0 * z for z in zs]
+    if n == 0:
+        return h_prev
+    z2 = h
+    for k in range(1, n):
+        c = 2.0 * k
+        h, h_prev = [a * b - c * p for a, b, p in zip(z2, h, h_prev)], h
+    return h
+
+
+def _wavefunction_rows(mode, eta, space, grid):
+    """wavefunction(mode, eta, space, grid[:, None], grid[None, :]) at
+    alpha = +45 degrees as a list of rows of floats, without numpy.
+
+    Row i holds u_plus = grid[i] against every u_minus in ``grid``, a list
+    of finite floats.  On this tensor grid mode 1 reads only u_minus and
+    mode 2 only u_plus, so each Hermite factor is evaluated once per axis
+    (2 x steps points, not steps^2).  Each point is then
+    c1 c2 e^{-(a1^2 + a2^2)/2} H_n(a1) H_m(a2) in wavefunction's operation
+    order, with its rule that a nan where the Gaussian is 0 is 0.  The
+    values equal the array form's bit for bit wherever math.exp and numpy's
+    exp agree; the two may differ by 1 ulp.
+    """
+    sign, eta = _sum_difference_sign(space, eta, 45.0)
+    t1, t2 = _mode_scale(eta, sign), _mode_scale(eta, -sign)
+    a1 = [t1 * u for u in grid]
+    a2 = [t2 * u for u in grid]
+    columns = list(zip([a * a for a in a1], _hermite_list(mode.n, a1)))
+    c = mode.c1 * mode.c2
+    exp = math.exp
+    rows = []
+    for s2, h2 in zip([a * a for a in a2], _hermite_list(mode.m, a2)):
+        row = [c * exp(-0.5 * (s1 + s2)) * h1 * h2 for s1, h1 in columns]
+        # the sum is finite unless some value is nan or inf (or the sum
+        # overflows, which only costs this second pass)
+        if not math.isfinite(sum(row)):
+            row = [
+                0.0 if v != v and exp(-0.5 * (s1 + s2)) == 0.0 else v
+                for v, (s1, _) in zip(row, columns)
+            ]
+        rows.append(row)
+    return rows

@@ -25,12 +25,14 @@ from .scalars import ln_factorial  # noqa: F401  (public here too)
 
 def hermite_values(n, z):
     """H_n at every point of ``z`` by the recurrence H_{k+1} = 2 z H_k - 2 k H_{k-1}
-    (never expanded coefficients, which lose precision and overflow near n = 30)."""
+    (never expanded coefficients, which lose precision and overflow near n = 30).
+    A float for a scalar ``z``, else an array of its shape."""
     n = _check_order(n, EVAL_N_MAX)
-    z = np.ascontiguousarray(z, dtype=np.float64)
+    z = np.asarray(z, dtype=np.float64)
     if not np.all(np.isfinite(z)):
         raise DomainError("evaluation points must be finite")
-    return _kernels.hermite_values(n, z)
+    h = _kernels.hermite_values(n, z)
+    return float(h[0]) if z.ndim == 0 else h
 
 
 @dataclass(frozen=True, eq=False)

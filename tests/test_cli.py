@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -12,8 +13,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from seec import cli, criterion, svgplot
+from seec import cli, criterion, oscillator, svgplot
 from seec.errors import DomainError
+from test_golden import GOLDEN
 
 
 def run_cli(*args, env=None):
@@ -347,6 +349,41 @@ class TestWavefunction:
         assert code == 0
         _, rows = parse_csv(out)
         assert len(rows) == 9
+
+    @pytest.mark.parametrize(
+        "command",
+        [c for c, _, _ in GOLDEN if c.startswith("wavefunction")]
+        + ["wavefunction --n 12 --m 11 --space momentum --steps 401"],
+    )
+    def test_grid_route_matches_array_route(self, command, capsys):
+        # the command's values, from the per-axis list route, against the
+        # array form on the same points: equal up to the 1 ulp by which
+        # math.exp and numpy's exp may differ, with zeros in the same places
+        argv = command.split()
+        args = cli.build_parser().parse_args(argv)
+        grid = cli._eta_grid(args.u_min, args.u_max, args.steps)
+        mode = oscillator.ModePair(args.n, args.m)
+        rows = np.array(oscillator._wavefunction_rows(mode, args.eta, args.space, grid))
+        u = np.array(grid)
+        expected = oscillator.wavefunction(mode, args.eta, args.space, u[:, None], u[None, :])
+        assert np.array_equal(rows == 0.0, expected == 0.0)
+        assert np.all(np.abs(rows - expected) <= 1e-15 * np.abs(expected))
+        assert cli.main(argv) == 0
+        printed = [line.rsplit(",", 1)[1] for line in capsys.readouterr().out.splitlines()[1:]]
+        assert printed == ["%.12g" % v for v in rows.ravel().tolist()]
+
+    def test_far_tail_grid(self, capsys):
+        # |u| up to 1e155: the Hermite recurrence overflows to inf and nan
+        # where the Gaussian is 0, and those points print as 0; the digest
+        # is the array route's output
+        argv = "wavefunction --n 64 --m 64 --u-min=-1e155 --u-max=1e155 --steps 5".split()
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "40216ae1d298072ed3aedbcb23845080becfe158be853e7a22f6696946886af1"
+        )
+        values = [line.rsplit(",", 1)[1] for line in out.splitlines()[1:]]
+        assert values == ["0"] * 12 + ["0.0560504036239"] + ["0"] * 12
 
 
 NON_FINITE_FIELDS = {"nan", "-nan", "NaN", "inf", "-inf", "Infinity", "-Infinity"}

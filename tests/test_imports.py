@@ -1,4 +1,4 @@
-"""The package imports lazily, and the float commands never import numpy.
+"""The package imports lazily, and no command but verify imports numpy.
 
 Each case runs in a fresh interpreter, since this test process has numpy
 loaded already.
@@ -59,7 +59,7 @@ def test_version_skips_numpy():
 
 
 # (argv, records in the output: None for a single JSON object)
-SCALAR_COMMANDS = [
+NUMPY_FREE_COMMANDS = [
     (("diagonalize",), None),
     (("diagonalize", "--m1", "2", "--A", "3", "--B", "1.5", "--C", "0.4"), None),
     (("criterion",), None),
@@ -73,12 +73,16 @@ SCALAR_COMMANDS = [
     (("sweep", "--modes", "0:0,1:1,2:3", "--steps", "2001", "--svg", "plot.svg"), 3 * 2001),
     (("sweep", "--modes", "0:0,32:32", "--eta-min", "-1e-3", "--format", "json", "--svg",
       "plot.svg"), 2 * 201),
+    (("wavefunction",), 41 * 41),
+    (("wavefunction", "--n", "2", "--m", "1", "--eta", "0.7", "--space", "momentum"), 41 * 41),
+    (("wavefunction", "--n", "12", "--m", "11", "--space", "momentum", "--steps", "401"),
+     401 * 401),
 ]
 
 
 @pytest.mark.parametrize("dest", ["stdout", "file"])
 @pytest.mark.parametrize(
-    "args,records", SCALAR_COMMANDS, ids=[" ".join(args) for args, _ in SCALAR_COMMANDS]
+    "args,records", NUMPY_FREE_COMMANDS, ids=[" ".join(args) for args, _ in NUMPY_FREE_COMMANDS]
 )
 def test_scalar_commands_skip_numpy(args, records, dest, tmp_path):
     out_path = tmp_path / "out.txt"
@@ -126,9 +130,25 @@ def test_sweep_errors_skip_numpy(args, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("--u-min=-1.7e308", "--u-max=1.7e308", "--out", "out.txt"),  # the span overflows
+        ("--u-min=-inf", "--n", "64", "--m", "64"),
+    ],
+    ids=" ".join,
+)
+def test_wavefunction_errors_skip_numpy(args, tmp_path):
+    code, out, lines, numpy_imported = run_cli("wavefunction", *args, cwd=tmp_path)
+    assert code == 1 and out == "" and len(lines) == 1
+    assert lines[0].startswith("seec: error: u-min and u-max must span a finite grid, got [")
+    assert not numpy_imported
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_array_command_imports_numpy():
     # the control for the cases above: run_cli does see numpy when it loads
-    code, _, lines, numpy_imported = run_cli("wavefunction", "--steps", "3")
+    code, _, lines, numpy_imported = run_cli("verify", "--n-max", "0")
     assert code == 0 and lines == []
     assert numpy_imported
 

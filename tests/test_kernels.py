@@ -2,12 +2,30 @@ import numpy as np
 import pytest
 
 import oracles
-from seec import _kernels
+from seec import _kernels, cli, oscillator, scalars
 
 # panel-like points, exact roots and zeros, and points where H_n overflows
 _GRID = np.concatenate(
     (np.linspace(-12.0, 12.0, 4001), [0.0, -0.0, 1e-300, 1.0 / np.sqrt(2.0), 40.0, -1e3])
 )
+
+
+def _recurrence_points():
+    # zero, denormals, the scaled points t1 u and t2 u of the golden
+    # wavefunction grids, and |z| up to 1e200, where H_n overflows to inf
+    # and the recurrence then meets inf - inf
+    from test_golden import GOLDEN
+
+    points = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308]
+    points += [s * 10.0**k for k in range(-300, 201, 10) for s in (1.0, -1.0)]
+    for command, _, _ in GOLDEN:
+        if command.startswith("wavefunction"):
+            args = cli.build_parser().parse_args(command.split())
+            grid = cli._eta_grid(args.u_min, args.u_max, args.steps)
+            for sign in (1.0, -1.0):
+                t = scalars._mode_scale(args.eta, sign)
+                points += [t * u for u in grid]
+    return points
 
 
 def _panel_inputs(n):
@@ -67,6 +85,21 @@ class TestInPlaceBitIdentity:
             expected = oracles.hermite_pair_allocating(n, _GRID)
         for g, e in zip(got, expected):
             assert g.tobytes() == e.tobytes()
+
+    def test_pure_python_recurrence_matches_hermite_pair(self):
+        # the two implementations of the one recurrence: hermite_pair, and
+        # the list form behind the wavefunction command; compared as bit
+        # patterns, so a nan in the same place counts as equal
+        points = _recurrence_points()
+        z = np.array(points)
+        reached = set()
+        for n in range(scalars.EVAL_N_MAX + 1):
+            with np.errstate(over="ignore", invalid="ignore"):
+                expected = _kernels.hermite_pair(n, z)[0]
+            got = np.array(oscillator._hermite_list(n, points))
+            assert got.tobytes() == expected.tobytes(), n
+            reached.update(str(v) for v in expected[~np.isfinite(expected)])
+        assert reached == {"inf", "-inf", "nan"}
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 32])
     def test_weighted_sum_matches_allocating_formula(self, n):

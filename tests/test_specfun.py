@@ -29,6 +29,12 @@ class TestHermiteEval:
         assert specfun.hermite_values(3, [0.5]).tolist() == [-5.0]  # 8z^3 - 12z
         assert specfun.hermite_values(1, [-2.25]).tolist() == [-4.5]
 
+    def test_scalar_point_gives_a_float(self):
+        for z in (0.5, np.float64(0.5), np.array(0.5)):
+            value = specfun.hermite_values(3, z)
+            assert type(value) is float and value == -5.0
+        assert specfun.hermite_values(2, [[1.0, 0.0]]).tolist() == [[2.0, -2.0]]
+
     def test_rejects_nonfinite(self):
         with pytest.raises(DomainError):
             specfun.hermite_values(3, [0.5, math.inf])
