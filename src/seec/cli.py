@@ -10,6 +10,12 @@ CSV/JSON, files are written atomically (temp + rename), numeric CSV fields
 carry 12 significant digits.  Exit codes: 0 success, 1 usage or domain
 error, 2 verification failure.
 
+sweep and wavefunction write their output as a stream of chunks, one per
+mode or grid row, built from pieces formatted once (the eta column of a
+sweep serves every mode), so the whole document is never held in memory.
+Every check that can fail runs before the first byte: a failing command
+writes nothing to stdout and leaves --out as it was.
+
 Each subcommand imports the modules it uses when it runs: only verify
 imports numpy.  sweep (its SVG included), threshold, criterion, diagonalize
 and wavefunction work on floats alone, and tempfile and json load only for
@@ -23,6 +29,7 @@ import math
 import os
 import re
 import sys
+from itertools import chain, repeat
 
 from . import __version__
 from .errors import DomainError
@@ -44,8 +51,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _write_text(text, out_path):
+    """Write text, a str or an iterable of str chunks, to stdout or to
+    out_path.  A file is written atomically: an error while writing, or
+    raised by a chunk, leaves out_path as it was and no temp file."""
+    chunks = (text,) if isinstance(text, str) else text
     if out_path is None or out_path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     import tempfile
 
@@ -53,7 +64,7 @@ def _write_text(text, out_path):
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".seec-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, out_path)
     except BaseException:
         if os.path.exists(tmp):
@@ -103,28 +114,70 @@ def _eta_grid(lo, hi, steps, names=("eta-min", "eta-max")):
     return grid
 
 
-def _csv(header, row, columns):
-    """CSV text: the header line, then one line row % fields per row of columns."""
-    return ",".join(header) + "\n" + "".join(map(row.__mod__, zip(*columns)))
+def _rows(fields, end, sep):
+    """The text of one block of rows, each row reading prefix, cell, prefix,
+    cell, ..., end, and sep between rows.
 
-
-def _json_records(columns):
-    """json.dumps(records, indent=2) + "\n" for the records whose fields are
-    columns [(key, values)], written from one template per record.
-
-    Keys are plain identifiers.  Values are lists of bools, ints, finite
-    floats or JSON literals already formatted as str; every field goes
-    through %s, and str of a float is its repr, the digits json writes.
+    fields is [(prefix, cells)]: cells is a list of str, one per row, or a
+    str that every row of the block shares; at least one cells is a list.
+    Shared cells and the prefixes around them fold into constant pieces,
+    and the block is one join over a flat list of pieces: no string or
+    template per row.
     """
-    if not columns[0][1]:
-        return "[]\n"
-    fields = []
-    for _, values in columns:
-        if type(values[0]) is bool:
-            values = [_BOOL_TEXT[v] for v in values]
-        fields.append(values)
-    record = "  {\n" + ",\n".join(f'    "{key}": %s' for key, _ in columns) + "\n  }"
-    return "[\n" + ",\n".join(map(record.__mod__, zip(*fields))) + "\n]\n"
+    literals, columns = [""], []
+    for prefix, cells in fields:
+        if isinstance(cells, str):
+            literals[-1] += prefix + cells
+        else:
+            literals[-1] += prefix
+            literals.append("")
+            columns.append(cells)
+    literals[-1] += end
+    if not columns[0]:
+        return ""
+    width = 2 * len(columns)
+    parts = [None] * width
+    parts[1::2] = literals[1:]
+    parts[-1] += sep + literals[0]
+    parts *= len(columns[0])
+    for j, cells in enumerate(columns):
+        parts[2 * j::width] = cells
+    parts[-1] = literals[-1]
+    return literals[0] + "".join(parts)
+
+
+def _csv(header, blocks):
+    """CSV text in chunks: the header line, then one chunk per block.
+
+    A block is its cells per header column, as _rows takes them: a list of
+    the formatted fields of each row, or one str every row shares.
+    """
+    yield ",".join(header) + "\n"
+    prefixes = [""] + [","] * (len(header) - 1)
+    for cells in blocks:
+        yield _rows(zip(prefixes, cells), "\n", "")
+
+
+def _json_records(keys, blocks):
+    """json.dumps(records, indent=2) + "\n" in chunks, one per block of
+    records whose fields are keys.
+
+    A block is its cells per key, as _rows takes them: the JSON text of the
+    field in each record, or one text every record of the block shares.
+    Keys are plain identifiers; a float's repr is the text json writes.
+    """
+    prefixes = ['  {\n    "%s": ' % keys[0]] + [',\n    "%s": ' % key for key in keys[1:]]
+    head = "[\n"
+    for cells in blocks:
+        text = _rows(zip(prefixes, cells), "\n  }", ",\n")
+        if text:
+            yield head + text
+            head = ",\n"
+    yield "[]\n" if head == "[\n" else "\n]\n"
+
+
+# --format of sweep and threshold: the text of a number, and the writer
+_RECORDS = {"csv": ("%.12g".__mod__, _csv), "json": (repr, _json_records)}
 
 
 def _json_text(payload):
@@ -147,32 +200,32 @@ def _cmd_sweep(args):
             f"eta-min must be below eta-max, got [{args.eta_min}, {args.eta_max}]"
         )
     grid = _eta_grid(args.eta_min, args.eta_max, args.steps)
-    # f = eta0 - eta, the values criterion_curve gives
+    # f = eta0 - eta, the values criterion_curve gives; every check runs
+    # before the first byte is written
     eta0 = [criterion.threshold_eta0(n, m) for n, m in modes]
-    curves = [[e0 - e for e in grid] for e0 in eta0]
-    f = _finite("f", [v for curve in curves for v in curve])
-    entangled = [v < 0.0 for v in f]
-    ns = [n for n, _ in modes for _ in range(args.steps)]
-    ms = [m for _, m in modes for _ in range(args.steps)]
-    if args.format == "json":
-        etas = list(map(repr, grid)) * len(modes)
-        text = _json_records(
-            [("eta", etas), ("n", ns), ("m", ms), ("f", f), ("entangled", entangled)]
-        )
-    else:
-        etas = list(map("%.12g".__mod__, grid)) * len(modes)
-        text = _csv(
-            ["eta", "n", "m", "f", "entangled"],
-            "%s,%d,%d,%.12g,%s\n",
-            (etas, ns, ms, f, [_BOOL_TEXT[e] for e in entangled]),
-        )
+    curves = [_finite("f", [e0 - e for e in grid]) for e0 in eta0]
     if args.svg:
         # built before either file is written, so a plot error writes neither
-        series = [
-            (f"(n,m)=({n},{m})", list(zip(grid, curve))) for (n, m), curve in zip(modes, curves)
+        svg = svgplot.line_plot(
+            [(f"(n,m)=({n},{m})", list(zip(grid, curve))) for (n, m), curve in zip(modes, curves)],
+            "eta",
+            "f",
+        )
+    number, records = _RECORDS[args.format]
+    # one block per mode: the eta column formatted once for every mode, n
+    # and m one shared cell each
+    etas = list(map(number, grid))
+    blocks = (
+        [
+            etas,
+            str(n),
+            str(m),
+            list(map(number, curve)),
+            list(map(_BOOL_TEXT.__getitem__, map(criterion._verdict, repeat(e0), grid))),
         ]
-        svg = svgplot.line_plot(series, "eta", "f")
-    _write_text(text, args.out)
+        for (n, m), e0, curve in zip(modes, eta0, curves)
+    )
+    _write_text(records(("eta", "n", "m", "f", "entangled"), blocks), args.out)
     if args.svg:
         _write_text(svg, args.svg)
     return 0
@@ -184,14 +237,16 @@ def _cmd_threshold(args):
 
     for name, v in (("n-max", args.n_max), ("m-max", args.m_max)):
         _check_order(v, criterion.MODE_N_MAX, name)
-    ns = [n for n in range(args.n_max + 1) for _ in range(args.m_max + 1)]
-    ms = list(range(args.m_max + 1)) * (args.n_max + 1)
-    eta0 = _finite("eta0", list(map(criterion.threshold_eta0, ns, ms)))
-    if args.format == "json":
-        text = _json_records([("n", ns), ("m", ms), ("eta0", eta0)])
-    else:
-        text = _csv(["n", "m", "eta0"], "%d,%d,%.12g\n", (ns, ms, eta0))
-    _write_text(text, args.out)
+    ms = range(args.m_max + 1)
+    table = [
+        _finite("eta0", [criterion.threshold_eta0(n, m) for m in ms])
+        for n in range(args.n_max + 1)
+    ]
+    number, records = _RECORDS[args.format]
+    # one block per n: n one shared cell, the m column formatted once
+    m_cells = list(map(str, ms))
+    blocks = ([str(n), m_cells, list(map(number, row))] for n, row in enumerate(table))
+    _write_text(records(("n", "m", "eta0"), blocks), args.out)
     return 0
 
 
@@ -269,13 +324,15 @@ def _cmd_wavefunction(args):
     mode = oscillator.ModePair(args.n, args.m)
     grid = _eta_grid(args.u_min, args.u_max, args.steps, ("u-min", "u-max"))
     rows = oscillator._wavefunction_rows(mode, args.eta, args.space, grid)
+    # a row sums to a finite number only if every value in it is finite
+    for row in rows:
+        if not math.isfinite(sum(row)):
+            _finite("wavefunction value", row)
     u = list(map("%.12g".__mod__, grid))
     # one % template per grid row: its u_plus, then each u_minus and a value
     cells = [",%s,%%.12g\n" % x for x in u]
-    text = ["u_plus,u_minus,value\n"]
-    for x, row in zip(u, rows):
-        text.append((x + x.join(cells)) % tuple(_finite("wavefunction value", row)))
-    _write_text("".join(text), args.out)
+    lines = ((x + x.join(cells)) % tuple(row) for x, row in zip(u, rows))
+    _write_text(chain(["u_plus,u_minus,value\n"], lines), args.out)
     return 0
 
 

@@ -164,6 +164,13 @@ def threshold_eta0(n, m):
     return _entropy_excess(n) + _entropy_excess(m)
 
 
+def _verdict(eta0, eta):
+    """True where the criterion detects entanglement at coupling eta, for
+    a float or an array eta: f = eta0 - eta < 0.  The one home of the
+    verdict; criterion_f, criterion_curve and the sweep all read it."""
+    return eta0 - eta < 0.0
+
+
 def criterion_f(n, m, eta):
     """EntropyReport at coupling eta; f = eta0 - eta exactly."""
     n, m = _check_mode(n, m)
@@ -183,7 +190,7 @@ def criterion_f(n, m, eta):
         H_v_plus=h_v,
         f=f,
         eta0=eta0,
-        entangled=f < 0.0,
+        entangled=_verdict(eta0, eta),
         alt_f=eta0 + eta,
         oracle_delta=max(
             _oracle_delta(n, I3_CLOSED_TABLE[n]), _oracle_delta(m, I3_CLOSED_TABLE[m])
@@ -196,15 +203,15 @@ def criterion_curve(n, m, etas):
 
     Returns the arrays (f, entangled) with f = eta0(n, m) - etas, the
     values criterion_f reports point by point, from one cached threshold
-    and one array subtraction.
+    and array arithmetic.
     """
     import numpy as np
 
     etas = np.asarray(etas, dtype=np.float64)
     if not np.isfinite(etas).all():
         raise DomainError("eta must be finite")
-    f = threshold_eta0(n, m) - etas
-    return f, f < 0.0
+    eta0 = threshold_eta0(n, m)
+    return eta0 - etas, _verdict(eta0, etas)
 
 
 def is_entangled(n, m, eta):

@@ -54,7 +54,7 @@ def line_plot(series, x_label, y_label):
 
     def py(ys):
         bottom, height, span = _BOTTOM, _BOTTOM - _TOP, y1 - y0
-        return [bottom - height * (y - y0) / span for y in ys]
+        return tuple([bottom - height * (y - y0) / span for y in ys])
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
@@ -85,12 +85,16 @@ def line_plot(series, x_label, y_label):
             f'<text x="{_RIGHT - 4}" y="{zero - 5:.2f}" text-anchor="end" '
             'font-family="sans-serif" font-size="12" fill="#666666">0</text>'
         )
+    shared_xs = None
     for i, (label, xs, ys) in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]
-        # one template for the whole polyline: a format call per point costs more
-        flat = [None] * (2 * len(xs))
-        flat[::2], flat[1::2] = px(xs), py(ys)
-        coords = " ".join(["%.2f,%.2f"] * len(xs)) % tuple(flat)
+        # one template for the whole polyline, its x pixels already written:
+        # a format call per point costs more, and series with equal x values
+        # (a sweep's modes share one grid) share the template
+        if xs != shared_xs:
+            shared_xs = xs
+            template = " ".join(["%.2f,%%.2f" % x for x in px(xs)])
+        coords = template % py(ys)
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{coords}"/>'
         )

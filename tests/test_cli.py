@@ -4,9 +4,11 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -152,6 +154,51 @@ class TestSweepGrid:
         assert [r["entangled"] for r in records] == (expected < 0.0).tolist()
         eta = np.array([r["eta"] for r in records], dtype=np.float64)
         np.testing.assert_array_equal(eta.view(np.uint64), np.tile(grid, len(pairs)).view(np.uint64))
+
+
+_MODES = st.lists(st.tuples(st.integers(0, 32), st.integers(0, 32)), min_size=1, max_size=4)
+_ETA0_11 = criterion.threshold_eta0(1, 1)
+
+
+def _sweep_reference(modes, lo, hi, steps):
+    """The sweep's CSV and JSON text, one record at a time: JSON from
+    json.dumps, CSV from the %-template of one row per record."""
+    records = [
+        {"eta": eta, "n": n, "m": m, "f": f, "entangled": f < 0.0}
+        for n, m in modes
+        for eta in np.linspace(lo, hi, steps).tolist()
+        for f in [criterion.threshold_eta0(n, m) - eta]
+    ]
+    csv = "eta,n,m,f,entangled\n" + "".join(
+        "%s,%d,%d,%.12g,%s\n"
+        % ("%.12g" % r["eta"], r["n"], r["m"], r["f"], "true" if r["entangled"] else "false")
+        for r in records
+    )
+    return csv, json.dumps(records, indent=2) + "\n"
+
+
+class TestSweepFormat:
+    """The sweep's blocks of precomputed pieces write the bytes of one
+    record at a time."""
+
+    @given(modes=_MODES, lo=st.floats(-3.0, 3.0), width=st.floats(1e-3, 4.0),
+           steps=st.integers(2, 40))
+    @settings(max_examples=60, deadline=None)
+    @example(modes=[(2, 3)], lo=0.5, width=1.0, steps=2)  # one mode, two steps
+    # f == 0 exactly and the verdict flips mid-curve: eta0(0, 0) is 0.0
+    @example(modes=[(0, 0)], lo=-1.0, width=2.0, steps=5)
+    @example(modes=[(1, 1), (0, 0)], lo=0.0, width=_ETA0_11, steps=7)  # f == 0 at eta-max
+    def test_equals_one_record_at_a_time(self, modes, lo, width, steps):
+        hi = lo + width
+        csv, records = _sweep_reference(modes, lo, hi, steps)
+        mode_text = ",".join(f"{n}:{m}" for n, m in modes)
+        for fmt, expected in (("csv", csv), ("json", records)):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.main(["sweep", "--modes", mode_text, f"--eta-min={lo!r}",
+                                 f"--eta-max={hi!r}", "--steps", str(steps), "--format", fmt])
+            assert code == 0
+            assert out.getvalue() == expected
 
 
 class TestSvgPlot:
@@ -384,6 +431,86 @@ class TestWavefunction:
         )
         values = [line.rsplit(",", 1)[1] for line in out.splitlines()[1:]]
         assert values == ["0"] * 12 + ["0.0560504036239"] + ["0"] * 12
+
+
+def _failing_chunks():
+    yield "eta,n,m,f,entangled\n"
+    raise DomainError("raised after the first chunk")
+
+
+class TestStreamedOutput:
+    """Output is written in chunks after every check has run: a failing
+    command writes no byte to stdout and leaves --out as it was."""
+
+    def test_failing_stream_creates_no_file(self, tmp_path):
+        out_path = tmp_path / "new.csv"
+        with pytest.raises(DomainError):
+            cli._write_text(_failing_chunks(), str(out_path))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failing_stream_keeps_an_existing_file(self, tmp_path):
+        out_path = tmp_path / "old.csv"
+        out_path.write_bytes(b"old bytes\n")
+        with pytest.raises(DomainError):
+            cli._write_text(_failing_chunks(), str(out_path))
+        assert out_path.read_bytes() == b"old bytes\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["old.csv"]
+
+    def test_chunks_and_one_string_write_the_same_bytes(self, tmp_path):
+        chunks = ["a,b\n", "", "1,2\n", "3,4\n"]
+        cli._write_text(iter(chunks), str(tmp_path / "chunks.csv"))
+        cli._write_text("".join(chunks), str(tmp_path / "text.csv"))
+        assert (tmp_path / "chunks.csv").read_bytes() == (tmp_path / "text.csv").read_bytes()
+
+    def _patch_last_row(self, monkeypatch, value):
+        rows_of = oscillator._wavefunction_rows
+
+        def rows_with_last_value(*args):
+            rows = rows_of(*args)
+            rows[-1][-1] = value
+            return rows
+
+        monkeypatch.setattr(oscillator, "_wavefunction_rows", rows_with_last_value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_last_row_writes_nothing(self, value, monkeypatch, capsys):
+        self._patch_last_row(monkeypatch, value)
+        assert cli.main(["wavefunction", "--steps", "7"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "seec: error: wavefunction value is not finite for these inputs\n"
+
+    def test_row_whose_sum_overflows_is_written(self, monkeypatch, capsys):
+        # every value finite, but each row sums to inf
+        rows_of = oscillator._wavefunction_rows
+        monkeypatch.setattr(oscillator, "_wavefunction_rows",
+                            lambda *a: [row[:-2] + [1.7e308] * 2 for row in rows_of(*a)])
+        assert cli.main(["wavefunction", "--steps", "7"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 50 and lines[-1].endswith(",1.7e+308")
+
+    def test_wavefunction_memory_is_bounded_by_its_rows(self):
+        # peak traced memory of the whole command, to a null stdout, against
+        # the size of the grid values it prints
+        argv = ["wavefunction", "--n", "12", "--m", "11", "--space", "momentum", "--steps", "401"]
+        args = cli.build_parser().parse_args(argv)
+        grid = cli._eta_grid(args.u_min, args.u_max, args.steps)
+        mode = oscillator.ModePair(args.n, args.m)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            rows = oscillator._wavefunction_rows(mode, args.eta, args.space, grid)
+            size = tracemalloc.get_traced_memory()[0] - before
+            del rows
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
+                assert cli.main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert size > 4_000_000
+        assert peak <= 1.5 * size, (peak, size)
 
 
 NON_FINITE_FIELDS = {"nan", "-nan", "NaN", "inf", "-inf", "Infinity", "-Infinity"}

@@ -100,6 +100,10 @@ _VALUES = {
 }
 
 
+def _json_cell(value):
+    return cli._BOOL_TEXT[value] if type(value) is bool else repr(value)
+
+
 @st.composite
 def _records(draw):
     keys = draw(st.lists(st.from_regex(r"[a-z_][a-z0-9_]{0,8}", fullmatch=True),
@@ -109,8 +113,20 @@ def _records(draw):
     return [dict(zip(keys, row)) for row in rows]
 
 
-@given(_records())
-def test_json_records_matches_json_dumps(records):
+@given(_records(), st.data())
+def test_json_records_matches_json_dumps(records, data):
     keys = list(records[0]) if records else ["eta"]
-    columns = [(key, [r[key] for r in records]) for key in keys]
-    assert cli._json_records(columns) == json.dumps(records, indent=2) + "\n"
+    # split the records into blocks, some of them empty; a field whose text
+    # is the same in every record of a block may go in as one shared cell
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(records)), max_size=4)))
+    blocks = []
+    for lo, hi in zip([0, *cuts], [*cuts, len(records)]):
+        cells = [[_json_cell(r[key]) for r in records[lo:hi]] for key in keys]
+        shared = [j for j, c in enumerate(cells) if c and len(set(c)) == 1]
+        # one field at least stays a list: it gives the block its length
+        for j in shared[: len(keys) - 1]:
+            if data.draw(st.booleans()):
+                cells[j] = cells[j][0]
+        blocks.append(cells)
+    text = "".join(cli._json_records(keys, blocks))
+    assert text == json.dumps(records, indent=2) + "\n"
