@@ -53,17 +53,27 @@ class _Parser(argparse.ArgumentParser):
 def _write_text(text, out_path):
     """Write text, a str or an iterable of str chunks, to stdout or to
     out_path.  A file is written atomically: an error while writing, or
-    raised by a chunk, leaves out_path as it was and no temp file."""
+    raised by a chunk, leaves out_path as it was and no temp file.  It
+    ends with the mode open(out_path, "w") would leave: an existing
+    target's, else 0o666 less the umask."""
     chunks = (text,) if isinstance(text, str) else text
     if out_path is None or out_path == "-":
         sys.stdout.writelines(chunks)
         return
     import tempfile
 
+    try:
+        mode = os.stat(out_path).st_mode & 0o7777
+    except FileNotFoundError:
+        # mkstemp's file is 0600, whatever the umask
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
     directory = os.path.dirname(os.path.abspath(out_path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".seec-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+            os.fchmod(fh.fileno(), mode)
             fh.writelines(chunks)
         os.replace(tmp, out_path)
     except BaseException:
@@ -235,11 +245,12 @@ def _cmd_threshold(args):
     from . import criterion
     from .scalars import _check_order
 
+    # checked once here, so each entry is a bare table read
     for name, v in (("n-max", args.n_max), ("m-max", args.m_max)):
         _check_order(v, criterion.MODE_N_MAX, name)
     ms = range(args.m_max + 1)
     table = [
-        _finite("eta0", [criterion.threshold_eta0(n, m) for m in ms])
+        _finite("eta0", [criterion._eta0(n, m) for m in ms])
         for n in range(args.n_max + 1)
     ]
     number, records = _RECORDS[args.format]

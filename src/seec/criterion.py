@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import DomainError
 from .scalars import (
@@ -98,34 +97,23 @@ def standard_entropy(k):
 
         S_k = ln(sqrt(pi) k! 2^k) + k + 1/2 - I3(k) / (2^k k! sqrt(pi))
 
-    with I3 from the normative panel quadrature at its default order, read
-    from the frozen ``scalars.S_TABLE``.  k is validated on every call, and
-    the lookup is cached on the validated order, so (k) and (np.int64(k))
-    share one entry.  Another panel order is
+    with I3 from the normative panel quadrature at its default order: the
+    frozen ``scalars.S_TABLE`` entry of k, validated on every call (an
+    integer, np.int64(k) too).  Another panel order is
     _entropy_from_i3(k, quadrature.entropy_integral_numeric(k, order)).
     """
-    return _table_entropy(_check_order(k, MODE_N_MAX, "k"))
+    return S_TABLE[_check_order(k, MODE_N_MAX, "k")]
 
 
-@lru_cache(maxsize=None)
-def _table_entropy(k):
-    # cached so that standard_entropy.cache_info() counts the table lookups
-    return S_TABLE[k]
-
-
-standard_entropy.cache_info = _table_entropy.cache_info
-standard_entropy.cache_clear = _table_entropy.cache_clear
-
-
-@lru_cache(maxsize=None)
-def _entropy_excess(k):
-    # S_k - S_0; exactly zero at k = 0, which keeps eta0(0, 0) an exact 0.0
-    return standard_entropy(k) - standard_entropy(0)
+def _eta0(n, m):
+    # eta0 of validated orders, as excess entropies S_k - S_0; each excess
+    # is exactly zero at k = 0, which keeps eta0(0, 0) an exact 0.0
+    return (S_TABLE[n] - S_TABLE[0]) + (S_TABLE[m] - S_TABLE[0])
 
 
 def _oracle_delta(k, i3):
-    # |S_k from the table - S_k from the closed-form I3(k)|
-    return abs(standard_entropy(k) - _entropy_from_i3(k, i3))
+    # |S_k from the table - S_k from the closed-form I3(k)|, k validated
+    return abs(S_TABLE[k] - _entropy_from_i3(k, i3))
 
 
 @dataclass(frozen=True)
@@ -160,8 +148,7 @@ def threshold_eta0(n, m):
     (S_k - S_0) because 2 S_0 + ln 2 - ln(2 pi e) vanishes identically,
     which keeps the ground-state threshold an exact zero.
     """
-    n, m = _check_mode(n, m)
-    return _entropy_excess(n) + _entropy_excess(m)
+    return _eta0(*_check_mode(n, m))
 
 
 def _verdict(eta0, eta):
@@ -177,10 +164,10 @@ def criterion_f(n, m, eta):
     eta = float(eta)
     if not math.isfinite(eta):
         raise DomainError(f"eta must be finite, got {eta}")
-    eta0 = threshold_eta0(n, m)
+    eta0 = _eta0(n, m)
     ln_t = _ln_t(eta)
-    h_w = standard_entropy(n) - ln_t
-    h_v = standard_entropy(m) - ln_t
+    h_w = S_TABLE[n] - ln_t
+    h_v = S_TABLE[m] - ln_t
     f = eta0 - eta
     return EntropyReport(
         n=n,
@@ -202,7 +189,7 @@ def criterion_curve(n, m, etas):
     """Criterion curve of mode pair (n, m) over an array of couplings.
 
     Returns the arrays (f, entangled) with f = eta0(n, m) - etas, the
-    values criterion_f reports point by point, from one cached threshold
+    values criterion_f reports point by point, from one threshold lookup
     and array arithmetic.
     """
     import numpy as np

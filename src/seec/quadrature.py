@@ -38,42 +38,24 @@ _SQRT_PI = CONSTANTS.sqrt_pi
 
 @dataclass(frozen=True, eq=False)
 class QuadratureRule:
-    """Nodes and positive weights of a quadrature rule.
+    """Nodes and weights of a rule, finite and with every weight positive:
+    sum w_i f(x_i) approximates the integral of f, times e^{-z^2} for
+    gauss_hermite_rule, which checks what else its rule guarantees."""
 
-    kind 'gauss-hermite': integrates f(z) e^{-z^2} as sum w_i f(x_i).
-    kind 'legendre-panels': composite Gauss-Legendre over contiguous
-    panels; ``panels`` stores the panel boundaries, ``order`` the points
-    per panel, and nodes/weights are the expanded per-panel values in
-    ascending panel order.
-    """
-
-    kind: str
-    order: int
     nodes: np.ndarray
     weights: np.ndarray
-    panels: tuple | None = None
 
     def __post_init__(self):
-        if self.kind not in ("gauss-hermite", "legendre-panels"):
-            raise DomainError(f"unknown rule kind {self.kind!r}")
         if not (np.all(np.isfinite(self.nodes)) and np.all(np.isfinite(self.weights))):
             raise DomainError("quadrature nodes and weights must be finite")
         if not np.all(self.weights > 0.0):
             raise DomainError("all quadrature weights must be strictly positive")
-        if self.kind == "gauss-hermite":
-            total = float(np.sum(self.weights))
-            if abs(total - _SQRT_PI) > 1e-12 * _SQRT_PI:
-                raise DomainError("Gauss-Hermite weights must sum to sqrt(pi)")
-            if np.max(np.abs(self.nodes + self.nodes[::-1])) > 1e-13:
-                raise DomainError("Gauss-Hermite nodes must be symmetric about 0")
-        else:
-            _check_panel_boundaries(self.panels)
 
 
 def _check_panel_boundaries(boundaries):
     # at least one panel, with finite widths between finite, strictly
     # increasing boundaries; in Python floats, whose overflow is a silent inf
-    if boundaries is None or len(boundaries) < 2:
+    if len(boundaries) < 2:
         raise DomainError("panel rule requires at least one panel")
     widths = [b - a for a, b in zip(boundaries, boundaries[1:])]
     if not all(map(math.isfinite, (*boundaries, *widths))):
@@ -103,7 +85,12 @@ def _gauss_hermite_rule(order):
     )
     weights = np.exp(ln_pref - 2.0 * np.log(np.abs(order * h_prev)))
     weights.setflags(write=False)
-    return QuadratureRule("gauss-hermite", order, nodes, weights)
+    rule = QuadratureRule(nodes, weights)
+    if abs(float(np.sum(weights)) - _SQRT_PI) > 1e-12 * _SQRT_PI:
+        raise DomainError("Gauss-Hermite weights must sum to sqrt(pi)")
+    if np.max(np.abs(nodes + nodes[::-1])) > 1e-13:
+        raise DomainError("Gauss-Hermite nodes must be symmetric about 0")
+    return rule
 
 
 def legendre_panel_rule(order, boundaries):
@@ -112,7 +99,7 @@ def legendre_panel_rule(order, boundaries):
     boundaries = tuple(float(b) for b in boundaries)
     _check_panel_boundaries(boundaries)
     nodes, weights = specfun._panel_nodes(order, np.array(boundaries))
-    return QuadratureRule("legendre-panels", order, nodes, weights, panels=boundaries)
+    return QuadratureRule(nodes, weights)
 
 
 def integrate_panels(f, rule):

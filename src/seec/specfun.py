@@ -19,7 +19,8 @@ import numpy as np
 
 from . import _kernels
 from .errors import DomainError
-from .scalars import CONSTANTS, EVAL_N_MAX, ROOTS_N_MAX, _check_order, _LN2, _ln_norm
+from .scalars import CONSTANTS, DEFAULT_PANEL_ORDER, EVAL_N_MAX, ROOTS_N_MAX
+from .scalars import _check_order, _LN2, _ln_norm
 from .scalars import ln_factorial  # noqa: F401  (public here too)
 
 
@@ -161,19 +162,18 @@ def _k_cutoff(n):
 
 # ln|y| = _LN_ABS_C0 + int_0^inf (e^{-k^2/4} - cos ky) / k dk
 _LN_ABS_C0 = -(_LN2 + 0.5 * CONSTANTS.euler_gamma)
-_K_PANEL_ORDER = 48  # the panel quadrature's default, so its base rule is shared
 # radians of integrand phase per k panel: 48-point panels stay at roundoff
 # up to about 120
 _K_PANEL_PHASE = 80.0
 
 
-@lru_cache(maxsize=None)
 def _fourier_laguerre_rule(n, panels):
     """(k, c, a) for V_n on ``panels`` equal Gauss-Legendre panels over
     [0, 2 sqrt(2n+1) + 12]: the nodes k, the constant
     c = ln-constant + sum w e^{-k^2/4} / k, and a = w e^{-k^2/4} L_n(k^2/2) / k,
     so that -V_n(x) / (2^n n! sqrt(pi)) = c - sum a cos(k x)."""
-    k, w = _panel_nodes(_K_PANEL_ORDER, np.linspace(0.0, _k_cutoff(n), panels + 1))
+    # the panel quadrature's default order, so the two share one base rule
+    k, w = _panel_nodes(DEFAULT_PANEL_ORDER, np.linspace(0.0, _k_cutoff(n), panels + 1))
     w_over_k = w / k
     t = 0.5 * k * k
     gauss = np.exp(-0.5 * t)
@@ -182,9 +182,7 @@ def _fourier_laguerre_rule(n, panels):
     lag_prev, lag = np.zeros_like(k), gauss
     for j in range(n):
         lag_prev, lag = lag, ((2.0 * j + 1.0 - t) * lag - j * lag_prev) / (j + 1.0)
-    amplitude = w_over_k * lag
-    amplitude.setflags(write=False)
-    return k, _LN_ABS_C0 + float(np.dot(w_over_k, gauss)), amplitude
+    return k, _LN_ABS_C0 + float(np.dot(w_over_k, gauss)), w_over_k * lag
 
 
 def log_potential(n, x):

@@ -462,6 +462,28 @@ class TestStreamedOutput:
         cli._write_text("".join(chunks), str(tmp_path / "text.csv"))
         assert (tmp_path / "chunks.csv").read_bytes() == (tmp_path / "text.csv").read_bytes()
 
+    @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_new_file_mode_follows_the_umask(self, tmp_path, umask, mode):
+        out_path = tmp_path / "new.csv"
+        old = os.umask(umask)
+        try:
+            cli._write_text(iter(["a\n", "b\n"]), str(out_path))
+        finally:
+            os.umask(old)
+        assert out_path.stat().st_mode & 0o7777 == mode
+
+    def test_existing_file_keeps_its_mode(self, tmp_path):
+        out_path = tmp_path / "old.csv"
+        out_path.write_bytes(b"old bytes\n")
+        out_path.chmod(0o640)
+        old = os.umask(0o022)
+        try:
+            cli._write_text("new bytes\n", str(out_path))
+        finally:
+            os.umask(old)
+        assert out_path.stat().st_mode & 0o7777 == 0o640
+        assert out_path.read_bytes() == b"new bytes\n"
+
     def _patch_last_row(self, monkeypatch, value):
         rows_of = oscillator._wavefunction_rows
 

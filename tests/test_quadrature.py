@@ -65,6 +65,22 @@ class TestGaussHermiteRule:
         with pytest.raises(UnsupportedOrderError):
             quadrature.gauss_hermite_rule(65)
 
+    @pytest.mark.parametrize(
+        "order,nodes,message",
+        [
+            (2, [-0.8, 0.8], "sum to sqrt"),  # symmetric, weights sum to sqrt(pi) / 1.28
+            (1, [1e-6], "symmetric"),  # the order-1 weight is sqrt(pi) at any node
+        ],
+    )
+    def test_rejects_a_rule_off_its_guarantees(self, monkeypatch, order, nodes, message):
+        monkeypatch.setattr(specfun, "_roots_array", lambda n: np.array(nodes))
+        quadrature._gauss_hermite_rule.cache_clear()
+        try:
+            with pytest.raises(DomainError, match=message):
+                quadrature.gauss_hermite_rule(order)
+        finally:
+            quadrature._gauss_hermite_rule.cache_clear()
+
     def test_closed_form_agreement_through_n12(self):
         # sum w H_n^2 = 2^n n! sqrt(pi) and the z^2-weighted mirror
         for n in range(13):
