@@ -5,16 +5,18 @@ import numpy as np
 
 
 def hermite_pair(n, z):
-    """(H_n, H_{n-1}) at every element of ``z``, with H_{-1} = 0.
+    """(H_n, H_{n-1}) at every element of ``z``, with H_{-1} = 0, as two
+    arrays of ``z``'s shape (0-d for a scalar).
 
     One pass of the three-term recurrence H_{k+1} = 2 z H_k - 2 k H_{k-1},
-    vectorized over the evaluation points.  Each step runs in place in
-    three rotating buffers, in the operation order of the formula.
+    vectorized over the flattened evaluation points.  Each step runs in
+    place in three rotating buffers, in the operation order of the formula.
     """
-    z = np.ascontiguousarray(z, dtype=np.float64)
+    shape = np.shape(z)
+    z = np.ascontiguousarray(z, dtype=np.float64).reshape(-1)
     h_prev = np.ones_like(z)
     if n == 0:
-        return h_prev, np.zeros_like(z)
+        return h_prev.reshape(shape), np.zeros(shape)
     z2 = 2.0 * z
     h = z2.copy()
     spare = np.empty_like(z)
@@ -23,7 +25,7 @@ def hermite_pair(n, z):
         h_prev *= 2.0 * k
         spare -= h_prev
         h_prev, h, spare = h, spare, h_prev
-    return h, h_prev
+    return h.reshape(shape), h_prev.reshape(shape)
 
 
 def hermite_values(n, z):

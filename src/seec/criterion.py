@@ -72,18 +72,15 @@ def marginal(side, n, m, eta, u):
     u = np.asarray(u, dtype=np.float64)
     if not np.all(np.isfinite(u)):
         raise DomainError("coordinate must be finite")
-    scalar = u.ndim == 0
-    z = t * np.atleast_1d(u)
+    z = t * u
     with np.errstate(over="ignore", invalid="ignore"):
         gauss = np.exp(-z * z)
-        h = _kernels.hermite_values(order, np.ascontiguousarray(z))
+        h = _kernels.hermite_values(order, z)
         value = math.exp(ln_pref) * gauss * h * h
     # nan where H_n overflows and the Gaussian has underflowed to 0; the
     # true value rounds to 0 there
-    value[np.isnan(value) & (gauss == 0.0)] = 0.0
-    if scalar:
-        return float(value[0])
-    return value.reshape(u.shape)
+    value = np.where(np.isnan(value) & (gauss == 0.0), 0.0, value)
+    return float(value) if value.ndim == 0 else value
 
 
 def _entropy_from_i3(k, i3):

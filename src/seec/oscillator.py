@@ -163,11 +163,11 @@ def energy(mode, eta):
     return e
 
 
-def _sum_difference_sign(space, eta, alpha_deg):
-    # (sign, float eta) after the checks both eigenfunction routes make
-    # before any coordinate; sign is +1 in position and -1 in momentum
-    # space.  The angle test is written as "not within" so that a nan angle
-    # is rejected too.
+def _sum_difference_scales(space, eta, alpha_deg):
+    # the mode scales (t1, t2) after the checks both eigenfunction routes
+    # make before any coordinate: t1 = t(sign eta) and t2 = t(-sign eta),
+    # with sign +1 in position and -1 in momentum space.  The angle test is
+    # written as "not within" so that a nan angle is rejected too.
     if not abs(abs(alpha_deg) - 45.0) <= 1e-9:
         raise UnsupportedRegimeError(
             f"sum/difference form requires alpha = +/-45 degrees, got {alpha_deg}"
@@ -178,7 +178,7 @@ def _sum_difference_sign(space, eta, alpha_deg):
     eta = float(eta)
     if not math.isfinite(eta):
         raise DomainError(f"eta must be finite, got {eta}")
-    return sign, eta
+    return _mode_scale(eta, sign), _mode_scale(eta, -sign)
 
 
 def wavefunction(mode, eta, space, u_plus, u_minus, alpha_deg=45.0):
@@ -190,43 +190,42 @@ def wavefunction(mode, eta, space, u_plus, u_minus, alpha_deg=45.0):
     coordinate-change Jacobian 1/2 (the double integral of |Psi|^2 over
     the plane equals 2).
 
-    Accepts scalars or broadcastable arrays for the coordinates.  The
-    general-alpha eigenfunction is deliberately not provided: callers
-    outside |alpha| = 45 degrees get UnsupportedRegimeError instead of a
-    silently wrong formula.
+    Accepts scalars or broadcastable arrays for the coordinates; a float
+    when both are scalars, else an array of their broadcast shape.  Each
+    Hermite factor is evaluated on its own coordinate as given, before
+    broadcasting, so a tensor grid (u_plus[:, None], u_minus[None, :])
+    costs 2 x steps Hermite evaluations, not steps^2.  The general-alpha
+    eigenfunction is deliberately not provided: callers outside
+    |alpha| = 45 degrees get UnsupportedRegimeError instead of a silently
+    wrong formula.
     """
     import numpy as np
 
     from . import _kernels
 
-    sign, eta = _sum_difference_sign(space, eta, alpha_deg)
+    t1, t2 = _sum_difference_scales(space, eta, alpha_deg)
     up = np.asarray(u_plus, dtype=np.float64)
     um = np.asarray(u_minus, dtype=np.float64)
     if not (np.all(np.isfinite(up)) and np.all(np.isfinite(um))):
         raise DomainError("coordinates must be finite")
-    scalar = up.ndim == 0 and um.ndim == 0
-    up, um = np.broadcast_arrays(up, um)
     if alpha_deg > 0.0:
         g1, g2 = um, up
     else:
         # alpha = -45: mode 1 couples to the sum coordinate and the
         # difference coordinate enters with a sign flip
         g1, g2 = up, -um
-    t1, t2 = _mode_scale(eta, sign), _mode_scale(eta, -sign)
     with np.errstate(over="ignore", invalid="ignore"):
         arg1 = t1 * g1
         arg2 = t2 * g2
         gauss = np.exp(-0.5 * (arg1 * arg1 + arg2 * arg2))
-        h1 = _kernels.hermite_values(mode.n, arg1.ravel()).reshape(arg1.shape)
-        h2 = _kernels.hermite_values(mode.m, arg2.ravel()).reshape(arg2.shape)
+        h1 = _kernels.hermite_values(mode.n, arg1)
+        h2 = _kernels.hermite_values(mode.m, arg2)
         value = mode.c1 * mode.c2 * gauss * h1 * h2
     # far out the recurrence overflows to inf (or inf - inf) where the
     # Gaussian has underflowed to 0; the product, whose true value rounds
     # to 0 there, is then nan
     value = np.where(np.isnan(value) & (gauss == 0.0), 0.0, value)
-    if scalar:
-        return float(value)
-    return value
+    return float(value) if value.ndim == 0 else value
 
 
 def _hermite_list(n, zs):
@@ -257,8 +256,7 @@ def _wavefunction_rows(mode, eta, space, grid):
     values equal the array form's bit for bit wherever math.exp and numpy's
     exp agree; the two may differ by 1 ulp.
     """
-    sign, eta = _sum_difference_sign(space, eta, 45.0)
-    t1, t2 = _mode_scale(eta, sign), _mode_scale(eta, -sign)
+    t1, t2 = _sum_difference_scales(space, eta, 45.0)
     a1 = [t1 * u for u in grid]
     a2 = [t2 * u for u in grid]
     columns = list(zip([a * a for a in a1], _hermite_list(mode.n, a1)))

@@ -67,18 +67,20 @@ def _check_panel_boundaries(boundaries):
 def gauss_hermite_rule(order):
     """Gauss-Hermite rule of the given order (1 <= order <= 64).
 
-    Nodes are the polished Jacobi-matrix roots of H_order; weights come
-    from the analytic identity w_i = 2^{n-1} n! sqrt(pi) / (n H_{n-1}(x_i))^2
-    evaluated in the log domain.  A rule of order q integrates
-    z^p e^{-z^2} exactly (to roundoff) for p <= 2q - 1.  Validated on every
-    call, then built once per order.
+    The nodes are the roots of H_order from the validated root set that
+    ``specfun.hermite_roots`` shares (the same array object, checked for
+    count, order, symmetry and Newton residual); weights come from the
+    analytic identity w_i = 2^{n-1} n! sqrt(pi) / (n H_{n-1}(x_i))^2
+    evaluated in the log domain and must sum to sqrt(pi).  A rule of order
+    q integrates z^p e^{-z^2} exactly (to roundoff) for p <= 2q - 1.
+    Validated on every call, then built once per order.
     """
     return _gauss_hermite_rule(_check_order(order, GAUSS_HERMITE_MAX_ORDER, n_min=1))
 
 
 @lru_cache(maxsize=None)
 def _gauss_hermite_rule(order):
-    nodes = specfun._roots_array(order)
+    nodes = specfun._root_set(order).roots
     h_prev = _kernels.hermite_values(order - 1, nodes)
     ln_pref = (
         (order - 1) * math.log(2.0) + ln_factorial(order) + 0.5 * math.log(math.pi)
@@ -88,8 +90,6 @@ def _gauss_hermite_rule(order):
     rule = QuadratureRule(nodes, weights)
     if abs(float(np.sum(weights)) - _SQRT_PI) > 1e-12 * _SQRT_PI:
         raise DomainError("Gauss-Hermite weights must sum to sqrt(pi)")
-    if np.max(np.abs(nodes + nodes[::-1])) > 1e-13:
-        raise DomainError("Gauss-Hermite nodes must be symmetric about 0")
     return rule
 
 

@@ -33,7 +33,7 @@ def hermite_values(n, z):
     if not np.all(np.isfinite(z)):
         raise DomainError("evaluation points must be finite")
     h = _kernels.hermite_values(n, z)
-    return float(h[0]) if z.ndim == 0 else h
+    return float(h) if h.ndim == 0 else h
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,10 +61,17 @@ class RootSet:
             raise DomainError(f"root {r[i]} has residual {hn[i]} above tolerance")
 
 
-def _roots_array(n):
+def hermite_roots(n):
+    """RootSet of H_n for 0 <= n <= ROOTS_N_MAX (n = 0 gives an empty set).
+    Validated on every call, then built once per order."""
+    return _root_set(_check_order(n, ROOTS_N_MAX))
+
+
+@lru_cache(maxsize=None)
+def _root_set(n):
     # Jacobi-matrix eigenvalues (off-diagonal sqrt(k/2)) polished by two
     # Newton steps with H_n' = 2 n H_{n-1}; supports n <= EVAL_N_MAX for
-    # internal quadrature use.
+    # the Gauss-Hermite rules, which take their nodes from here
     if n == 0:
         roots = np.empty(0)
     elif n == 1:
@@ -78,18 +85,7 @@ def _roots_array(n):
             roots = roots - hn / (2.0 * n * hm1)
         roots = 0.5 * (roots - roots[::-1])
     roots.setflags(write=False)
-    return roots
-
-
-def hermite_roots(n):
-    """RootSet of H_n for 0 <= n <= ROOTS_N_MAX (n = 0 gives an empty set).
-    Validated on every call, then built once per order."""
-    return _root_set(_check_order(n, ROOTS_N_MAX))
-
-
-@lru_cache(maxsize=None)
-def _root_set(n):
-    return RootSet(n=n, roots=_roots_array(n))
+    return RootSet(n=n, roots=roots)
 
 
 def _legendre_series(x, coef):

@@ -228,7 +228,7 @@ def test_criterion_10_cli_reproduction():
         closed = {c["name"]: c for c in payload["checks"] if c["name"].startswith("I3closed[")}
         verify_ok = (
             payload["pass"] is True
-            and all(c["status"] in ("ok", "report") for c in payload["checks"])
+            and all(c["status"] == "ok" for c in payload["checks"])
             and sorted(closed) == sorted(f"I3closed[{n}]" for n in range(9))
             and all(c["normative"] and c["status"] == "ok" for c in closed.values())
         )

@@ -49,6 +49,19 @@ class TestHermiteValues:
         np.testing.assert_array_equal(first, second)
 
 
+class TestHermitePairShape:
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 32])
+    def test_keeps_the_input_shape(self, n):
+        # 0-d in, 0-d out, and each shape has the bits of the flattened call
+        z = np.linspace(-7.0, 7.0, 24)
+        for shaped in (1.25, np.array(z[5]), z, z.reshape(4, 6), z.reshape(6, 4).T):
+            shape = np.shape(shaped)
+            flat = _kernels.hermite_pair(n, np.ravel(shaped))
+            for got, expected in zip(_kernels.hermite_pair(n, shaped), flat):
+                assert got.shape == shape
+                assert got.tobytes() == expected.tobytes()
+
+
 class TestEntropyWeightedSum:
     def test_matches_explicit_formula(self):
         nodes, weights = _panel_inputs(3)

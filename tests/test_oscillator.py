@@ -252,3 +252,21 @@ class TestWavefunction:
             oscillator.ModePair(1, 1), 0.2, "position", grid[:, None], grid[None, :]
         )
         assert values.shape == (5, 5)
+
+    @pytest.mark.parametrize("space", ["position", "momentum"])
+    @pytest.mark.parametrize("alpha_deg", [45.0, -45.0])
+    def test_tensor_grid_equals_broadcast_grid_bit_for_bit(self, space, alpha_deg):
+        # each Hermite factor is evaluated on its own axis before the
+        # product broadcasts; the values are those of the full grid, with
+        # far-out points where H_n overflows and the Gaussian underflows
+        grid = np.concatenate((np.linspace(-8.0, 8.0, 77), [-5e4, -40.0, 40.0, 5e4]))
+        for n, m in ((0, 0), (3, 1), (12, 11), (64, 40)):
+            mode = oscillator.ModePair(n, m)
+            outer = oscillator.wavefunction(
+                mode, 0.4, space, grid[:, None], grid[None, :], alpha_deg
+            )
+            full = oscillator.wavefunction(
+                mode, 0.4, space, *np.broadcast_arrays(grid[:, None], grid[None, :]), alpha_deg
+            )
+            assert outer.shape == (81, 81)
+            assert outer.tobytes() == full.tobytes()

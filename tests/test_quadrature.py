@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -59,6 +60,13 @@ class TestGaussHermiteRule:
                 exact = _double_factorial_moment(p // 2)
                 assert abs(computed - exact) <= 1e-12 * exact
 
+    def test_nodes_are_the_shared_root_set(self):
+        for n in range(1, specfun.ROOTS_N_MAX + 1):
+            assert quadrature.gauss_hermite_rule(n).nodes is specfun.hermite_roots(n).roots
+        # the orders past the public root cap pass RootSet's checks too
+        for n in range(1, quadrature.GAUSS_HERMITE_MAX_ORDER + 1):
+            assert len(quadrature.gauss_hermite_rule(n).nodes) == n
+
     def test_order_bounds(self):
         with pytest.raises(UnsupportedOrderError):
             quadrature.gauss_hermite_rule(0)
@@ -73,7 +81,10 @@ class TestGaussHermiteRule:
         ],
     )
     def test_rejects_a_rule_off_its_guarantees(self, monkeypatch, order, nodes, message):
-        monkeypatch.setattr(specfun, "_roots_array", lambda n: np.array(nodes))
+        # the asymmetric node meets RootSet's checks; the symmetric pair off
+        # the roots is patched in bare, so the weight-sum check must catch it
+        make = specfun.RootSet if message == "symmetric" else SimpleNamespace
+        monkeypatch.setattr(specfun, "_root_set", lambda n: make(n=n, roots=np.array(nodes)))
         quadrature._gauss_hermite_rule.cache_clear()
         try:
             with pytest.raises(DomainError, match=message):
