@@ -243,11 +243,11 @@ def _cmd_sweep(args):
 
 def _cmd_threshold(args):
     from . import criterion
-    from .scalars import _check_order
+    from .scalars import N_MAX, _check_order
 
     # checked once here, so each entry is a bare table read
     for name, v in (("n-max", args.n_max), ("m-max", args.m_max)):
-        _check_order(v, criterion.MODE_N_MAX, name)
+        _check_order(v, N_MAX, name)
     ms = range(args.m_max + 1)
     table = [
         _finite("eta0", [criterion._eta0(n, m) for m in ms])

@@ -26,15 +26,14 @@ from dataclasses import dataclass
 from .errors import DomainError
 from .scalars import (
     I3_CLOSED_TABLE,
-    ROOTS_N_MAX,
+    N_MAX,
     S_TABLE,
+    _check_mode_pair,
     _check_order,
     _LN2,
     _ln_norm,
     _mode_scale,
 )
-
-MODE_N_MAX = ROOTS_N_MAX
 
 _SIDES = ("w_minus", "v_plus")
 
@@ -43,10 +42,6 @@ def _ln_t(eta):
     # kept linear in eta (not log(t)) so entropies are exactly linear, and
     # finite for every finite eta, where t itself overflows above ~1419
     return 0.5 * eta - 0.5 * _LN2
-
-
-def _check_mode(n, m):
-    return _check_order(n, MODE_N_MAX, "n"), _check_order(m, MODE_N_MAX, "m")
 
 
 def marginal(side, n, m, eta, u):
@@ -60,7 +55,7 @@ def marginal(side, n, m, eta, u):
 
     from . import _kernels
 
-    n, m = _check_mode(n, m)
+    n, m = _check_mode_pair(n, m)
     if side not in _SIDES:
         raise DomainError(f"side must be one of {_SIDES}, got {side!r}")
     eta = float(eta)
@@ -99,7 +94,7 @@ def standard_entropy(k):
     integer, np.int64(k) too).  Another panel order is
     _entropy_from_i3(k, quadrature.entropy_integral_numeric(k, order)).
     """
-    return S_TABLE[_check_order(k, MODE_N_MAX, "k")]
+    return S_TABLE[_check_order(k, N_MAX, "k")]
 
 
 def _eta0(n, m):
@@ -145,7 +140,7 @@ def threshold_eta0(n, m):
     (S_k - S_0) because 2 S_0 + ln 2 - ln(2 pi e) vanishes identically,
     which keeps the ground-state threshold an exact zero.
     """
-    return _eta0(*_check_mode(n, m))
+    return _eta0(*_check_mode_pair(n, m))
 
 
 def _verdict(eta0, eta):
@@ -157,7 +152,7 @@ def _verdict(eta0, eta):
 
 def criterion_f(n, m, eta):
     """EntropyReport at coupling eta; f = eta0 - eta exactly."""
-    n, m = _check_mode(n, m)
+    n, m = _check_mode_pair(n, m)
     eta = float(eta)
     if not math.isfinite(eta):
         raise DomainError(f"eta must be finite, got {eta}")

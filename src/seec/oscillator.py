@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import DomainError, UnboundModeError, UnsupportedRegimeError
-from .scalars import EVAL_N_MAX, _check_order, _ln_norm, _mode_scale
+from .scalars import _check_mode_pair, _ln_norm, _mode_scale
 
 DEGENERACY_THRESHOLD = 1e-12
 
@@ -142,8 +142,7 @@ class ModePair:
     c2: float = field(init=False)
 
     def __post_init__(self):
-        n = _check_order(self.n, EVAL_N_MAX, "n")
-        m = _check_order(self.m, EVAL_N_MAX, "m")
+        n, m = _check_mode_pair(self.n, self.m)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "c1", _norm_constant(n))

@@ -24,14 +24,12 @@ from .errors import DomainError, IntegrandEvaluationError
 from .scalars import (
     CONSTANTS,
     DEFAULT_PANEL_ORDER,
-    EVAL_N_MAX,
-    ROOTS_N_MAX,
+    N_MAX,
     _check_order,
     _check_panel_order,
     ln_factorial,
 )
 
-GAUSS_HERMITE_MAX_ORDER = EVAL_N_MAX
 _MAX_PANEL_WIDTH = 2.0
 _SQRT_PI = CONSTANTS.sqrt_pi
 
@@ -65,7 +63,7 @@ def _check_panel_boundaries(boundaries):
 
 
 def gauss_hermite_rule(order):
-    """Gauss-Hermite rule of the given order (1 <= order <= 64).
+    """Gauss-Hermite rule of the given order (1 <= order <= N_MAX).
 
     The nodes are the roots of H_order from the validated root set that
     ``specfun.hermite_roots`` shares (the same array object, checked for
@@ -75,7 +73,7 @@ def gauss_hermite_rule(order):
     q integrates z^p e^{-z^2} exactly (to roundoff) for p <= 2q - 1.
     Validated on every call, then built once per order.
     """
-    return _gauss_hermite_rule(_check_order(order, GAUSS_HERMITE_MAX_ORDER, n_min=1))
+    return _gauss_hermite_rule(_check_order(order, N_MAX, n_min=1))
 
 
 @lru_cache(maxsize=None)
@@ -144,7 +142,7 @@ def entropy_panel_boundaries(n):
     all.  Panels away from roots are at most 2 wide.  Validated on every
     call, then built once per order.
     """
-    return _entropy_panel_boundaries(_check_order(n, ROOTS_N_MAX))[0]
+    return _entropy_panel_boundaries(_check_order(n, N_MAX))[0]
 
 
 @lru_cache(maxsize=None)
@@ -200,7 +198,7 @@ def entropy_integral_numeric(n, panel_order=DEFAULT_PANEL_ORDER):
     1e-40 of the result.  Each (n, panel_order) is integrated once per
     process, however the call spells it.
     """
-    n = _check_order(n, ROOTS_N_MAX)
+    n = _check_order(n, N_MAX)
     return _entropy_integral(n, _check_panel_order(panel_order))
 
 

@@ -1,4 +1,4 @@
-"""The scalar decisions that load without numpy: the order caps and the one
+"""The scalar decisions that load without numpy: the order cap and the one
 order check, the constants, ln(n!), the Hermite norm, the mode scale
 t = e^{eta/2}/sqrt(2), and the frozen tables of S_k and of its oracle I3(k).
 
@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, UnsupportedOrderError
 
-ROOTS_N_MAX = 32  # largest order with root-finding support
-EVAL_N_MAX = 64  # largest order for polynomial evaluation
+N_MAX = 64  # largest Hermite order: of every root set, rule, mode, entropy and table entry
 DEFAULT_PANEL_ORDER = 48  # Gauss-Legendre points per panel of the entropy quadrature
 PANEL_ORDER_MAX = 256  # largest panel order: its base rule is an order x order eigenproblem
 
@@ -54,6 +53,10 @@ def _check_order(n, n_max=math.inf, what="order", n_min=0):
     return n
 
 
+def _check_mode_pair(n, m):
+    return _check_order(n, N_MAX, "n"), _check_order(m, N_MAX, "m")
+
+
 def _check_panel_order(order):
     return _check_order(order, PANEL_ORDER_MAX, "panel order", n_min=1)
 
@@ -82,11 +85,11 @@ def _mode_scale(eta, sign=1.0):
 
 
 # S_k, the Shannon entropy of the unit-scale level-k density
-# e^{-z^2} H_k(z)^2 / (2^k k! sqrt(pi)), for k = 0..ROOTS_N_MAX at
+# e^{-z^2} H_k(z)^2 / (2^k k! sqrt(pi)), for k = 0..N_MAX at
 # DEFAULT_PANEL_ORDER: the panel quadrature's own values, written out with
 # repr so that each literal reads back as the same double, as printed by
 #   [criterion._entropy_from_i3(k, quadrature.entropy_integral_numeric(k))
-#    for k in range(33)]
+#    for k in range(N_MAX + 1)]
 # verify checks every row against the live quadrature and against the
 # closed form, and tests/test_criterion.py recomputes the whole table.
 S_TABLE = (
@@ -123,13 +126,45 @@ S_TABLE = (
     2.4415118086940026,
     2.45507845119684,
     2.4682467197741005,
+    2.481039760881231,
+    2.4934787449122098,
+    2.5055830859031403,
+    2.517370631453474,
+    2.5288578275674354,
+    2.54005986230527,
+    2.550990791456968,
+    2.5616636488116455,
+    2.5720905433695407,
+    2.582282745122228,
+    2.5922507611778087,
+    2.602004403381329,
+    2.6115528485800894,
+    2.620904692485226,
+    2.6300679979297,
+    2.63905033822428,
+    2.647858836128819,
+    2.6565001990517487,
+    2.6649807508458423,
+    2.673306460716816,
+    2.6814829691643354,
+    2.689515611964339,
+    2.6974094417715833,
+    2.7051692477932647,
+    2.7127995739574544,
+    2.720304735400134,
+    2.7276888336797924,
+    2.734955770639658,
+    2.74210926120395,
+    2.749152845276001,
+    2.7560898985059907,
+    2.7629236423775865,
 )
 
 
 # I3(k) by the closed form from the logarithmic potential, for
-# k = 0..ROOTS_N_MAX: the independent oracle of the quadrature behind
+# k = 0..N_MAX: the independent oracle of the quadrature behind
 # S_TABLE, written out with repr as printed by
-#   [specfun.entropy_integral_closed_form(k) for k in range(33)]
+#   [specfun.entropy_integral_closed_form(k) for k in range(N_MAX + 1)]
 # criterion_f reports its disagreement with S_TABLE as oracle_delta; verify
 # checks every row against the live closed form, and
 # tests/test_criterion.py recomputes the whole table.
@@ -167,4 +202,36 @@ I3_CLOSED_TABLE = (
     6.263959388662837e+43,
     4.043702943658249e+45,
     2.691044626268025e+47,
+    1.844530563145804e+49,
+    1.30109229853419e+51,
+    9.437171942416865e+52,
+    7.033313176621672e+54,
+    5.382107023343772e+56,
+    4.2259541744405495e+58,
+    3.40249714698021e+60,
+    2.807406708067697e+62,
+    2.3724340389588565e+64,
+    2.052213943660952e+66,
+    1.8161853821257493e+68,
+    1.6435630934765696e+70,
+    1.5201639230217009e+72,
+    1.4363835711281628e+74,
+    1.3859033140175114e+76,
+    1.3648733396018802e+78,
+    1.3714201107262607e+80,
+    1.4053879824543196e+82,
+    1.4682665617712984e+84,
+    1.563284896529134e+86,
+    1.6956779410461233e+88,
+    1.8731546388831676e+90,
+    2.1066247090173049e+92,
+    2.4112776723247812e+94,
+    2.808159232533005e+96,
+    3.326466176170398e+98,
+    4.006895760975912e+100,
+    4.906561500294319e+102,
+    6.106259917217572e+104,
+    7.721299462694985e+106,
+    9.917776202171531e+108,
+    1.2937252941487194e+111,
 )

@@ -1,7 +1,7 @@
 """Hermite polynomials and their roots, the Gauss-Legendre base rule (built
 without numpy.polynomial) and its composite panel rule, and the logarithmic
 potential V_n with the closed-form entropy integral built on it.  The order
-caps, the order check, the constants, ln(n!) and the Hermite norm come from
+cap, the order check, the constants, ln(n!) and the Hermite norm come from
 ``scalars``.
 
 Everything here is a pure function of its arguments.  Cached values (root
@@ -19,7 +19,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import DomainError
-from .scalars import CONSTANTS, DEFAULT_PANEL_ORDER, EVAL_N_MAX, ROOTS_N_MAX
+from .scalars import CONSTANTS, DEFAULT_PANEL_ORDER, N_MAX
 from .scalars import _check_order, _LN2, _ln_norm
 from .scalars import ln_factorial  # noqa: F401  (public here too)
 
@@ -28,7 +28,7 @@ def hermite_values(n, z):
     """H_n at every point of ``z`` by the recurrence H_{k+1} = 2 z H_k - 2 k H_{k-1}
     (never expanded coefficients, which lose precision and overflow near n = 30).
     A float for a scalar ``z``, else an array of its shape."""
-    n = _check_order(n, EVAL_N_MAX)
+    n = _check_order(n, N_MAX)
     z = np.asarray(z, dtype=np.float64)
     if not np.all(np.isfinite(z)):
         raise DomainError("evaluation points must be finite")
@@ -62,16 +62,15 @@ class RootSet:
 
 
 def hermite_roots(n):
-    """RootSet of H_n for 0 <= n <= ROOTS_N_MAX (n = 0 gives an empty set).
-    Validated on every call, then built once per order."""
-    return _root_set(_check_order(n, ROOTS_N_MAX))
+    """RootSet of H_n for 0 <= n <= N_MAX (n = 0 gives an empty set), the
+    Gauss-Hermite nodes too.  Validated on every call, then built once."""
+    return _root_set(_check_order(n, N_MAX))
 
 
 @lru_cache(maxsize=None)
 def _root_set(n):
     # Jacobi-matrix eigenvalues (off-diagonal sqrt(k/2)) polished by two
-    # Newton steps with H_n' = 2 n H_{n-1}; supports n <= EVAL_N_MAX for
-    # the Gauss-Hermite rules, which take their nodes from here
+    # Newton steps with H_n' = 2 n H_{n-1}
     if n == 0:
         roots = np.empty(0)
     elif n == 1:
@@ -196,7 +195,7 @@ def log_potential(n, x):
     scalar or an array of points with |x| <= sqrt(2n + 1) + 10 (the
     entropy window); returns a float or an array of the same shape.
     """
-    n = _check_order(n, ROOTS_N_MAX)
+    n = _check_order(n, N_MAX)
     if n == 0:
         raise DomainError("V_n requires n >= 1 (H_0 has no roots)")
     x = np.asarray(x, dtype=np.float64)
@@ -225,7 +224,7 @@ def entropy_integral_closed_form(n):
     independent oracle of the panel quadrature in ``quadrature``, which
     stays the normative route.
     """
-    n = _check_order(n, ROOTS_N_MAX)
+    n = _check_order(n, N_MAX)
     if n == 0:
         return 0.0
     v_sum = math.fsum(log_potential(n, hermite_roots(n).roots))

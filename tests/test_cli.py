@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from seec import cli, criterion, oscillator, svgplot
 from seec.errors import DomainError
+from seec.scalars import N_MAX
 from test_golden import GOLDEN
 
 
@@ -105,7 +106,7 @@ class TestSweep:
         assert "n:m" in err
 
     def test_mode_order_out_of_range(self):
-        code, _, err = run_cli("sweep", "--modes", "40:0")
+        code, _, err = run_cli("sweep", "--modes", f"{N_MAX + 1}:0")
         assert code == 1
 
 
@@ -156,7 +157,7 @@ class TestSweepGrid:
         np.testing.assert_array_equal(eta.view(np.uint64), np.tile(grid, len(pairs)).view(np.uint64))
 
 
-_MODES = st.lists(st.tuples(st.integers(0, 32), st.integers(0, 32)), min_size=1, max_size=4)
+_MODES = st.lists(st.tuples(st.integers(0, N_MAX), st.integers(0, N_MAX)), min_size=1, max_size=4)
 _ETA0_11 = criterion.threshold_eta0(1, 1)
 
 
@@ -282,7 +283,7 @@ class TestThreshold:
                 assert table[(str(n), str(m))] == table[(str(m), str(n))]
 
     def test_rejects_out_of_range(self):
-        code, _, err = run_cli("threshold", "--n-max", "33")
+        code, _, err = run_cli("threshold", "--n-max", str(N_MAX + 1))
         assert code == 1
         assert "n-max" in err
 
@@ -301,11 +302,13 @@ class TestCriterionCommand:
         assert abs(payload["alt_f"] - (payload["eta0"] + 0.3)) <= 1e-12
 
     def test_oracle_delta_reported_at_every_order(self):
-        for n, m in (("2", "2"), ("32", "7")):
-            code, out, _ = run_cli("criterion", "--n", n, "--m", m, "--eta", "0.1")
-            assert code == 0
-            delta = json.loads(out)["oracle_delta"]
-            assert isinstance(delta, float) and 0.0 <= delta <= 1e-10
+        for k in range(N_MAX + 1):
+            delta = criterion.criterion_f(k, k, 0.1).oracle_delta
+            assert isinstance(delta, float) and 0.0 <= delta <= 1e-10, k
+        top = str(N_MAX)
+        code, out, _ = run_cli("criterion", "--n", top, "--m", top, "--eta", "0.1")
+        assert code == 0
+        assert json.loads(out)["oracle_delta"] == delta
 
 
 class TestDiagonalize:
@@ -560,8 +563,8 @@ CLI_ARGV = st.one_of(
         "format": st.sampled_from(("csv", "json")),
     }),
     _command("threshold", {
-        "n-max": st.integers(-1, 33),
-        "m-max": st.integers(-1, 33),
+        "n-max": st.integers(-1, N_MAX + 1),
+        "m-max": st.integers(-1, N_MAX + 1),
         "format": st.sampled_from(("csv", "json")),
     }),
     _command("criterion", {"n": _ORDER, "m": _ORDER, "eta": _FINITE}),
@@ -689,5 +692,5 @@ class TestInProcess:
     def test_domain_error_maps_to_exit_one(self, capsys):
         from seec import cli
 
-        assert cli.main(["criterion", "--n", "40"]) == 1
+        assert cli.main(["criterion", "--n", str(N_MAX + 1)]) == 1
         assert "error" in capsys.readouterr().err

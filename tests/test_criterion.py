@@ -122,10 +122,11 @@ class TestIntegralBundle:
                 )
 
     def test_order_cap(self):
+        criterion.criterion_f(scalars.N_MAX, 0, 0.0)
         with pytest.raises(UnsupportedOrderError):
-            criterion.criterion_f(33, 0, 0.0)
+            criterion.criterion_f(scalars.N_MAX + 1, 0, 0.0)
         with pytest.raises(UnsupportedOrderError):
-            criterion.marginal("v_plus", 0, 33, 0.0, 0.0)
+            criterion.marginal("v_plus", 0, scalars.N_MAX + 1, 0.0, 0.0)
 
 
 class TestMarginal:
@@ -241,7 +242,7 @@ class TestStandardEntropy:
     def test_integer_spellings_read_the_table(self):
         for k in (4, np.int64(4), np.int32(4)):
             assert criterion.standard_entropy(k) == scalars.S_TABLE[4]
-        for bad in (4.0, True, np.True_, np.array(4), -1, criterion.MODE_N_MAX + 1):
+        for bad in (4.0, True, np.True_, np.array(4), -1, scalars.N_MAX + 1):
             with pytest.raises(DomainError):
                 criterion.standard_entropy(bad)
 
@@ -253,28 +254,47 @@ class TestStandardEntropy:
 
 class TestEntropyTable:
     def test_one_entry_per_mode_order(self):
-        assert len(scalars.S_TABLE) == criterion.MODE_N_MAX + 1
+        assert len(scalars.S_TABLE) == scalars.N_MAX + 1
 
-    @pytest.mark.parametrize("k", range(criterion.MODE_N_MAX + 1))
+    def test_every_entry_is_below_the_gaussian_bound(self):
+        # the level-k density has variance k + 1/2, and no density of that
+        # variance has more entropy than the Gaussian's 1/2 ln(pi e (2k + 1));
+        # only the ground state is Gaussian.  Exact, with no quadrature
+        for k, s_k in enumerate(scalars.S_TABLE):
+            bound = 0.5 * math.log(math.pi * math.e * (2 * k + 1))
+            if k == 0:
+                assert abs(s_k - bound) <= 4 * math.ulp(bound)
+            else:
+                assert bound - s_k >= 0.27, k
+
+    def test_threshold_is_below_the_variance_threshold(self):
+        # eta0(n, m) <= 1/2 ln((2n + 1)(2m + 1)), the same bound on the
+        # excess entropies: the product-variance criterion never detects first
+        for n in range(scalars.N_MAX + 1):
+            for m in range(scalars.N_MAX + 1):
+                eta_var = 0.5 * math.log((2 * n + 1) * (2 * m + 1))
+                assert criterion.threshold_eta0(n, m) <= eta_var, (n, m)
+
+    @pytest.mark.parametrize("k", range(scalars.N_MAX + 1))
     def test_is_the_default_quadrature_bit_for_bit(self, k):
         # the assumption tests/test_golden.py makes: the quadrature rounds
         # here as it did where the table was written
         i3 = quadrature.entropy_integral_numeric(k, scalars.DEFAULT_PANEL_ORDER)
         assert scalars.S_TABLE[k] == criterion._entropy_from_i3(k, i3)
 
-    @pytest.mark.parametrize("k", range(criterion.MODE_N_MAX + 1))
+    @pytest.mark.parametrize("k", range(scalars.N_MAX + 1))
     def test_closed_form_table_is_the_live_closed_form_bit_for_bit(self, k):
-        assert len(scalars.I3_CLOSED_TABLE) == criterion.MODE_N_MAX + 1
+        assert len(scalars.I3_CLOSED_TABLE) == scalars.N_MAX + 1
         assert scalars.I3_CLOSED_TABLE[k] == specfun.entropy_integral_closed_form(k)
 
     def test_oracle_delta_is_the_live_one(self):
         # criterion_f reads the tables; the live route gives the same bits
         live = [
             criterion._oracle_delta(k, specfun.entropy_integral_closed_form(k))
-            for k in range(criterion.MODE_N_MAX + 1)
+            for k in range(scalars.N_MAX + 1)
         ]
-        for n in range(criterion.MODE_N_MAX + 1):
-            for m in range(criterion.MODE_N_MAX + 1):
+        for n in range(scalars.N_MAX + 1):
+            for m in range(scalars.N_MAX + 1):
                 assert criterion.criterion_f(n, m, 0.25).oracle_delta == max(live[n], live[m])
 
 
@@ -380,11 +400,11 @@ class TestCriterionF:
             criterion.criterion_f(0, 0, math.nan)
 
     def test_every_field_of_the_table_is_pinned(self):
-        # the repr of each field of every report over all 33x33 mode pairs
-        # at three couplings, hashed
+        # the repr of each field of every report over the 33x33 mode pairs
+        # n, m <= 32 at three couplings, hashed
         digest = hashlib.sha256()
-        for n in range(criterion.MODE_N_MAX + 1):
-            for m in range(criterion.MODE_N_MAX + 1):
+        for n in range(33):
+            for m in range(33):
                 for eta in (-1.3, 0.0, 0.4):
                     digest.update(repr(astuple(criterion.criterion_f(n, m, eta))).encode())
         assert digest.hexdigest() == (
@@ -410,7 +430,7 @@ class TestCriterionCurve:
         with pytest.raises(DomainError):
             criterion.criterion_curve(0, 0, [0.0, math.inf])
         with pytest.raises(UnsupportedOrderError):
-            criterion.criterion_curve(33, 0, [0.0])
+            criterion.criterion_curve(scalars.N_MAX + 1, 0, [0.0])
 
 
 class TestThreshold:

@@ -64,15 +64,18 @@ NUMPY_FREE_COMMANDS = [
     (("diagonalize", "--m1", "2", "--A", "3", "--B", "1.5", "--C", "0.4"), None),
     (("criterion",), None),
     (("criterion", "--n", "32", "--m", "7", "--eta", "-1e-3"), None),
+    (("criterion", "--n", "64", "--m", "64"), None),
     (("threshold",), 36),
     (("threshold", "--format", "json"), 36),
     (("threshold", "--n-max", "32", "--m-max", "32"), 33 * 33),
     (("threshold", "--n-max", "32", "--m-max", "32", "--format", "json"), 33 * 33),
+    (("threshold", "--n-max", "64", "--m-max", "64"), 65 * 65),
     (("sweep",), 4 * 201),
     (("sweep", "--format", "json"), 4 * 201),
     (("sweep", "--modes", "0:0,1:1,2:3", "--steps", "2001", "--svg", "plot.svg"), 3 * 2001),
     (("sweep", "--modes", "0:0,32:32", "--eta-min", "-1e-3", "--format", "json", "--svg",
       "plot.svg"), 2 * 201),
+    (("sweep", "--modes", "64:64"), 201),
     (("wavefunction",), 41 * 41),
     (("wavefunction", "--n", "2", "--m", "1", "--eta", "0.7", "--space", "momentum"), 41 * 41),
     (("wavefunction", "--n", "12", "--m", "11", "--space", "momentum", "--steps", "401"),
@@ -107,10 +110,10 @@ def test_scalar_commands_skip_numpy(args, records, dest, tmp_path):
 
 
 def test_scalar_errors_skip_numpy():
-    for args in (("threshold", "--n-max", "33"), ("criterion", "--n", "33")):
-        code, out, lines, numpy_imported = run_cli(*args)
-        assert code == 1 and out == "" and len(lines) == 1
-        assert lines[0].startswith("seec: error: ")
+    for command, flag in (("threshold", "n-max"), ("criterion", "n")):
+        code, out, lines, numpy_imported = run_cli(command, f"--{flag}", "65")
+        assert code == 1 and out == ""
+        assert lines == [f"seec: error: {flag} must be in [0, 64], got 65"]
         assert not numpy_imported
 
 

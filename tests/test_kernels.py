@@ -106,7 +106,7 @@ class TestInPlaceBitIdentity:
         points = _recurrence_points()
         z = np.array(points)
         reached = set()
-        for n in range(scalars.EVAL_N_MAX + 1):
+        for n in range(scalars.N_MAX + 1):
             with np.errstate(over="ignore", invalid="ignore"):
                 expected = _kernels.hermite_pair(n, z)[0]
             got = np.array(oscillator._hermite_list(n, points))

@@ -61,11 +61,8 @@ class TestGaussHermiteRule:
                 assert abs(computed - exact) <= 1e-12 * exact
 
     def test_nodes_are_the_shared_root_set(self):
-        for n in range(1, specfun.ROOTS_N_MAX + 1):
+        for n in range(1, scalars.N_MAX + 1):
             assert quadrature.gauss_hermite_rule(n).nodes is specfun.hermite_roots(n).roots
-        # the orders past the public root cap pass RootSet's checks too
-        for n in range(1, quadrature.GAUSS_HERMITE_MAX_ORDER + 1):
-            assert len(quadrature.gauss_hermite_rule(n).nodes) == n
 
     def test_order_bounds(self):
         with pytest.raises(UnsupportedOrderError):
@@ -217,7 +214,7 @@ class TestEntropyIntegral:
 
     def test_order_cap(self):
         with pytest.raises(UnsupportedOrderError):
-            quadrature.entropy_integral_numeric(33)
+            quadrature.entropy_integral_numeric(scalars.N_MAX + 1)
 
     def test_panel_order_cap(self):
         # refused before its order x order base rule is built

@@ -6,7 +6,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import seec
-from seec import _kernels, criterion, quadrature, scalars, specfun, verification
+from seec import _kernels, criterion, oscillator, quadrature, scalars, specfun, verification
 from seec.errors import DomainError, UnsupportedOrderError
 
 import oracles
@@ -43,7 +43,7 @@ class TestHermiteEval:
 
     def test_rejects_bad_order(self):
         with pytest.raises(UnsupportedOrderError):
-            specfun.hermite_values(specfun.EVAL_N_MAX + 1, [0.5])
+            specfun.hermite_values(scalars.N_MAX + 1, [0.5])
         with pytest.raises(DomainError):
             specfun.hermite_values(-1, [0.5])
         with pytest.raises(DomainError):
@@ -79,11 +79,11 @@ class TestHermiteEval:
         z = np.linspace(-5.0, 5.0, 101)
         ref = [
             np.array([specfun.hermite_values(n, [x])[0] for x in z])
-            for n in range(specfun.EVAL_N_MAX + 1)
+            for n in range(scalars.N_MAX + 1)
         ]
         for n in (0, 1, 5, 17, 32):
             assert np.array_equal(specfun.hermite_values(n, z), ref[n])
-        for n in range(1, specfun.EVAL_N_MAX + 1):
+        for n in range(1, scalars.N_MAX + 1):
             hn, hm1 = _kernels.hermite_pair(n, z)
             assert np.array_equal(hn, ref[n]) and np.array_equal(hm1, ref[n - 1])
 
@@ -103,9 +103,9 @@ class TestHermiteRoots:
 
     def test_order_above_cap_rejected(self):
         with pytest.raises(UnsupportedOrderError):
-            specfun.hermite_roots(specfun.ROOTS_N_MAX + 1)
+            specfun.hermite_roots(scalars.N_MAX + 1)
 
-    @pytest.mark.parametrize("n", range(1, specfun.ROOTS_N_MAX + 1))
+    @pytest.mark.parametrize("n", range(1, scalars.N_MAX + 1))
     def test_rootset_invariants(self, n):
         roots = specfun.hermite_roots(n).roots
         assert len(roots) == n
@@ -239,7 +239,7 @@ class TestLogPotential:
         analytic = 4.0 * specfun.CONSTANTS.sqrt_pi * (1.0 - 0.5 * specfun.CONSTANTS.euler_gamma)
         assert abs(closed - analytic) <= 1e-12
 
-    @pytest.mark.parametrize("n", range(specfun.ROOTS_N_MAX + 1))
+    @pytest.mark.parametrize("n", range(scalars.N_MAX + 1))
     def test_closed_form_matches_quadrature(self, n):
         from seec import quadrature
 
@@ -259,17 +259,19 @@ class TestLogPotential:
 # every public entry that takes an order, as a call of the order alone,
 # with its cap (None where there is none)
 ORDER_ENTRIES = {
-    "hermite_values": (lambda n: specfun.hermite_values(n, [0.5]), specfun.EVAL_N_MAX),
-    "hermite_roots": (specfun.hermite_roots, specfun.ROOTS_N_MAX),
+    "hermite_values": (lambda n: specfun.hermite_values(n, [0.5]), scalars.N_MAX),
+    "hermite_roots": (specfun.hermite_roots, scalars.N_MAX),
     "ln_factorial": (specfun.ln_factorial, None),
-    "gauss_hermite_rule": (quadrature.gauss_hermite_rule, quadrature.GAUSS_HERMITE_MAX_ORDER),
+    "gauss_hermite_rule": (quadrature.gauss_hermite_rule, scalars.N_MAX),
     "legendre_panel_rule": (
         lambda n: quadrature.legendre_panel_rule(n, (0.0, 1.0)), scalars.PANEL_ORDER_MAX
     ),
-    "entropy_integral_numeric": (quadrature.entropy_integral_numeric, specfun.ROOTS_N_MAX),
-    "entropy_panel_boundaries": (quadrature.entropy_panel_boundaries, specfun.ROOTS_N_MAX),
-    "standard_entropy": (criterion.standard_entropy, criterion.MODE_N_MAX),
-    "threshold_eta0": (lambda n: criterion.threshold_eta0(n, 0), criterion.MODE_N_MAX),
+    "entropy_integral_numeric": (quadrature.entropy_integral_numeric, scalars.N_MAX),
+    "entropy_panel_boundaries": (quadrature.entropy_panel_boundaries, scalars.N_MAX),
+    "entropy_integral_closed_form": (specfun.entropy_integral_closed_form, scalars.N_MAX),
+    "standard_entropy": (criterion.standard_entropy, scalars.N_MAX),
+    "threshold_eta0": (lambda n: criterion.threshold_eta0(n, 0), scalars.N_MAX),
+    "mode_pair": (lambda n: oscillator.ModePair(0, n), scalars.N_MAX),
     "collect_checks": (verification.collect_checks, verification.VERIFY_N_MAX),
 }
 REMOVED_NAMES = (
@@ -293,11 +295,15 @@ def test_order_entries_share_one_check(entry):
     # keys in any cache, which must not answer for True or 2.0
     call(np.int64(1))
     call(np.int64(2))
-    for bad in (True, np.True_, np.array(2), 2.0, -1) + (() if cap is None else (cap + 1,)):
+    for bad in (True, np.True_, np.array(2), 2.0, -1):
         with pytest.raises(DomainError):
             call(bad)
     with pytest.raises(UnsupportedOrderError):
         call(-1)
+    if cap is not None:
+        call(cap)
+        with pytest.raises(UnsupportedOrderError):
+            call(cap + 1)
 
 
 def test_public_names():
