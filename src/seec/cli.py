@@ -106,9 +106,13 @@ def _finite(name, values):
 
 
 def _eta_grid(lo, hi, steps, names=("eta-min", "eta-max")):
-    """np.linspace(lo, hi, steps) as a list, bit for bit, for steps >= 2;
-    a DomainError, naming the options ``names`` of lo and hi, where that
-    grid is not finite."""
+    """np.linspace(lo, hi, steps) as a list, bit for bit; a DomainError,
+    naming the options ``names`` of lo and hi, unless steps >= 2,
+    lo < hi and that grid is finite."""
+    if steps < 2:
+        raise DomainError(f"steps must be >= 2, got {steps}")
+    if not lo < hi:
+        raise DomainError(f"{names[0]} must be below {names[1]}, got [{lo}, {hi}]")
     div = steps - 1
     delta = hi - lo
     step = delta / div
@@ -203,12 +207,6 @@ def _cmd_sweep(args):
     from . import criterion, svgplot
 
     modes = _parse_modes(args.modes)
-    if args.steps < 2:
-        raise DomainError(f"steps must be >= 2, got {args.steps}")
-    if not args.eta_min < args.eta_max:
-        raise DomainError(
-            f"eta-min must be below eta-max, got [{args.eta_min}, {args.eta_max}]"
-        )
     grid = _eta_grid(args.eta_min, args.eta_max, args.steps)
     # f = eta0 - eta, the values criterion_curve gives; every check runs
     # before the first byte is written
@@ -328,12 +326,8 @@ def _cmd_verify(args):
 def _cmd_wavefunction(args):
     from . import oscillator
 
-    if args.steps < 2:
-        raise DomainError(f"steps must be >= 2, got {args.steps}")
-    if not args.u_min < args.u_max:
-        raise DomainError(f"u-min must be below u-max, got [{args.u_min}, {args.u_max}]")
-    mode = oscillator.ModePair(args.n, args.m)
     grid = _eta_grid(args.u_min, args.u_max, args.steps, ("u-min", "u-max"))
+    mode = oscillator.ModePair(args.n, args.m)
     rows = oscillator._wavefunction_rows(mode, args.eta, args.space, grid)
     # a row sums to a finite number only if every value in it is finite
     for row in rows:

@@ -51,8 +51,6 @@ def marginal(side, n, m, eta, u):
 
     Accepts a scalar or array of coordinates; nonnegative everywhere.
     """
-    import numpy as np
-
     from . import _kernels
 
     n, m = _check_mode_pair(n, m)
@@ -62,20 +60,10 @@ def marginal(side, n, m, eta, u):
     if not math.isfinite(eta):
         raise DomainError(f"eta must be finite, got {eta}")
     t = _mode_scale(eta)
-    order = n if side == "w_minus" else m
-    ln_pref = _ln_t(eta) - _ln_norm(order)
-    u = np.asarray(u, dtype=np.float64)
-    if not np.all(np.isfinite(u)):
-        raise DomainError("coordinate must be finite")
-    z = t * u
-    with np.errstate(over="ignore", invalid="ignore"):
-        gauss = np.exp(-z * z)
-        h = _kernels.hermite_values(order, z)
-        value = math.exp(ln_pref) * gauss * h * h
-    # nan where H_n overflows and the Gaussian has underflowed to 0; the
-    # true value rounds to 0 there
-    value = np.where(np.isnan(value) & (gauss == 0.0), 0.0, value)
-    return float(value) if value.ndim == 0 else value
+    k = n if side == "w_minus" else m
+    # the squared factor H_k(t u): both axes of the product read u, and
+    # -(z^2 + z^2)/2 is -z^2 exactly
+    return _kernels.hermite_gaussian(math.exp(_ln_t(eta) - _ln_norm(k)), k, t, u, k, t, u)
 
 
 def _entropy_from_i3(k, i3):

@@ -8,8 +8,9 @@ to its diagonal dimensionless form and evaluates eigenenergies and the
 position/momentum eigenfunctions in sum/difference coordinates.  Internally
 everything is dimensionless (hbar = M = K = omega = 1); raw-unit couplings
 are scaled on entry and the scales (M, K, omega) are reported alongside.
-Only the array form ``wavefunction`` imports numpy; ``seec wavefunction``
-evaluates its tensor grid as lists of floats and never imports it.
+Only the array form ``wavefunction`` imports numpy, through
+``_kernels.hermite_gaussian``; ``seec wavefunction`` evaluates its tensor
+grid as lists of floats and never imports it.
 """
 
 from __future__ import annotations
@@ -190,41 +191,22 @@ def wavefunction(mode, eta, space, u_plus, u_minus, alpha_deg=45.0):
     the plane equals 2).
 
     Accepts scalars or broadcastable arrays for the coordinates; a float
-    when both are scalars, else an array of their broadcast shape.  Each
-    Hermite factor is evaluated on its own coordinate as given, before
-    broadcasting, so a tensor grid (u_plus[:, None], u_minus[None, :])
-    costs 2 x steps Hermite evaluations, not steps^2.  The general-alpha
+    when both are scalars, else an array of their broadcast shape, from
+    one _kernels.hermite_gaussian call, which evaluates each Hermite
+    factor on its own coordinate before broadcasting.  The general-alpha
     eigenfunction is deliberately not provided: callers outside
     |alpha| = 45 degrees get UnsupportedRegimeError instead of a silently
     wrong formula.
     """
-    import numpy as np
-
     from . import _kernels
 
     t1, t2 = _sum_difference_scales(space, eta, alpha_deg)
-    up = np.asarray(u_plus, dtype=np.float64)
-    um = np.asarray(u_minus, dtype=np.float64)
-    if not (np.all(np.isfinite(up)) and np.all(np.isfinite(um))):
-        raise DomainError("coordinates must be finite")
+    pref = mode.c1 * mode.c2
     if alpha_deg > 0.0:
-        g1, g2 = um, up
-    else:
-        # alpha = -45: mode 1 couples to the sum coordinate and the
-        # difference coordinate enters with a sign flip
-        g1, g2 = up, -um
-    with np.errstate(over="ignore", invalid="ignore"):
-        arg1 = t1 * g1
-        arg2 = t2 * g2
-        gauss = np.exp(-0.5 * (arg1 * arg1 + arg2 * arg2))
-        h1 = _kernels.hermite_values(mode.n, arg1)
-        h2 = _kernels.hermite_values(mode.m, arg2)
-        value = mode.c1 * mode.c2 * gauss * h1 * h2
-    # far out the recurrence overflows to inf (or inf - inf) where the
-    # Gaussian has underflowed to 0; the product, whose true value rounds
-    # to 0 there, is then nan
-    value = np.where(np.isnan(value) & (gauss == 0.0), 0.0, value)
-    return float(value) if value.ndim == 0 else value
+        return _kernels.hermite_gaussian(pref, mode.n, t1, u_minus, mode.m, t2, u_plus)
+    # alpha = -45: mode 1 couples to the sum coordinate and the difference
+    # coordinate enters with a sign flip, carried by its scale
+    return _kernels.hermite_gaussian(pref, mode.n, t1, u_plus, mode.m, -t2, u_minus)
 
 
 def _hermite_list(n, zs):
@@ -249,8 +231,9 @@ def _wavefunction_rows(mode, eta, space, grid):
     Row i holds u_plus = grid[i] against every u_minus in ``grid``, a list
     of finite floats.  On this tensor grid mode 1 reads only u_minus and
     mode 2 only u_plus, so each Hermite factor is evaluated once per axis
-    (2 x steps points, not steps^2).  Each point is then
-    c1 c2 e^{-(a1^2 + a2^2)/2} H_n(a1) H_m(a2) in wavefunction's operation
+    (2 x steps points, not steps^2).  It is the list twin of
+    _kernels.hermite_gaussian: each point is
+    c1 c2 e^{-(a1^2 + a2^2)/2} H_n(a1) H_m(a2) in the kernel's operation
     order, with its rule that a nan where the Gaussian is 0 is 0.  The
     values equal the array form's bit for bit wherever math.exp and numpy's
     exp agree; the two may differ by 1 ulp.

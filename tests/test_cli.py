@@ -139,6 +139,21 @@ class TestSweepGrid:
         grid = np.array(cli._eta_grid(lo, hi, steps), dtype=np.float64)
         np.testing.assert_array_equal(grid.view(np.uint64), expected.view(np.uint64))
 
+    @pytest.mark.parametrize(
+        "lo,hi,steps,message",
+        [
+            (0.0, 1.0, 1, "steps must be >= 2, got 1"),
+            (0.0, 1.0, -3, "steps must be >= 2, got -3"),
+            (1.0, 1.0, 5, "eta-min must be below eta-max, got [1.0, 1.0]"),
+            (2.0, -1.0, 5, "eta-min must be below eta-max, got [2.0, -1.0]"),
+            (math.nan, 1.0, 5, "eta-min must be below eta-max, got [nan, 1.0]"),
+        ],
+    )
+    def test_grid_checks_its_arguments(self, lo, hi, steps, message):
+        with pytest.raises(DomainError) as info:
+            cli._eta_grid(lo, hi, steps)
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("modes", ["0:0", "1:1,2:0", "0:0,1:1,2:3,5:0,7:7,32:32"])
     @pytest.mark.parametrize("bounds", [(0.0, 2.0), (-2.5, -0.25), (-0.7, 1e-3)])
     def test_f_column_equals_criterion_curve(self, modes, bounds, capsys):
@@ -403,7 +418,12 @@ class TestWavefunction:
     @pytest.mark.parametrize(
         "command",
         [c for c, _, _ in GOLDEN if c.startswith("wavefunction")]
-        + ["wavefunction --n 12 --m 11 --space momentum --steps 401"],
+        + [
+            "wavefunction --n 12 --m 11 --space momentum --steps 401",
+            # where the Gaussian underflows, and where H_64 overflows
+            "wavefunction --n 33 --m 7 --eta -2 --u-min=-60 --u-max=60 --steps 121",
+            "wavefunction --n 64 --m 40 --u-min=-6e4 --u-max=6e4 --steps 41",
+        ],
     )
     def test_grid_route_matches_array_route(self, command, capsys):
         # the command's values, from the per-axis list route, against the
@@ -421,6 +441,18 @@ class TestWavefunction:
         assert cli.main(argv) == 0
         printed = [line.rsplit(",", 1)[1] for line in capsys.readouterr().out.splitlines()[1:]]
         assert printed == ["%.12g" % v for v in rows.ravel().tolist()]
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (["--u-min=-inf"], "u-min and u-max must span a finite grid, got [-inf, 4.0]"),
+            (["--steps", "1"], "steps must be >= 2, got 1"),
+            (["--u-min", "4"], "u-min must be below u-max, got [4.0, 4.0]"),
+        ],
+    )
+    def test_grid_is_checked_before_the_orders(self, args, message, capsys):
+        assert cli.main(["wavefunction", "--n", str(N_MAX + 1), *args]) == 1
+        assert capsys.readouterr() == ("", f"seec: error: {message}\n")
 
     def test_far_tail_grid(self, capsys):
         # |u| up to 1e155: the Hermite recurrence overflows to inf and nan

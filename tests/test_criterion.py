@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple
 
@@ -62,6 +63,8 @@ class TestScalingTransform:
     def test_rejects_nonfinite(self):
         with pytest.raises(DomainError, match="finite"):
             criterion.marginal("w_minus", 0, 0, math.inf, 0.0)
+        with pytest.raises(DomainError, match="^coordinates must be finite$"):
+            criterion.marginal("w_minus", 0, 0, 0.0, [0.0, math.nan])
         with pytest.raises(DomainError, match="overflows, got -1500.0"):
             scalars._mode_scale(-1500.0, -1.0)
         with pytest.raises(DomainError, match="overflows"):
@@ -152,6 +155,16 @@ class TestMarginal:
         for n, m in ((3, 2), (32, 32)):
             assert np.all(criterion.marginal("w_minus", n, m, 0.6, xs) >= 0.0)
             assert np.all(criterion.marginal("v_plus", n, m, 0.6, xs) >= 0.0)
+        # at eta = 5, t ~ 8.6, so t u itself overflows at u = 1e308: the
+        # density is exactly 0 there, with no overflow warning
+        xs = np.append(xs, 1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for side in ("w_minus", "v_plus"):
+                values = criterion.marginal(side, 3, 2, 5.0, xs)
+                assert np.all(values >= 0.0) and values[-1] == 0.0
+                value = criterion.marginal(side, scalars.N_MAX, scalars.N_MAX, 5.0, 1e308)
+                assert type(value) is float and value == 0.0
 
     def test_normalization_against_uniform_panels(self):
         # independent oracle: equal panels, no root splitting
