@@ -1,10 +1,11 @@
-"""The hot numeric kernels in numpy: Hermite evaluation, the
-Hermite-Gaussian product of the eigenfunctions and their marginals, and
+"""The hot numeric kernels in numpy: Hermite evaluation, the normalized
+Hermite function psi_k behind the eigenfunctions and their marginals, and
 the entropy quadrature sum."""
 
 import numpy as np
 
 from .errors import DomainError
+from .scalars import _norm_constant
 
 
 def hermite_pair(n, z):
@@ -36,26 +37,21 @@ def hermite_values(n, z):
     return hermite_pair(n, z)[0]
 
 
-def hermite_gaussian(pref, n, t1, x1, m, t2, x2):
-    """pref e^{-(a1^2 + a2^2)/2} H_n(a1) H_m(a2) with a_i = t_i x_i, over
-    the broadcast of the coordinates: a float when both are 0-d, else an
-    array.  The one array home of the product behind criterion.marginal
-    and oscillator.wavefunction; oscillator._wavefunction_rows is its list
-    twin on a tensor grid.
-
-    Each Hermite factor is evaluated on its own coordinate as given,
-    before the product broadcasts, so a tensor grid (g[:, None],
-    g[None, :]) costs 2 x steps Hermite evaluations, not steps^2.
+def hermite_function(k, t, x):
+    """psi_k(a) = c_k e^{-a^2/2} H_k(a) with a = t x, the normalized
+    Hermite function: a float for a 0-d ``x``, else an array of its shape.
+    The one array home of the per-axis factor of the eigenfunction, behind
+    criterion.marginal and oscillator.wavefunction;
+    oscillator._hermite_function_list is its list twin.
     """
-    x1 = np.asarray(x1, dtype=np.float64)
-    x2 = np.asarray(x2, dtype=np.float64)
-    if not (np.all(np.isfinite(x1)) and np.all(np.isfinite(x2))):
+    x = np.asarray(x, dtype=np.float64)
+    if not np.all(np.isfinite(x)):
         raise DomainError("coordinates must be finite")
     with np.errstate(over="ignore", invalid="ignore"):
-        a1 = t1 * x1
-        a2 = t2 * x2
-        gauss = np.exp(-0.5 * (a1 * a1 + a2 * a2))
-        value = pref * gauss * hermite_values(n, a1) * hermite_values(m, a2)
+        a = t * x
+        gauss = np.exp(-0.5 * (a * a))
+        # c_k last: c_k e^{-a^2/2} would underflow before H_k restores it
+        value = gauss * hermite_values(k, a) * _norm_constant(k)
     # far out the recurrence overflows to inf (or inf - inf) where the
     # Gaussian has underflowed to 0; the product, whose true value rounds
     # to 0 there, is then nan

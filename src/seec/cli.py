@@ -328,15 +328,14 @@ def _cmd_wavefunction(args):
 
     grid = _eta_grid(args.u_min, args.u_max, args.steps, ("u-min", "u-max"))
     mode = oscillator.ModePair(args.n, args.m)
-    rows = oscillator._wavefunction_rows(mode, args.eta, args.space, grid)
-    # a row sums to a finite number only if every value in it is finite
-    for row in rows:
-        if not math.isfinite(sum(row)):
-            _finite("wavefunction value", row)
+    f1, f2 = oscillator._wavefunction_axes(mode, args.eta, args.space, grid)
+    # every value is a product f2[i] * f1[j]: all are finite if and only if
+    # every factor is and the largest product is
+    _finite("wavefunction value", [*f1, *f2, max(map(abs, f1)) * max(map(abs, f2))])
     u = list(map("%.12g".__mod__, grid))
     # one % template per grid row: its u_plus, then each u_minus and a value
     cells = [",%s,%%.12g\n" % x for x in u]
-    lines = ((x + x.join(cells)) % tuple(row) for x, row in zip(u, rows))
+    lines = ((x + x.join(cells)) % tuple([v * a for a in f1]) for x, v in zip(u, f2))
     _write_text(chain(["u_plus,u_minus,value\n"], lines), args.out)
     return 0
 

@@ -28,6 +28,7 @@ from .scalars import (
     I3_CLOSED_TABLE,
     N_MAX,
     S_TABLE,
+    _check_eta,
     _check_mode_pair,
     _check_order,
     _LN2,
@@ -45,25 +46,20 @@ def _ln_t(eta):
 
 
 def marginal(side, n, m, eta, u):
-    """Marginal density value: w-(x-) = q_nm e^{-z1^2} H_n^2(z1) for side
-    'w_minus', or v+(p+) = r_nm e^{-p2^2} H_m^2(p2) for side 'v_plus',
-    with z1 = t x-, p2 = t p+ and t = e^{eta/2}/sqrt(2).
+    """Marginal density value: w-(x-) = t psi_n(t x-)^2 for side 'w_minus',
+    or v+(p+) = t psi_m(t p+)^2 for side 'v_plus', with psi_k the
+    normalized Hermite function and t = e^{eta/2}/sqrt(2).
 
     Accepts a scalar or array of coordinates; nonnegative everywhere.
     """
-    from . import _kernels
+    from ._kernels import hermite_function
 
     n, m = _check_mode_pair(n, m)
     if side not in _SIDES:
         raise DomainError(f"side must be one of {_SIDES}, got {side!r}")
-    eta = float(eta)
-    if not math.isfinite(eta):
-        raise DomainError(f"eta must be finite, got {eta}")
-    t = _mode_scale(eta)
-    k = n if side == "w_minus" else m
-    # the squared factor H_k(t u): both axes of the product read u, and
-    # -(z^2 + z^2)/2 is -z^2 exactly
-    return _kernels.hermite_gaussian(math.exp(_ln_t(eta) - _ln_norm(k)), k, t, u, k, t, u)
+    t = _mode_scale(_check_eta(eta))
+    psi = hermite_function(n if side == "w_minus" else m, t, u)
+    return t * psi * psi
 
 
 def _entropy_from_i3(k, i3):
@@ -141,9 +137,7 @@ def _verdict(eta0, eta):
 def criterion_f(n, m, eta):
     """EntropyReport at coupling eta; f = eta0 - eta exactly."""
     n, m = _check_mode_pair(n, m)
-    eta = float(eta)
-    if not math.isfinite(eta):
-        raise DomainError(f"eta must be finite, got {eta}")
+    eta = _check_eta(eta)
     eta0 = _eta0(n, m)
     ln_t = _ln_t(eta)
     h_w = S_TABLE[n] - ln_t

@@ -9,8 +9,8 @@ position/momentum eigenfunctions in sum/difference coordinates.  Internally
 everything is dimensionless (hbar = M = K = omega = 1); raw-unit couplings
 are scaled on entry and the scales (M, K, omega) are reported alongside.
 Only the array form ``wavefunction`` imports numpy, through
-``_kernels.hermite_gaussian``; ``seec wavefunction`` evaluates its tensor
-grid as lists of floats and never imports it.
+``_kernels.hermite_function``; ``seec wavefunction`` evaluates the two
+factors of its tensor grid as lists of floats and never imports it.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import DomainError, UnboundModeError, UnsupportedRegimeError
-from .scalars import _check_mode_pair, _ln_norm, _mode_scale
+from .scalars import _check_eta, _check_mode_pair, _mode_scale, _norm_constant
 
 DEGENERACY_THRESHOLD = 1e-12
 
@@ -127,11 +127,6 @@ def reconstruct(d):
     return (mid + half * c2a, mid - half * c2a, s2a * (lam2 - lam1))
 
 
-def _norm_constant(k):
-    # 1 / sqrt(sqrt(pi) k! 2^k), computed in the log domain
-    return math.exp(-0.5 * _ln_norm(k))
-
-
 @dataclass(frozen=True)
 class ModePair:
     """Quantum numbers (n, m) of the two normal modes with their
@@ -175,9 +170,7 @@ def _sum_difference_scales(space, eta, alpha_deg):
     sign = {"position": 1.0, "momentum": -1.0}.get(space)
     if sign is None:
         raise DomainError(f"space must be 'position' or 'momentum', got {space!r}")
-    eta = float(eta)
-    if not math.isfinite(eta):
-        raise DomainError(f"eta must be finite, got {eta}")
+    eta = _check_eta(eta)
     return _mode_scale(eta, sign), _mode_scale(eta, -sign)
 
 
@@ -191,22 +184,23 @@ def wavefunction(mode, eta, space, u_plus, u_minus, alpha_deg=45.0):
     the plane equals 2).
 
     Accepts scalars or broadcastable arrays for the coordinates; a float
-    when both are scalars, else an array of their broadcast shape, from
-    one _kernels.hermite_gaussian call, which evaluates each Hermite
-    factor on its own coordinate before broadcasting.  The general-alpha
-    eigenfunction is deliberately not provided: callers outside
-    |alpha| = 45 degrees get UnsupportedRegimeError instead of a silently
-    wrong formula.
+    when both are scalars, else an array of their broadcast shape.  The
+    state is separable, psi_n(t1 x1) psi_m(t2 x2), so each factor is one
+    _kernels.hermite_function call on its own coordinate, before the
+    product broadcasts.  The general-alpha eigenfunction is deliberately
+    not provided: callers outside |alpha| = 45 degrees get
+    UnsupportedRegimeError instead of a silently wrong formula.
     """
-    from . import _kernels
+    from ._kernels import hermite_function
 
     t1, t2 = _sum_difference_scales(space, eta, alpha_deg)
-    pref = mode.c1 * mode.c2
     if alpha_deg > 0.0:
-        return _kernels.hermite_gaussian(pref, mode.n, t1, u_minus, mode.m, t2, u_plus)
-    # alpha = -45: mode 1 couples to the sum coordinate and the difference
-    # coordinate enters with a sign flip, carried by its scale
-    return _kernels.hermite_gaussian(pref, mode.n, t1, u_plus, mode.m, -t2, u_minus)
+        x1, x2 = u_minus, u_plus
+    else:
+        # alpha = -45: mode 1 couples to the sum coordinate and the
+        # difference coordinate enters with a sign flip, carried by its scale
+        x1, x2, t2 = u_plus, u_minus, -t2
+    return hermite_function(mode.n, t1, x1) * hermite_function(mode.m, t2, x2)
 
 
 def _hermite_list(n, zs):
@@ -224,35 +218,29 @@ def _hermite_list(n, zs):
     return h
 
 
-def _wavefunction_rows(mode, eta, space, grid):
-    """wavefunction(mode, eta, space, grid[:, None], grid[None, :]) at
-    alpha = +45 degrees as a list of rows of floats, without numpy.
+def _hermite_function_list(k, zs):
+    """psi_k at every float of ``zs`` as a list, without numpy: the list
+    twin of _kernels.hermite_function on scaled coordinates, in its
+    operation order and with its rule that a nan where the Gaussian is 0
+    is 0.  The values equal the array form's bit for bit wherever math.exp
+    and numpy's exp agree; the two may differ by 1 ulp."""
+    c = _norm_constant(k)
+    values = []
+    for z, h in zip(zs, _hermite_list(k, zs)):
+        gauss = math.exp(-0.5 * (z * z))
+        v = gauss * h * c
+        values.append(0.0 if v != v and gauss == 0.0 else v)
+    return values
 
-    Row i holds u_plus = grid[i] against every u_minus in ``grid``, a list
-    of finite floats.  On this tensor grid mode 1 reads only u_minus and
-    mode 2 only u_plus, so each Hermite factor is evaluated once per axis
-    (2 x steps points, not steps^2).  It is the list twin of
-    _kernels.hermite_gaussian: each point is
-    c1 c2 e^{-(a1^2 + a2^2)/2} H_n(a1) H_m(a2) in the kernel's operation
-    order, with its rule that a nan where the Gaussian is 0 is 0.  The
-    values equal the array form's bit for bit wherever math.exp and numpy's
-    exp agree; the two may differ by 1 ulp.
+
+def _wavefunction_axes(mode, eta, space, grid):
+    """The factors (f1, f2) of wavefunction(mode, eta, space, grid[:, None],
+    grid[None, :]) at alpha = +45 degrees, as lists of floats, without
+    numpy: the value at (u_plus, u_minus) = (grid[i], grid[j]) is
+    f2[i] * f1[j], since mode 1 reads only u_minus and mode 2 only u_plus.
     """
     t1, t2 = _sum_difference_scales(space, eta, 45.0)
-    a1 = [t1 * u for u in grid]
-    a2 = [t2 * u for u in grid]
-    columns = list(zip([a * a for a in a1], _hermite_list(mode.n, a1)))
-    c = mode.c1 * mode.c2
-    exp = math.exp
-    rows = []
-    for s2, h2 in zip([a * a for a in a2], _hermite_list(mode.m, a2)):
-        row = [c * exp(-0.5 * (s1 + s2)) * h1 * h2 for s1, h1 in columns]
-        # the sum is finite unless some value is nan or inf (or the sum
-        # overflows, which only costs this second pass)
-        if not math.isfinite(sum(row)):
-            row = [
-                0.0 if v != v and exp(-0.5 * (s1 + s2)) == 0.0 else v
-                for v, (s1, _) in zip(row, columns)
-            ]
-        rows.append(row)
-    return rows
+    return (
+        _hermite_function_list(mode.n, [t1 * u for u in grid]),
+        _hermite_function_list(mode.m, [t2 * u for u in grid]),
+    )

@@ -1,6 +1,7 @@
 """The scalar decisions that load without numpy: the order cap and the one
-order check, the constants, ln(n!), the Hermite norm, the mode scale
-t = e^{eta/2}/sqrt(2), and the frozen tables of S_k and of its oracle I3(k).
+order check, the one eta check, the constants, ln(n!), the Hermite norm
+and its constant c_k, the mode scale t = e^{eta/2}/sqrt(2), and the frozen
+tables of S_k and of its oracle I3(k).
 
 ``criterion``, ``oscillator`` and ``cli`` answer their scalar questions
 (the threshold table, the criterion report, the normal modes) from here,
@@ -73,6 +74,20 @@ def ln_factorial(n):
 def _ln_norm(k):
     # ln(sqrt(pi) k! 2^k); its exponential is the orthogonality norm of H_k
     return 0.5 * _LN_PI + ln_factorial(k) + k * _LN2
+
+
+def _norm_constant(k):
+    # c_k = 1 / sqrt(sqrt(pi) k! 2^k), computed in the log domain: the
+    # factor that makes c_k e^{-z^2/2} H_k(z) the normalized psi_k
+    return math.exp(-0.5 * _ln_norm(k))
+
+
+def _check_eta(eta):
+    # the one finite-eta check, returning eta as a float
+    eta = float(eta)
+    if not math.isfinite(eta):
+        raise DomainError(f"eta must be finite, got {eta}")
+    return eta
 
 
 def _mode_scale(eta, sign=1.0):

@@ -23,6 +23,18 @@ def hermite_polynomial(k, z):
     return np.polynomial.hermite.hermval(z, [0.0] * k + [1.0])
 
 
+def log_hermite_function(k, a):
+    """(ln |psi_k(a)|, sign psi_k(a)) of the normalized Hermite function
+    psi_k = c_k e^{-a^2/2} H_k, summed in the log domain,
+    ln c_k - a^2/2 + ln |H_k(a)|, with H_k from hermite_polynomial, so that
+    no factor underflows before the product is formed."""
+    a = np.asarray(a, dtype=float)
+    h = hermite_polynomial(k, a)
+    ln_c = -0.5 * (0.5 * math.log(math.pi) + math.lgamma(k + 1.0) + k * math.log(2.0))
+    with np.errstate(divide="ignore"):
+        return ln_c - 0.5 * a * a + np.log(np.abs(h)), np.sign(h)
+
+
 def uniform_panel_integral(f, a, b, panels=64, order=24):
     """Composite Gauss-Legendre on equal panels (no singularity handling)."""
     base_x, base_w = leggauss(order)

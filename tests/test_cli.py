@@ -426,14 +426,16 @@ class TestWavefunction:
         ],
     )
     def test_grid_route_matches_array_route(self, command, capsys):
-        # the command's values, from the per-axis list route, against the
-        # array form on the same points: equal up to the 1 ulp by which
-        # math.exp and numpy's exp may differ, with zeros in the same places
+        # the command's values f2[i] * f1[j], from the per-axis list
+        # route, against the array form on the same points: equal up to
+        # the 1 ulp by which math.exp and numpy's exp may differ, with
+        # zeros in the same places
         argv = command.split()
         args = cli.build_parser().parse_args(argv)
         grid = cli._eta_grid(args.u_min, args.u_max, args.steps)
         mode = oscillator.ModePair(args.n, args.m)
-        rows = np.array(oscillator._wavefunction_rows(mode, args.eta, args.space, grid))
+        f1, f2 = oscillator._wavefunction_axes(mode, args.eta, args.space, grid)
+        rows = np.array([[v * a for a in f1] for v in f2])
         u = np.array(grid)
         expected = oscillator.wavefunction(mode, args.eta, args.space, u[:, None], u[None, :])
         assert np.array_equal(rows == 0.0, expected == 0.0)
@@ -519,55 +521,55 @@ class TestStreamedOutput:
         assert out_path.stat().st_mode & 0o7777 == 0o640
         assert out_path.read_bytes() == b"new bytes\n"
 
-    def _patch_last_row(self, monkeypatch, value):
-        rows_of = oscillator._wavefunction_rows
+    def _patch_axes(self, monkeypatch, patch):
+        axes_of = oscillator._wavefunction_axes
+        monkeypatch.setattr(oscillator, "_wavefunction_axes", lambda *a: patch(*axes_of(*a)))
 
-        def rows_with_last_value(*args):
-            rows = rows_of(*args)
-            rows[-1][-1] = value
-            return rows
-
-        monkeypatch.setattr(oscillator, "_wavefunction_rows", rows_with_last_value)
-
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    def test_non_finite_last_row_writes_nothing(self, value, monkeypatch, capsys):
-        self._patch_last_row(monkeypatch, value)
+    def _assert_not_finite(self, capsys):
         assert cli.main(["wavefunction", "--steps", "7"]) == 1
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "seec: error: wavefunction value is not finite for these inputs\n"
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_last_row_writes_nothing(self, value, monkeypatch, capsys):
+        # the last row's factor f2[-1] is not finite
+        self._patch_axes(monkeypatch, lambda f1, f2: (f1, f2[:-1] + [value]))
+        self._assert_not_finite(capsys)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_last_column_writes_nothing(self, value, monkeypatch, capsys):
+        # the last column's factor f1[-1] is not finite; max() would pass
+        # over a nan there, so the factors are checked on their own
+        self._patch_axes(monkeypatch, lambda f1, f2: (f1[:-1] + [value], f2))
+        self._assert_not_finite(capsys)
+
+    def test_overflowing_product_writes_nothing(self, monkeypatch, capsys):
+        # every factor finite, but the product of one pair overflows
+        self._patch_axes(monkeypatch, lambda f1, f2: (f1[:-1] + [1e200], f2[:-1] + [-1e200]))
+        self._assert_not_finite(capsys)
+
     def test_row_whose_sum_overflows_is_written(self, monkeypatch, capsys):
         # every value finite, but each row sums to inf
-        rows_of = oscillator._wavefunction_rows
-        monkeypatch.setattr(oscillator, "_wavefunction_rows",
-                            lambda *a: [row[:-2] + [1.7e308] * 2 for row in rows_of(*a)])
+        self._patch_axes(monkeypatch, lambda f1, f2: (f1[:-2] + [1.7e308] * 2, [1.0] * len(f2)))
         assert cli.main(["wavefunction", "--steps", "7"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 50 and lines[-1].endswith(",1.7e+308")
 
-    def test_wavefunction_memory_is_bounded_by_its_rows(self):
-        # peak traced memory of the whole command, to a null stdout, against
-        # the size of the grid values it prints
-        argv = ["wavefunction", "--n", "12", "--m", "11", "--space", "momentum", "--steps", "401"]
-        args = cli.build_parser().parse_args(argv)
-        grid = cli._eta_grid(args.u_min, args.u_max, args.steps)
-        mode = oscillator.ModePair(args.n, args.m)
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            rows = oscillator._wavefunction_rows(mode, args.eta, args.space, grid)
-            size = tracemalloc.get_traced_memory()[0] - before
-            del rows
-            before = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
+    def test_wavefunction_memory_does_not_grow_with_the_grid(self):
+        # peak traced memory of a 1601 x 1601 grid to a null stdout, after
+        # a warm-up call: the two factor lists and one row, not the grid
+        argv = ["wavefunction", "--n", "12", "--m", "11", "--space", "momentum", "--steps", "1601"]
+        with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
+            assert cli.main(argv[:-1] + ["5"]) == 0
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
                 assert cli.main(argv) == 0
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        assert size > 4_000_000
-        assert peak <= 1.5 * size, (peak, size)
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+        assert peak < 2_000_000, peak
 
 
 NON_FINITE_FIELDS = {"nan", "-nan", "NaN", "inf", "-inf", "Infinity", "-Infinity"}

@@ -12,7 +12,13 @@ from hypothesis import strategies as st
 from seec import criterion, quadrature, scalars, specfun, verification
 from seec.errors import DomainError, UnsupportedOrderError
 
-from oracles import density_entropy, gauss_entropy, hermite_polynomial, uniform_panel_integral
+from oracles import (
+    density_entropy,
+    gauss_entropy,
+    hermite_polynomial,
+    log_hermite_function,
+    uniform_panel_integral,
+)
 
 SQRT_PI = specfun.CONSTANTS.sqrt_pi
 LN_2PI_E = specfun.CONSTANTS.ln_2pi_e
@@ -165,6 +171,27 @@ class TestMarginal:
                 assert np.all(values >= 0.0) and values[-1] == 0.0
                 value = criterion.marginal(side, scalars.N_MAX, scalars.N_MAX, 5.0, 1e308)
                 assert type(value) is float and value == 0.0
+
+    def test_far_tail_point(self):
+        # c_k^2 e^{-z^2} underflows here before H_k^2 could restore it; one
+        # factor psi_k does not (reference from 60-digit arithmetic)
+        value = criterion.marginal("w_minus", 64, 64, 0.0, 32.0)
+        assert abs(value - 9.362550814329894e-122) <= 1e-11 * 9.362550814329894e-122
+
+    @pytest.mark.parametrize("k", [33, 64])
+    def test_tail_against_log_domain_oracle(self, k):
+        # t psi_k(t u)^2 on u in [0, 40] at eta = 0, wherever the true value
+        # is at least 1e-300
+        u = np.linspace(0.0, 40.0, 401)
+        t = 1.0 / math.sqrt(2.0)
+        ln_psi, _ = log_hermite_function(k, t * u)
+        ln = math.log(t) + 2.0 * ln_psi
+        expected = np.exp(ln)
+        checked = ln >= math.log(1e-300)
+        assert checked.sum() > 350
+        for side, n, m in (("w_minus", k, 0), ("v_plus", 0, k)):
+            error = np.abs(criterion.marginal(side, n, m, 0.0, u) - expected)[checked]
+            assert np.all(error <= 1e-11 * expected[checked])
 
     def test_normalization_against_uniform_panels(self):
         # independent oracle: equal panels, no root splitting

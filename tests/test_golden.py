@@ -74,7 +74,7 @@ GOLDEN = [
      'f0f36c06c5a6624fb96868958fb438d78934d747116ce6c66cb4e4f465e88bc8',
      None),
     ('wavefunction --n 1 --m 4 --eta 1.3 --space momentum --u-min -6 --u-max 5 --steps 203',
-     '2d3ec3ced958a50c51b0c3dd98a0611455acdb14632b1e9d554b3a1636be37a5',
+     'b45deb1bf2b8b4348fd75d89a58db9d198a9575953a0db7942b2db60e3aad8ca',
      None),
 ]
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracles
 from seec import oscillator, quadrature
 from seec.errors import DomainError, UnboundModeError, UnsupportedRegimeError
 
@@ -270,3 +271,31 @@ class TestWavefunction:
             )
             assert outer.shape == (81, 81)
             assert outer.tobytes() == full.tobytes()
+
+    def test_far_tail_point(self):
+        # c_n c_m e^{-(a1^2 + a2^2)/2} underflows here before H_n H_m
+        # could restore it; the per-axis factors do not (reference from
+        # 60-digit arithmetic)
+        value = oscillator.wavefunction(oscillator.ModePair(33, 7), -2.0, "position", -19.0, -54.0)
+        assert abs(value - 1.4435363662537536e-299) <= 1e-11 * 1.4435363662537536e-299
+
+    def test_tail_grid_against_log_domain_oracle(self):
+        # the grid of wavefunction --n 33 --m 7 --eta -2 --u-min=-60
+        # --u-max=60 --steps 121, by the array route and by the CLI's
+        # per-axis lists, wherever the true value is at least 1e-300
+        mode = oscillator.ModePair(33, 7)
+        grid = np.linspace(-60.0, 60.0, 121)
+        ln1, sign1 = oracles.log_hermite_function(33, math.exp(-1.0) / math.sqrt(2.0) * grid)
+        ln2, sign2 = oracles.log_hermite_function(7, math.exp(1.0) / math.sqrt(2.0) * grid)
+        ln = ln2[:, None] + ln1[None, :]
+        expected = np.outer(sign2, sign1) * np.exp(ln)
+        f1, f2 = oscillator._wavefunction_axes(mode, -2.0, "position", grid.tolist())
+        routes = (
+            oscillator.wavefunction(mode, -2.0, "position", grid[:, None], grid[None, :]),
+            np.outer(f2, f1),
+        )
+        checked = ln >= math.log(1e-300)
+        assert checked.sum() > 4000
+        for got in routes:
+            error = np.abs(got - expected)[checked]
+            assert np.all(error <= 1e-11 * np.abs(expected[checked]))
