@@ -263,7 +263,7 @@ def _cmd_criterion(args):
     from . import criterion
 
     rep = criterion.criterion_f(args.n, args.m, args.eta)
-    _write_text(_json_text(vars(rep)), args.out)
+    _write_text(_json_text(rep._asdict()), args.out)
     return 0
 
 

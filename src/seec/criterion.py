@@ -21,7 +21,7 @@ array routes import it when called.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DomainError
 from .scalars import (
@@ -92,8 +92,9 @@ def _oracle_delta(k, i3):
     return abs(S_TABLE[k] - _entropy_from_i3(k, i3))
 
 
-@dataclass(frozen=True)
-class EntropyReport:
+class EntropyReport(
+    namedtuple("EntropyReport", "n m eta H_w_minus H_v_plus f eta0 entangled alt_f oracle_delta")
+):
     """Full criterion evaluation at one (n, m, eta).
 
     ``f`` is the criterion function (entangled iff f < 0), ``eta0`` its
@@ -105,16 +106,7 @@ class EntropyReport:
     fields, in this order, are the keys of ``seec criterion``'s JSON.
     """
 
-    n: int
-    m: int
-    eta: float
-    H_w_minus: float
-    H_v_plus: float
-    f: float
-    eta0: float
-    entangled: bool
-    alt_f: float
-    oracle_delta: float
+    __slots__ = ()
 
 
 def threshold_eta0(n, m):

@@ -16,7 +16,7 @@ factors of its tensor grid as lists of floats and never imports it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .errors import DomainError, UnboundModeError, UnsupportedRegimeError
 from .scalars import _check_eta, _check_mode_pair, _mode_scale, _norm_constant
@@ -24,24 +24,26 @@ from .scalars import _check_eta, _check_mode_pair, _mode_scale, _norm_constant
 DEGENERACY_THRESHOLD = 1e-12
 
 
-@dataclass(frozen=True)
-class CoupledHamiltonian:
+def _checked_tuple(typename, field_names):
+    # a namedtuple base whose _make, and so _replace, builds through the
+    # subclass's validating __new__ rather than tuple.__new__
+    base = namedtuple(typename, field_names)
+    base._make = classmethod(lambda cls, iterable: cls(*iterable))
+    return base
+
+
+class CoupledHamiltonian(_checked_tuple("CoupledHamiltonian", "m1 m2 A B C")):
     """Raw couplings (m1, m2, A, B, C) of two harmonically coupled masses."""
 
-    m1: float
-    m2: float
-    A: float
-    B: float
-    C: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("m1", "m2", "A", "B"):
-            v = getattr(self, name)
+    def __new__(cls, m1, m2, A, B, C):
+        for name, v in (("m1", m1), ("m2", m2), ("A", A), ("B", B)):
             if not (math.isfinite(v) and v > 0.0):
                 raise DomainError(f"{name} must be positive and finite, got {v}")
-        if not math.isfinite(self.C):
-            raise DomainError(f"C must be finite, got {self.C}")
-        disc = 4.0 * self.A * self.B - self.C * self.C
+        if not math.isfinite(C):
+            raise DomainError(f"C must be finite, got {C}")
+        disc = 4.0 * A * B - C * C
         if math.isnan(disc):
             # 4AB and C^2 both overflow, so the sign of the difference is unknown
             raise DomainError(
@@ -49,30 +51,28 @@ class CoupledHamiltonian:
             )
         if disc <= 0.0:
             raise UnboundModeError(f"bound normal modes require 4AB - C^2 > 0, got {disc}")
+        return super().__new__(cls, m1, m2, A, B, C)
 
 
-@dataclass(frozen=True)
-class DiagonalizedSystem:
+class DiagonalizedSystem(
+    _checked_tuple("DiagonalizedSystem", "M K omega eta alpha degenerate_branch")
+):
     """Normal-mode description: mass scale M, stiffness scale K, frequency
     omega = sqrt(K/M), frequency-splitting parameter eta, and the rotation
     angle alpha (radians) that decouples the coordinates."""
 
-    M: float
-    K: float
-    omega: float
-    eta: float
-    alpha: float
-    degenerate_branch: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (0.0 < self.M < math.inf and 0.0 < self.K < math.inf):
-            raise DomainError(f"M and K must be positive and finite, got {self.M}, {self.K}")
-        if not (math.isfinite(self.eta) and math.isfinite(self.alpha)):
-            raise DomainError(f"eta and alpha must be finite, got {self.eta}, {self.alpha}")
-        ref = math.sqrt(self.K / self.M)
+    def __new__(cls, M, K, omega, eta, alpha, degenerate_branch=False):
+        if not (0.0 < M < math.inf and 0.0 < K < math.inf):
+            raise DomainError(f"M and K must be positive and finite, got {M}, {K}")
+        if not (math.isfinite(eta) and math.isfinite(alpha)):
+            raise DomainError(f"eta and alpha must be finite, got {eta}, {alpha}")
+        ref = math.sqrt(K / M)
         # written as "not within" so that a nan omega is rejected too
-        if not abs(self.omega - ref) <= 1e-14 * ref:
-            raise DomainError(f"omega must equal sqrt(K/M) = {ref}, got {self.omega}")
+        if not abs(omega - ref) <= 1e-14 * ref:
+            raise DomainError(f"omega must equal sqrt(K/M) = {ref}, got {omega}")
+        return super().__new__(cls, M, K, omega, eta, alpha, degenerate_branch)
 
 
 def diagonalize(h):
@@ -127,22 +127,13 @@ def reconstruct(d):
     return (mid + half * c2a, mid - half * c2a, s2a * (lam2 - lam1))
 
 
-@dataclass(frozen=True)
-class ModePair:
-    """Quantum numbers (n, m) of the two normal modes with their
-    normalization constants c1 = 1/sqrt(sqrt(pi) n! 2^n) and the m-mirror."""
+class ModePair(_checked_tuple("ModePair", "n m")):
+    """Quantum numbers (n, m) of the two normal modes, stored as ints."""
 
-    n: int
-    m: int
-    c1: float = field(init=False)
-    c2: float = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        n, m = _check_mode_pair(self.n, self.m)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "c1", _norm_constant(n))
-        object.__setattr__(self, "c2", _norm_constant(m))
+    def __new__(cls, n, m):
+        return super().__new__(cls, *_check_mode_pair(n, m))
 
 
 def energy(mode, eta):

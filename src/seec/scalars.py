@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DomainError, UnsupportedOrderError
 
@@ -25,13 +25,16 @@ _LN2 = math.log(2.0)
 _LN_PI = math.log(math.pi)
 
 
-@dataclass(frozen=True)
-class MathConstants:
+class MathConstants(
+    namedtuple(
+        "MathConstants",
+        "euler_gamma sqrt_pi ln_2pi_e",
+        defaults=(0.57721566490153286061, 1.77245385090551602730, 2.83787706640934548356),
+    )
+):
     """High-precision constants used throughout the entropy formulas."""
 
-    euler_gamma: float = 0.57721566490153286061
-    sqrt_pi: float = 1.77245385090551602730
-    ln_2pi_e: float = 2.83787706640934548356
+    __slots__ = ()
 
 
 CONSTANTS = MathConstants()

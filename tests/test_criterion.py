@@ -2,7 +2,6 @@ import hashlib
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -446,7 +445,7 @@ class TestCriterionF:
         for n in range(33):
             for m in range(33):
                 for eta in (-1.3, 0.0, 0.4):
-                    digest.update(repr(astuple(criterion.criterion_f(n, m, eta))).encode())
+                    digest.update(repr(tuple(criterion.criterion_f(n, m, eta))).encode())
         assert digest.hexdigest() == (
             "f853d8816a70d1732ed051b3dc90e586d6577ced98d4f9868c284bd460bb9eb6"
         )

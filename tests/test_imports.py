@@ -1,4 +1,5 @@
-"""The package imports lazily, and no command but verify imports numpy.
+"""The package imports lazily, and no command but verify imports numpy,
+dataclasses or inspect.
 
 Each case runs in a fresh interpreter, since this test process has numpy
 loaded already.
@@ -15,8 +16,8 @@ import seec
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(seec.__file__)))
 
-# runs seec's CLI on argv, then reports on stderr's last line whether numpy
-# was imported
+# runs seec's CLI on argv, then reports on stderr's last line which of
+# numpy, dataclasses and inspect were imported
 CLI_SCRIPT = """
 import sys
 from seec import cli
@@ -25,7 +26,8 @@ try:
 except SystemExit as exc:
     code = exc.code
 sys.stdout.flush()
-sys.stderr.write("numpy imported: %s\\n" % ("numpy" in sys.modules))
+loaded = [m for m in ("numpy", "dataclasses", "inspect") if m in sys.modules]
+sys.stderr.write("imported: %s\\n" % " ".join(loaded))
 sys.exit(code)
 """
 
@@ -41,7 +43,7 @@ def run_python(code, *args, cwd=None):
 def run_cli(*args, cwd=None):
     code, out, err = run_python(CLI_SCRIPT, *args, cwd=cwd)
     *lines, last = err.splitlines()
-    return code, out, lines, last == "numpy imported: True"
+    return code, out, lines, last.split()[1:]
 
 
 def test_bare_import_loads_no_submodule():
@@ -53,9 +55,9 @@ def test_bare_import_loads_no_submodule():
 
 
 def test_version_skips_numpy():
-    code, out, lines, numpy_imported = run_cli("--version")
+    code, out, lines, loaded = run_cli("--version")
     assert code == 0 and out == f"seec {seec.__version__}\n" and lines == []
-    assert not numpy_imported
+    assert loaded == []
 
 
 # (argv, records in the output: None for a single JSON object)
@@ -90,9 +92,9 @@ NUMPY_FREE_COMMANDS = [
 def test_scalar_commands_skip_numpy(args, records, dest, tmp_path):
     out_path = tmp_path / "out.txt"
     extra = ("--out", str(out_path)) if dest == "file" else ()
-    code, out, lines, numpy_imported = run_cli(*args, *extra, cwd=tmp_path)
+    code, out, lines, loaded = run_cli(*args, *extra, cwd=tmp_path)
     assert code == 0 and lines == []
-    assert not numpy_imported
+    assert loaded == []  # neither numpy nor dataclasses nor inspect
     if dest == "file":
         assert out == ""
         text = out_path.read_text()
@@ -111,10 +113,10 @@ def test_scalar_commands_skip_numpy(args, records, dest, tmp_path):
 
 def test_scalar_errors_skip_numpy():
     for command, flag in (("threshold", "n-max"), ("criterion", "n")):
-        code, out, lines, numpy_imported = run_cli(command, f"--{flag}", "65")
+        code, out, lines, loaded = run_cli(command, f"--{flag}", "65")
         assert code == 1 and out == ""
         assert lines == [f"seec: error: {flag} must be in [0, 64], got 65"]
-        assert not numpy_imported
+        assert "numpy" not in loaded
 
 
 @pytest.mark.parametrize(
@@ -126,10 +128,10 @@ def test_scalar_errors_skip_numpy():
     ids=" ".join,
 )
 def test_sweep_errors_skip_numpy(args, tmp_path):
-    code, out, lines, numpy_imported = run_cli("sweep", *args, cwd=tmp_path)
+    code, out, lines, loaded = run_cli("sweep", *args, cwd=tmp_path)
     assert code == 1 and out == "" and len(lines) == 1
     assert lines[0].startswith("seec: error: ") and "finite grid" in lines[0]
-    assert not numpy_imported
+    assert "numpy" not in loaded
     assert list(tmp_path.iterdir()) == []
 
 
@@ -142,18 +144,19 @@ def test_sweep_errors_skip_numpy(args, tmp_path):
     ids=" ".join,
 )
 def test_wavefunction_errors_skip_numpy(args, tmp_path):
-    code, out, lines, numpy_imported = run_cli("wavefunction", *args, cwd=tmp_path)
+    code, out, lines, loaded = run_cli("wavefunction", *args, cwd=tmp_path)
     assert code == 1 and out == "" and len(lines) == 1
     assert lines[0].startswith("seec: error: u-min and u-max must span a finite grid, got [")
-    assert not numpy_imported
+    assert "numpy" not in loaded
     assert list(tmp_path.iterdir()) == []
 
 
 def test_array_command_imports_numpy():
-    # the control for the cases above: run_cli does see numpy when it loads
-    code, _, lines, numpy_imported = run_cli("verify", "--n-max", "0")
+    # the control for the cases above: run_cli does see each module when it
+    # loads (numpy imports inspect, and verification.Check is a dataclass)
+    code, _, lines, loaded = run_cli("verify", "--n-max", "0")
     assert code == 0 and lines == []
-    assert numpy_imported
+    assert loaded == ["numpy", "dataclasses", "inspect"]
 
 
 LAZY_SCRIPT = """

@@ -6,8 +6,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from seec import oscillator, quadrature
-from seec.errors import DomainError, UnboundModeError, UnsupportedRegimeError
+from seec import oscillator, quadrature, scalars
+from seec.errors import (
+    DomainError,
+    UnboundModeError,
+    UnsupportedOrderError,
+    UnsupportedRegimeError,
+)
 
 # 40-digit references
 ETA_DEGENERATE = 0.127706405941498  # 0.25 ln(5/3), couplings (1,1,1,1,-0.5)
@@ -39,6 +44,14 @@ class TestCoupledHamiltonian:
         # 4AB and C^2 both overflow to inf, and inf - inf is nan
         with pytest.raises(DomainError, match="discriminant 4AB - C\\^2 is not finite.*nan"):
             oscillator.CoupledHamiltonian(1e273, 1e273, 1e273, 1e273, 1.7e308)
+
+    def test_replace_and_make_validate(self):
+        h = oscillator.CoupledHamiltonian(1.0, 1.0, 1.0, 1.0, 0.0)
+        with pytest.raises(UnboundModeError):
+            h._replace(C=5.0)  # C^2 >= 4AB
+        with pytest.raises(UnboundModeError):
+            oscillator.CoupledHamiltonian._make((1.0, 1.0, 1.0, 1.0, 2.0))
+        assert h._replace(C=0.5) == (1.0, 1.0, 1.0, 1.0, 0.5)
 
 
 class TestDiagonalize:
@@ -153,6 +166,16 @@ class TestReconstruct:
     def test_nonfinite_fields_rejected(self, fields):
         with pytest.raises(DomainError, match="finite|omega"):
             oscillator.DiagonalizedSystem(*fields)
+        with pytest.raises(DomainError, match="finite|omega"):
+            oscillator.DiagonalizedSystem._make(fields)
+
+    def test_replace_and_make_validate(self):
+        with pytest.raises(DomainError, match="eta and alpha must be finite"):
+            oscillator.DiagonalizedSystem._make((1.0, 1.0, 1.0, math.nan, 0.0))
+        d = oscillator.DiagonalizedSystem(1.0, 1.0, 1.0, 0.0, 0.0)
+        with pytest.raises(DomainError, match="omega"):
+            d._replace(K=4.0)
+        assert d._replace(degenerate_branch=True).degenerate_branch is True
 
     def test_nonfinite_eta_from_diagonalize_rejected(self):
         # A + B + disc overflows, so e^{2 eta} is inf
@@ -164,16 +187,25 @@ class TestReconstruct:
 class TestModePair:
     def test_normalization_constants(self):
         for n in range(11):
-            mode = oscillator.ModePair(n, 0)
             direct = 1.0 / math.sqrt(math.sqrt(math.pi) * math.factorial(n) * 2.0**n)
-            assert abs(mode.c1 - direct) <= 1e-13 * direct
-        assert oscillator.ModePair(2, 3).c2 == oscillator.ModePair(3, 2).c1
+            assert abs(scalars._norm_constant(n) - direct) <= 1e-13 * direct
 
     def test_order_cap(self):
         with pytest.raises(DomainError):
             oscillator.ModePair(-1, 0)
         with pytest.raises(DomainError):
             oscillator.ModePair(0, 65)
+        with pytest.raises(UnsupportedOrderError):
+            oscillator.ModePair(65, 0)
+
+    def test_stores_ints(self):
+        mode = oscillator.ModePair(np.int64(3), 2)
+        assert type(mode.n) is int and mode == (3, 2)
+        assert type(mode._replace(m=np.int64(4)).m) is int
+        with pytest.raises(UnsupportedOrderError):
+            mode._replace(n=65)
+        with pytest.raises(DomainError):
+            oscillator.ModePair._make((1.0, 2))
 
 
 class TestEnergy:
