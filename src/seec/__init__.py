@@ -24,6 +24,7 @@ _EXPORTS = {
     "marginal": "criterion",
     "standard_entropy": "criterion",
     "threshold_eta0": "criterion",
+    "variance_threshold": "criterion",
     "DomainError": "errors",
     "IntegrandEvaluationError": "errors",
     "UnboundModeError": "errors",

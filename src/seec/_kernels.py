@@ -1,6 +1,9 @@
 """The hot numeric kernels in numpy: Hermite evaluation, the normalized
-Hermite function psi_k behind the eigenfunctions and their marginals, and
-the entropy quadrature sum."""
+Hermite function psi_k behind the eigenfunctions and their marginals, the
+entropy quadrature sum, and the one fixed-order sum behind every
+quadrature."""
+
+import math
 
 import numpy as np
 
@@ -59,12 +62,29 @@ def hermite_function(k, t, x):
     return float(value) if value.ndim == 0 else value
 
 
+def panel_sum(terms):
+    """Sum of ``terms`` laid out as (..., panel, point): ``np.add.reduce``
+    over the points of each panel, then ``math.fsum`` over the panel sums.
+    A 1-D ``terms`` is one panel.  A float, or an array of the leading
+    shape for more than two axes.
+
+    The order of every addition is fixed by the shape alone: no BLAS call,
+    whose threaded sum splits by the thread count, and the fsum over the
+    panels is correctly rounded.
+    """
+    sums = np.add.reduce(np.atleast_2d(terms), axis=-1)
+    totals = [math.fsum(row) for row in sums.reshape(-1, sums.shape[-1]).tolist()]
+    return totals[0] if sums.ndim == 1 else np.array(totals).reshape(sums.shape[:-1])
+
+
 def entropy_weighted_sum(n, nodes, weights):
-    """Weighted sum of e^{-z^2} H_n(z)^2 ln(H_n(z)^2) over the nodes.
+    """Weighted sum of e^{-z^2} H_n(z)^2 ln(H_n(z)^2) over the nodes, by
+    ``panel_sum``: nodes and weights of shape (panel, point), or 1-D for
+    one panel.
 
     The integrand is continued by zero where H_n(z)^2 underflows to zero
     (u ln u -> 0 at the polynomial roots).  The products run in place, in
-    the order e^{-z^2} * h^2 * ln(h^2).
+    the order e^{-z^2} * h^2 * ln(h^2) * w.
     """
     nodes = np.ascontiguousarray(nodes, dtype=np.float64)
     weights = np.ascontiguousarray(weights, dtype=np.float64)
@@ -77,4 +97,5 @@ def entropy_weighted_sum(n, nodes, weights):
     np.exp(terms, out=terms)
     terms *= h2
     terms *= logs
-    return float(np.dot(weights, terms))
+    terms *= weights
+    return panel_sum(terms)

@@ -5,7 +5,8 @@ entropies, the criterion function
 
     f(eta) = H[w-] + H[v+] - ln(2 pi e) = eta0 - eta,
 
-the threshold table eta0(n, m) and the verdict (entangled iff f < 0).
+the threshold table eta0(n, m), the verdict (entangled iff f < 0) and
+the product-variance criterion's threshold eta_var(n, m) beside it.
 
 The eta dependence of each entropy is analytic (a pure -ln t scale term
 with t = e^{eta/2}/sqrt(2)), so entropies decompose as S_k - ln t where
@@ -117,6 +118,20 @@ def threshold_eta0(n, m):
     which keeps the ground-state threshold an exact zero.
     """
     return _eta0(*_check_mode_pair(n, m))
+
+
+def variance_threshold(n, m):
+    """Threshold eta_var(n, m) = 1/2 ln((2n + 1)(2m + 1)) of the
+    product-variance criterion on the same pair (w-, v+), which detects
+    entanglement iff eta > eta_var (Mancini, Giovannetti, Vitali and
+    Tombesi, PRL 88, 120401 (2002)).
+
+    The level-k density has variance k + 1/2, and no density of that
+    variance has more entropy than the Gaussian's 1/2 ln(pi e (2k + 1)), so
+    threshold_eta0(n, m) <= eta_var(n, m): SEEC never detects later.
+    """
+    n, m = _check_mode_pair(n, m)
+    return 0.5 * math.log((2 * n + 1) * (2 * m + 1))
 
 
 def _verdict(eta0, eta):

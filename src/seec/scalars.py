@@ -112,70 +112,70 @@ def _mode_scale(eta, sign=1.0):
 # closed form, and tests/test_criterion.py recomputes the whole table.
 S_TABLE = (
     1.0723649429247,
-    1.3427277883861777,
-    1.4986092332517247,
-    1.6097118413016513,
+    1.3427277883861806,
+    1.498609233251727,
+    1.6097118413016522,
     1.6965506306803775,
     1.768061253238324,
-    1.8289684902728265,
+    1.8289684902728176,
     1.8820845209089647,
-    1.9292233531088563,
-    1.9716255549652786,
-    2.010178125467437,
-    2.045537879584508,
-    2.078205161289695,
-    2.1085701431786816,
-    2.1369431258104044,
-    2.1635750574933894,
-    2.1886718409109847,
-    2.212404560180495,
-    2.2349169520663565,
-    2.256330968872547,
-    2.2767509907939996,
-    2.2962670638317064,
-    2.314957422402969,
-    2.3328904786617954,
-    2.3501264086254565,
-    2.3667184295745614,
-    2.382713838263925,
-    2.3981548618981634,
-    2.4130793610410564,
-    2.427521414419232,
-    2.4415118086940026,
-    2.45507845119684,
-    2.4682467197741005,
-    2.481039760881231,
-    2.4934787449122098,
-    2.5055830859031403,
-    2.517370631453474,
-    2.5288578275674354,
-    2.54005986230527,
-    2.550990791456968,
-    2.5616636488116455,
-    2.5720905433695407,
-    2.582282745122228,
-    2.5922507611778087,
-    2.602004403381329,
-    2.6115528485800894,
-    2.620904692485226,
-    2.6300679979297,
-    2.63905033822428,
-    2.647858836128819,
-    2.6565001990517487,
-    2.6649807508458423,
-    2.673306460716816,
-    2.6814829691643354,
-    2.689515611964339,
-    2.6974094417715833,
-    2.7051692477932647,
+    1.929223353108842,
+    1.971625554965268,
+    2.010178125467423,
+    2.045537879584458,
+    2.0782051612896524,
+    2.108570143178653,
+    2.13694312581039,
+    2.1635750574933468,
+    2.188671840910949,
+    2.2124045601804383,
+    2.2349169520662997,
+    2.256330968872504,
+    2.2767509907939427,
+    2.2962670638316354,
+    2.3149574224028555,
+    2.332890478661753,
+    2.3501264086253997,
+    2.366718429574533,
+    2.3827138382638395,
+    2.398154861898135,
+    2.4130793610409285,
+    2.4275214144192034,
+    2.4415118086938037,
+    2.4550784511967265,
+    2.468246719774015,
+    2.4810397608812593,
+    2.4934787449121245,
+    2.505583085903197,
+    2.517370631453332,
+    2.5288578275673217,
+    2.540059862305071,
+    2.550990791456883,
+    2.5616636488115034,
+    2.5720905433693417,
+    2.582282745121944,
+    2.5922507611779793,
+    2.602004403380903,
+    2.611552848579919,
+    2.6209046924849417,
+    2.6300679979295296,
+    2.6390503382242514,
+    2.647858836128762,
+    2.6565001990514077,
+    2.664980750845757,
+    2.6733064607165886,
+    2.681482969164648,
+    2.6895156119643673,
+    2.69740944177164,
+    2.705169247793208,
     2.7127995739574544,
-    2.720304735400134,
-    2.7276888336797924,
-    2.734955770639658,
-    2.74210926120395,
-    2.749152845276001,
-    2.7560898985059907,
-    2.7629236423775865,
+    2.720304735399793,
+    2.727688833679508,
+    2.7349557706392034,
+    2.742109261203723,
+    2.749152845276285,
+    2.7560898985057634,
+    2.762923642377473,
 )
 
 
@@ -188,68 +188,68 @@ S_TABLE = (
 # tests/test_criterion.py recomputes the whole table.
 I3_CLOSED_TABLE = (
     0.0,
-    5.043639147506628,
-    51.80098829022162,
-    538.8702774158014,
-    6347.794323984273,
-    85469.35592856038,
-    1305286.3050714254,
-    22374336.45545599,
-    426146961.6090964,
-    8937828949.72175,
-    204819536667.14407,
-    5093687703977.22,
-    136664242949873.72,
-    3935524810704543.0,
+    5.0436391475066085,
+    51.80098829022172,
+    538.8702774158005,
+    6347.794323984262,
+    85469.3559285604,
+    1305286.3050714238,
+    22374336.455455996,
+    426146961.6090957,
+    8937828949.721748,
+    204819536667.14404,
+    5093687703977.232,
+    136664242949873.84,
+    3935524810704544.0,
     1.2109047883085005e+17,
     3.964960089499607e+18,
     1.3767117027783108e+20,
     5.0528853109252e+21,
-    1.954718942884683e+23,
-    7.94975288478724e+24,
-    3.3909937766003964e+26,
+    1.954718942884684e+23,
+    7.949752884787233e+24,
+    3.390993776600396e+26,
     1.5138200306070236e+28,
     7.059016006739396e+29,
-    3.432060724216066e+31,
-    1.7369456554187172e+33,
-    9.136336082063935e+34,
-    4.987640876530303e+36,
-    2.822160962834601e+38,
-    1.6530927288743378e+40,
+    3.432060724216067e+31,
+    1.7369456554187157e+33,
+    9.136336082063937e+34,
+    4.987640876530297e+36,
+    2.8221609628345986e+38,
+    1.6530927288743363e+40,
     1.0012489894193583e+42,
-    6.263959388662837e+43,
-    4.043702943658249e+45,
+    6.263959388662838e+43,
+    4.043702943658253e+45,
     2.691044626268025e+47,
-    1.844530563145804e+49,
-    1.30109229853419e+51,
-    9.437171942416865e+52,
-    7.033313176621672e+54,
+    1.844530563145805e+49,
+    1.3010922985341912e+51,
+    9.437171942416864e+52,
+    7.033313176621673e+54,
     5.382107023343772e+56,
-    4.2259541744405495e+58,
-    3.40249714698021e+60,
-    2.807406708067697e+62,
+    4.2259541744405534e+58,
+    3.402497146980211e+60,
+    2.8074067080676988e+62,
     2.3724340389588565e+64,
-    2.052213943660952e+66,
-    1.8161853821257493e+68,
+    2.0522139436609524e+66,
+    1.8161853821257488e+68,
     1.6435630934765696e+70,
     1.5201639230217009e+72,
-    1.4363835711281628e+74,
-    1.3859033140175114e+76,
-    1.3648733396018802e+78,
-    1.3714201107262607e+80,
+    1.4363835711281626e+74,
+    1.3859033140175113e+76,
+    1.3648733396018815e+78,
+    1.3714201107262614e+80,
     1.4053879824543196e+82,
     1.4682665617712984e+84,
-    1.563284896529134e+86,
-    1.6956779410461233e+88,
-    1.8731546388831676e+90,
-    2.1066247090173049e+92,
-    2.4112776723247812e+94,
+    1.5632848965291342e+86,
+    1.695677941046124e+88,
+    1.8731546388831662e+90,
+    2.1066247090173046e+92,
+    2.4112776723247816e+94,
     2.808159232533005e+96,
-    3.326466176170398e+98,
-    4.006895760975912e+100,
+    3.326466176170397e+98,
+    4.006895760975911e+100,
     4.906561500294319e+102,
     6.106259917217572e+104,
-    7.721299462694985e+106,
+    7.721299462694994e+106,
     9.917776202171531e+108,
     1.2937252941487194e+111,
 )

@@ -133,12 +133,13 @@ def _leggauss(order):
 
 def _panel_nodes(order, edges):
     # (nodes, weights) of the composite rule with ``order`` Gauss-Legendre
-    # points on each panel between consecutive edges, in ascending order
+    # points on each panel between consecutive edges, in ascending order,
+    # one row per panel: the layout _kernels.panel_sum sums
     base_x, base_w = _leggauss(order)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * base_x).ravel()
-    weights = (half[:, None] * base_w).ravel()
+    nodes = mid[:, None] + half[:, None] * base_x
+    weights = half[:, None] * base_w
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights
@@ -164,7 +165,7 @@ _K_PANEL_PHASE = 80.0
 
 def _fourier_laguerre_rule(n, panels):
     """(k, c, a) for V_n on ``panels`` equal Gauss-Legendre panels over
-    [0, 2 sqrt(2n+1) + 12]: the nodes k, the constant
+    [0, 2 sqrt(2n+1) + 12]: the nodes k, one row per panel, the constant
     c = ln-constant + sum w e^{-k^2/4} / k, and a = w e^{-k^2/4} L_n(k^2/2) / k,
     so that -V_n(x) / (2^n n! sqrt(pi)) = c - sum a cos(k x)."""
     # the panel quadrature's default order, so the two share one base rule
@@ -177,7 +178,7 @@ def _fourier_laguerre_rule(n, panels):
     lag_prev, lag = np.zeros_like(k), gauss
     for j in range(n):
         lag_prev, lag = lag, ((2.0 * j + 1.0 - t) * lag - j * lag_prev) / (j + 1.0)
-    return k, _LN_ABS_C0 + float(np.dot(w_over_k, gauss)), w_over_k * lag
+    return k, _LN_ABS_C0 + _kernels.panel_sum(w_over_k * gauss), w_over_k * lag
 
 
 def log_potential(n, x):
@@ -191,9 +192,10 @@ def log_potential(n, x):
                  + int_0^inf e^{-k^2/4} (1 - L_n(k^2/2) cos kx) / k dk ]
 
     The integrand is smooth and bounded; the k integral takes a composite
-    Gauss-Legendre rule whose panel count grows with max |x|.  Accepts a
-    scalar or an array of points with |x| <= sqrt(2n + 1) + 10 (the
-    entropy window); returns a float or an array of the same shape.
+    Gauss-Legendre rule whose panel count grows with max |x|, summed for
+    each x by ``_kernels.panel_sum``.  Accepts a scalar or an array of
+    points with |x| <= sqrt(2n + 1) + 10 (the entropy window); returns a
+    float or an array of the same shape.
     """
     n = _check_order(n, N_MAX)
     if n == 0:
@@ -211,8 +213,9 @@ def log_potential(n, x):
     rate = reach + math.sqrt(2.0 * n + 1.0)
     panels = math.ceil(rate * _k_cutoff(n) / _K_PANEL_PHASE)
     k, constant, amplitude = _fourier_laguerre_rule(n, panels)
-    v = -math.exp(_ln_norm(n)) * (constant - np.cos(np.multiply.outer(x, k)) @ amplitude)
-    return float(v) if v.ndim == 0 else v
+    wave = _kernels.panel_sum(np.cos(np.multiply.outer(x, k)) * amplitude)
+    v = -math.exp(_ln_norm(n)) * (constant - wave)
+    return float(v) if np.ndim(v) == 0 else v
 
 
 def entropy_integral_closed_form(n):

@@ -1,7 +1,8 @@
 """Self-verification: cross-checks every closed form against the numeric
 oracle, the panel quadrature of the entropy integral against its
 closed-form oracle from the logarithmic potential, the frozen S_k table
-against both, and the frozen closed-form table against its live route.
+against both and against the Gaussian entropy bound, and the frozen
+closed-form table against its live route.
 
 collect_checks visits each order once, so it calls the live closed form
 of I3 directly, once per order, with no cache of its own.  Its marginal
@@ -52,6 +53,13 @@ def _check(name, value, reference, tol, scale=1.0):
     return Check(name, value, reference, delta, tol * scale, True, status)
 
 
+def _check_at_most(name, value, bound, tol):
+    # a one-sided row: value may lie anywhere below bound, and above it by
+    # at most tol; delta is the excess over bound
+    excess = max(0.0, value - bound)
+    return Check(name, value, bound, excess, tol, True, "ok" if excess <= tol else "FAIL")
+
+
 def _gh_integral(order, f):
     rule = quadrature.gauss_hermite_rule(order)
     return quadrature.integrate_panels(f, rule)
@@ -99,6 +107,12 @@ def collect_checks(n_max):
             checks.append(_check("I3anchor[1]", i3, analytic, 1e-9))
         s_live = criterion._entropy_from_i3(n, i3)
         checks.append(_check(f"S_table[{n}]", S_TABLE[n], s_live, S_TABLE_TOL))
+        # the level-n density has variance n + 1/2, so its entropy is at most
+        # the Gaussian's, with equality at n = 0 (a few ulps of rounding)
+        gauss = 0.5 * math.log(math.pi * math.e * (2 * n + 1))
+        checks.append(
+            _check_at_most(f"S_gauss_bound[{n}]", S_TABLE[n], gauss, 4 * math.ulp(gauss))
+        )
         closed = specfun.entropy_integral_closed_form(n)
         s_delta = criterion._oracle_delta(n, closed)
         checks.append(

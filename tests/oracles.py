@@ -81,8 +81,9 @@ def panel_rule_loop(order, boundaries):
 
 
 def entropy_panel_boundaries_loop(n, roots, max_width=2.0):
-    """Entropy panel boundaries built point by point from the roots of H_n:
-    the reference for the array construction."""
+    """Entropy panel boundaries built point by point from the roots of H_n,
+    graded toward each root by a ratio of 8 in three levels: the reference
+    for the array construction."""
     cut = math.sqrt(2.0 * n + 1.0) + 10.0
     raw = [-cut, *(float(x) for x in roots), cut]
     boundaries = [-cut]
@@ -90,11 +91,11 @@ def entropy_panel_boundaries_loop(n, roots, max_width=2.0):
     for i, (a, b) in enumerate(zip(raw, raw[1:])):
         mid = 0.5 * (a + b)
         if i > 0:  # left end is a root: grade away from it
-            boundaries.extend(a + (mid - a) * 2.0 ** (-j) for j in range(10, -1, -1))
+            boundaries.extend(a + (mid - a) * 8.0 ** (-j) for j in range(3, -1, -1))
         else:
             boundaries.append(mid)
         if i < last:  # right end is a root: grade toward it
-            boundaries.extend(b - (b - mid) * 2.0 ** (-j) for j in range(1, 11))
+            boundaries.extend(b - (b - mid) * 8.0 ** (-j) for j in range(1, 4))
         boundaries.append(b)
     refined = []
     for a, b in zip(boundaries, boundaries[1:]):

@@ -447,7 +447,7 @@ class TestCriterionF:
                 for eta in (-1.3, 0.0, 0.4):
                     digest.update(repr(tuple(criterion.criterion_f(n, m, eta))).encode())
         assert digest.hexdigest() == (
-            "f853d8816a70d1732ed051b3dc90e586d6577ced98d4f9868c284bd460bb9eb6"
+            "59bb009c174772319b07fae8512200487b4e00d2dd2167371899c7caf7bc33d9"
         )
 
     def test_finite_where_the_scale_overflows(self):
@@ -503,6 +503,49 @@ class TestThreshold:
     def test_analytic_value_for_11(self):
         analytic = 2.0 * (math.log(2.0 * SQRT_PI) + EULER_GAMMA - 0.5) + math.log(2.0) - LN_2PI_E
         assert abs(criterion.threshold_eta0(1, 1) - analytic) <= 1e-8
+
+
+class TestVarianceThreshold:
+    def test_ground_state_is_exact_zero(self):
+        assert criterion.variance_threshold(0, 0) == 0.0
+
+    def test_values_and_symmetry(self):
+        for n in range(9):
+            for m in range(9):
+                expected = 0.5 * (math.log(2 * n + 1) + math.log(2 * m + 1))
+                got = criterion.variance_threshold(n, m)
+                assert abs(got - expected) <= 1e-15 * max(1.0, expected)
+                assert got == criterion.variance_threshold(m, n)
+
+    @pytest.mark.parametrize("pair,ratio", [((1, 0), 0.49), ((2, 2), 0.53), ((64, 64), 0.70)])
+    def test_ratio_of_the_thresholds(self, pair, ratio):
+        got = criterion.threshold_eta0(*pair) / criterion.variance_threshold(*pair)
+        assert round(got, 2) == ratio
+
+    def test_order_checked(self):
+        with pytest.raises(UnsupportedOrderError):
+            criterion.variance_threshold(scalars.N_MAX + 1, 0)
+        with pytest.raises(DomainError):
+            criterion.variance_threshold(1.0, 0)
+
+
+class TestGaussianBoundRows:
+    def test_one_row_per_order_equality_at_zero(self):
+        checks = {c.name: c for c in verification.collect_checks(12)}
+        for k in range(13):
+            row = checks[f"S_gauss_bound[{k}]"]
+            assert row.status == "ok" and row.value == scalars.S_TABLE[k]
+            assert row.reference == 0.5 * math.log(math.pi * math.e * (2 * k + 1))
+            if k == 0:
+                assert abs(row.value - row.reference) <= 4 * math.ulp(row.reference)
+            else:
+                assert row.reference - row.value >= 0.27 and row.delta == 0.0
+
+    def test_an_entropy_above_the_bound_fails(self):
+        bound = 1.0
+        assert verification._check_at_most("x", bound - 0.5, bound, 1e-15).status == "ok"
+        over = verification._check_at_most("x", bound + 1e-12, bound, 1e-15)
+        assert over.status == "FAIL" and over.delta == bound + 1e-12 - bound
 
 
 class TestIsEntangled:

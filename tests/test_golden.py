@@ -20,46 +20,46 @@ GOLDEN = [
      '645d40040514b69ab82bdae37218bfdca7e6c9747d1b173cfc1780a18bc62370',
      None),
     ('sweep --modes 1:1 --steps 41 --format json',
-     '9052e1f01dd7a4aa7de6d1464217b3b118899b3b51595f364e1fcc42d5864f6f',
+     '70534ee4346abeff3f15dec75f953efcdfe07ac7a5458cf5160b08e1a029efd6',
      None),
     ('sweep --modes 0:0,1:1,2:3,5:0,7:7,32:32 --eta-min 0 --eta-max 3 --steps 257',
-     'bb81fc3da5b687abd3f87daae39f4174d877de70e8b17f0f43e761c94d75bfe4',
+     '9514d3eb55deceb5df64e42db1e7606befd063c1ca2e93f4f3831a13595b8a4e',
      None),
     ('sweep --modes 0:0,1:1,2:3,5:0,7:7,32:32 --eta-min 0 --eta-max 3 --steps 257 --format json',
-     'd303b36ec90ae0045b7548f04fb550384a08bbe58a007370a7bacedfe1c2635a',
+     'e722515d2406947fadba4bee0d83a86f028db35f2cb37a5d98e9b40894f58c56',
      None),
     ('sweep --modes 2:2 --steps 101 --svg',
-     '17e6708df556df3b0693594c68804edd34d6a0a4d15e71c476e9a93cbd3f94a0',
+     '63fc5081598492ba30e10ecdba14692c725a506b8683e4a14f4f1f8a101e973c',
      'dbaacb522b7d11e2241ddb3219919611f1e119264671e0cb22b05ce8af7efa7d'),
     ('sweep --modes 0:0,1:1,2:3,5:0,7:7,32:32 --steps 201 --svg',
-     '4036b3dca762681503674fc85e513270018ad37fb38264e1b901efc1f80a8d7f',
+     '3e482fc8f51ef0872509bdde4175f7077346896d1ff185449570a12118a2d254',
      '708cde80d5bcb9361d96c8c19baff524dbeb82f4cf4090a44490526b0c67f760'),
     ('sweep --modes 0:0,1:1,2:3,5:0,7:7,32:32 --steps 201 --format json --svg',
-     'ee116726ff307987b30f66fbfd30f470ce529fdc8470675717a23c78a6c0d4ca',
+     '5852b583b7c74988f94dd8a54039c2ba55914684ced23e86a245bf443d9d55f2',
      '708cde80d5bcb9361d96c8c19baff524dbeb82f4cf4090a44490526b0c67f760'),
     ('sweep --modes 0:0,3:1 --eta-min -2.5 --eta-max -0.25 --steps 99',
      '80f780c6e12b96a64252800a6a6e0c46e46ce390531461c7cde6f428f3e0b253',
      None),
     ('sweep --modes 0:0,3:1 --eta-min -2.5 --eta-max -0.25 --steps 99 --format json --svg',
-     '1cbac1d4a1f74ac0712ac4aa49c8d87f49c74cf478b003ad78fc21764320a6a6',
+     '67d84a10450db47f97bcd7e3acdd7e443bf0b8cfd2822af6e489085920055f68',
      'a8b6e345eebd2ec7f1d244204e767290c8328e7492423f70b7a7e43294c6d0a7'),
     ('threshold',
      '92d2266a6b2f022b6f533a1056ff8c64a988e6fe57a3ef7edf7875e60a41aa16',
      None),
     ('threshold --format json',
-     'a7e9b606c0473979e238c5d88950d30106c62f6657c22c554fa207814f62937c',
+     '45c9db95045f878c4dd41892477e06773983aae588b72c59fb22be48bd572dc3',
      None),
     ('threshold --n-max 32 --m-max 32',
-     'd813e2a965a31e6dbc4f774652fec9df9c0906ac083247a4608875765fe64330',
+     '9ddd743ba257fb837cfc51ce4b4ad47a68293c71dd48f7f457da27d1bd4d8ba8',
      None),
     ('threshold --n-max 32 --m-max 32 --format json',
-     'c63ee6fb635de66f3cb032b8ffcc19146ef43d24339fc13186ca922d8d4a257c',
+     'c97c9d92097f38ec8d71bf8ca4d38121e403ef3db797835d2445fe0443889d51',
      None),
     ('criterion --n 3 --m 2 --eta 0.4',
-     '7da5aba071fb8fb6aa7bb2004a94db5e73500c54fc103c7347ff932c28805b1e',
+     'd36148a1a297d6c9537c7c1651ce0d3c16a3ec6e77e9f2ca7caece5b476109b5',
      None),
     ('criterion --n 32 --m 7 --eta -1.3',
-     '0ca82d268e74fddd1e6ca8d568de9b9af9efc9e9c433fa63c8c4ddb9eae9d154',
+     'c8b447c00fafe19590cd1b4444f801b0526e54c450ae89ede504cc28b440f177',
      None),
     ('diagonalize --m1 2 --m2 0.5 --A 3 --B 1 --C -0.4',
      '98126aaa26584f035e8fc9f7a53aece23ec426e4e2c3d33494fe599872ff2cc6',

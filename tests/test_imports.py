@@ -6,6 +6,7 @@ loaded already.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -198,6 +199,15 @@ def test_scalar_library_calls_skip_numpy():
     )
     assert code == 0, err
     assert out == "False\n"
+
+
+def test_variance_threshold_skips_numpy():
+    code, out, err = run_python(
+        "import sys, seec\n"
+        "print(seec.variance_threshold(3, 2), 'numpy' in sys.modules)\n"
+    )
+    assert code == 0, err
+    assert out == f"{0.5 * math.log(35)} False\n"
 
 
 def test_verification_skips_numpy_polynomial():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -90,6 +92,23 @@ class TestEntropyWeightedSum:
         assert abs(value - expected) <= 1e-15 * expected
 
 
+class TestPanelSum:
+    def test_sums_each_panel_then_fsums_the_panels(self):
+        rng = np.random.default_rng(7)
+        terms = rng.standard_normal((3, 5, 40, 48)) * 10.0 ** rng.integers(-8, 9, (3, 5, 40, 1))
+        got = _kernels.panel_sum(terms)
+        assert got.shape == (3, 5)
+        for index in np.ndindex(3, 5):
+            panels = terms[index]
+            expected = math.fsum(float(np.add.reduce(row)) for row in panels)
+            assert got[index] == expected == _kernels.panel_sum(panels)
+
+    def test_one_dimensional_terms_are_one_panel(self):
+        terms = np.linspace(-1.0, 3.0, 1001) ** 3
+        assert _kernels.panel_sum(terms) == float(np.add.reduce(terms))
+        assert type(_kernels.panel_sum(terms)) is float
+
+
 class TestInPlaceBitIdentity:
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 32, 64])
     def test_hermite_pair_matches_allocating_recurrence(self, n):
@@ -116,9 +135,12 @@ class TestInPlaceBitIdentity:
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 32])
     def test_weighted_sum_matches_allocating_formula(self, n):
-        nodes, weights = _panel_inputs(n)
+        # one row per 32-point panel; each panel summed on its own, then
+        # the panel sums by fsum
+        nodes, weights = (a.reshape(-1, 32) for a in _panel_inputs(n))
         h = oracles.hermite_pair_allocating(n, nodes)[0]
         h2 = h * h
         logs = np.log(np.where(h2 > 0.0, h2, 1.0))
-        expected = float(np.dot(weights, np.exp(-nodes * nodes) * h2 * logs))
+        terms = np.exp(-nodes * nodes) * h2 * logs * weights
+        expected = math.fsum(float(np.add.reduce(row)) for row in terms)
         assert _kernels.entropy_weighted_sum(n, nodes, weights) == expected

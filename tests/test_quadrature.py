@@ -212,6 +212,15 @@ class TestEntropyIntegral:
         fine = quadrature.entropy_integral_numeric(n, 96)
         assert abs(coarse - fine) <= 1e-9 * max(1.0, abs(fine))
 
+    def test_coarse_panel_orders_converge_at_every_order(self):
+        # on the ratio-8 grading, 24, 32 and 48 points per panel already
+        # agree with 96 to roundoff for every k <= N_MAX
+        for k in range(scalars.N_MAX + 1):
+            fine = quadrature.entropy_integral_numeric(k, 96)
+            for order in (24, 32, 48):
+                coarse = quadrature.entropy_integral_numeric(k, order)
+                assert abs(coarse - fine) <= 1e-14 * max(1.0, abs(fine)), (k, order)
+
     def test_order_cap(self):
         with pytest.raises(UnsupportedOrderError):
             quadrature.entropy_integral_numeric(scalars.N_MAX + 1)
@@ -228,7 +237,9 @@ class TestEntropyIntegral:
         bounds = quadrature.entropy_panel_boundaries(n)
         for order in (32, 48, 96):
             rule = quadrature.legendre_panel_rule(order, bounds)
-            expected = _kernels.entropy_weighted_sum(n, rule.nodes, rule.weights)
+            # the kernel sums one panel (a row of `order` points) at a time
+            panels = (rule.nodes.reshape(-1, order), rule.weights.reshape(-1, order))
+            expected = _kernels.entropy_weighted_sum(n, *panels)
             assert quadrature.entropy_integral_numeric(n, order) == expected
 
     @pytest.mark.parametrize("window", [math.inf, math.nan, 0.5])

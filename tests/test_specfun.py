@@ -271,6 +271,7 @@ ORDER_ENTRIES = {
     "entropy_integral_closed_form": (specfun.entropy_integral_closed_form, scalars.N_MAX),
     "standard_entropy": (criterion.standard_entropy, scalars.N_MAX),
     "threshold_eta0": (lambda n: criterion.threshold_eta0(n, 0), scalars.N_MAX),
+    "variance_threshold": (lambda n: criterion.variance_threshold(0, n), scalars.N_MAX),
     "mode_pair": (lambda n: oscillator.ModePair(0, n), scalars.N_MAX),
     "collect_checks": (verification.collect_checks, verification.VERIFY_N_MAX),
 }
@@ -307,6 +308,7 @@ def test_order_entries_share_one_check(entry):
 
 
 def test_public_names():
+    assert "variance_threshold" in seec.__all__
     for name in seec.__all__:
         assert hasattr(seec, name), name
     for name in REMOVED_NAMES:
