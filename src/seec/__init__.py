@@ -26,7 +26,6 @@ _EXPORTS = {
     "threshold_eta0": "criterion",
     "variance_threshold": "criterion",
     "DomainError": "errors",
-    "IntegrandEvaluationError": "errors",
     "UnboundModeError": "errors",
     "UnsupportedOrderError": "errors",
     "UnsupportedRegimeError": "errors",
@@ -40,15 +39,8 @@ _EXPORTS = {
     "QuadratureRule": "quadrature",
     "entropy_integral_numeric": "quadrature",
     "gauss_hermite_rule": "quadrature",
-    "integrate_panels": "quadrature",
-    "legendre_panel_rule": "quadrature",
-    "CONSTANTS": "scalars",
-    "MathConstants": "scalars",
-    "ln_factorial": "scalars",
     "RootSet": "specfun",
     "hermite_roots": "specfun",
-    "hermite_values": "specfun",
-    "log_potential": "specfun",
 }
 
 _SUBMODULES = frozenset(

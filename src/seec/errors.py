@@ -16,13 +16,3 @@ class UnboundModeError(DomainError):
 class UnsupportedRegimeError(DomainError):
     """Operation only defined in the alpha = +/-45 degree regime."""
 
-
-class IntegrandEvaluationError(ValueError):
-    """An integrand returned a non-finite value at a quadrature node."""
-
-    def __init__(self, node, value):
-        super().__init__(
-            f"integrand returned non-finite value {value!r} at node {node!r}"
-        )
-        self.node = node
-        self.value = value

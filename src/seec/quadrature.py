@@ -20,25 +20,25 @@ from functools import lru_cache
 import numpy as np
 
 from . import _kernels, specfun
-from .errors import DomainError, IntegrandEvaluationError
+from .errors import DomainError
 from .scalars import (
-    CONSTANTS,
     DEFAULT_PANEL_ORDER,
     N_MAX,
+    _SQRT_PI,
     _check_order,
     _check_panel_order,
-    ln_factorial,
+    _ln_factorial,
 )
 
 _MAX_PANEL_WIDTH = 2.0
-_SQRT_PI = CONSTANTS.sqrt_pi
 
 
 @dataclass(frozen=True, eq=False)
 class QuadratureRule:
-    """Nodes and weights of a rule, finite and with every weight positive:
-    sum w_i f(x_i) approximates the integral of f, times e^{-z^2} for
-    gauss_hermite_rule, which checks what else its rule guarantees."""
+    """Nodes and weights of a Gauss-Hermite rule, finite and with every
+    weight positive: sum w_i f(x_i) approximates the integral of
+    f(z) e^{-z^2}.  Built only by gauss_hermite_rule, which checks what
+    else its rule guarantees."""
 
     nodes: np.ndarray
     weights: np.ndarray
@@ -50,18 +50,7 @@ class QuadratureRule:
             raise DomainError("all quadrature weights must be strictly positive")
 
 
-def _check_panel_boundaries(boundaries):
-    # at least one panel, with finite widths between finite, strictly
-    # increasing boundaries; in Python floats, whose overflow is a silent inf
-    if len(boundaries) < 2:
-        raise DomainError("panel rule requires at least one panel")
-    widths = [b - a for a, b in zip(boundaries, boundaries[1:])]
-    if not all(map(math.isfinite, (*boundaries, *widths))):
-        raise DomainError("panel boundaries and their widths must be finite")
-    if not all(w > 0.0 for w in widths):
-        raise DomainError("panel boundaries must be strictly increasing")
-
-
+# public while the benchmark harness calls it by name (ROADMAP item 4)
 def gauss_hermite_rule(order):
     """Gauss-Hermite rule of the given order (1 <= order <= N_MAX).
 
@@ -81,7 +70,7 @@ def _gauss_hermite_rule(order):
     nodes = specfun._root_set(order).roots
     h_prev = _kernels.hermite_values(order - 1, nodes)
     ln_pref = (
-        (order - 1) * math.log(2.0) + ln_factorial(order) + 0.5 * math.log(math.pi)
+        (order - 1) * math.log(2.0) + _ln_factorial(order) + 0.5 * math.log(math.pi)
     )
     weights = np.exp(ln_pref - 2.0 * np.log(np.abs(order * h_prev)))
     weights.setflags(write=False)
@@ -91,37 +80,6 @@ def _gauss_hermite_rule(order):
     return rule
 
 
-def legendre_panel_rule(order, boundaries):
-    """Composite Gauss-Legendre rule with ``order`` points per panel."""
-    order = _check_panel_order(order)
-    boundaries = tuple(float(b) for b in boundaries)
-    _check_panel_boundaries(boundaries)
-    nodes, weights = specfun._panel_nodes(order, np.array(boundaries))
-    return QuadratureRule(nodes.ravel(), weights.ravel())
-
-
-def integrate_panels(f, rule):
-    """Weighted sum of f over all nodes of the rule.
-
-    The nodes are evaluated in a fixed order, and the products w_i f(x_i)
-    summed as one panel by ``_kernels.panel_sum``, so identical inputs give
-    the same bits whatever the BLAS thread count.  A non-finite integrand
-    value raises IntegrandEvaluationError carrying the offending node.
-    """
-    nodes = rule.nodes
-    try:
-        values = np.asarray(f(nodes), dtype=np.float64)
-        if values.shape != nodes.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        values = np.array([float(f(x)) for x in nodes])
-    bad = ~np.isfinite(values)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise IntegrandEvaluationError(node=float(nodes[i]), value=float(values[i]))
-    return _kernels.panel_sum(rule.weights * values)
-
-
 _GRADING_LEVELS = 3
 # grading factors by a ratio of 8: away from a root (8^-3 .. 8^0) and
 # toward one (8^-1 .. 8^-3)
@@ -129,8 +87,10 @@ _GRADE_AWAY = 8.0 ** -np.arange(_GRADING_LEVELS, -1, -1)
 _GRADE_TOWARD = 8.0 ** -np.arange(1, _GRADING_LEVELS + 1)
 
 
-def entropy_panel_boundaries(n):
-    """Panel boundaries for the entropy integrand of order n.
+@lru_cache(maxsize=None)
+def _entropy_panel_boundaries(n):
+    """Panel boundaries for the entropy integrand of a checked order n, as
+    one read-only array built once per order.
 
     The window [-L, L] with L = sqrt(2n + 1) + 10 is split at every root
     of H_n, and each root-adjacent half-gap is graded toward the root by a
@@ -140,14 +100,8 @@ def entropy_panel_boundaries(n):
     (about 1e-31 at q = 48) and only the innermost sliver (width 2^-9 of
     the half-gap, holding an O(width^3 ln width) share of the integral)
     sees the singularity at all.  Panels away from roots are at most 2
-    wide.  Validated on every call, then built once per order.
+    wide.
     """
-    return _entropy_panel_boundaries(_check_order(n, N_MAX))[0]
-
-
-@lru_cache(maxsize=None)
-def _entropy_panel_boundaries(n):
-    # (boundaries as a tuple, the same as a read-only array)
     roots = specfun.hermite_roots(n).roots
     cut = specfun._entropy_window(n)
     raw = np.concatenate(([-cut], roots, [cut]))
@@ -186,9 +140,10 @@ def _entropy_panel_boundaries(n):
     refined = np.repeat(graded[:-1], pieces) + step
     edges = np.append(refined, cut)
     edges.setflags(write=False)
-    return tuple(edges.tolist()), edges
+    return edges
 
 
+# public while the benchmark harness calls it by name (ROADMAP item 4)
 def entropy_integral_numeric(n, panel_order=DEFAULT_PANEL_ORDER):
     """Integral of e^{-z^2} H_n^2(z) ln(H_n^2(z)) over the real line.
 
@@ -206,5 +161,5 @@ def entropy_integral_numeric(n, panel_order=DEFAULT_PANEL_ORDER):
 def _entropy_integral(n, panel_order):
     # keyed on validated ints, so (k), (k, 48) and (np.int64(k), 48) share
     # one entry; the nodes, one row per panel, are dropped after the sum
-    nodes, weights = specfun._panel_nodes(panel_order, _entropy_panel_boundaries(n)[1])
+    nodes, weights = specfun._panel_nodes(panel_order, _entropy_panel_boundaries(n))
     return _kernels.entropy_weighted_sum(n, nodes, weights)

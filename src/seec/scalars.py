@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import sys
-from collections import namedtuple
 
 from .errors import DomainError, UnsupportedOrderError
 
@@ -23,21 +22,8 @@ PANEL_ORDER_MAX = 256  # largest panel order: its base rule is an order x order 
 
 _LN2 = math.log(2.0)
 _LN_PI = math.log(math.pi)
-
-
-class MathConstants(
-    namedtuple(
-        "MathConstants",
-        "euler_gamma sqrt_pi ln_2pi_e",
-        defaults=(0.57721566490153286061, 1.77245385090551602730, 2.83787706640934548356),
-    )
-):
-    """High-precision constants used throughout the entropy formulas."""
-
-    __slots__ = ()
-
-
-CONSTANTS = MathConstants()
+_EULER_GAMMA = 0.57721566490153286061
+_SQRT_PI = 1.77245385090551602730
 
 
 def _check_order(n, n_max=math.inf, what="order", n_min=0):
@@ -65,10 +51,9 @@ def _check_panel_order(order):
     return _check_order(order, PANEL_ORDER_MAX, "panel order", n_min=1)
 
 
-def ln_factorial(n):
-    """ln(n!): exact-to-double through 20! by integer product, log-gamma
-    beyond (relative error below 1e-14)."""
-    n = _check_order(n, what="n")
+def _ln_factorial(n):
+    # ln(n!) of a checked order: exact-to-double through 20! by integer
+    # product, log-gamma beyond (relative error below 1e-14)
     if n <= 20:
         return math.log(math.factorial(n))
     return math.lgamma(n + 1.0)
@@ -76,7 +61,7 @@ def ln_factorial(n):
 
 def _ln_norm(k):
     # ln(sqrt(pi) k! 2^k); its exponential is the orthogonality norm of H_k
-    return 0.5 * _LN_PI + ln_factorial(k) + k * _LN2
+    return 0.5 * _LN_PI + _ln_factorial(k) + k * _LN2
 
 
 def _norm_constant(k):

@@ -1,8 +1,8 @@
-"""Hermite polynomials and their roots, the Gauss-Legendre base rule (built
-without numpy.polynomial) and its composite panel rule, and the logarithmic
-potential V_n with the closed-form entropy integral built on it.  The order
-cap, the order check, the constants, ln(n!) and the Hermite norm come from
-``scalars``.
+"""Hermite roots, the Gauss-Legendre base rule (built without
+numpy.polynomial) and its composite panel rule, and the logarithmic
+potential V_n with the closed-form entropy integral built on it.  H_n
+itself is ``_kernels.hermite_values``.  The order cap, the order check,
+the constants and the Hermite norm come from ``scalars``.
 
 Everything here is a pure function of its arguments.  Cached values (root
 sets, base rules) are immutable after construction, so sharing across
@@ -19,21 +19,8 @@ import numpy as np
 
 from . import _kernels
 from .errors import DomainError
-from .scalars import CONSTANTS, DEFAULT_PANEL_ORDER, N_MAX
-from .scalars import _check_order, _LN2, _ln_norm
-from .scalars import ln_factorial  # noqa: F401  (public here too)
-
-
-def hermite_values(n, z):
-    """H_n at every point of ``z`` by the recurrence H_{k+1} = 2 z H_k - 2 k H_{k-1}
-    (never expanded coefficients, which lose precision and overflow near n = 30).
-    A float for a scalar ``z``, else an array of its shape."""
-    n = _check_order(n, N_MAX)
-    z = np.asarray(z, dtype=np.float64)
-    if not np.all(np.isfinite(z)):
-        raise DomainError("evaluation points must be finite")
-    h = _kernels.hermite_values(n, z)
-    return float(h) if h.ndim == 0 else h
+from .scalars import DEFAULT_PANEL_ORDER, N_MAX
+from .scalars import _EULER_GAMMA, _check_order, _LN2, _ln_norm
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,6 +48,7 @@ class RootSet:
             raise DomainError(f"root {r[i]} has residual {hn[i]} above tolerance")
 
 
+# public while the benchmark harness calls it by name (ROADMAP item 4)
 def hermite_roots(n):
     """RootSet of H_n for 0 <= n <= N_MAX (n = 0 gives an empty set), the
     Gauss-Hermite nodes too.  Validated on every call, then built once."""
@@ -157,7 +145,7 @@ def _k_cutoff(n):
 
 
 # ln|y| = _LN_ABS_C0 + int_0^inf (e^{-k^2/4} - cos ky) / k dk
-_LN_ABS_C0 = -(_LN2 + 0.5 * CONSTANTS.euler_gamma)
+_LN_ABS_C0 = -(_LN2 + 0.5 * _EULER_GAMMA)
 # radians of integrand phase per k panel: 48-point panels stay at roundoff
 # up to about 120
 _K_PANEL_PHASE = 80.0
@@ -181,8 +169,10 @@ def _fourier_laguerre_rule(n, panels):
     return k, _LN_ABS_C0 + _kernels.panel_sum(w_over_k * gauss), w_over_k * lag
 
 
-def log_potential(n, x):
-    """Logarithmic potential V_n(x) = -int e^{-z^2} H_n(z)^2 ln|z - x| dz.
+def _log_potential(n, x):
+    """Logarithmic potential V_n(x) = -int e^{-z^2} H_n(z)^2 ln|z - x| dz
+    for n >= 1, at finite points x (a float or an array of them) within
+    the entropy window |x| <= sqrt(2n + 1) + 10, such as the roots of H_n.
 
     Exact to roundoff by the Fourier-Frullani form of the logarithm and the
     characteristic function int e^{-z^2} H_n^2 e^{ikz} dz
@@ -193,29 +183,15 @@ def log_potential(n, x):
 
     The integrand is smooth and bounded; the k integral takes a composite
     Gauss-Legendre rule whose panel count grows with max |x|, summed for
-    each x by ``_kernels.panel_sum``.  Accepts a scalar or an array of
-    points with |x| <= sqrt(2n + 1) + 10 (the entropy window); returns a
-    float or an array of the same shape.
+    each x by ``_kernels.panel_sum``.  A float, or an array of x's shape.
     """
-    n = _check_order(n, N_MAX)
-    if n == 0:
-        raise DomainError("V_n requires n >= 1 (H_0 has no roots)")
     x = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(x)):
-        raise DomainError("evaluation points must be finite")
-    reach = float(np.max(np.abs(x), initial=0.0))
-    window = _entropy_window(n)
-    if reach > window:
-        raise DomainError(
-            f"|x| must be at most sqrt(2n + 1) + 10 = {window:.6g} for n = {n}, got {reach}"
-        )
     # the integrand's phase rate in k is at most |x| + sqrt(2n + 1)
-    rate = reach + math.sqrt(2.0 * n + 1.0)
+    rate = float(np.max(np.abs(x), initial=0.0)) + math.sqrt(2.0 * n + 1.0)
     panels = math.ceil(rate * _k_cutoff(n) / _K_PANEL_PHASE)
     k, constant, amplitude = _fourier_laguerre_rule(n, panels)
     wave = _kernels.panel_sum(np.cos(np.multiply.outer(x, k)) * amplitude)
-    v = -math.exp(_ln_norm(n)) * (constant - wave)
-    return float(v) if np.ndim(v) == 0 else v
+    return -math.exp(_ln_norm(n)) * (constant - wave)
 
 
 def entropy_integral_closed_form(n):
@@ -223,12 +199,12 @@ def entropy_integral_closed_form(n):
 
         2^n n! sqrt(pi) ln(2^{2n}) - 2 sum_k V_n(x_{n,k})
 
-    summed over the roots x_{n,k} of H_n, from one log_potential call.  The
+    summed over the roots x_{n,k} of H_n, from one _log_potential call.  The
     independent oracle of the panel quadrature in ``quadrature``, which
     stays the normative route.
     """
     n = _check_order(n, N_MAX)
     if n == 0:
         return 0.0
-    v_sum = math.fsum(log_potential(n, hermite_roots(n).roots))
+    v_sum = math.fsum(_log_potential(n, hermite_roots(n).roots))
     return math.exp(_ln_norm(n)) * (2.0 * n * _LN2) - 2.0 * v_sum

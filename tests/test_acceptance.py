@@ -11,11 +11,12 @@ import sys
 
 import numpy as np
 
-from seec import criterion, oscillator, quadrature, specfun
+import oracles
+from seec import _kernels, criterion, oscillator, quadrature, scalars, specfun
 
-SQRT_PI = specfun.CONSTANTS.sqrt_pi
-EULER_GAMMA = specfun.CONSTANTS.euler_gamma
-LN_2PI_E = specfun.CONSTANTS.ln_2pi_e
+SQRT_PI = scalars._SQRT_PI
+EULER_GAMMA = scalars._EULER_GAMMA
+LN_2PI_E = math.log(2.0 * math.pi) + 1.0
 
 
 def _report(number, description, ok, detail=""):
@@ -87,8 +88,8 @@ def test_criterion_06_oracle_equivalence():
     worst_closed = 0.0
     for n in range(13):
         rule = quadrature.gauss_hermite_rule(n + 2)
-        h2 = specfun.hermite_values(n, rule.nodes) ** 2
-        norm = math.exp(0.5 * math.log(math.pi) + specfun.ln_factorial(n) + n * math.log(2.0))
+        h2 = _kernels.hermite_values(n, rule.nodes) ** 2
+        norm = math.exp(0.5 * math.log(math.pi) + scalars._ln_factorial(n) + n * math.log(2.0))
         i1 = float(np.dot(rule.weights, h2))
         i2 = -float(np.dot(rule.weights, rule.nodes**2 * h2))
         worst_closed = max(
@@ -137,23 +138,20 @@ def test_criterion_08_normalization():
             for eta in (0.0, 0.5, 1.0):
                 t = math.exp(0.5 * eta) / math.sqrt(2.0)
                 for side, order in (("w_minus", n), ("v_plus", m)):
-                    bounds = [b / t for b in quadrature.entropy_panel_boundaries(order)]
-                    rule = quadrature.legendre_panel_rule(32, bounds)
-                    total = quadrature.integrate_panels(
-                        lambda u, s=side: criterion.marginal(s, n, m, eta, u), rule
-                    )
+                    edges = quadrature._entropy_panel_boundaries(order) / t
+                    nodes, weights = specfun._panel_nodes(32, edges)
+                    density = criterion.marginal(side, n, m, eta, nodes)
+                    total = _kernels.panel_sum(weights * density)
                     worst_marginal = max(worst_marginal, abs(total - 1.0))
-    axis = quadrature.legendre_panel_rule(24, tuple(np.linspace(-12.0, 12.0, 13)))
+    nodes, weights = oracles.panel_rule_loop(24, np.linspace(-12.0, 12.0, 13))
     worst_wavefn = 0.0
     for n in range(4):
         for m in range(4):
             for eta in (0.0, 0.5, 1.0):
                 mode = oscillator.ModePair(n, m)
                 for space in ("position", "momentum"):
-                    psi = oscillator.wavefunction(
-                        mode, eta, space, axis.nodes[:, None], axis.nodes[None, :]
-                    )
-                    total = 0.5 * float(axis.weights @ (psi * psi) @ axis.weights)
+                    psi = oscillator.wavefunction(mode, eta, space, nodes[:, None], nodes[None, :])
+                    total = 0.5 * float(weights @ (psi * psi) @ weights)
                     worst_wavefn = max(worst_wavefn, abs(total - 1.0))
     ok = worst_marginal <= 1e-8 and worst_wavefn <= 1e-8
     _report(

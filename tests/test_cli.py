@@ -394,6 +394,23 @@ class TestVerify:
         code, _, err = run_cli("verify", "--n-max", "13")
         assert code == 1
 
+    def test_nonfinite_integrand_fails_rows_without_a_traceback(self, monkeypatch, capsys):
+        # a marginal that is nan everywhere: the table shows its
+        # normalization rows as FAIL (exit 2), and the JSON, which cannot
+        # hold nan, is one error line (exit 1)
+        nan_marginal = lambda side, n, m, eta, u: np.full(np.shape(u), np.nan)
+        monkeypatch.setattr(criterion, "marginal", nan_marginal)
+        assert cli.main(["verify", "--n-max", "1"]) == 2
+        out, err = capsys.readouterr()
+        failed = [line.split()[0] for line in out.splitlines() if line.endswith("FAIL")]
+        assert failed and all(name.startswith("norm_") for name in failed)
+        assert out.splitlines()[-1] == "normative checks: FAILURES PRESENT"
+        assert err == ""
+        assert cli.main(["verify", "--n-max", "1", "--format", "json"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "seec: error: the result is not finite for these inputs\n"
+
 
 class TestWavefunction:
     def test_grid_and_origin_value(self):

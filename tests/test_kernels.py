@@ -31,10 +31,10 @@ def _recurrence_points():
 
 
 def _panel_inputs(n):
-    from seec import quadrature
+    from seec import quadrature, specfun
 
-    rule = quadrature.legendre_panel_rule(32, quadrature.entropy_panel_boundaries(n))
-    return rule.nodes, rule.weights
+    nodes, weights = specfun._panel_nodes(32, quadrature._entropy_panel_boundaries(n))
+    return nodes.ravel(), weights.ravel()
 
 
 class TestHermiteValues:

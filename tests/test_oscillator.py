@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from seec import oscillator, quadrature, scalars
+from seec import oscillator, scalars
 from seec.errors import (
     DomainError,
     UnboundModeError,
@@ -232,11 +232,11 @@ class TestEnergy:
 
 
 def _norm_2d(mode, eta, space, alpha_deg=45.0, half_width=12.0):
-    axis = quadrature.legendre_panel_rule(24, tuple(np.linspace(-half_width, half_width, 13)))
+    nodes, weights = oracles.panel_rule_loop(24, np.linspace(-half_width, half_width, 13))
     psi = oscillator.wavefunction(
-        mode, eta, space, axis.nodes[:, None], axis.nodes[None, :], alpha_deg=alpha_deg
+        mode, eta, space, nodes[:, None], nodes[None, :], alpha_deg=alpha_deg
     )
-    return 0.5 * float(axis.weights @ (psi * psi) @ axis.weights)
+    return 0.5 * float(weights @ (psi * psi) @ weights)
 
 
 class TestWavefunction:
