@@ -303,7 +303,7 @@ def _cmd_verify(args):
         payload = {
             "n_max": args.n_max,
             "pass": passed,
-            "checks": [vars(c) for c in checks],
+            "checks": [c._asdict() for c in checks],
         }
         text = _json_text(payload)
     else:

@@ -67,12 +67,13 @@ def gauss_hermite_rule(order):
 
 @lru_cache(maxsize=None)
 def _gauss_hermite_rule(order):
-    nodes = specfun._root_set(order).roots
-    h_prev = _kernels.hermite_values(order - 1, nodes)
+    root_set = specfun._root_set(order)
+    nodes = root_set.roots
     ln_pref = (
         (order - 1) * math.log(2.0) + _ln_factorial(order) + 0.5 * math.log(math.pi)
     )
-    weights = np.exp(ln_pref - 2.0 * np.log(np.abs(order * h_prev)))
+    # H_{order-1} at the nodes, from the root set's residual check
+    weights = np.exp(ln_pref - 2.0 * np.log(np.abs(order * root_set._h_prev)))
     weights.setflags(write=False)
     rule = QuadratureRule(nodes, weights)
     if abs(float(np.sum(weights)) - _SQRT_PI) > 1e-12 * _SQRT_PI:

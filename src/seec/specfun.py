@@ -1,7 +1,9 @@
-"""Hermite roots, the Gauss-Legendre base rule (built without
-numpy.polynomial) and its composite panel rule, and the logarithmic
-potential V_n with the closed-form entropy integral built on it.  H_n
-itself is ``_kernels.hermite_values``.  The order cap, the order check,
+"""Hermite roots, the Gauss-Legendre base rule and its composite panel
+rule, and the logarithmic potential V_n with the closed-form entropy
+integral built on it.  The base rules of orders 32, 48 and 96, the three
+seec uses, are frozen tables; any other order is built live without
+numpy.polynomial, bit for bit numpy's.  H_n itself is
+``_kernels.hermite_values``.  The order cap, the order check,
 the constants and the Hermite norm come from ``scalars``.
 
 Everything here is a pure function of its arguments.  Cached values (root
@@ -12,7 +14,7 @@ threads is safe: a raced cache fill can only ever install identical objects.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -30,12 +32,16 @@ class RootSet:
 
     n: int
     roots: np.ndarray
+    # H_{n-1} at the roots, kept from the residual check: the Gauss-Hermite
+    # weights of order n are built from it (empty for n = 0)
+    _h_prev: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         r = self.roots
         if len(r) != self.n:
             raise DomainError(f"expected {self.n} roots, got {len(r)}")
         if self.n == 0:
+            object.__setattr__(self, "_h_prev", np.empty(0))
             return
         if not np.all(np.diff(r) > 0.0):
             raise DomainError("roots must be strictly increasing")
@@ -46,6 +52,8 @@ class RootSet:
         if bad.any():
             i = int(np.argmax(bad))
             raise DomainError(f"root {r[i]} has residual {hn[i]} above tolerance")
+        hm1.setflags(write=False)
+        object.__setattr__(self, "_h_prev", hm1)
 
 
 # public while the benchmark harness calls it by name (ROADMAP item 4)
@@ -88,12 +96,11 @@ def _legendre_series(x, coef):
     return c0 + c1 * x
 
 
-@lru_cache(maxsize=None)
-def _leggauss(order):
-    # the Gauss-Legendre base rule on [-1, 1], built once per order and
-    # shared by the entropy panel quadrature and the k rule of V_n.  The
-    # steps of numpy.polynomial.legendre.leggauss in its operation order, so
-    # the rule equals numpy's bit for bit without importing numpy.polynomial:
+def _build_leggauss(order):
+    # the Gauss-Legendre base rule on [-1, 1] built live, for the orders
+    # _LEGGAUSS_HALVES does not hold.  The steps of
+    # numpy.polynomial.legendre.leggauss in its operation order, so the rule
+    # equals numpy's bit for bit without importing numpy.polynomial:
     # eigenvalues of the symmetric companion matrix of P_order, one Newton
     # step, weights from P_{order-1} and P_order' (taken before the step),
     # then symmetrized and scaled to sum to 2.
@@ -114,6 +121,114 @@ def _leggauss(order):
     w = (w + w[::-1]) / 2
     x = (x - x[::-1]) / 2
     w *= 2.0 / w.sum()
+    return x, w
+
+
+# The three base rules seec uses, frozen: 32 points (the marginal
+# normalization rows of verify), 48 (DEFAULT_PANEL_ORDER, and the k rule
+# of _log_potential) and 96 (verify's convergence reference).  Each is
+# (nodes, weights) over its non-negative nodes, ascending: the symmetrized
+# nodes are exactly antisymmetric and the weights exactly symmetric, so the
+# half fixes the rule.  Written out with repr so that each literal reads
+# back as the same double, as printed by
+#   {q: tuple(tuple(map(float, a[q // 2:])) for a in _build_leggauss(q))
+#    for q in (32, 48, 96)}
+# tests/test_specfun.py checks each against the live construction and
+# numpy's leggauss, bit for bit.
+_LEGGAUSS_HALVES = {
+    32: (
+        (
+            0.048307665687738324, 0.1444719615827965, 0.23928736225213706,
+            0.33186860228212767, 0.42135127613063533, 0.5068999089322294,
+            0.5877157572407623, 0.6630442669302152, 0.7321821187402897,
+            0.7944837959679424, 0.84936761373257, 0.8963211557660521,
+            0.9349060759377397, 0.9647622555875064, 0.9856115115452684,
+            0.9972638618494816,
+        ),
+        (
+            0.09654008851472766, 0.09563872007927471, 0.09384439908080451,
+            0.09117387869576378, 0.08765209300440378, 0.08331192422694671,
+            0.07819389578707023, 0.07234579410884834, 0.06582222277636168,
+            0.058684093478535565, 0.05099805926237609, 0.042835898022226836,
+            0.034273862913021765, 0.025392065309262024, 0.016274394730905743,
+            0.007018610009470506,
+        ),
+    ),
+    48: (
+        (
+            0.03238017096286937, 0.0970046992094627, 0.1612223560688917,
+            0.22476379039468905, 0.28736248735545555, 0.3487558862921607,
+            0.4086864819907167, 0.4669029047509584, 0.523160974722233,
+            0.5772247260839727, 0.6288673967765136, 0.6778723796326639,
+            0.7240341309238146, 0.7671590325157404, 0.8070662040294426,
+            0.8435882616243935, 0.8765720202742479, 0.9058791367155696,
+            0.9313866907065543, 0.9529877031604308, 0.9705915925462473,
+            0.9841245837228269, 0.9935301722663508, 0.9987710072524261,
+        ),
+        (
+            0.06473769681268365, 0.06446616443594982, 0.06392423858464787,
+            0.06311419228625373, 0.06203942315989242, 0.0607044391658936,
+            0.059114839698395344, 0.057277292100402916, 0.05519950369998403,
+            0.05289018948519344, 0.0503590355538542, 0.04761665849249024,
+            0.04467456085669423, 0.04154508294346455, 0.0382413510658305,
+            0.034777222564770394, 0.031167227832798097, 0.027426509708357034,
+            0.023570760839324047, 0.019616160457356056, 0.015579315722943226,
+            0.011477234579234614, 0.007327553901276135, 0.0031533460523098414,
+        ),
+    ),
+    96: (
+        (
+            0.016276744849602967, 0.04881298513604974, 0.08129749546442555,
+            0.11369585011066592, 0.14597371465489695, 0.17809688236761861,
+            0.2100313104605672, 0.24174315616384, 0.27319881259104917,
+            0.30436494435449635, 0.3352085228926254, 0.3656968614723136,
+            0.3957976498289086, 0.42547898840730053, 0.454709422167743,
+            0.48345797392059636, 0.5116941771546677, 0.5393881083243575,
+            0.5665104185613972, 0.593032364777572, 0.6189258401254686,
+            0.6441634037849671, 0.6687183100439161, 0.6925645366421715,
+            0.7156768123489676, 0.7380306437444001, 0.7596023411766475,
+            0.7803690438674332, 0.8003087441391408, 0.8194003107379316,
+            0.8376235112281871, 0.8549590334346014, 0.8713885059092965,
+            0.8868945174024204, 0.9014606353158523, 0.9150714231208981,
+            0.9277124567223087, 0.9393703397527552, 0.9500327177844377,
+            0.9596882914487426, 0.9683268284632642, 0.9759391745851365,
+            0.9825172635630147, 0.9880541263296237, 0.9925439003237626,
+            0.9959818429872093, 0.9983643758631817, 0.9996895038832307,
+        ),
+        (
+            0.03255061449236328, 0.03251611871386895, 0.0324471637140644,
+            0.03234382256857602, 0.03220620479403032, 0.032034456231992796,
+            0.03182875889441112, 0.03158933077072725, 0.03131642559686141,
+            0.03101033258631393, 0.030671376123669266, 0.03029991542082777,
+            0.029896344136328506, 0.029461089958168016, 0.02899461415055532,
+            0.028497411065085413, 0.02797000761684837, 0.027412962726029232,
+            0.02682686672559185, 0.026212340735672593, 0.025570036005349364,
+            0.024900633222483814, 0.02420484179236482, 0.023483399085926292,
+            0.022737069658329466, 0.02196664443874457, 0.021172939892191354,
+            0.020356797154333365, 0.019519081140145382, 0.01866067962741174,
+            0.017782502316045286, 0.016885479864245195, 0.015970562902562345,
+            0.015038721026994927, 0.014090941772314894, 0.013128229566961646,
+            0.012151604671088057, 0.01116210209983861, 0.010160770535008306,
+            0.009148671230783011, 0.0081268769256983, 0.007096470791153821,
+            0.006058545504235195, 0.005014202742928604, 0.003964554338444405,
+            0.0029107318179352943, 0.0018539607889441585, 0.0007967920655518723,
+        ),
+    ),
+}
+
+
+@lru_cache(maxsize=None)
+def _leggauss(order):
+    # the Gauss-Legendre base rule on [-1, 1], once per order and shared by
+    # the entropy panel quadrature and the k rule of V_n: unfolded from
+    # _LEGGAUSS_HALVES where it holds the order, built live otherwise
+    half = _LEGGAUSS_HALVES.get(order)
+    if half is None:
+        x, w = _build_leggauss(order)
+    else:
+        pos, w_pos = np.array(half[0]), np.array(half[1])
+        x = np.concatenate((-pos[::-1], pos))
+        w = np.concatenate((w_pos[::-1], w_pos))
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w

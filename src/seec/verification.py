@@ -12,7 +12,7 @@ every (n, m) row that needs it."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import _kernels, criterion, quadrature, specfun
 from .scalars import I3_CLOSED_TABLE, S_TABLE, _check_order, _ln_norm, _mode_scale
@@ -33,21 +33,14 @@ S_TABLE_TOL = 1e-13
 _NORMALIZATION_CAP = 5  # (n, m) grid cap for the marginal-normalization block
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(namedtuple("Check", "name value reference delta tol normative status")):
     """One verification row.  Every row is normative: one 'FAIL' makes
     ``seec verify`` exit 2.  The fields, in this order, are the keys of
-    each check in ``seec verify --format json``."""
+    each check in ``seec verify --format json``.  ``status`` is 'ok' or
+    'FAIL'; ``normative`` is True on every row, kept while the benchmark
+    harness filters on it (ROADMAP item 4)."""
 
-    name: str
-    value: float
-    reference: float
-    delta: float
-    tol: float
-    # True on every row; kept while the benchmark harness filters on it
-    # (ROADMAP item 4)
-    normative: bool
-    status: str  # 'ok' | 'FAIL'
+    __slots__ = ()
 
 
 def _check(name, value, reference, tol, scale=1.0):

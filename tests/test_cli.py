@@ -381,6 +381,13 @@ class TestVerify:
         assert len(closed) == 2 and all(c["normative"] for c in closed)
         assert all(c["tol"] == 1e-12 * max(1.0, abs(c["reference"])) for c in closed)
 
+    def test_json_check_keys_in_field_order(self):
+        code, out, _ = run_cli("verify", "--n-max", "1", "--format", "json")
+        assert code == 0
+        keys = ["name", "value", "reference", "delta", "tol", "normative", "status"]
+        checks = json.loads(out)["checks"]
+        assert checks and all(list(c) == keys for c in checks)
+
     def test_gaussian_only_case_all_deltas_vanish(self):
         code, out, _ = run_cli("verify", "--n-max", "0", "--format", "json")
         assert code == 0

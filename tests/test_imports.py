@@ -154,7 +154,7 @@ def test_wavefunction_errors_skip_numpy(args, tmp_path):
 
 def test_array_command_imports_numpy():
     # the control for the cases above: run_cli does see each module when it
-    # loads (numpy imports inspect, and verification.Check is a dataclass)
+    # loads (numpy imports inspect, and specfun.RootSet is a dataclass)
     code, _, lines, loaded = run_cli("verify", "--n-max", "0")
     assert code == 0 and lines == []
     assert loaded == ["numpy", "dataclasses", "inspect"]

@@ -64,6 +64,19 @@ class TestGaussHermiteRule:
         for n in range(1, scalars.N_MAX + 1):
             assert quadrature.gauss_hermite_rule(n).nodes is specfun.hermite_roots(n).roots
 
+    def test_weights_equal_a_separate_recurrence_pass_bit_for_bit(self):
+        # the weights, built from the H_{n-1} the root set kept from its
+        # residual check, are those of w_i = 2^{n-1} n! sqrt(pi) / (n H_{n-1})^2
+        # with H_{n-1} from a pass of its own
+        for order in range(1, scalars.N_MAX + 1):
+            rule = quadrature.gauss_hermite_rule(order)
+            ln_pref = (
+                (order - 1) * math.log(2.0) + scalars._ln_factorial(order) + 0.5 * math.log(math.pi)
+            )
+            h_prev = _kernels.hermite_values(order - 1, rule.nodes)
+            expected = np.exp(ln_pref - 2.0 * np.log(np.abs(order * h_prev)))
+            assert rule.weights.tobytes() == expected.tobytes(), order
+
     def test_order_bounds(self):
         with pytest.raises(UnsupportedOrderError):
             quadrature.gauss_hermite_rule(0)
@@ -79,8 +92,12 @@ class TestGaussHermiteRule:
     )
     def test_rejects_a_rule_off_its_guarantees(self, monkeypatch, order, nodes, message):
         # the asymmetric node meets RootSet's checks; the symmetric pair off
-        # the roots is patched in bare, so the weight-sum check must catch it
-        make = specfun.RootSet if message == "symmetric" else SimpleNamespace
+        # the roots is patched in bare (with H_{n-1} as RootSet keeps it), so
+        # the weight-sum check must catch it
+        def bare(n, roots):
+            return SimpleNamespace(n=n, roots=roots, _h_prev=_kernels.hermite_pair(n, roots)[1])
+
+        make = specfun.RootSet if message == "symmetric" else bare
         monkeypatch.setattr(specfun, "_root_set", lambda n: make(n=n, roots=np.array(nodes)))
         quadrature._gauss_hermite_rule.cache_clear()
         try:

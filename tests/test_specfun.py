@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -108,6 +111,35 @@ class TestGaussLegendre:
         assert nodes.tobytes() == ref_nodes.tobytes()
         assert weights.tobytes() == ref_weights.tobytes()
         assert not (nodes.flags.writeable or weights.flags.writeable)
+
+    @pytest.mark.parametrize("order", [32, 48, 96])
+    def test_tabulated_rule_is_the_live_one_bit_for_bit(self, order):
+        assert order in specfun._LEGGAUSS_HALVES
+        nodes, weights = specfun._leggauss(order)
+        live_nodes, live_weights = specfun._build_leggauss(order)
+        ref_nodes, ref_weights = oracles.leggauss(order)
+        assert nodes.tobytes() == live_nodes.tobytes() == ref_nodes.tobytes()
+        assert weights.tobytes() == live_weights.tobytes() == ref_weights.tobytes()
+        assert not (nodes.flags.writeable or weights.flags.writeable)
+
+    def test_cold_verify_never_builds_a_rule_live(self):
+        # a fresh process: every base rule collect_checks reads comes from
+        # the tables, so the live construction and its Legendre series,
+        # patched to fail, never run
+        script = (
+            "import sys\n"
+            "from seec import specfun, verification\n"
+            "def refuse(*args):\n"
+            "    raise AssertionError('a base rule built live')\n"
+            "specfun._build_leggauss = specfun._legendre_series = refuse\n"
+            "sys.exit(not verification.all_normative_pass(verification.collect_checks(12)))\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(seec.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestOrthogonality:
