@@ -58,7 +58,15 @@ def _write_text(text, out_path):
     target's, else 0o666 less the umask."""
     chunks = (text,) if isinstance(text, str) else text
     if out_path is None or out_path == "-":
-        sys.stdout.writelines(chunks)
+        try:
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()  # a write error surfaces here, not at exit
+        except OSError:
+            # what is still buffered then goes to devnull at exit, where it
+            # cannot fail a second time with a traceback
+            with open(os.devnull, "w") as null:
+                os.dup2(null.fileno(), sys.stdout.fileno())
+            raise
         return
     import tempfile
 

@@ -1,10 +1,10 @@
 """Hermite roots, the Gauss-Legendre base rule and its composite panel
 rule, and the logarithmic potential V_n with the closed-form entropy
 integral built on it.  The base rules of orders 32, 48 and 96, the three
-seec uses, are frozen tables; any other order is built live without
-numpy.polynomial, bit for bit numpy's.  H_n itself is
-``_kernels.hermite_values``.  The order cap, the order check,
-the constants and the Hermite norm come from ``scalars``.
+seec uses, are frozen tables; any other order is numpy.polynomial's
+leggauss, imported only then.  H_n itself is ``_kernels.hermite_values``.
+The order cap, the order check, the constants and the Hermite norm come
+from ``scalars``.
 
 Everything here is a pure function of its arguments.  Cached values (root
 sets, base rules) are immutable after construction, so sharing across
@@ -83,47 +83,6 @@ def _root_set(n):
     return RootSet(n=n, roots=roots)
 
 
-def _legendre_series(x, coef):
-    # sum_j coef[j] P_j(x) by the Clenshaw recurrence, in the operation order
-    # of numpy.polynomial.legendre.legval
-    if len(coef) == 1:
-        return coef[0] + 0.0 * x
-    c0, c1 = coef[-2], coef[-1]
-    nd = len(coef)
-    for c in coef[-3::-1]:
-        nd -= 1
-        c0, c1 = c - c1 * ((nd - 1) / nd), c0 + c1 * x * ((2 * nd - 1) / nd)
-    return c0 + c1 * x
-
-
-def _build_leggauss(order):
-    # the Gauss-Legendre base rule on [-1, 1] built live, for the orders
-    # _LEGGAUSS_HALVES does not hold.  The steps of
-    # numpy.polynomial.legendre.leggauss in its operation order, so the rule
-    # equals numpy's bit for bit without importing numpy.polynomial:
-    # eigenvalues of the symmetric companion matrix of P_order, one Newton
-    # step, weights from P_{order-1} and P_order' (taken before the step),
-    # then symmetrized and scaled to sum to 2.
-    p_n = [0.0] * order + [1.0]
-    # P_n' = sum (2j - 1) P_{j-1} over j = n, n - 2, ... >= 1
-    dp_n = [0.0] * order
-    for j in range(order, 0, -2):
-        dp_n[j - 1] = 2.0 * j - 1.0
-    scl = 1.0 / np.sqrt(2 * np.arange(order) + 1)
-    band = np.arange(1, order) * scl[:-1] * scl[1:]
-    x = np.linalg.eigvalsh(np.diag(band, 1) + np.diag(band, -1))
-    df = _legendre_series(x, dp_n)
-    x -= _legendre_series(x, p_n) / df
-    fm = _legendre_series(x, p_n[1:])
-    fm /= np.abs(fm).max()
-    df /= np.abs(df).max()
-    w = 1 / (fm * df)
-    w = (w + w[::-1]) / 2
-    x = (x - x[::-1]) / 2
-    w *= 2.0 / w.sum()
-    return x, w
-
-
 # The three base rules seec uses, frozen: 32 points (the marginal
 # normalization rows of verify), 48 (DEFAULT_PANEL_ORDER, and the k rule
 # of _log_potential) and 96 (verify's convergence reference).  Each is
@@ -131,10 +90,10 @@ def _build_leggauss(order):
 # nodes are exactly antisymmetric and the weights exactly symmetric, so the
 # half fixes the rule.  Written out with repr so that each literal reads
 # back as the same double, as printed by
-#   {q: tuple(tuple(map(float, a[q // 2:])) for a in _build_leggauss(q))
+#   {q: tuple(tuple(map(float, a[q // 2:]))
+#             for a in numpy.polynomial.legendre.leggauss(q))
 #    for q in (32, 48, 96)}
-# tests/test_specfun.py checks each against the live construction and
-# numpy's leggauss, bit for bit.
+# tests/test_specfun.py checks each against numpy's leggauss, bit for bit.
 _LEGGAUSS_HALVES = {
     32: (
         (
@@ -221,10 +180,13 @@ _LEGGAUSS_HALVES = {
 def _leggauss(order):
     # the Gauss-Legendre base rule on [-1, 1], once per order and shared by
     # the entropy panel quadrature and the k rule of V_n: unfolded from
-    # _LEGGAUSS_HALVES where it holds the order, built live otherwise
+    # _LEGGAUSS_HALVES where it holds the order, numpy's otherwise.  Only
+    # that branch imports numpy.polynomial, so no command loads it.
     half = _LEGGAUSS_HALVES.get(order)
     if half is None:
-        x, w = _build_leggauss(order)
+        from numpy.polynomial.legendre import leggauss
+
+        x, w = leggauss(order)
     else:
         pos, w_pos = np.array(half[0]), np.array(half[1])
         x = np.concatenate((-pos[::-1], pos))

@@ -56,11 +56,6 @@ def _check_at_most(name, value, bound, tol):
     return Check(name, value, bound, excess, tol, True, "ok" if excess <= tol else "FAIL")
 
 
-def _gh_integral(order, f):
-    rule = quadrature.gauss_hermite_rule(order)
-    return _kernels.panel_sum(rule.weights * f(rule.nodes))
-
-
 def _marginal_rule(order, eta):
     # the density support in u is the z-window scaled by 1/t > 0, which
     # keeps the edges finite and increasing; raveled, the rule is one panel
@@ -83,11 +78,15 @@ def collect_checks(n_max):
     checks = []
     for n in range(n_max + 1):
         norm = math.exp(_ln_norm(n))
-        i0 = _gh_integral(n + 1, lambda z, n=n: _kernels.hermite_values(n, z) ** 2)
+        rule = quadrature.gauss_hermite_rule(n + 1)
+        i0 = _kernels.panel_sum(rule.weights * _kernels.hermite_values(n, rule.nodes) ** 2)
         checks.append(_check(f"I0[{n}]", i0, norm, 1e-10, scale=norm))
-        i1 = _gh_integral(n + 2, lambda z, n=n: _kernels.hermite_values(n, z) ** 2)
+        # I1 and I2 share the order-(n + 2) rule and one H_n pass on it
+        rule = quadrature.gauss_hermite_rule(n + 2)
+        h2 = _kernels.hermite_values(n, rule.nodes) ** 2
+        i1 = _kernels.panel_sum(rule.weights * h2)
         checks.append(_check(f"I1[{n}]", i1, norm, 1e-10, scale=norm))
-        i2 = _gh_integral(n + 2, lambda z, n=n: -(z * z) * _kernels.hermite_values(n, z) ** 2)
+        i2 = _kernels.panel_sum(rule.weights * (-(rule.nodes * rule.nodes) * h2))
         checks.append(_check(f"I2[{n}]", i2, -norm * (n + 0.5), 1e-10, scale=norm * (n + 0.5)))
         i3 = quadrature.entropy_integral_numeric(n)
         i3_fine = quadrature.entropy_integral_numeric(n, 2 * quadrature.DEFAULT_PANEL_ORDER)

@@ -733,6 +733,28 @@ class TestUsageErrors:
         assert code == 1
         assert "cannot write output" in err
 
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    @pytest.mark.parametrize(
+        "command", ["sweep", "threshold", "criterion", "diagonalize", "verify", "wavefunction"]
+    )
+    def test_closed_stdout_exits_one_without_a_traceback(self, command, unbuffered):
+        # stdout is a pipe whose reader is already gone; buffered, a small
+        # output would otherwise first fail in the flush at exit
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "seec", command],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert proc.stderr == "seec: error: cannot write output: [Errno 32] Broken pipe\n"
+
 
 class TestInProcess:
     def test_verification_failure_maps_to_exit_two(self, monkeypatch, capsys):

@@ -211,7 +211,10 @@ def test_variance_threshold_skips_numpy():
 
 
 def test_verification_skips_numpy_polynomial():
-    # the Gauss-Legendre base rules are built without numpy.polynomial
+    # every base rule verify and the default entropy quadrature read, 32, 48
+    # and 96 points, comes from the frozen tables: numpy.polynomial is the
+    # only route to any other order, so a _leggauss that ignored the tables
+    # would load it here
     code, out, err = run_python(
         "import sys\n"
         "from seec import quadrature, verification\n"
