@@ -13,8 +13,11 @@ error, 2 verification failure.
 sweep and wavefunction write their output as a stream of chunks, one per
 mode or grid row, built from pieces formatted once (the eta column of a
 sweep serves every mode), so the whole document is never held in memory.
-Every check that can fail runs before the first byte: a failing command
-writes nothing to stdout and leaves --out as it was.
+Every check that can fail runs before the first byte: a command that
+fails a check writes nothing to stdout and leaves --out as it was.  A
+write can still fail after that: sweep writes its records, to stdout or
+--out, before its --svg file, so a failed --svg write exits 1 with the
+records already written.
 
 Each subcommand imports the modules it uses when it runs: only verify
 imports numpy.  sweep (its SVG included), threshold, criterion, diagonalize
@@ -53,9 +56,9 @@ class _Parser(argparse.ArgumentParser):
 def _write_text(text, out_path):
     """Write text, a str or an iterable of str chunks, to stdout or to
     out_path.  A file is written atomically: an error while writing, or
-    raised by a chunk, leaves out_path as it was and no temp file.  It
-    ends with the mode open(out_path, "w") would leave: an existing
-    target's, else 0o666 less the umask."""
+    raised by a chunk, leaves out_path as it was and no temp file, and an
+    OSError names out_path.  It ends with the mode open(out_path, "w")
+    would leave: an existing target's, else 0o666 less the umask."""
     chunks = (text,) if isinstance(text, str) else text
     if out_path is None or out_path == "-":
         try:
@@ -78,16 +81,20 @@ def _write_text(text, out_path):
         os.umask(umask)
         mode = 0o666 & ~umask
     directory = os.path.dirname(os.path.abspath(out_path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".seec-", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            os.fchmod(fh.fileno(), mode)
-            fh.writelines(chunks)
-        os.replace(tmp, out_path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".seec-", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+                os.fchmod(fh.fileno(), mode)
+                fh.writelines(chunks)
+            os.replace(tmp, out_path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        # name out_path, not the temp file, whose name differs every run
+        raise OSError(exc.errno, exc.strerror, out_path) from None
 
 
 def _parse_modes(text):

@@ -14,7 +14,7 @@ differently on another CPU.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 import numpy as np
@@ -33,21 +33,13 @@ from .scalars import (
 _MAX_PANEL_WIDTH = 2.0
 
 
-@dataclass(frozen=True, eq=False)
-class QuadratureRule:
-    """Nodes and weights of a Gauss-Hermite rule, finite and with every
-    weight positive: sum w_i f(x_i) approximates the integral of
-    f(z) e^{-z^2}.  Built only by gauss_hermite_rule, which checks what
-    else its rule guarantees."""
+class QuadratureRule(namedtuple("QuadratureRule", "nodes weights")):
+    """Nodes and weights of a Gauss-Hermite rule, as read-only arrays:
+    sum w_i f(x_i) approximates the integral of f(z) e^{-z^2}.  Built only
+    by ``_gauss_hermite_rule``, which checks that the weights are finite,
+    positive and sum to sqrt(pi)."""
 
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        if not (np.all(np.isfinite(self.nodes)) and np.all(np.isfinite(self.weights))):
-            raise DomainError("quadrature nodes and weights must be finite")
-        if not np.all(self.weights > 0.0):
-            raise DomainError("all quadrature weights must be strictly positive")
+    __slots__ = ()
 
 
 # public while the benchmark harness calls it by name (ROADMAP item 4)
@@ -67,18 +59,18 @@ def gauss_hermite_rule(order):
 
 @lru_cache(maxsize=None)
 def _gauss_hermite_rule(order):
-    root_set = specfun._root_set(order)
-    nodes = root_set.roots
+    # H_{order-1} at the nodes, from the root set's residual check
+    root_set, h_prev = specfun._root_set(order)
     ln_pref = (
         (order - 1) * math.log(2.0) + _ln_factorial(order) + 0.5 * math.log(math.pi)
     )
-    # H_{order-1} at the nodes, from the root set's residual check
-    weights = np.exp(ln_pref - 2.0 * np.log(np.abs(order * root_set._h_prev)))
-    weights.setflags(write=False)
-    rule = QuadratureRule(nodes, weights)
+    weights = np.exp(ln_pref - 2.0 * np.log(np.abs(order * h_prev)))
+    if not np.all(np.isfinite(weights) & (weights > 0.0)):
+        raise DomainError("all quadrature weights must be finite and strictly positive")
     if abs(float(np.sum(weights)) - _SQRT_PI) > 1e-12 * _SQRT_PI:
         raise DomainError("Gauss-Hermite weights must sum to sqrt(pi)")
-    return rule
+    weights.setflags(write=False)
+    return QuadratureRule(root_set.roots, weights)
 
 
 _GRADING_LEVELS = 3

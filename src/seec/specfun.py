@@ -14,7 +14,7 @@ threads is safe: a raced cache fill can only ever install identical objects.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import lru_cache
 
 import numpy as np
@@ -25,48 +25,25 @@ from .scalars import DEFAULT_PANEL_ORDER, N_MAX
 from .scalars import _EULER_GAMMA, _check_order, _LN2, _ln_norm
 
 
-@dataclass(frozen=True, eq=False)
-class RootSet:
-    """All real roots of H_n, ascending.  Construction validates the count,
-    ordering, symmetry about zero, and the Newton residual of every root."""
+class RootSet(namedtuple("RootSet", "n roots")):
+    """All real roots of H_n, ascending, as a read-only array.  Built only
+    by ``_checked_roots``, which checks their count, order, symmetry about
+    zero and Newton residual."""
 
-    n: int
-    roots: np.ndarray
-    # H_{n-1} at the roots, kept from the residual check: the Gauss-Hermite
-    # weights of order n are built from it (empty for n = 0)
-    _h_prev: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        r = self.roots
-        if len(r) != self.n:
-            raise DomainError(f"expected {self.n} roots, got {len(r)}")
-        if self.n == 0:
-            object.__setattr__(self, "_h_prev", np.empty(0))
-            return
-        if not np.all(np.diff(r) > 0.0):
-            raise DomainError("roots must be strictly increasing")
-        if np.max(np.abs(r + r[::-1])) > 1e-13:
-            raise DomainError("roots must be symmetric about zero")
-        hn, hm1 = _kernels.hermite_pair(self.n, r)
-        bad = np.abs(hn) > 1e-10 * np.maximum(1.0, np.abs(2.0 * self.n * hm1))
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise DomainError(f"root {r[i]} has residual {hn[i]} above tolerance")
-        hm1.setflags(write=False)
-        object.__setattr__(self, "_h_prev", hm1)
+    __slots__ = ()
 
 
 # public while the benchmark harness calls it by name (ROADMAP item 4)
 def hermite_roots(n):
     """RootSet of H_n for 0 <= n <= N_MAX (n = 0 gives an empty set), the
     Gauss-Hermite nodes too.  Validated on every call, then built once."""
-    return _root_set(_check_order(n, N_MAX))
+    return _root_set(_check_order(n, N_MAX))[0]
 
 
 @lru_cache(maxsize=None)
 def _root_set(n):
-    # Jacobi-matrix eigenvalues (off-diagonal sqrt(k/2)) polished by two
-    # Newton steps with H_n' = 2 n H_{n-1}
+    # (RootSet, H_{n-1} at the roots) of H_n: Jacobi-matrix eigenvalues
+    # (off-diagonal sqrt(k/2)) polished by two Newton steps with H_n' = 2 n H_{n-1}
     if n == 0:
         roots = np.empty(0)
     elif n == 1:
@@ -79,8 +56,27 @@ def _root_set(n):
             hn, hm1 = _kernels.hermite_pair(n, roots)
             roots = roots - hn / (2.0 * n * hm1)
         roots = 0.5 * (roots - roots[::-1])
+    return _checked_roots(n, roots)
+
+
+def _checked_roots(n, roots):
+    # (RootSet, H_{n-1} at the roots) once candidate roots of H_n pass every
+    # check (each fails on nan), made read-only; H_{n-1}, kept from the
+    # residual check, gives the Gauss-Hermite weights of order n
+    if len(roots) != n:
+        raise DomainError(f"expected {n} roots, got {len(roots)}")
+    if not np.all(np.diff(roots) > 0.0):
+        raise DomainError("roots must be strictly increasing")
+    if not np.max(np.abs(roots + roots[::-1]), initial=0.0) <= 1e-13:
+        raise DomainError("roots must be symmetric about zero")
+    hn, hm1 = _kernels.hermite_pair(n, roots)
+    bad = ~(np.abs(hn) <= 1e-10 * np.maximum(1.0, np.abs(2.0 * n * hm1)))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DomainError(f"root {roots[i]} has residual {hn[i]} above tolerance")
     roots.setflags(write=False)
-    return RootSet(n=n, roots=roots)
+    hm1.setflags(write=False)
+    return RootSet(n, roots), hm1
 
 
 # The three base rules seec uses, frozen: 32 points (the marginal

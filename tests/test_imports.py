@@ -1,5 +1,5 @@
-"""The package imports lazily, and no command but verify imports numpy,
-dataclasses or inspect.
+"""The package imports lazily, no command but verify imports numpy or
+inspect, and none imports dataclasses.
 
 Each case runs in a fresh interpreter, since this test process has numpy
 loaded already.
@@ -154,10 +154,10 @@ def test_wavefunction_errors_skip_numpy(args, tmp_path):
 
 def test_array_command_imports_numpy():
     # the control for the cases above: run_cli does see each module when it
-    # loads (numpy imports inspect, and specfun.RootSet is a dataclass)
+    # loads (numpy imports inspect); seec itself defines no dataclass
     code, _, lines, loaded = run_cli("verify", "--n-max", "0")
     assert code == 0 and lines == []
-    assert loaded == ["numpy", "dataclasses", "inspect"]
+    assert loaded == ["numpy", "inspect"]
 
 
 LAZY_SCRIPT = """

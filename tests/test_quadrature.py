@@ -1,5 +1,4 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -86,19 +85,19 @@ class TestGaussHermiteRule:
     @pytest.mark.parametrize(
         "order,nodes,message",
         [
-            (2, [-0.8, 0.8], "sum to sqrt"),  # symmetric, weights sum to sqrt(pi) / 1.28
-            (1, [1e-6], "symmetric"),  # the order-1 weight is sqrt(pi) at any node
+            (2, [-0.8, 0.8], "sum to sqrt"),  # weights sum to sqrt(pi) / 1.28
+            (2, [-1e200, 1e200], "finite and strictly positive"),  # weights underflow to 0
+            (2, [math.nan, math.nan], "finite and strictly positive"),  # nan weights
         ],
     )
     def test_rejects_a_rule_off_its_guarantees(self, monkeypatch, order, nodes, message):
-        # the asymmetric node meets RootSet's checks; the symmetric pair off
-        # the roots is patched in bare (with H_{n-1} as RootSet keeps it), so
-        # the weight-sum check must catch it
-        def bare(n, roots):
-            return SimpleNamespace(n=n, roots=roots, _h_prev=_kernels.hermite_pair(n, roots)[1])
-
-        make = specfun.RootSet if message == "symmetric" else bare
-        monkeypatch.setattr(specfun, "_root_set", lambda n: make(n=n, roots=np.array(nodes)))
+        # nodes off the roots, with H_{n-1} at them as a root set keeps it,
+        # are patched in past the root checks (TestHermiteRoots feeds each
+        # of those its own bad roots), so the rule's builder must catch
+        # its weights
+        roots = np.array(nodes)
+        pair = (specfun.RootSet(order, roots), _kernels.hermite_values(order - 1, roots))
+        monkeypatch.setattr(specfun, "_root_set", lambda n: pair)
         quadrature._gauss_hermite_rule.cache_clear()
         try:
             with pytest.raises(DomainError, match=message):

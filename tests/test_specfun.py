@@ -99,6 +99,30 @@ class TestHermiteRoots:
     def test_cached_object_reused(self):
         assert specfun.hermite_roots(7) is specfun.hermite_roots(7)
 
+    @pytest.mark.parametrize(
+        "n,roots,message",
+        [
+            (2, [0.0], "expected 2 roots, got 1"),
+            (2, [0.7071067811865476, -0.7071067811865476], "strictly increasing"),
+            (1, [1e-6], "symmetric"),
+            (1, [math.nan], "symmetric"),
+            (2, [-0.8, 0.8], "above tolerance"),
+        ],
+    )
+    def test_rejects_roots_off_their_guarantees(self, n, roots, message):
+        # the checks of the one builder of a RootSet, each fed roots that
+        # pass every check before it; nan fails rather than slips through
+        with pytest.raises(DomainError, match=message):
+            specfun._checked_roots(n, np.array(roots))
+
+    def test_records_hold_read_only_arrays(self):
+        roots = specfun.hermite_roots(5)
+        rule = quadrature.gauss_hermite_rule(5)
+        for array in (roots.roots, rule.nodes, rule.weights):
+            assert not array.flags.writeable
+        with pytest.raises(AttributeError):
+            roots.roots = np.zeros(5)
+
 
 class TestGaussLegendre:
     @pytest.mark.parametrize("order", [*range(1, 97), 128, 200, scalars.PANEL_ORDER_MAX])
