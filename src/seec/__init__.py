@@ -18,9 +18,7 @@ __version__ = "0.1.0"
 # public name -> the submodule that defines it
 _EXPORTS = {
     "EntropyReport": "criterion",
-    "criterion_curve": "criterion",
     "criterion_f": "criterion",
-    "is_entangled": "criterion",
     "marginal": "criterion",
     "standard_entropy": "criterion",
     "threshold_eta0": "criterion",

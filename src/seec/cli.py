@@ -97,6 +97,14 @@ def _write_text(text, out_path):
         raise OSError(exc.errno, exc.strerror, out_path) from None
 
 
+def _path(text):
+    # checked at parsing, before any work: _write_text would take '' as a
+    # file in the directory above the working one
+    if not text:
+        raise argparse.ArgumentTypeError("the path must not be empty")
+    return text
+
+
 def _parse_modes(text):
     modes = []
     for chunk in text.split(","):
@@ -223,8 +231,8 @@ def _cmd_sweep(args):
 
     modes = _parse_modes(args.modes)
     grid = _eta_grid(args.eta_min, args.eta_max, args.steps)
-    # f = eta0 - eta, the values criterion_curve gives; every check runs
-    # before the first byte is written
+    # f = eta0 - eta, the f that criterion_f reports at each grid point;
+    # every check runs before the first byte is written
     eta0 = [criterion.threshold_eta0(n, m) for n, m in modes]
     curves = [_finite("f", [e0 - e for e in grid]) for e0 in eta0]
     if args.svg:
@@ -313,7 +321,7 @@ def _cmd_verify(args):
     # lines before it
     with np.errstate(all="ignore"):
         checks = verification.collect_checks(args.n_max)
-    passed = verification.all_normative_pass(checks)
+    passed = all(c.status == "ok" for c in checks)
     if args.format == "json":
         payload = {
             "n_max": args.n_max,
@@ -366,22 +374,19 @@ def build_parser():
     p.add_argument("--eta-max", type=float, default=2.0)
     p.add_argument("--steps", type=int, default=201)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--svg", metavar="PATH", help="also write an SVG line plot")
-    p.add_argument("--out", metavar="PATH", help="output file (default: stdout)")
+    p.add_argument("--svg", metavar="PATH", type=_path, help="also write an SVG line plot")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("threshold", help="threshold table eta0(n, m)")
     p.add_argument("--n-max", type=int, default=5)
     p.add_argument("--m-max", type=int, default=5)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out", metavar="PATH")
     p.set_defaults(func=_cmd_threshold)
 
     p = sub.add_parser("criterion", help="single-point JSON entropy report")
     p.add_argument("--n", type=int, default=0)
     p.add_argument("--m", type=int, default=0)
     p.add_argument("--eta", type=float, default=0.0)
-    p.add_argument("--out", metavar="PATH")
     p.set_defaults(func=_cmd_criterion)
 
     p = sub.add_parser("diagonalize", help="normal-mode report from raw couplings")
@@ -390,13 +395,11 @@ def build_parser():
     p.add_argument("--A", type=float, default=1.0)
     p.add_argument("--B", type=float, default=1.0)
     p.add_argument("--C", type=float, default=0.0)
-    p.add_argument("--out", metavar="PATH")
     p.set_defaults(func=_cmd_diagonalize)
 
     p = sub.add_parser("verify", help="cross-check closed forms against quadrature")
     p.add_argument("--n-max", type=int, default=8)
     p.add_argument("--format", choices=("table", "json"), default="table")
-    p.add_argument("--out", metavar="PATH")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("wavefunction", help="grid samples of the eigenfunction")
@@ -407,8 +410,10 @@ def build_parser():
     p.add_argument("--u-min", type=float, default=-4.0)
     p.add_argument("--u-max", type=float, default=4.0)
     p.add_argument("--steps", type=int, default=41)
-    p.add_argument("--out", metavar="PATH")
     p.set_defaults(func=_cmd_wavefunction)
+
+    for p in sub.choices.values():
+        p.add_argument("--out", metavar="PATH", type=_path, help="output file (default: stdout)")
     return parser
 
 

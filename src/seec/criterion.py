@@ -15,8 +15,12 @@ re-integrate, and f(eta) = eta0 - eta holds exactly by construction.
 This S_k - ln t is the one route to each entropy.  S_k and the
 closed-form I3(k) of its oracle are read from the frozen tables in
 ``scalars`` (``verification`` checks both against their live routes), so
-standard_entropy, threshold_eta0 and criterion_f never import numpy; the
-array routes import it when called.
+standard_entropy, threshold_eta0 and criterion_f never import numpy; only
+marginal imports it, when called.
+
+criterion_f is the route to the verdict at one point, and ``seec sweep``
+the route to a curve.  The array answer is one subtraction from the
+threshold: f = threshold_eta0(n, m) - etas, entangled where f < 0.
 """
 
 from __future__ import annotations
@@ -135,9 +139,9 @@ def variance_threshold(n, m):
 
 
 def _verdict(eta0, eta):
-    """True where the criterion detects entanglement at coupling eta, for
-    a float or an array eta: f = eta0 - eta < 0.  The one home of the
-    verdict; criterion_f, criterion_curve and the sweep all read it."""
+    """True iff the criterion detects entanglement at the float coupling
+    eta: f = eta0 - eta < 0.  The one home of the verdict; criterion_f
+    and the sweep both read it."""
     return eta0 - eta < 0.0
 
 
@@ -164,24 +168,3 @@ def criterion_f(n, m, eta):
             _oracle_delta(n, I3_CLOSED_TABLE[n]), _oracle_delta(m, I3_CLOSED_TABLE[m])
         ),
     )
-
-
-def criterion_curve(n, m, etas):
-    """Criterion curve of mode pair (n, m) over an array of couplings.
-
-    Returns the arrays (f, entangled) with f = eta0(n, m) - etas, the
-    values criterion_f reports point by point, from one threshold lookup
-    and array arithmetic.
-    """
-    import numpy as np
-
-    etas = np.asarray(etas, dtype=np.float64)
-    if not np.isfinite(etas).all():
-        raise DomainError("eta must be finite")
-    eta0 = threshold_eta0(n, m)
-    return eta0 - etas, _verdict(eta0, etas)
-
-
-def is_entangled(n, m, eta):
-    """True iff the criterion detects entanglement: f(n, m, eta) < 0."""
-    return criterion_f(n, m, eta).entangled

@@ -24,9 +24,9 @@ from .errors import DomainError
 from .scalars import (
     DEFAULT_PANEL_ORDER,
     N_MAX,
+    PANEL_ORDER_MAX,
     _SQRT_PI,
     _check_order,
-    _check_panel_order,
     _ln_factorial,
 )
 
@@ -147,7 +147,8 @@ def entropy_integral_numeric(n, panel_order=DEFAULT_PANEL_ORDER):
     process, however the call spells it.
     """
     n = _check_order(n, N_MAX)
-    return _entropy_integral(n, _check_panel_order(panel_order))
+    panel_order = _check_order(panel_order, PANEL_ORDER_MAX, "panel order", n_min=1)
+    return _entropy_integral(n, panel_order)
 
 
 @lru_cache(maxsize=None)

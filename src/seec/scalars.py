@@ -47,10 +47,6 @@ def _check_mode_pair(n, m):
     return _check_order(n, N_MAX, "n"), _check_order(m, N_MAX, "m")
 
 
-def _check_panel_order(order):
-    return _check_order(order, PANEL_ORDER_MAX, "panel order", n_min=1)
-
-
 def _ln_factorial(n):
     # ln(n!) of a checked order: exact-to-double through 20! by integer
     # product, log-gamma beyond (relative error below 1e-14)

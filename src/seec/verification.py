@@ -139,6 +139,3 @@ def collect_checks(n_max):
                     )
     return checks
 
-
-def all_normative_pass(checks):
-    return all(c.status == "ok" for c in checks)

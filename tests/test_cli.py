@@ -21,12 +21,17 @@ from seec.scalars import N_MAX
 from test_golden import GOLDEN
 
 
-def run_cli(*args, env=None):
+# the directory seec is imported from, for a child run in another directory
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+
+
+def run_cli(*args, env=None, cwd=None):
     proc = subprocess.run(
         [sys.executable, "-m", "seec", *args],
         capture_output=True,
         text=True,
         env=env,
+        cwd=cwd,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -117,7 +122,7 @@ _BOUNDS = st.lists(
 
 class TestSweepGrid:
     """The sweep's eta grid and f column are the values np.linspace and
-    criterion_curve give, bit for bit."""
+    threshold_eta0(n, m) - grid give, bit for bit."""
 
     @given(bounds=_BOUNDS, steps=st.integers(2, 3000) | st.sampled_from((2, 3, 100_001)))
     @settings(max_examples=300)
@@ -156,7 +161,7 @@ class TestSweepGrid:
 
     @pytest.mark.parametrize("modes", ["0:0", "1:1,2:0", "0:0,1:1,2:3,5:0,7:7,32:32"])
     @pytest.mark.parametrize("bounds", [(0.0, 2.0), (-2.5, -0.25), (-0.7, 1e-3)])
-    def test_f_column_equals_criterion_curve(self, modes, bounds, capsys):
+    def test_f_column_equals_the_pointwise_reports(self, modes, bounds, capsys):
         lo, hi = bounds
         argv = ["sweep", "--modes", modes, "--steps", "257", "--format", "json",
                 f"--eta-min={lo!r}", f"--eta-max={hi!r}"]
@@ -164,10 +169,14 @@ class TestSweepGrid:
         records = json.loads(capsys.readouterr().out)
         grid = np.linspace(lo, hi, 257)
         pairs = cli._parse_modes(modes)
-        expected = np.concatenate([criterion.criterion_curve(n, m, grid)[0] for n, m in pairs])
+        expected = np.concatenate([criterion.threshold_eta0(n, m) - grid for n, m in pairs])
+        reports = [criterion.criterion_f(n, m, eta) for n, m in pairs for eta in grid.tolist()]
         f = np.array([r["f"] for r in records], dtype=np.float64)
         np.testing.assert_array_equal(f.view(np.uint64), expected.view(np.uint64))
-        assert [r["entangled"] for r in records] == (expected < 0.0).tolist()
+        pointwise = np.array([r.f for r in reports], dtype=np.float64)
+        np.testing.assert_array_equal(f.view(np.uint64), pointwise.view(np.uint64))
+        entangled = [r["entangled"] for r in records]
+        assert entangled == (expected < 0.0).tolist() == [r.entangled for r in reports]
         eta = np.array([r["eta"] for r in records], dtype=np.float64)
         np.testing.assert_array_equal(eta.view(np.uint64), np.tile(grid, len(pairs)).view(np.uint64))
 
@@ -718,6 +727,9 @@ class TestOutputGate:
             assert not fields & NON_FINITE_FIELDS, argv
 
 
+COMMANDS = ("sweep", "threshold", "criterion", "diagonalize", "verify", "wavefunction")
+
+
 class TestUsageErrors:
     def test_unknown_command_exits_one(self):
         code, _, err = run_cli("nonsense")
@@ -747,10 +759,24 @@ class TestUsageErrors:
         assert code == 1 and out.startswith("eta,n,m,f,entangled\n")
         assert err == f"seec: error: cannot write output: [Errno 2] No such file or directory: {path!r}\n"
 
-    @pytest.mark.parametrize("unbuffered", [False, True])
     @pytest.mark.parametrize(
-        "command", ["sweep", "threshold", "criterion", "diagonalize", "verify", "wavefunction"]
+        "argv",
+        [[command, "--out="] for command in COMMANDS] + [["sweep", "--svg="]],
+        ids=" ".join,
     )
+    def test_empty_path_exits_one_before_any_work(self, argv, tmp_path):
+        # '' names no file: taken as a path, it put the temp file in the
+        # directory above the working one
+        work = tmp_path / "work"
+        work.mkdir()
+        code, out, err = run_cli(*argv, env=dict(os.environ, PYTHONPATH=SRC), cwd=work)
+        assert (code, out) == (1, "")
+        option = argv[1].rstrip("=")
+        assert err == f"seec {argv[0]}: error: argument {option}: the path must not be empty\n"
+        assert list(tmp_path.iterdir()) == [work] and list(work.iterdir()) == []
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    @pytest.mark.parametrize("command", COMMANDS)
     def test_closed_stdout_exits_one_without_a_traceback(self, command, unbuffered):
         # stdout is a pipe whose reader is already gone; buffered, a small
         # output would otherwise first fail in the flush at exit

@@ -457,19 +457,17 @@ class TestCriterionF:
 
 
 class TestCriterionCurve:
+    """The array answer, one subtraction from the threshold: f =
+    threshold_eta0(n, m) - etas and its verdict f < 0 are what criterion_f
+    reports point by point."""
+
     @pytest.mark.parametrize("n,m", [(0, 0), (1, 1), (3, 2), (32, 7)])
     def test_matches_pointwise_reports(self, n, m):
         etas = np.concatenate([np.linspace(-3.0, 3.0, 61), [0.0, -0.0, 1e-300, 1e308]])
-        f, entangled = criterion.criterion_curve(n, m, etas)
+        f = criterion.threshold_eta0(n, m) - etas
         reports = [criterion.criterion_f(n, m, eta) for eta in etas.tolist()]
         assert f.tolist() == [r.f for r in reports]
-        assert entangled.tolist() == [r.entangled for r in reports]
-
-    def test_validates_once(self):
-        with pytest.raises(DomainError):
-            criterion.criterion_curve(0, 0, [0.0, math.inf])
-        with pytest.raises(UnsupportedOrderError):
-            criterion.criterion_curve(scalars.N_MAX + 1, 0, [0.0])
+        assert (f < 0.0).tolist() == [r.entangled for r in reports]
 
 
 class TestThreshold:
@@ -549,16 +547,18 @@ class TestGaussianBoundRows:
 
 
 class TestIsEntangled:
+    """The verdict criterion_f reports: entangled iff f < 0."""
+
     def test_ground_state_weak_coupling(self):
-        assert criterion.is_entangled(0, 0, 0.1)
+        assert criterion.criterion_f(0, 0, 0.1).entangled
 
     def test_below_threshold(self):
-        assert not criterion.is_entangled(1, 1, 0.5)  # 0.5 < 0.5407...
+        assert not criterion.criterion_f(1, 1, 0.5).entangled  # 0.5 < 0.5407...
 
     def test_above_threshold(self):
-        assert criterion.is_entangled(1, 1, 0.6)
+        assert criterion.criterion_f(1, 1, 0.6).entangled
 
     def test_no_coupling_never_entangled(self):
         for n in range(6):
             for m in range(6):
-                assert not criterion.is_entangled(n, m, 0.0)
+                assert not criterion.criterion_f(n, m, 0.0).entangled

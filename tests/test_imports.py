@@ -191,7 +191,7 @@ def test_scalar_library_calls_skip_numpy():
         "seec.threshold_eta0(3, 2)\n"
         "seec.standard_entropy(7)\n"
         "seec.criterion_f(32, 5, -0.4)\n"
-        "seec.is_entangled(1, 1, 0.7)\n"
+        "seec.criterion_f(1, 1, 0.7).entangled\n"
         "d = seec.diagonalize(seec.CoupledHamiltonian(1.0, 2.0, 3.0, 1.0, 0.5))\n"
         "seec.reconstruct(d)\n"
         "seec.energy(seec.ModePair(2, 1), d.eta)\n"
@@ -220,7 +220,7 @@ def test_verification_skips_numpy_polynomial():
         "from seec import quadrature, verification\n"
         "checks = verification.collect_checks(12)\n"
         "quadrature.entropy_integral_numeric(32, 96)\n"
-        "print(verification.all_normative_pass(checks), 'numpy' in sys.modules,\n"
+        "print(all(c.status == 'ok' for c in checks), 'numpy' in sys.modules,\n"
         "      'numpy.polynomial' in sys.modules)\n"
     )
     assert code == 0, err

@@ -279,6 +279,10 @@ REMOVED_NAMES = (
     "MathConstants",
     "CONSTANTS",
     "ln_factorial",
+    "criterion_curve",
+    "is_entangled",
+    "all_normative_pass",
+    "_check_panel_order",
 )
 
 
@@ -305,5 +309,5 @@ def test_public_names():
         assert hasattr(seec, name), name
     for name in REMOVED_NAMES:
         assert name not in seec.__all__, name
-        for module in (seec, specfun, criterion, quadrature, scalars, errors):
+        for module in (seec, specfun, criterion, quadrature, scalars, errors, verification):
             assert not hasattr(module, name), name
