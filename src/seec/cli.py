@@ -10,14 +10,18 @@ CSV/JSON, files are written atomically (temp + rename), numeric CSV fields
 carry 12 significant digits.  Exit codes: 0 success, 1 usage or domain
 error, 2 verification failure.
 
-sweep and wavefunction write their output as a stream of chunks, one per
-mode or grid row, built from pieces formatted once (the eta column of a
-sweep serves every mode), so the whole document is never held in memory.
+sweep and wavefunction write their output as a stream of chunks built
+from pieces formatted once, so the whole document is never held in
+memory.  A sweep chunk is a block of at most _SWEEP_ROWS rows of one mode:
+its memory is the eta grid and its eta column, formatted once for every
+mode, plus one block, whatever the number of modes (with --svg, the plot
+too).  A wavefunction chunk is one grid row.
 Every check that can fail runs before the first byte: a command that
 fails a check writes nothing to stdout and leaves --out as it was.  A
 write can still fail after that: sweep writes its records, to stdout or
 --out, before its --svg file, so a failed --svg write exits 1 with the
-records already written.
+records already written.  --svg - writes the plot to stdout, so it needs
+--out PATH for the records.
 
 Each subcommand imports the modules it uses when it runs: only verify
 imports numpy.  sweep (its SVG included), threshold, criterion, diagonalize
@@ -32,7 +36,7 @@ import math
 import os
 import re
 import sys
-from itertools import chain, repeat
+from itertools import chain
 
 from . import __version__
 from .errors import DomainError
@@ -216,6 +220,9 @@ def _json_records(keys, blocks):
 # --format of sweep and threshold: the text of a number, and the writer
 _RECORDS = {"csv": ("%.12g".__mod__, _csv), "json": (repr, _json_records)}
 
+# the rows of one block of sweep records: the text a sweep holds at once
+_SWEEP_ROWS = 2048
+
 
 def _json_text(payload):
     import json
@@ -227,36 +234,44 @@ def _json_text(payload):
 
 
 def _cmd_sweep(args):
+    from array import array
+    from bisect import bisect_left
+    from functools import partial
+
     from . import criterion, svgplot
 
+    if args.svg == "-" and args.out in (None, "-"):
+        raise DomainError("--svg - needs --out PATH: the records already go to stdout")
     modes = _parse_modes(args.modes)
     grid = _eta_grid(args.eta_min, args.eta_max, args.steps)
-    # f = eta0 - eta, the f that criterion_f reports at each grid point;
-    # every check runs before the first byte is written
+    # f = eta0 - eta, the f that criterion_f reports at each grid point,
+    # falls along the rising grid: a curve is finite if its two ends are.
+    # Every check runs before the first byte is written
     eta0 = [criterion.threshold_eta0(n, m) for n, m in modes]
-    curves = [_finite("f", [e0 - e for e in grid]) for e0 in eta0]
+    for e0 in eta0:
+        _finite("f", [e0 - grid[0], e0 - grid[-1]])
     if args.svg:
-        # built before either file is written, so a plot error writes neither
-        svg = svgplot.line_plot(
-            [(f"(n,m)=({n},{m})", list(zip(grid, curve))) for (n, m), curve in zip(modes, curves)],
-            "eta",
-            "f",
-        )
+        # built before either file is written, so a plot error writes neither;
+        # each curve is an array of doubles, a third of a list's memory
+        curves = ((f"(n,m)=({n},{m})", array("d", map(e0.__sub__, grid)))
+                  for (n, m), e0 in zip(modes, eta0))
+        svg = svgplot.line_plot(list(curves), "eta", "f", grid)
     number, records = _RECORDS[args.format]
-    # one block per mode: the eta column formatted once for every mode, n
-    # and m one shared cell each
+    # the eta column, formatted once for every mode
     etas = list(map(number, grid))
-    blocks = (
-        [
-            etas,
-            str(n),
-            str(m),
-            list(map(number, curve)),
-            list(map(_BOOL_TEXT.__getitem__, map(criterion._verdict, repeat(e0), grid))),
-        ]
-        for (n, m), e0, curve in zip(modes, eta0, curves)
-    )
-    _write_text(records(("eta", "n", "m", "f", "entangled"), blocks), args.out)
+
+    def blocks():
+        # blocks of at most _SWEEP_ROWS rows, each formatted when the writer
+        # takes it; n, m and the verdict are one shared cell each.  f falls,
+        # so the verdict flips once, at the first point where it holds
+        for (n, m), e0 in zip(modes, eta0):
+            cut = bisect_left(grid, True, key=partial(criterion._verdict, e0))
+            edges = sorted({*range(0, len(grid), _SWEEP_ROWS), cut, len(grid)})
+            for a, b in zip(edges, edges[1:]):
+                f = list(map(number, map(e0.__sub__, grid[a:b])))
+                yield [etas[a:b], str(n), str(m), f, _BOOL_TEXT[a >= cut]]
+
+    _write_text(records(("eta", "n", "m", "f", "entangled"), blocks()), args.out)
     if args.svg:
         _write_text(svg, args.svg)
     return 0

@@ -10,17 +10,9 @@ _WIDTH, _HEIGHT = 800, 600
 _LEFT, _RIGHT, _TOP, _BOTTOM = 70, 780, 25, 555
 
 
-def _columns(pts):
-    # an array converts in one call: iterating its rows would make a numpy
-    # scalar of every coordinate
-    if hasattr(pts, "tolist"):
-        pts = pts.tolist()
-    return [float(x) for x, _ in pts], [float(y) for _, y in pts]
-
-
-def _spans(series):
-    xs = [(min(xs), max(xs)) for _, xs, _ in series if xs]
-    ys = [(min(ys), max(ys)) for _, _, ys in series if ys]
+def _spans(x_columns, y_columns):
+    xs = [(min(xs), max(xs)) for xs in x_columns if xs]
+    ys = [(min(ys), max(ys)) for ys in y_columns if ys]
     x0, x1 = min(lo for lo, _ in xs), max(hi for _, hi in xs)
     y0, y1 = min(lo for lo, _ in ys), max(hi for _, hi in ys)
     if x1 == x0:
@@ -40,11 +32,18 @@ def _spans(series):
     return x0, x1, y0, y1
 
 
-def line_plot(series, x_label, y_label):
-    """SVG text for polylines; series is [(label, pts), ...] with pts an
-    (N, 2) array or a sequence of (x, y) pairs."""
-    series = [(label, *_columns(pts)) for label, pts in series]
-    x0, x1, y0, y1 = _spans(series)
+def line_plot(series, x_label, y_label, xs=None):
+    """SVG text for polylines.  series is [(label, values), ...]: given xs,
+    the x values every series shares, values are a series' y values, one
+    per x; without xs, values are its (x, y) pairs."""
+    if xs is None:
+        series = [(label, [float(x) for x, _ in pts], [float(y) for _, y in pts])
+                  for label, pts in series]
+        x_columns = [xs for _, xs, _ in series]
+    else:
+        series = [(label, xs, ys) for label, ys in series]
+        x_columns = [xs]
+    x0, x1, y0, y1 = _spans(x_columns, [ys for _, _, ys in series])
 
     # pixel coordinates of a list of data coordinates; the width and span
     # are bound once, since a call per point would double the plot's cost
@@ -89,9 +88,9 @@ def line_plot(series, x_label, y_label):
     for i, (label, xs, ys) in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]
         # one template for the whole polyline, its x pixels already written:
-        # a format call per point costs more, and series with equal x values
-        # (a sweep's modes share one grid) share the template
-        if xs != shared_xs:
+        # a format call per point costs more, and series that share their x
+        # column share the template
+        if xs is not shared_xs:
             shared_xs = xs
             template = " ".join(["%.2f,%%.2f" % x for x in px(xs)])
         coords = template % py(ys)

@@ -9,10 +9,12 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from array import array
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from seec import cli, criterion, oscillator, svgplot
@@ -226,22 +228,83 @@ class TestSweepFormat:
             assert out.getvalue() == expected
 
 
+class TestSweepVerdict:
+    """The entangled column is cut once, where f first falls below 0, and
+    each curve's finiteness is checked at its two ends."""
+
+    @given(bounds=_BOUNDS, steps=st.integers(2, 300), modes=_MODES, rows=st.integers(1, 9))
+    @settings(max_examples=150, deadline=None)
+    @example(bounds=[-1.0, 1.0], steps=3, modes=[(0, 0)], rows=1)  # eta0(0, 0) = 0.0 on the grid
+    @example(bounds=[0.0, 2.0], steps=201, modes=[(0, 0), (1, 1)], rows=7)
+    @example(bounds=[-2.5, -0.25], steps=99, modes=[(0, 0), (3, 1)], rows=4)  # all negative
+    @example(bounds=[-1e16, 1.5], steps=5, modes=[(0, 0), (32, 32)], rows=2)  # a wide span
+    @example(bounds=[-1e16, 1.5], steps=300, modes=[(2, 3)], rows=9)
+    @example(bounds=[0.0, _ETA0_11], steps=7, modes=[(1, 1)], rows=3)  # eta0 at eta-max
+    def test_cut_equals_the_verdict_at_every_point(self, bounds, steps, modes, rows):
+        lo, hi = bounds
+        assume(math.isfinite(hi - lo))
+        grid = cli._eta_grid(lo, hi, steps)
+        mode_text = ",".join(f"{n}:{m}" for n, m in modes)
+        out = io.StringIO()
+        # blocks of a few rows put the cut before, inside and after a block
+        with mock.patch.object(cli, "_SWEEP_ROWS", rows), contextlib.redirect_stdout(out):
+            code = cli.main(["sweep", "--modes", mode_text, f"--eta-min={lo!r}",
+                             f"--eta-max={hi!r}", "--steps", str(steps)])
+        assert code == 0
+        _, records = parse_csv(out.getvalue())
+        column = [r[4] == "true" for r in records]
+        verdicts = [criterion._verdict(criterion.threshold_eta0(n, m), eta)
+                    for n, m in modes for eta in grid]
+        reports = [criterion.criterion_f(n, m, eta).entangled for n, m in modes for eta in grid]
+        assert column == verdicts == reports
+
+    @pytest.mark.parametrize(
+        "eta0,bounds",
+        [
+            (math.inf, []),
+            (-math.inf, []),
+            (math.nan, []),
+            (1e308, ["--eta-min=-1e308", "--eta-max=0"]),  # f overflows at eta-min only
+            (-1e308, ["--eta-max=1e308"]),  # and at eta-max only
+        ],
+    )
+    @pytest.mark.parametrize("svg", [False, True])
+    def test_non_finite_curve_writes_nothing(self, eta0, bounds, svg, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(criterion, "threshold_eta0", lambda n, m: eta0)
+        out_path, svg_path = tmp_path / "sweep.csv", tmp_path / "sweep.svg"
+        for argv in (["sweep", *bounds], ["sweep", *bounds, "--out", str(out_path)]):
+            if svg:
+                argv += ["--svg", str(svg_path)]
+            assert cli.main(argv) == 1
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == "seec: error: f is not finite for these inputs\n"
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestSvgPlot:
-    def test_array_and_pairs_give_the_same_bytes(self):
-        x = np.linspace(-0.5, 2.0, 101)
-        arrays = [("a", np.column_stack((x, 0.3 - x))), ("b", np.column_stack((x, np.sin(x))))]
-        pairs = [(label, [tuple(p) for p in pts.tolist()]) for label, pts in arrays]
-        svg = svgplot.line_plot(arrays, "eta", "f")
+    def test_columns_and_pairs_give_the_same_bytes(self):
+        xs = cli._eta_grid(-0.5, 2.0, 101)
+        columns = [("a", [0.3 - x for x in xs]), ("b", list(map(math.sin, xs)))]
+        pairs = [(label, list(zip(xs, ys))) for label, ys in columns]
+        svg = svgplot.line_plot(columns, "eta", "f", xs)
         assert svg == svgplot.line_plot(pairs, "eta", "f")
+        assert svg == svgplot.line_plot([(label, array("d", ys)) for label, ys in columns],
+                                        "eta", "f", xs)
         assert svg.count("<polyline") == 2
-        # other dtypes convert as np.asarray(pts, dtype=float64) would; mapping
-        # float32 points in float32 would move some of them by 0.01 px
-        pts32 = np.random.default_rng(0).standard_normal((2000, 2)).astype(np.float32)
-        assert svgplot.line_plot([("a", pts32)], "x", "y") == svgplot.line_plot(
-            [("a", pts32.astype(np.float64))], "x", "y")
+        # pairs of ints plot as the floats they equal
         ints = [("i", [(0, 1), (2, -3), (5, 4)])]
         assert svgplot.line_plot(ints, "x", "y") == svgplot.line_plot(
-            [("i", np.array(ints[0][1], dtype=np.float64))], "x", "y")
+            [("i", [1.0, -3.0, 4.0])], "x", "y", [0.0, 2.0, 5.0])
+
+    def test_series_with_their_own_x_values(self):
+        # each series draws over its own x values, and the x span covers all
+        svg = svgplot.line_plot([("a", [(0.0, 1.0), (1.0, 2.0)]), ("b", [(2.0, 0.0), (4.0, 1.0)])],
+                                "x", "y")
+        assert ">0</text>" in svg and ">4</text>" in svg
+        a, b = ([p.split(",")[0] for p in points.split()]
+                for points in re.findall(r'points="([^"]*)"', svg))
+        assert (a, b) == (["70.00", "247.50"], ["425.00", "780.00"])
 
 
 def _float_options():
@@ -589,22 +652,38 @@ class TestStreamedOutput:
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 50 and lines[-1].endswith(",1.7e+308")
 
-    def test_wavefunction_memory_does_not_grow_with_the_grid(self):
-        # peak traced memory of a 401 x 401 grid to a null stdout, after a
-        # warm-up call: the two factor lists and one row (about 180 KB),
-        # not the grid (8.8 MB when the chunks are joined).  CI repeats
-        # this at 1601 steps under 2 MB
-        argv = ["wavefunction", "--n", "12", "--m", "11", "--space", "momentum", "--steps", "401"]
+    def _traced_peak(self, warm_up, argv):
+        # peak traced memory of cli.main(argv) to a null stdout, after a
+        # warm-up call
         with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
-            assert cli.main(argv[:-1] + ["5"]) == 0
+            assert cli.main(warm_up) == 0
             tracemalloc.start()
             try:
                 before = tracemalloc.get_traced_memory()[0]
                 assert cli.main(argv) == 0
-                peak = tracemalloc.get_traced_memory()[1] - before
+                return tracemalloc.get_traced_memory()[1] - before
             finally:
                 tracemalloc.stop()
+
+    def test_wavefunction_memory_does_not_grow_with_the_grid(self):
+        # a 401 x 401 grid holds the two factor lists and one row (about
+        # 180 KB), not the grid (8.8 MB when the chunks are joined).  CI
+        # repeats this at 1601 steps under 2 MB
+        argv = ["wavefunction", "--n", "12", "--m", "11", "--space", "momentum", "--steps"]
+        peak = self._traced_peak(argv + ["5"], argv + ["401"])
         assert peak < 1_000_000, peak
+
+    def test_sweep_memory_does_not_grow_with_the_modes(self):
+        # a 20,001-step sweep holds its grid, its eta column and one block of
+        # rows (about 2.3 MB), for 8 modes as for 1 (8 modes peak at 4.8 MB
+        # with each mode's text in one block).  CI runs a larger sweep with
+        # --svg under an RSS bound
+        argv = ["sweep", "--steps", "20001", "--modes"]
+        warm_up = ["sweep", "--steps", "5"]
+        one = self._traced_peak(warm_up, argv + ["0:0"])
+        eight = self._traced_peak(warm_up, argv + ["0:0,1:1,2:3,5:0,7:7,12:3,4:9,32:32"])
+        assert eight < 3_000_000, eight
+        assert eight < 1.1 * one, (one, eight)
 
 
 NON_FINITE_FIELDS = {"nan", "-nan", "NaN", "inf", "-inf", "Infinity", "-Infinity"}
@@ -758,6 +837,22 @@ class TestUsageErrors:
         code, out, err = runs[0]
         assert code == 1 and out.startswith("eta,n,m,f,entangled\n")
         assert err == f"seec: error: cannot write output: [Errno 2] No such file or directory: {path!r}\n"
+
+    @pytest.mark.parametrize("out", [[], ["--out", "-"]], ids=["no --out", "--out -"])
+    def test_svg_to_stdout_with_the_records_exits_one(self, out, capsys):
+        # '-' for both would write the SVG after the records, into one stream
+        assert cli.main(["sweep", "--steps", "3", "--svg", "-", *out]) == 1
+        assert capsys.readouterr() == (
+            "", "seec: error: --svg - needs --out PATH: the records already go to stdout\n")
+
+    def test_svg_to_stdout_with_the_records_in_a_file(self, tmp_path, capsys):
+        argv = ["sweep", "--steps", "3"]
+        records, svg = tmp_path / "records.csv", tmp_path / "plot.svg"
+        assert cli.main([*argv, "--out", str(records), "--svg", str(svg)]) == 0
+        out_path = tmp_path / "sweep.csv"
+        assert cli.main([*argv, "--out", str(out_path), "--svg", "-"]) == 0
+        assert capsys.readouterr() == (svg.read_text(), "")
+        assert out_path.read_bytes() == records.read_bytes()
 
     @pytest.mark.parametrize(
         "argv",
