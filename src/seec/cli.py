@@ -10,12 +10,12 @@ CSV/JSON, files are written atomically (temp + rename), numeric CSV fields
 carry 12 significant digits.  Exit codes: 0 success, 1 usage or domain
 error, 2 verification failure.
 
-sweep and wavefunction write their output as a stream of chunks built
-from pieces formatted once, so the whole document is never held in
-memory.  A sweep chunk is a block of at most _SWEEP_ROWS rows of one mode:
-its memory is the eta grid and its eta column, formatted once for every
-mode, plus one block, whatever the number of modes (with --svg, the plot
-too).  A wavefunction chunk is one grid row.
+sweep, threshold and wavefunction stream their rows in blocks, each one
+join and one %, so the whole document is never held in memory.  A sweep
+block is at most _SWEEP_ROWS rows of one mode: its memory is the eta grid
+and its eta column, formatted once for every mode, plus one block (with
+--svg, the plot's lines too).  A threshold block is one n, and a
+wavefunction block one grid row.
 Every check that can fail runs before the first byte: a command that
 fails a check writes nothing to stdout and leaves --out as it was.  A
 write can still fail after that: sweep writes its records, to stdout or
@@ -36,13 +36,13 @@ import math
 import os
 import re
 import sys
-from itertools import chain
 
 from . import __version__
 from .errors import DomainError
 
 
 _BOOL_TEXT = ("false", "true")
+_CELLS = "\0"  # marks the column of cells among a block's texts
 
 
 class _Parser(argparse.ArgumentParser):
@@ -155,70 +155,40 @@ def _eta_grid(lo, hi, steps, names=("eta-min", "eta-max")):
     return grid
 
 
-def _rows(fields, end, sep):
-    """The text of one block of rows, each row reading prefix, cell, prefix,
-    cell, ..., end, and sep between rows.
-
-    fields is [(prefix, cells)]: cells is a list of str, one per row, or a
-    str that every row of the block shares; at least one cells is a list.
-    Shared cells and the prefixes around them fold into constant pieces,
-    and the block is one join over a flat list of pieces: no string or
-    template per row.
-    """
-    literals, columns = [""], []
-    for prefix, cells in fields:
-        if isinstance(cells, str):
-            literals[-1] += prefix + cells
-        else:
-            literals[-1] += prefix
-            literals.append("")
-            columns.append(cells)
-    literals[-1] += end
-    if not columns[0]:
-        return ""
-    width = 2 * len(columns)
-    parts = [None] * width
-    parts[1::2] = literals[1:]
-    parts[-1] += sep + literals[0]
-    parts *= len(columns[0])
-    for j, cells in enumerate(columns):
-        parts[2 * j::width] = cells
-    parts[-1] = literals[-1]
-    return literals[0] + "".join(parts)
+def _block(before, cells, after, values, sep=""):
+    """Rows reading before, cells[i], after, with sep between them and
+    values[i] in the one % field of before or after: one join builds the
+    template, one % fills it.  cells is a non-empty list of str, and no
+    text but that % field may contain "%"."""
+    return (before + (after + sep + before).join(cells) + after) % tuple(values)
 
 
 def _csv(header, blocks):
-    """CSV text in chunks: the header line, then one chunk per block.
-
-    A block is its cells per header column, as _rows takes them: a list of
-    the formatted fields of each row, or one str every row shares.
-    """
+    """CSV text in chunks: the header line, then one per block.  A block is
+    (texts, cells, values): each column's text, shared by the block's rows,
+    with _CELLS for the column of cells and one % field for that of values."""
     yield ",".join(header) + "\n"
-    prefixes = [""] + [","] * (len(header) - 1)
-    for cells in blocks:
-        yield _rows(zip(prefixes, cells), "\n", "")
+    for texts, cells, values in blocks:
+        before, after = ",".join(texts).split(_CELLS)
+        yield _block(before, cells, after + "\n", values)
 
 
 def _json_records(keys, blocks):
     """json.dumps(records, indent=2) + "\n" in chunks, one per block of
-    records whose fields are keys.
-
-    A block is its cells per key, as _rows takes them: the JSON text of the
-    field in each record, or one text every record of the block shares.
-    Keys are plain identifiers; a float's repr is the text json writes.
-    """
-    prefixes = ['  {\n    "%s": ' % keys[0]] + [',\n    "%s": ' % key for key in keys[1:]]
+    records, as _csv takes it, with each field's JSON text.  Keys are plain
+    identifiers; "%r" of a float is the text json writes."""
+    prefixes = ['    "%s": ' % key for key in keys]
     head = "[\n"
-    for cells in blocks:
-        text = _rows(zip(prefixes, cells), "\n  }", ",\n")
-        if text:
-            yield head + text
-            head = ",\n"
-    yield "[]\n" if head == "[\n" else "\n]\n"
+    for texts, cells, values in blocks:
+        fields = ",\n".join(map(str.__add__, prefixes, texts))
+        before, after = ("  {\n" + fields + "\n  }").split(_CELLS)
+        yield head + _block(before, cells, after, values, ",\n")
+        head = ",\n"
+    yield "\n]\n"
 
 
-# --format of sweep and threshold: the text of a number, and the writer
-_RECORDS = {"csv": ("%.12g".__mod__, _csv), "json": (repr, _json_records)}
+# --format of sweep and threshold: the % field of a number, and the writer
+_RECORDS = {"csv": ("%.12g", _csv), "json": ("%r", _json_records)}
 
 # the rows of one block of sweep records: the text a sweep holds at once
 _SWEEP_ROWS = 2048
@@ -256,20 +226,20 @@ def _cmd_sweep(args):
         curves = ((f"(n,m)=({n},{m})", array("d", map(e0.__sub__, grid)))
                   for (n, m), e0 in zip(modes, eta0))
         svg = svgplot.line_plot(list(curves), "eta", "f", grid)
-    number, records = _RECORDS[args.format]
+    field, records = _RECORDS[args.format]
     # the eta column, formatted once for every mode
-    etas = list(map(number, grid))
+    etas = list(map(field.__mod__, grid))
 
     def blocks():
-        # blocks of at most _SWEEP_ROWS rows, each formatted when the writer
-        # takes it; n, m and the verdict are one shared cell each.  f falls,
-        # so the verdict flips once, at the first point where it holds
+        # blocks of at most _SWEEP_ROWS rows, each f computed and formatted
+        # when the writer takes it; n, m and the verdict are shared texts.
+        # f falls, so the verdict flips once, at the first point where it holds
         for (n, m), e0 in zip(modes, eta0):
             cut = bisect_left(grid, True, key=partial(criterion._verdict, e0))
             edges = sorted({*range(0, len(grid), _SWEEP_ROWS), cut, len(grid)})
             for a, b in zip(edges, edges[1:]):
-                f = list(map(number, map(e0.__sub__, grid[a:b])))
-                yield [etas[a:b], str(n), str(m), f, _BOOL_TEXT[a >= cut]]
+                texts = (_CELLS, str(n), str(m), field, _BOOL_TEXT[a >= cut])
+                yield texts, etas[a:b], map(e0.__sub__, grid[a:b])
 
     _write_text(records(("eta", "n", "m", "f", "entangled"), blocks()), args.out)
     if args.svg:
@@ -289,10 +259,10 @@ def _cmd_threshold(args):
         _finite("eta0", [criterion._eta0(n, m) for m in ms])
         for n in range(args.n_max + 1)
     ]
-    number, records = _RECORDS[args.format]
-    # one block per n: n one shared cell, the m column formatted once
+    field, records = _RECORDS[args.format]
+    # one block per n: n a shared text, the m column formatted once
     m_cells = list(map(str, ms))
-    blocks = ([str(n), m_cells, list(map(number, row))] for n, row in enumerate(table))
+    blocks = (((str(n), _CELLS, field), m_cells, row) for n, row in enumerate(table))
     _write_text(records(("n", "m", "eta0"), blocks), args.out)
     return 0
 
@@ -371,10 +341,10 @@ def _cmd_wavefunction(args):
     # every factor is and the largest product is
     _finite("wavefunction value", [*f1, *f2, max(map(abs, f1)) * max(map(abs, f2))])
     u = list(map("%.12g".__mod__, grid))
-    # one % template per grid row: its u_plus, then each u_minus and a value
-    cells = [",%s,%%.12g\n" % x for x in u]
-    lines = ((x + x.join(cells)) % tuple([v * a for a in f1]) for x, v in zip(u, f2))
-    _write_text(chain(["u_plus,u_minus,value\n"], lines), args.out)
+    # one block per grid row: its u_plus a shared text, the u_minus column
+    # formatted once
+    rows = (((x, _CELLS, "%.12g"), u, [v * a for a in f1]) for x, v in zip(u, f2))
+    _write_text(_csv(("u_plus", "u_minus", "value"), rows), args.out)
     return 0
 
 

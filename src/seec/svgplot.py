@@ -33,9 +33,10 @@ def _spans(x_columns, y_columns):
 
 
 def line_plot(series, x_label, y_label, xs=None):
-    """SVG text for polylines.  series is [(label, values), ...]: given xs,
-    the x values every series shares, values are a series' y values, one
-    per x; without xs, values are its (x, y) pairs."""
+    """The lines of an SVG plot of polylines, each ending in a newline:
+    their join is the SVG text.  series is [(label, values), ...]: given
+    xs, the x values every series shares, values are a series' y values,
+    one per x; without xs, values are its (x, y) pairs."""
     if xs is None:
         series = [(label, [float(x) for x, _ in pts], [float(y) for _, y in pts])
                   for label, pts in series]
@@ -55,34 +56,34 @@ def line_plot(series, x_label, y_label, xs=None):
         bottom, height, span = _BOTTOM, _BOTTOM - _TOP, y1 - y0
         return tuple([bottom - height * (y - y0) / span for y in ys])
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
-        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
-        f'<line x1="{_LEFT}" y1="{_BOTTOM}" x2="{_RIGHT}" y2="{_BOTTOM}" stroke="black"/>',
-        f'<line x1="{_LEFT}" y1="{_TOP}" x2="{_LEFT}" y2="{_BOTTOM}" stroke="black"/>',
+    lines = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {_WIDTH} {_HEIGHT}">\n',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>\n',
+        f'<line x1="{_LEFT}" y1="{_BOTTOM}" x2="{_RIGHT}" y2="{_BOTTOM}" stroke="black"/>\n',
+        f'<line x1="{_LEFT}" y1="{_TOP}" x2="{_LEFT}" y2="{_BOTTOM}" stroke="black"/>\n',
         f'<text x="{(_LEFT + _RIGHT) // 2}" y="{_HEIGHT - 10}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="16">{x_label}</text>',
+        f'font-family="sans-serif" font-size="16">{x_label}</text>\n',
         f'<text x="18" y="{(_TOP + _BOTTOM) // 2}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="16" '
-        f'transform="rotate(-90 18 {(_TOP + _BOTTOM) // 2})">{y_label}</text>',
+        f'transform="rotate(-90 18 {(_TOP + _BOTTOM) // 2})">{y_label}</text>\n',
         f'<text x="{_LEFT}" y="{_BOTTOM + 18}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12">{x0:.4g}</text>',
+        f'font-family="sans-serif" font-size="12">{x0:.4g}</text>\n',
         f'<text x="{_RIGHT}" y="{_BOTTOM + 18}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12">{x1:.4g}</text>',
+        f'font-family="sans-serif" font-size="12">{x1:.4g}</text>\n',
         f'<text x="{_LEFT - 8}" y="{_BOTTOM + 4}" text-anchor="end" '
-        f'font-family="sans-serif" font-size="12">{y0:.4g}</text>',
+        f'font-family="sans-serif" font-size="12">{y0:.4g}</text>\n',
         f'<text x="{_LEFT - 8}" y="{_TOP + 4}" text-anchor="end" '
-        f'font-family="sans-serif" font-size="12">{y1:.4g}</text>',
+        f'font-family="sans-serif" font-size="12">{y1:.4g}</text>\n',
     ]
     if y0 < 0.0 < y1:
         (zero,) = py([0.0])
-        parts.append(
+        lines.append(
             f'<line x1="{_LEFT}" y1="{zero:.2f}" x2="{_RIGHT}" y2="{zero:.2f}" '
-            'stroke="#999999" stroke-dasharray="5,4"/>'
+            'stroke="#999999" stroke-dasharray="5,4"/>\n'
         )
-        parts.append(
+        lines.append(
             f'<text x="{_RIGHT - 4}" y="{zero - 5:.2f}" text-anchor="end" '
-            'font-family="sans-serif" font-size="12" fill="#666666">0</text>'
+            'font-family="sans-serif" font-size="12" fill="#666666">0</text>\n'
         )
     shared_xs = None
     for i, (label, xs, ys) in enumerate(series):
@@ -94,12 +95,12 @@ def line_plot(series, x_label, y_label, xs=None):
             shared_xs = xs
             template = " ".join(["%.2f,%%.2f" % x for x in px(xs)])
         coords = template % py(ys)
-        parts.append(
-            f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{coords}"/>'
+        lines.append(
+            f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{coords}"/>\n'
         )
-        parts.append(
+        lines.append(
             f'<text x="{_RIGHT - 8}" y="{_TOP + 16 + 16 * i}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="13" fill="{color}">{label}</text>'
+            f'font-family="sans-serif" font-size="13" fill="{color}">{label}</text>\n'
         )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    lines.append("</svg>\n")
+    return lines

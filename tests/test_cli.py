@@ -232,15 +232,18 @@ class TestSweepVerdict:
     """The entangled column is cut once, where f first falls below 0, and
     each curve's finiteness is checked at its two ends."""
 
-    @given(bounds=_BOUNDS, steps=st.integers(2, 300), modes=_MODES, rows=st.integers(1, 9))
+    @given(bounds=_BOUNDS, steps=st.integers(2, 300), modes=_MODES, rows=st.integers(1, 9),
+           fmt=st.sampled_from(["csv", "json"]))
     @settings(max_examples=150, deadline=None)
-    @example(bounds=[-1.0, 1.0], steps=3, modes=[(0, 0)], rows=1)  # eta0(0, 0) = 0.0 on the grid
-    @example(bounds=[0.0, 2.0], steps=201, modes=[(0, 0), (1, 1)], rows=7)
-    @example(bounds=[-2.5, -0.25], steps=99, modes=[(0, 0), (3, 1)], rows=4)  # all negative
-    @example(bounds=[-1e16, 1.5], steps=5, modes=[(0, 0), (32, 32)], rows=2)  # a wide span
-    @example(bounds=[-1e16, 1.5], steps=300, modes=[(2, 3)], rows=9)
-    @example(bounds=[0.0, _ETA0_11], steps=7, modes=[(1, 1)], rows=3)  # eta0 at eta-max
-    def test_cut_equals_the_verdict_at_every_point(self, bounds, steps, modes, rows):
+    @example(bounds=[-1.0, 1.0], steps=3, modes=[(0, 0)], rows=1, fmt="csv")  # eta0(0, 0) = 0.0
+    @example(bounds=[0.0, 2.0], steps=201, modes=[(0, 0), (1, 1)], rows=7, fmt="csv")
+    @example(bounds=[-2.5, -0.25], steps=99, modes=[(0, 0), (3, 1)], rows=4, fmt="csv")  # all < 0
+    @example(bounds=[-1e16, 1.5], steps=5, modes=[(0, 0), (32, 32)], rows=2, fmt="csv")  # wide
+    @example(bounds=[-1e16, 1.5], steps=300, modes=[(2, 3)], rows=9, fmt="csv")
+    @example(bounds=[0.0, _ETA0_11], steps=7, modes=[(1, 1)], rows=3, fmt="csv")  # eta0 at the top
+    @example(bounds=[-1.0, 1.0], steps=3, modes=[(0, 0)], rows=1, fmt="json")
+    @example(bounds=[0.0, 2.0], steps=201, modes=[(0, 0), (1, 1)], rows=7, fmt="json")
+    def test_cut_equals_the_verdict_at_every_point(self, bounds, steps, modes, rows, fmt):
         lo, hi = bounds
         assume(math.isfinite(hi - lo))
         grid = cli._eta_grid(lo, hi, steps)
@@ -249,14 +252,19 @@ class TestSweepVerdict:
         # blocks of a few rows put the cut before, inside and after a block
         with mock.patch.object(cli, "_SWEEP_ROWS", rows), contextlib.redirect_stdout(out):
             code = cli.main(["sweep", "--modes", mode_text, f"--eta-min={lo!r}",
-                             f"--eta-max={hi!r}", "--steps", str(steps)])
+                             f"--eta-max={hi!r}", "--steps", str(steps), "--format", fmt])
         assert code == 0
-        _, records = parse_csv(out.getvalue())
-        column = [r[4] == "true" for r in records]
+        reports = [criterion.criterion_f(n, m, eta) for n, m in modes for eta in grid]
+        if fmt == "json":
+            # the JSON writer joins its blocks into one document of records
+            records = json.loads(out.getvalue())
+            column = [r["entangled"] for r in records]
+            assert [r["f"] for r in records] == [rep.f for rep in reports]
+        else:
+            column = [r[4] == "true" for r in parse_csv(out.getvalue())[1]]
         verdicts = [criterion._verdict(criterion.threshold_eta0(n, m), eta)
                     for n, m in modes for eta in grid]
-        reports = [criterion.criterion_f(n, m, eta).entangled for n, m in modes for eta in grid]
-        assert column == verdicts == reports
+        assert column == verdicts == [rep.entangled for rep in reports]
 
     @pytest.mark.parametrize(
         "eta0,bounds",
@@ -282,25 +290,29 @@ class TestSweepVerdict:
         assert list(tmp_path.iterdir()) == []
 
 
+def _svg(*args):
+    """The SVG text of line_plot(*args), whose lines it joins."""
+    lines = svgplot.line_plot(*args)
+    assert all(line.endswith("\n") and line.count("\n") == 1 for line in lines)
+    return "".join(lines)
+
+
 class TestSvgPlot:
     def test_columns_and_pairs_give_the_same_bytes(self):
         xs = cli._eta_grid(-0.5, 2.0, 101)
         columns = [("a", [0.3 - x for x in xs]), ("b", list(map(math.sin, xs)))]
         pairs = [(label, list(zip(xs, ys))) for label, ys in columns]
-        svg = svgplot.line_plot(columns, "eta", "f", xs)
-        assert svg == svgplot.line_plot(pairs, "eta", "f")
-        assert svg == svgplot.line_plot([(label, array("d", ys)) for label, ys in columns],
-                                        "eta", "f", xs)
+        svg = _svg(columns, "eta", "f", xs)
+        assert svg == _svg(pairs, "eta", "f")
+        assert svg == _svg([(label, array("d", ys)) for label, ys in columns], "eta", "f", xs)
         assert svg.count("<polyline") == 2
         # pairs of ints plot as the floats they equal
         ints = [("i", [(0, 1), (2, -3), (5, 4)])]
-        assert svgplot.line_plot(ints, "x", "y") == svgplot.line_plot(
-            [("i", [1.0, -3.0, 4.0])], "x", "y", [0.0, 2.0, 5.0])
+        assert _svg(ints, "x", "y") == _svg([("i", [1.0, -3.0, 4.0])], "x", "y", [0.0, 2.0, 5.0])
 
     def test_series_with_their_own_x_values(self):
         # each series draws over its own x values, and the x span covers all
-        svg = svgplot.line_plot([("a", [(0.0, 1.0), (1.0, 2.0)]), ("b", [(2.0, 0.0), (4.0, 1.0)])],
-                                "x", "y")
+        svg = _svg([("a", [(0.0, 1.0), (1.0, 2.0)]), ("b", [(2.0, 0.0), (4.0, 1.0)])], "x", "y")
         assert ">0</text>" in svg and ">4</text>" in svg
         a, b = ([p.split(",")[0] for p in points.split()]
                 for points in re.findall(r'points="([^"]*)"', svg))

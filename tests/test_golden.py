@@ -6,7 +6,9 @@ printed digits depend on floating-point results, so a platform whose
 numpy rounds a quadrature sum differently may need new digests.
 """
 
+import csv
 import hashlib
+import io
 import json
 
 import pytest
@@ -93,40 +95,53 @@ def test_output_bytes(command, stdout_sha, svg_sha, tmp_path, capsys):
 
 
 _FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 1e-300])
-_VALUES = {
-    "float": _FLOATS,
-    "int": st.integers(min_value=-(2**63), max_value=2**63 - 1),
-    "bool": st.booleans(),
+_INTS = st.integers(min_value=-(2**63), max_value=2**63 - 1)
+_TEXT = {
+    "json": lambda value: cli._BOOL_TEXT[value] if type(value) is bool else repr(value),
+    "csv": lambda value: (cli._BOOL_TEXT[value] if type(value) is bool
+                          else "%.12g" % value if type(value) is float else str(value)),
 }
 
 
-def _json_cell(value):
-    return cli._BOOL_TEXT[value] if type(value) is bool else repr(value)
-
-
 @st.composite
-def _records(draw):
+def _blocks(draw):
+    """Keys, the positions of the cells and the values among them, and 1 to
+    4 blocks of 1 to 6 rows: (shared fields, cells, values) each."""
     keys = draw(st.lists(st.from_regex(r"[a-z_][a-z0-9_]{0,8}", fullmatch=True),
-                         min_size=1, max_size=6, unique=True))
-    kinds = [draw(st.sampled_from(sorted(_VALUES))) for _ in keys]
-    rows = draw(st.lists(st.tuples(*(_VALUES[k] for k in kinds)), max_size=8))
-    return [dict(zip(keys, row)) for row in rows]
-
-
-@given(_records(), st.data())
-def test_json_records_matches_json_dumps(records, data):
-    keys = list(records[0]) if records else ["eta"]
-    # split the records into blocks, some of them empty; a field whose text
-    # is the same in every record of a block may go in as one shared cell
-    cuts = sorted(data.draw(st.lists(st.integers(0, len(records)), max_size=4)))
+                         min_size=2, max_size=6, unique=True))
+    cell, value = draw(st.permutations(range(len(keys))))[:2]
+    cell_kind = draw(st.sampled_from([_FLOATS, _INTS]))
     blocks = []
-    for lo, hi in zip([0, *cuts], [*cuts, len(records)]):
-        cells = [[_json_cell(r[key]) for r in records[lo:hi]] for key in keys]
-        shared = [j for j, c in enumerate(cells) if c and len(set(c)) == 1]
-        # one field at least stays a list: it gives the block its length
-        for j in shared[: len(keys) - 1]:
-            if data.draw(st.booleans()):
-                cells[j] = cells[j][0]
-        blocks.append(cells)
-    text = "".join(cli._json_records(keys, blocks))
-    assert text == json.dumps(records, indent=2) + "\n"
+    for _ in range(draw(st.integers(1, 4))):
+        rows = draw(st.integers(1, 6))
+        blocks.append((draw(st.lists(_FLOATS | _INTS | st.booleans(), min_size=len(keys),
+                                     max_size=len(keys))),
+                       draw(st.lists(cell_kind, min_size=rows, max_size=rows)),
+                       draw(st.lists(_FLOATS, min_size=rows, max_size=rows))))
+    return keys, cell, value, blocks
+
+
+@given(_blocks())
+def test_writers_match_json_dumps_and_csv_writer(case):
+    keys, cell, value, blocks = case
+    records = []
+    for shared, cells, values in blocks:
+        for c, v in zip(cells, values):
+            row = list(shared)
+            row[cell], row[value] = c, v
+            records.append(row)
+
+    def text(fmt):
+        field, writer = cli._RECORDS[fmt]
+        blocks_in = []
+        for shared, cells, values in blocks:
+            texts = list(map(_TEXT[fmt], shared))
+            texts[cell], texts[value] = cli._CELLS, field
+            blocks_in.append((texts, list(map(_TEXT[fmt], cells)), values))
+        return "".join(writer(keys, iter(blocks_in)))
+
+    assert text("json") == json.dumps([dict(zip(keys, r)) for r in records], indent=2) + "\n"
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(
+        [keys] + [list(map(_TEXT["csv"], r)) for r in records])
+    assert text("csv") == out.getvalue()
