@@ -18,6 +18,7 @@ __version__ = "0.1.0"
 # public name -> the submodule that defines it
 _EXPORTS = {
     "EntropyReport": "criterion",
+    "critical_coupling": "criterion",
     "criterion_f": "criterion",
     "marginal": "criterion",
     "standard_entropy": "criterion",

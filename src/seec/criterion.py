@@ -5,8 +5,9 @@ entropies, the criterion function
 
     f(eta) = H[w-] + H[v+] - ln(2 pi e) = eta0 - eta,
 
-the threshold table eta0(n, m), the verdict (entangled iff f < 0) and
-the product-variance criterion's threshold eta_var(n, m) beside it.
+the threshold table eta0(n, m), the verdict (entangled iff f < 0), the
+product-variance criterion's threshold eta_var(n, m) beside it, and the
+critical coupling 2 tanh(2 eta0(n, m)) of the regime m1 = m2, A = B.
 
 The eta dependence of each entropy is analytic (a pure -ln t scale term
 with t = e^{eta/2}/sqrt(2)), so entropies decompose as S_k - ln t where
@@ -136,6 +137,20 @@ def variance_threshold(n, m):
     """
     n, m = _check_mode_pair(n, m)
     return 0.5 * math.log((2 * n + 1) * (2 * m + 1))
+
+
+def critical_coupling(n, m):
+    """Critical coupling |C|/a = 2 tanh(2 eta0(n, m)) of the regime
+    m1 = m2, A = B = a, where diagonalize gives tanh(2 eta) = |C| / 2a.
+
+    On that regime SEEC detects the pair (n, m) iff |C|/a exceeds it; bound
+    modes need |C|/a < 2.  It is 0.0 at (0, 0), so the ground state is
+    detected at every nonzero coupling, and it rises with n and with m.
+    The detection window 2 - critical = 4 / (1 + e^{4 eta0}) has no
+    cancellation.  Every eigenstate with C != 0 is entangled: this is
+    where SEEC starts to detect it, not where entanglement starts.
+    """
+    return 2.0 * math.tanh(2.0 * threshold_eta0(n, m))
 
 
 def _verdict(eta0, eta):

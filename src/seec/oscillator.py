@@ -78,13 +78,16 @@ class DiagonalizedSystem(
 def diagonalize(h):
     """Normal-mode data for a valid CoupledHamiltonian.
 
-    e^{2 eta} = (A + B + sgn(A - B) sqrt((A-B)^2 + C^2)) / sqrt(4AB - C^2),
-    tan(2 alpha) = C / (B - A) with 2 alpha on the principal branch, which
-    is exactly the branch that makes reconstruct() a round trip.
+    e^{2 |eta|} = (A + B + disc) / 2K, with disc = sqrt((A-B)^2 + C^2) and
+    2K = sqrt(4AB - C^2), is the one formula for eta at every bound
+    coupling, evaluated through log1p with no cancelling term.  eta takes
+    the sign of A - B, and tan(2 alpha) = C / (B - A) with 2 alpha on the
+    principal branch, which is exactly the branch that makes reconstruct()
+    a round trip.
 
-    The formula above is undefined at A = B, so inside the degeneracy
-    threshold the A -> B limit e^{2 eta} = sqrt((2A + |C|)/(2A - |C|)) is
-    used with eta >= 0 and alpha = +/-45 degrees (+ for C < 0).
+    tan(2 alpha) is undefined at A = B, so inside the degeneracy threshold
+    alpha = +/-45 degrees (+ for C < 0), or 0 when C = 0, and eta is not
+    negated: the threshold selects only these two.
     """
     M = math.sqrt(h.m1 * h.m2)
     k2 = h.A * h.B - 0.25 * h.C * h.C
@@ -97,17 +100,13 @@ def diagonalize(h):
         )
     K = math.sqrt(k2)
     omega = math.sqrt(K / M)
-    if abs(h.A - h.B) <= DEGENERACY_THRESHOLD * (h.A + h.B):
-        if h.C == 0.0:
-            return DiagonalizedSystem(M, K, omega, 0.0, 0.0, True)
-        a_bar = 0.5 * (h.A + h.B)
-        eta = 0.25 * math.log((2.0 * a_bar + abs(h.C)) / (2.0 * a_bar - abs(h.C)))
-        alpha = math.pi / 4.0 if h.C < 0.0 else -math.pi / 4.0
-        return DiagonalizedSystem(M, K, omega, eta, alpha, True)
-    # for A < B, A + B - disc cancels near C^2 = 4AB; its conjugate
-    # 4K^2 / (A + B + disc) turns e^{2 eta} into 2K / (A + B + disc)
+    # e^{2 |eta|} - 1 = (A + B + disc - 2K) / 2K, and A + B - 2K =
+    # disc^2 / s since disc^2 = (A + B)^2 - 4K^2: every term is positive
     disc = math.hypot(h.A - h.B, h.C)
-    eta = 0.5 * math.log((h.A + h.B + disc) / (2.0 * K))
+    eta = 0.5 * math.log1p(disc / (2.0 * K) * (1.0 + disc / (h.A + h.B + 2.0 * K)))
+    if abs(h.A - h.B) <= DEGENERACY_THRESHOLD * (h.A + h.B):
+        alpha = 0.0 if h.C == 0.0 else math.copysign(math.pi / 4.0, -h.C)
+        return DiagonalizedSystem(M, K, omega, eta, alpha, True)
     if h.A < h.B:
         eta = -eta
     alpha = 0.5 * math.atan(h.C / (h.B - h.A))

@@ -237,3 +237,66 @@ def test_criterion_10_cli_reproduction():
         ok,
         f"sweep={sweep_ok} brackets={brackets_ok} threshold={threshold_ok} verify={verify_ok}",
     )
+
+
+def test_criterion_11_detection_in_coupling_units():
+    # the abstract's three claims on m1 = m2, A = B = a, where SEEC detects
+    # (n, m) iff |C|/a > critical_coupling(n, m) = 2 tanh(2 eta0(n, m))
+    rng = np.random.default_rng(30)
+    ground_missed = disagreements = 0
+    for i in range(4000):
+        mass, a = np.exp(rng.uniform(-3.0, 3.0, 2))
+        ratio = rng.uniform(0.0, 2.0) if i % 2 else 10.0 ** rng.uniform(-300.0, 0.0)
+        c = float(rng.choice([-1.0, 1.0]) * ratio * a)
+        try:
+            h = oscillator.CoupledHamiltonian(mass, mass, a, a, c)
+        except oscillator.UnboundModeError:
+            continue
+        eta = oscillator.diagonalize(h).eta
+        for n, m in ((0, 0), tuple(int(k) for k in rng.integers(0, 9, 2))):
+            report = criterion.criterion_f(n, m, eta)
+            verdicts = {
+                report.entangled,
+                min(report.f, report.alt_f) < 0.0,
+                abs(c) / a > criterion.critical_coupling(n, m),
+            }
+            disagreements += len(verdicts) - 1
+            ground_missed += (n, m) == (0, 0) and c != 0.0 and not report.entangled
+    top = scalars.N_MAX + 1
+    table = [[criterion.critical_coupling(n, m) for m in range(top)] for n in range(top)]
+    rising = all(
+        table[n][m] < table[n + 1][m] and table[m][n] < table[m][n + 1]
+        for n in range(top - 1)
+        for m in range(top)
+    )
+    # for n, m <= 12 the verdict read from diagonalize is monotone in |C|
+    # on a 4,000-point grid, and flips within 1e-12 of critical * a
+    not_monotone = misplaced = 0
+    for a in (0.05, 1.0, 7.3, 20.0):
+        cs = np.linspace(0.0, 2.0 * a, 4001)[1:-1]
+        etas = np.array(
+            [oscillator.diagonalize(oscillator.CoupledHamiltonian(1.0, 1.0, a, a, c)).eta for c in cs]
+        )
+        for n in range(13):
+            for m in range(13):
+                detected = criterion.threshold_eta0(n, m) - etas < 0.0
+                not_monotone += bool(np.any(detected[1:] < detected[:-1]))
+                edge = criterion.critical_coupling(n, m) * a
+                if edge > 0.0:
+                    below, above = (
+                        oscillator.diagonalize(
+                            oscillator.CoupledHamiltonian(1.0, 1.0, a, a, edge * (1.0 + s * 1e-12))
+                        ).eta
+                        for s in (-1.0, 1.0)
+                    )
+                    misplaced += criterion.criterion_f(n, m, below).entangled
+                    misplaced += not criterion.criterion_f(n, m, above).entangled
+    ok = ground_missed == disagreements == not_monotone == misplaced == 0 and rising
+    _report(
+        11,
+        "m1 = m2, A = B: ground state detected at every |C|/a in [1e-300, 2); "
+        "2 tanh(2 eta0) rises in n and m; the verdict is monotone in |C| and flips at 2 tanh(2 eta0) a",
+        ok,
+        f"ground_missed={ground_missed} disagreements={disagreements} rising={rising} "
+        f"not_monotone={not_monotone} misplaced={misplaced}",
+    )

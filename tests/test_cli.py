@@ -433,6 +433,14 @@ class TestDiagonalize:
         assert code == 1
         assert "4AB - C^2" in err
 
+    def test_unbound_edge_exits_zero(self):
+        # A + B - |C| rounds to 0 here: the route may not divide by it
+        code, out, err = run_cli("diagonalize", "--A", "1", "--B", "1.0000000000000002", "--C", "2")
+        assert code == 0, err
+        payload = json.loads(out)
+        assert payload["eta"] == 9.357486937559262
+        assert payload["degenerate_branch"] is True
+
     def test_asymmetric_couplings(self):
         code, out, _ = run_cli("diagonalize", "--A", "2", "--B", "1", "--C", "1")
         payload = json.loads(out)

@@ -526,6 +526,47 @@ class TestVarianceThreshold:
         with pytest.raises(DomainError):
             criterion.variance_threshold(1.0, 0)
 
+    def test_critical_couplings_of_the_two_criteria(self):
+        # on m1 = m2, A = B the variance criterion detects iff |C|/a >
+        # 2 tanh(2 eta_var) = 2 (P^2 - 1) / (P^2 + 1), P = (2n + 1)(2m + 1),
+        # and SEEC never needs the stronger coupling
+        for n in range(scalars.N_MAX + 1):
+            for m in range(scalars.N_MAX + 1):
+                p2 = ((2 * n + 1) * (2 * m + 1)) ** 2
+                variance = 2.0 * math.tanh(2.0 * criterion.variance_threshold(n, m))
+                assert math.isclose(variance, 2.0 * (p2 - 1) / (p2 + 1), rel_tol=1e-15)
+                assert criterion.critical_coupling(n, m) <= variance
+        assert math.isclose(2.0 * math.tanh(2.0 * criterion.variance_threshold(1, 0)), 1.6)
+
+
+class TestCriticalCoupling:
+    """2 tanh(2 eta0): the |C|/a above which SEEC detects (n, m) on
+    m1 = m2, A = B = a."""
+
+    @pytest.mark.parametrize(
+        "pair,value",
+        [((1, 0), 0.987074), ((1, 1), 1.587473), ((2, 2), 1.872057),
+         ((4, 4), 1.973055), ((64, 64), 1.999995)],
+    )
+    def test_values(self, pair, value):
+        assert round(criterion.critical_coupling(*pair), 6) == value
+        assert criterion.critical_coupling(*pair) == criterion.critical_coupling(*pair[::-1])
+
+    def test_ground_state_detected_at_any_coupling(self):
+        assert criterion.critical_coupling(0, 0) == 0.0
+
+    def test_window_without_cancellation(self):
+        for n in range(scalars.N_MAX + 1):
+            eta0 = criterion.threshold_eta0(n, n)
+            window = 4.0 / (1.0 + math.exp(4.0 * eta0))
+            assert abs(2.0 - criterion.critical_coupling(n, n) - window) <= 4e-16
+
+    def test_order_checked(self):
+        with pytest.raises(UnsupportedOrderError):
+            criterion.critical_coupling(0, scalars.N_MAX + 1)
+        with pytest.raises(DomainError):
+            criterion.critical_coupling(1, 0.5)
+
 
 class TestGaussianBoundRows:
     def test_one_row_per_order_equality_at_zero(self):

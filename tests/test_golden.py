@@ -64,7 +64,7 @@ GOLDEN = [
      'c8b447c00fafe19590cd1b4444f801b0526e54c450ae89ede504cc28b440f177',
      None),
     ('diagonalize --m1 2 --m2 0.5 --A 3 --B 1 --C -0.4',
-     '98126aaa26584f035e8fc9f7a53aece23ec426e4e2c3d33494fe599872ff2cc6',
+     '9da2fd4ebfd7448cb785d234d63b6ee262fc6184df13c5413220c21bd731034f',
      None),
     ('wavefunction',
      'dfe4beb814d77c220a2e59c4a85e7008374c44f4b6959a8e4b67cffe292a4640',

@@ -192,6 +192,7 @@ def test_scalar_library_calls_skip_numpy():
         "seec.standard_entropy(7)\n"
         "seec.criterion_f(32, 5, -0.4)\n"
         "seec.criterion_f(1, 1, 0.7).entangled\n"
+        "seec.critical_coupling(5, 3)\n"
         "d = seec.diagonalize(seec.CoupledHamiltonian(1.0, 2.0, 3.0, 1.0, 0.5))\n"
         "seec.reconstruct(d)\n"
         "seec.energy(seec.ModePair(2, 1), d.eta)\n"

@@ -1,8 +1,9 @@
+import decimal
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oracles
@@ -19,6 +20,18 @@ ETA_DEGENERATE = 0.127706405941498  # 0.25 ln(5/3), couplings (1,1,1,1,-0.5)
 E2ETA_211 = 1.66841590285253  # (3+sqrt2)/sqrt7, couplings (1,1,2,1,1)
 ETA_211 = 0.255937307546837
 K_211 = 1.3228756555323
+
+
+def _eta_decimal(A, B, C):
+    """|eta| = 1/2 ln((A + B + disc) / 2K) at 80 digits, from the exact
+    values of the floats: the textbook formula, whose cancellations 80
+    digits absorb."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 80
+        a, b, c = map(decimal.Decimal, (A, B, C))
+        disc = ((a - b) ** 2 + c * c).sqrt()
+        two_k = 2 * (a * b - c * c / 4).sqrt()
+        return float(((a + b + disc) / two_k).ln() / 2)
 
 
 def _rel_roundtrip_error(h):
@@ -96,6 +109,71 @@ class TestDiagonalize:
         limit = 0.25 * math.log((2.0 * a_bar + 0.5) / (2.0 * a_bar - 0.5))
         assert abs(d.eta - limit) <= 1e-6
         assert abs(d.eta - ETA_DEGENERATE) <= 1e-6
+
+    @pytest.mark.parametrize("c", [1e-300, -1e-300])
+    def test_weak_coupling_is_not_rounded_to_zero(self, c):
+        # eta = 1/2 atanh(|C| / 2a) = |C| / 4a to first order: a coupled
+        # ground state must not read eta = 0
+        d = oscillator.diagonalize(oscillator.CoupledHamiltonian(1.0, 1.0, 1.0, 1.0, c))
+        assert d.eta == 2.5e-301
+
+    @given(
+        st.floats(min_value=-3.0, max_value=3.0),
+        st.none() | st.tuples(st.sampled_from((-1.0, 1.0)), st.floats(-15.0, -6.0)),
+        st.sampled_from((-1.0, 1.0)),
+        st.floats(min_value=-30.0, max_value=math.log10(1.8)),
+    )
+    @example(0.0, None, -1.0, -30.0)
+    @example(0.0, (1.0, -14.0), 1.0, -20.0)
+    @example(0.0, (-1.0, -7.0), 1.0, -10.0)
+    def test_eta_against_80_digits_near_degeneracy(self, ln_a, split, sign, log_c):
+        # A / B - 1 in +-10^[-15, -6] or exactly 0, and |C| / a >= 1e-30;
+        # |C| / a <= 1.8 keeps K = sqrt(AB - C^2/4) itself accurate
+        a = math.exp(ln_a)
+        b = a if split is None else a * (1.0 + split[0] * 10.0**split[1])
+        c = sign * 10.0**log_c * a
+        d = oscillator.diagonalize(oscillator.CoupledHamiltonian(1.0, 1.0, a, b, c))
+        expected = _eta_decimal(a, b, c)
+        assert abs(abs(d.eta) - expected) <= 1e-14 * expected
+        if d.degenerate_branch:
+            assert d.eta >= 0.0
+        else:
+            assert (d.eta < 0.0) == (a < b)
+
+    @given(
+        st.floats(min_value=-3.0, max_value=3.0),
+        st.floats(min_value=-300.0, max_value=math.log10(1.8)),
+    )
+    @example(0.0, -300.0)
+    def test_equal_stiffness_against_atanh(self, ln_a, log_c):
+        # A = B: e^{4 eta} = (2a + |C|) / (2a - |C|), so eta = 1/2 atanh(|C| / 2a),
+        # down to |C| / a = 1e-300
+        a = math.exp(ln_a)
+        c = 10.0**log_c * a
+        d = oscillator.diagonalize(oscillator.CoupledHamiltonian(1.0, 1.0, a, a, c))
+        atanh = 0.5 * math.atanh(c / (a + a))
+        assert abs(d.eta - atanh) <= 1e-14 * atanh
+
+    @given(
+        st.floats(min_value=-300.0, max_value=300.0),
+        st.floats(min_value=-1e-12, max_value=1e-12),
+        st.integers(min_value=0, max_value=4),
+        st.sampled_from((-1.0, 1.0)),
+    )
+    @example(0.0, 2.220446049250313e-16, 0, 1.0)  # A = 1, B = 1 + 2^-52, C = 2
+    def test_unbound_edge_is_finite_or_a_domain_error(self, ln_a, split, ulps, sign):
+        # C at most 4 ulps below 2 sqrt(AB) with A and B within 1e-12:
+        # A + B - |C| may round to 0 there, and no route may divide by it
+        a = math.exp(ln_a)
+        b = a * (1.0 + split)
+        c = 2.0 * math.sqrt(a * b)
+        for _ in range(ulps):
+            c = math.nextafter(c, 0.0)
+        try:
+            d = oscillator.diagonalize(oscillator.CoupledHamiltonian(1.0, 1.0, a, b, sign * c))
+        except DomainError:
+            return
+        assert all(math.isfinite(v) for v in d[:5])
 
     def test_mass_scale(self):
         d = oscillator.diagonalize(oscillator.CoupledHamiltonian(4.0, 9.0, 1.0, 1.0, 0.0))
@@ -178,10 +256,16 @@ class TestReconstruct:
         assert d._replace(degenerate_branch=True).degenerate_branch is True
 
     def test_nonfinite_eta_from_diagonalize_rejected(self):
-        # A + B + disc overflows, so e^{2 eta} is inf
-        h = oscillator.CoupledHamiltonian(1.0, 1.0, 1.7e308, 1e-300, 0.0)
+        # disc / 2K overflows, so e^{2 eta} is inf
+        h = oscillator.CoupledHamiltonian(1.0, 1.0, 1.7e308, 1e-320, 0.0)
         with pytest.raises(DomainError, match="eta and alpha must be finite"):
             oscillator.diagonalize(h)
+
+    def test_largest_stiffness_ratio_gives_finite_eta(self):
+        # eta = 1/4 ln(A/B) at C = 0, where A + B + disc overflows but
+        # disc / 2K does not (reference from 80-digit arithmetic)
+        d = oscillator.diagonalize(oscillator.CoupledHamiltonian(1.0, 1.0, 1.7e308, 1e-300, 0.0))
+        assert d.eta == 350.1255911978605 == _eta_decimal(1.7e308, 1e-300, 0.0)
 
 
 class TestModePair:

@@ -305,6 +305,7 @@ def test_order_entries_share_one_check(entry):
 
 def test_public_names():
     assert "variance_threshold" in seec.__all__
+    assert "critical_coupling" in seec.__all__
     for name in seec.__all__:
         assert hasattr(seec, name), name
     for name in REMOVED_NAMES:
