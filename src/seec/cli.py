@@ -13,9 +13,9 @@ error, 2 verification failure.
 sweep, threshold and wavefunction stream their rows in blocks, each one
 join and one %, so the whole document is never held in memory.  A sweep
 block is at most _SWEEP_ROWS rows of one mode: its memory is the eta grid
-and its eta column, formatted once for every mode, plus one block (with
---svg, the plot's lines too).  A threshold block is one n, and a
-wavefunction block one grid row.
+and its eta column, formatted once for every mode, plus one block; its
+--svg plot draws each curve as one segment.  A threshold block is one n,
+and a wavefunction block one grid row.
 Every check that can fail runs before the first byte: a command that
 fails a check writes nothing to stdout and leaves --out as it was.  A
 write can still fail after that: sweep writes its records, to stdout or
@@ -204,7 +204,6 @@ def _json_text(payload):
 
 
 def _cmd_sweep(args):
-    from array import array
     from bisect import bisect_left
     from functools import partial
 
@@ -222,10 +221,11 @@ def _cmd_sweep(args):
         _finite("f", [e0 - grid[0], e0 - grid[-1]])
     if args.svg:
         # built before either file is written, so a plot error writes neither;
-        # each curve is an array of doubles, a third of a list's memory
-        curves = ((f"(n,m)=({n},{m})", array("d", map(e0.__sub__, grid)))
-                  for (n, m), e0 in zip(modes, eta0))
-        svg = svgplot.line_plot(list(curves), "eta", "f", grid)
+        # f = eta0 - eta is straight in eta: each curve is drawn as the
+        # segment between its two ends, which hold its extremes
+        curves = [(f"(n,m)=({n},{m})", [(grid[0], e0 - grid[0]), (grid[-1], e0 - grid[-1])])
+                  for (n, m), e0 in zip(modes, eta0)]
+        svg = svgplot.line_plot(curves, "eta", "f")
     field, records = _RECORDS[args.format]
     # the eta column, formatted once for every mode
     etas = list(map(field.__mod__, grid))

@@ -10,11 +10,11 @@ _WIDTH, _HEIGHT = 800, 600
 _LEFT, _RIGHT, _TOP, _BOTTOM = 70, 780, 25, 555
 
 
-def _spans(x_columns, y_columns):
-    xs = [(min(xs), max(xs)) for xs in x_columns if xs]
-    ys = [(min(ys), max(ys)) for ys in y_columns if ys]
-    x0, x1 = min(lo for lo, _ in xs), max(hi for _, hi in xs)
-    y0, y1 = min(lo for lo, _ in ys), max(hi for _, hi in ys)
+def _spans(points):
+    if not points:
+        raise DomainError("there is no point to plot")
+    xs, ys = zip(*points)
+    x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
     if x1 == x0:
         x1 = x0 + 1.0
     if y1 == y0:
@@ -32,29 +32,17 @@ def _spans(x_columns, y_columns):
     return x0, x1, y0, y1
 
 
-def line_plot(series, x_label, y_label, xs=None):
+def line_plot(series, x_label, y_label):
     """The lines of an SVG plot of polylines, each ending in a newline:
-    their join is the SVG text.  series is [(label, values), ...]: given
-    xs, the x values every series shares, values are a series' y values,
-    one per x; without xs, values are its (x, y) pairs."""
-    if xs is None:
-        series = [(label, [float(x) for x, _ in pts], [float(y) for _, y in pts])
-                  for label, pts in series]
-        x_columns = [xs for _, xs, _ in series]
-    else:
-        series = [(label, xs, ys) for label, ys in series]
-        x_columns = [xs]
-    x0, x1, y0, y1 = _spans(x_columns, [ys for _, _, ys in series])
+    their join is the SVG text.  series is [(label, [(x, y), ...]), ...]."""
+    series = [(label, [(float(x), float(y)) for x, y in pts]) for label, pts in series]
+    x0, x1, y0, y1 = _spans([p for _, pts in series for p in pts])
 
-    # pixel coordinates of a list of data coordinates; the width and span
-    # are bound once, since a call per point would double the plot's cost
-    def px(xs):
-        left, width, span = _LEFT, _RIGHT - _LEFT, x1 - x0
-        return [left + width * (x - x0) / span for x in xs]
+    def px(x):
+        return _LEFT + (_RIGHT - _LEFT) * (x - x0) / (x1 - x0)
 
-    def py(ys):
-        bottom, height, span = _BOTTOM, _BOTTOM - _TOP, y1 - y0
-        return tuple([bottom - height * (y - y0) / span for y in ys])
+    def py(y):
+        return _BOTTOM - (_BOTTOM - _TOP) * (y - y0) / (y1 - y0)
 
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {_WIDTH} {_HEIGHT}">\n',
@@ -76,7 +64,7 @@ def line_plot(series, x_label, y_label, xs=None):
         f'font-family="sans-serif" font-size="12">{y1:.4g}</text>\n',
     ]
     if y0 < 0.0 < y1:
-        (zero,) = py([0.0])
+        zero = py(0.0)
         lines.append(
             f'<line x1="{_LEFT}" y1="{zero:.2f}" x2="{_RIGHT}" y2="{zero:.2f}" '
             'stroke="#999999" stroke-dasharray="5,4"/>\n'
@@ -85,16 +73,9 @@ def line_plot(series, x_label, y_label, xs=None):
             f'<text x="{_RIGHT - 4}" y="{zero - 5:.2f}" text-anchor="end" '
             'font-family="sans-serif" font-size="12" fill="#666666">0</text>\n'
         )
-    shared_xs = None
-    for i, (label, xs, ys) in enumerate(series):
+    for i, (label, pts) in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]
-        # one template for the whole polyline, its x pixels already written:
-        # a format call per point costs more, and series that share their x
-        # column share the template
-        if xs is not shared_xs:
-            shared_xs = xs
-            template = " ".join(["%.2f,%%.2f" % x for x in px(xs)])
-        coords = template % py(ys)
+        coords = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in pts)
         lines.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{coords}"/>\n'
         )

@@ -9,7 +9,6 @@ import re
 import subprocess
 import sys
 import tracemalloc
-from array import array
 from unittest import mock
 
 import numpy as np
@@ -297,18 +296,60 @@ def _svg(*args):
     return "".join(lines)
 
 
+# the sweeps whose SVG the golden digests pin, and two more grids: one
+# across zero with a small negative start, and one over a denormal span
+_SVG_SWEEPS = sorted({c for c, _, svg_sha in GOLDEN if svg_sha is not None} | {
+    "sweep --eta-min -1e-3 --steps 201 --svg",
+    "sweep --modes 0:0,1:1 --eta-min 0 --eta-max 1e-310 --steps 9 --svg",
+})
+
+
+def _segment_distance(p, a, b):
+    """The distance from point p to the segment from a to b."""
+    (x, y), (ax, ay), (bx, by) = p, a, b
+    dx, dy = bx - ax, by - ay
+    t = ((x - ax) * dx + (y - ay) * dy) / (dx * dx + dy * dy)
+    t = min(max(t, 0.0), 1.0)
+    return math.hypot(x - ax - t * dx, y - ay - t * dy)
+
+
 class TestSvgPlot:
-    def test_columns_and_pairs_give_the_same_bytes(self):
-        xs = cli._eta_grid(-0.5, 2.0, 101)
-        columns = [("a", [0.3 - x for x in xs]), ("b", list(map(math.sin, xs)))]
-        pairs = [(label, list(zip(xs, ys))) for label, ys in columns]
-        svg = _svg(columns, "eta", "f", xs)
-        assert svg == _svg(pairs, "eta", "f")
-        assert svg == _svg([(label, array("d", ys)) for label, ys in columns], "eta", "f", xs)
-        assert svg.count("<polyline") == 2
-        # pairs of ints plot as the floats they equal
+    def test_int_pairs_plot_as_the_float_pairs_they_equal(self):
         ints = [("i", [(0, 1), (2, -3), (5, 4)])]
-        assert _svg(ints, "x", "y") == _svg([("i", [1.0, -3.0, 4.0])], "x", "y", [0.0, 2.0, 5.0])
+        assert _svg(ints, "x", "y") == _svg([("i", [(0.0, 1.0), (2.0, -3.0), (5.0, 4.0)])], "x", "y")
+
+    @pytest.mark.parametrize("series", [[], [("a", [])]])
+    def test_no_point_to_plot_is_a_domain_error(self, series):
+        with pytest.raises(DomainError, match="there is no point to plot"):
+            svgplot.line_plot(series, "x", "y")
+
+    @pytest.mark.parametrize("command", _SVG_SWEEPS)
+    def test_sweep_draws_each_curve_as_its_segment(self, command, tmp_path):
+        svg_path = tmp_path / "plot.svg"
+        argv = command.split() + [str(svg_path), "--out", str(tmp_path / "records")]
+        args = cli.build_parser().parse_args(argv)
+        assert cli.main(argv) == 0
+        svg = svg_path.read_text()
+        grid = cli._eta_grid(args.eta_min, args.eta_max, args.steps)
+        curves = [(f"(n,m)=({n},{m})", [(x, criterion.threshold_eta0(n, m) - x) for x in grid])
+                  for n, m in cli._parse_modes(args.modes)]
+        # every grid point drawn gives the same plot but for the polylines'
+        # points: the axes, labels, spans and zero line are the segments' own
+        attribute = re.compile(r'points="([^"]*)"')
+        assert attribute.sub("", svg) == attribute.sub("", _svg(curves, "eta", "f"))
+        drawn = [[tuple(map(float, p.split(","))) for p in points.split()]
+                 for points in attribute.findall(svg)]
+        assert [len(ends) for ends in drawn] == [2] * len(curves)
+        # each grid point, at its unrounded pixel, lies on the drawn segment
+        x0, x1, y0, y1 = svgplot._spans([p for _, pts in curves for p in pts])
+        width, height = svgplot._RIGHT - svgplot._LEFT, svgplot._BOTTOM - svgplot._TOP
+        for ends, (_, pts) in zip(drawn, curves):
+            worst = max(
+                _segment_distance((svgplot._LEFT + width * (x - x0) / (x1 - x0),
+                                   svgplot._BOTTOM - height * (y - y0) / (y1 - y0)), *ends)
+                for x, y in pts
+            )
+            assert worst < 0.01, worst
 
     def test_series_with_their_own_x_values(self):
         # each series draws over its own x values, and the x span covers all

@@ -3,7 +3,8 @@
 The digests were taken from the per-row formatting code that the array
 writers replaced; any change to a CSV, JSON or SVG byte fails here.  The
 printed digits depend on floating-point results, so a platform whose
-numpy rounds a quadrature sum differently may need new digests.
+numpy rounds a quadrature sum differently may need new digests.  The SVG
+digests are of plots that draw each sweep curve as its one segment.
 """
 
 import csv
@@ -32,19 +33,19 @@ GOLDEN = [
      None),
     ('sweep --modes 2:2 --steps 101 --svg',
      '63fc5081598492ba30e10ecdba14692c725a506b8683e4a14f4f1f8a101e973c',
-     'dbaacb522b7d11e2241ddb3219919611f1e119264671e0cb22b05ce8af7efa7d'),
+     'cf947261b7cb7b0239f66de9e7367b826c45231f34d1fea8defeda08754a425f'),
     ('sweep --modes 0:0,1:1,2:3,5:0,7:7,32:32 --steps 201 --svg',
      '3e482fc8f51ef0872509bdde4175f7077346896d1ff185449570a12118a2d254',
-     '708cde80d5bcb9361d96c8c19baff524dbeb82f4cf4090a44490526b0c67f760'),
+     'dada22857523eb2e04325fc18426be9ce1dbdbdb62dbb4c65f300c0f9f1e7a67'),
     ('sweep --modes 0:0,1:1,2:3,5:0,7:7,32:32 --steps 201 --format json --svg',
      '5852b583b7c74988f94dd8a54039c2ba55914684ced23e86a245bf443d9d55f2',
-     '708cde80d5bcb9361d96c8c19baff524dbeb82f4cf4090a44490526b0c67f760'),
+     'dada22857523eb2e04325fc18426be9ce1dbdbdb62dbb4c65f300c0f9f1e7a67'),
     ('sweep --modes 0:0,3:1 --eta-min -2.5 --eta-max -0.25 --steps 99',
      '80f780c6e12b96a64252800a6a6e0c46e46ce390531461c7cde6f428f3e0b253',
      None),
     ('sweep --modes 0:0,3:1 --eta-min -2.5 --eta-max -0.25 --steps 99 --format json --svg',
      '67d84a10450db47f97bcd7e3acdd7e443bf0b8cfd2822af6e489085920055f68',
-     'a8b6e345eebd2ec7f1d244204e767290c8328e7492423f70b7a7e43294c6d0a7'),
+     'ac91e55c397b19a5601a59a42fbcdebf8ea4a9601877beb292069119724ddb56'),
     ('threshold',
      '92d2266a6b2f022b6f533a1056ff8c64a988e6fe57a3ef7edf7875e60a41aa16',
      None),
