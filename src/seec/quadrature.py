@@ -13,7 +13,6 @@ differently on another CPU.
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from functools import lru_cache
 
@@ -27,7 +26,7 @@ from .scalars import (
     PANEL_ORDER_MAX,
     _SQRT_PI,
     _check_order,
-    _ln_factorial,
+    _norm,
 )
 
 _MAX_PANEL_WIDTH = 2.0
@@ -50,7 +49,7 @@ def gauss_hermite_rule(order):
     ``specfun.hermite_roots`` shares (the same array object, checked for
     count, order, symmetry and Newton residual); weights come from the
     analytic identity w_i = 2^{n-1} n! sqrt(pi) / (n H_{n-1}(x_i))^2
-    evaluated in the log domain and must sum to sqrt(pi).  A rule of order
+    from the exact norm and must sum to sqrt(pi).  A rule of order
     q integrates z^p e^{-z^2} exactly (to roundoff) for p <= 2q - 1.
     Validated on every call, then built once per order.
     """
@@ -61,10 +60,10 @@ def gauss_hermite_rule(order):
 def _gauss_hermite_rule(order):
     # H_{order-1} at the nodes, from the root set's residual check
     root_set, h_prev = specfun._root_set(order)
-    ln_pref = (
-        (order - 1) * math.log(2.0) + _ln_factorial(order) + 0.5 * math.log(math.pi)
-    )
-    weights = np.exp(ln_pref - 2.0 * np.log(np.abs(order * h_prev)))
+    # w_i = 2^{n-1} n! sqrt(pi) / (n H_{n-1})^2; a square that overflows
+    # gives a 0 weight, which the check below refuses
+    with np.errstate(over="ignore"):
+        weights = _norm(order) / (2.0 * np.square(order * h_prev))
     if not np.all(np.isfinite(weights) & (weights > 0.0)):
         raise DomainError("all quadrature weights must be finite and strictly positive")
     if abs(float(np.sum(weights)) - _SQRT_PI) > 1e-12 * _SQRT_PI:

@@ -22,7 +22,7 @@ import numpy as np
 from . import _kernels
 from .errors import DomainError
 from .scalars import DEFAULT_PANEL_ORDER, N_MAX
-from .scalars import _EULER_GAMMA, _check_order, _LN2, _ln_norm
+from .scalars import _EULER_GAMMA, _check_order, _LN2, _norm
 
 
 class RootSet(namedtuple("RootSet", "n roots")):
@@ -264,7 +264,7 @@ def _log_potential(n, x):
     panels = math.ceil(rate * _k_cutoff(n) / _K_PANEL_PHASE)
     k, constant, amplitude = _fourier_laguerre_rule(n, panels)
     wave = _kernels.panel_sum(np.cos(np.multiply.outer(x, k)) * amplitude)
-    return -math.exp(_ln_norm(n)) * (constant - wave)
+    return -_norm(n) * (constant - wave)
 
 
 def entropy_integral_closed_form(n):
@@ -280,4 +280,4 @@ def entropy_integral_closed_form(n):
     if n == 0:
         return 0.0
     v_sum = math.fsum(_log_potential(n, hermite_roots(n).roots))
-    return math.exp(_ln_norm(n)) * (2.0 * n * _LN2) - 2.0 * v_sum
+    return _norm(n) * (2.0 * n * _LN2) - 2.0 * v_sum

@@ -31,6 +31,13 @@ S_REFERENCE = {
     3: 1.6097118413016531148,
     4: 1.6965506306803752611,
     5: 1.7680612532383330453,
+    12: 2.0782051612898364613,
+    20: 2.2767509907938236804,
+    32: 2.4682467197757582830,
+    51: 2.6649807508580267869,
+    58: 2.7203047354046436439,
+    60: 2.7349557706278570865,
+    64: 2.7629236423644124643,
 }
 ETA0_REFERENCE = {
     (1, 0): 0.270362845461478,
@@ -258,7 +265,10 @@ class TestShannonEntropy:
 class TestStandardEntropy:
     @pytest.mark.parametrize("k,expected", sorted(S_REFERENCE.items()))
     def test_reference_values(self, k, expected):
-        assert abs(criterion.standard_entropy(k) - expected) <= 1e-10
+        # S_k = ln N_k + k + 1/2 - I3(k) / N_k cancels about two digits at
+        # k = 64, so the table is off by up to 818 ulps (k = 60); item 17's
+        # direct entropy integral in ROADMAP.md will tighten this bound
+        assert abs(criterion.standard_entropy(k) - expected) <= 1000 * math.ulp(expected)
 
     def test_analytic_anchors(self):
         assert abs(criterion.standard_entropy(0) - 0.5 * math.log(math.pi * math.e)) <= 1e-10
@@ -447,7 +457,7 @@ class TestCriterionF:
                 for eta in (-1.3, 0.0, 0.4):
                     digest.update(repr(tuple(criterion.criterion_f(n, m, eta))).encode())
         assert digest.hexdigest() == (
-            "59bb009c174772319b07fae8512200487b4e00d2dd2167371899c7caf7bc33d9"
+            "db4abdc9b311ab61954afed2e64876c49e2873b4bc8234d5954b952efedf87a0"
         )
 
     def test_finite_where_the_scale_overflows(self):

@@ -23,46 +23,49 @@ GOLDEN = [
      '645d40040514b69ab82bdae37218bfdca7e6c9747d1b173cfc1780a18bc62370',
      None),
     ('sweep --modes 1:1 --steps 41 --format json',
-     '70534ee4346abeff3f15dec75f953efcdfe07ac7a5458cf5160b08e1a029efd6',
+     'cdc4f19f8732dfd4576a73f697760ce93bda3f6f7c3f1cfe897446af6d2e693d',
      None),
     ('sweep --modes 0:0,1:1,2:3,5:0,7:7,32:32 --eta-min 0 --eta-max 3 --steps 257',
-     '9514d3eb55deceb5df64e42db1e7606befd063c1ca2e93f4f3831a13595b8a4e',
+     '3c80dee9d9d72eb2d1a37e58223dda8552450c20171981f947911d14809559b2',
      None),
     ('sweep --modes 0:0,1:1,2:3,5:0,7:7,32:32 --eta-min 0 --eta-max 3 --steps 257 --format json',
-     'e722515d2406947fadba4bee0d83a86f028db35f2cb37a5d98e9b40894f58c56',
+     'ad6999586ccb8178e54d3e53ca3a4488fd687726cdf8e5bc9abaeabe6a48ac3b',
      None),
     ('sweep --modes 2:2 --steps 101 --svg',
-     '63fc5081598492ba30e10ecdba14692c725a506b8683e4a14f4f1f8a101e973c',
+     'e7dafaa64f61d9b1fe215c6c44570e2493948366e740b504315434f3654e3e96',
      'cf947261b7cb7b0239f66de9e7367b826c45231f34d1fea8defeda08754a425f'),
     ('sweep --modes 0:0,1:1,2:3,5:0,7:7,32:32 --steps 201 --svg',
-     '3e482fc8f51ef0872509bdde4175f7077346896d1ff185449570a12118a2d254',
+     'c977903ee0faeba51f05c73168ea6165998aee74f1b4a45eb551c0b3ce22697c',
      'dada22857523eb2e04325fc18426be9ce1dbdbdb62dbb4c65f300c0f9f1e7a67'),
     ('sweep --modes 0:0,1:1,2:3,5:0,7:7,32:32 --steps 201 --format json --svg',
-     '5852b583b7c74988f94dd8a54039c2ba55914684ced23e86a245bf443d9d55f2',
+     '0fd5de18c20efe763ce74ac2e2abbe628a807c5bd9028a799fc3b8f757bcfc8e',
      'dada22857523eb2e04325fc18426be9ce1dbdbdb62dbb4c65f300c0f9f1e7a67'),
     ('sweep --modes 0:0,3:1 --eta-min -2.5 --eta-max -0.25 --steps 99',
      '80f780c6e12b96a64252800a6a6e0c46e46ce390531461c7cde6f428f3e0b253',
      None),
     ('sweep --modes 0:0,3:1 --eta-min -2.5 --eta-max -0.25 --steps 99 --format json --svg',
-     '67d84a10450db47f97bcd7e3acdd7e443bf0b8cfd2822af6e489085920055f68',
+     '0f3b3338e37eb9b0d575c733f3e65b19a51456a0881f9c949e2c4d99afb7bbf5',
      'ac91e55c397b19a5601a59a42fbcdebf8ea4a9601877beb292069119724ddb56'),
     ('threshold',
      '92d2266a6b2f022b6f533a1056ff8c64a988e6fe57a3ef7edf7875e60a41aa16',
      None),
     ('threshold --format json',
-     '45c9db95045f878c4dd41892477e06773983aae588b72c59fb22be48bd572dc3',
+     'aea2fdbeab6b7d24a7172d04dae0e026b5a93872fcae87eeb957c4b047828c6b',
      None),
     ('threshold --n-max 32 --m-max 32',
-     '9ddd743ba257fb837cfc51ce4b4ad47a68293c71dd48f7f457da27d1bd4d8ba8',
+     'fac60bd456493882b6db919f657bde4068012ad0c215f8f91436b507c7941925',
      None),
     ('threshold --n-max 32 --m-max 32 --format json',
-     'c97c9d92097f38ec8d71bf8ca4d38121e403ef3db797835d2445fe0443889d51',
+     '963a6d253c8de4d64774c14d280e7c55597dc755976ce2399c10785d6c23af44',
+     None),
+    ('threshold --n-max 64 --m-max 64',
+     '80b3d36c1d1047a7a2108fa2f657f5a4f9ce7997b6d235ace60ed2edc1401e36',
      None),
     ('criterion --n 3 --m 2 --eta 0.4',
-     'd36148a1a297d6c9537c7c1651ce0d3c16a3ec6e77e9f2ca7caece5b476109b5',
+     '007b3829c11dcd6050942550f75ec65f7840ed0cdfbbe4bbe90f490666da4c7a',
      None),
     ('criterion --n 32 --m 7 --eta -1.3',
-     'c8b447c00fafe19590cd1b4444f801b0526e54c450ae89ede504cc28b440f177',
+     '157b08de607a45c91c1c2e72344c863ea3d8085ff9fba4b8dad2ebd295aa7756',
      None),
     ('diagonalize --m1 2 --m2 0.5 --A 3 --B 1 --C -0.4',
      '9da2fd4ebfd7448cb785d234d63b6ee262fc6184df13c5413220c21bd731034f',
@@ -74,7 +77,7 @@ GOLDEN = [
      '6c78277171d6012666e5c6acb18d96a1d1db0cc8509c37ff8c425f2712316f66',
      None),
     ('wavefunction --n 3 --m 2 --eta -0.4 --steps 203',
-     'f0f36c06c5a6624fb96868958fb438d78934d747116ce6c66cb4e4f465e88bc8',
+     '86e8fd59a821b5f80eaa7cd3572f445403999ec764c408fb20637983876b040e',
      None),
     ('wavefunction --n 1 --m 4 --eta 1.3 --space momentum --u-min -6 --u-max 5 --steps 203',
      'b45deb1bf2b8b4348fd75d89a58db9d198a9575953a0db7942b2db60e3aad8ca',

@@ -154,9 +154,7 @@ class TestOrthogonality:
         rule = quadrature.gauss_hermite_rule(12)
         norms = {}
         for a in range(11):
-            norms[a] = math.exp(
-                0.5 * math.log(math.pi) + scalars._ln_factorial(a) + a * math.log(2.0)
-            )
+            norms[a] = math.exp(0.5 * math.log(math.pi) + math.lgamma(a + 1.0) + a * math.log(2.0))
         for a in range(11):
             ha = _kernels.hermite_values(a, rule.nodes)
             for b in range(a, 11):
@@ -166,23 +164,6 @@ class TestOrthogonality:
                     assert abs(integral - norms[a]) <= 1e-10 * norms[a]
                 else:
                     assert abs(integral) <= 1e-8 * math.sqrt(norms[a] * norms[b])
-
-
-class TestLnFactorial:
-    def test_anchors(self):
-        assert scalars._ln_factorial(0) == 0.0
-        assert scalars._ln_factorial(1) == 0.0
-        assert abs(scalars._ln_factorial(5) - math.log(120.0)) < 1e-15
-        assert abs(scalars._ln_factorial(20) - 42.335616460753485) < 1e-13
-
-    def test_matches_lgamma_in_product_range(self):
-        for n in range(0, 21):
-            assert abs(scalars._ln_factorial(n) - math.lgamma(n + 1.0)) <= 1e-14 * max(
-                1.0, scalars._ln_factorial(n)
-            )
-
-    def test_large_argument_uses_lgamma(self):
-        assert scalars._ln_factorial(64) == math.lgamma(65.0)
 
 
 class TestConstants:
@@ -217,7 +198,7 @@ class TestLogPotential:
         window = math.sqrt(2.0 * n + 1.0) + 10.0
         x = np.concatenate((np.linspace(-window, window, 23) + 0.0137, [-window, window, 1e-9]))
         x = x[np.abs(x) <= window]
-        norm = math.exp(n * math.log(2.0) + scalars._ln_factorial(n) + 0.5 * math.log(math.pi))
+        norm = math.exp(n * math.log(2.0) + math.lgamma(n + 1.0) + 0.5 * math.log(math.pi))
         expected = np.array([oracles.log_potential_direct(n, float(p)) for p in x])
         assert np.max(np.abs(specfun._log_potential(n, x) - expected)) <= 1e-13 * norm
 
