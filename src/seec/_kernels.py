@@ -1,6 +1,6 @@
 """The hot numeric kernels in numpy: Hermite evaluation, the normalized
-Hermite function psi_k behind the eigenfunctions and their marginals, the
-entropy quadrature sum, and the one fixed-order sum behind every
+Hermite function psi_k behind the eigenfunctions, their marginals and the
+entropy quadrature, and the one fixed-order sum behind every
 quadrature."""
 
 import math
@@ -44,22 +44,28 @@ def hermite_function(k, t, x):
     """psi_k(a) = c_k e^{-a^2/2} H_k(a) with a = t x, the normalized
     Hermite function: a float for a 0-d ``x``, else an array of its shape.
     The one array home of the per-axis factor of the eigenfunction, behind
-    criterion.marginal and oscillator.wavefunction;
+    criterion.marginal, oscillator.wavefunction and the entropy quadrature;
     oscillator._hermite_function_list is its list twin.
     """
     x = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(x)):
         raise DomainError("coordinates must be finite")
     with np.errstate(over="ignore", invalid="ignore"):
-        a = t * x
-        gauss = np.exp(-0.5 * (a * a))
+        a = t * x.reshape(-1)  # 1-D even for a 0-d x: the steps run in place
+        gauss = a * a
+        gauss *= -0.5
+        np.exp(gauss, out=gauss)
         # c_k last: c_k e^{-a^2/2} would underflow before H_k restores it
-        value = gauss * hermite_values(k, a) * _norm_constant(k)
+        value = hermite_values(k, a)
+        value *= gauss
+        value *= _norm_constant(k)
     # far out the recurrence overflows to inf (or inf - inf) where the
     # Gaussian has underflowed to 0; the product, whose true value rounds
     # to 0 there, is then nan
-    value = np.where(np.isnan(value) & (gauss == 0.0), 0.0, value)
-    return float(value) if value.ndim == 0 else value
+    nan = np.isnan(value)
+    if nan.any():
+        value[nan & (gauss == 0.0)] = 0.0
+    return float(value[0]) if x.ndim == 0 else value.reshape(x.shape)
 
 
 def panel_sum(terms):
@@ -75,27 +81,3 @@ def panel_sum(terms):
     sums = np.add.reduce(np.atleast_2d(terms), axis=-1)
     totals = [math.fsum(row) for row in sums.reshape(-1, sums.shape[-1]).tolist()]
     return totals[0] if sums.ndim == 1 else np.array(totals).reshape(sums.shape[:-1])
-
-
-def entropy_weighted_sum(n, nodes, weights):
-    """Weighted sum of e^{-z^2} H_n(z)^2 ln(H_n(z)^2) over the nodes, by
-    ``panel_sum``: nodes and weights of shape (panel, point), or 1-D for
-    one panel.
-
-    The integrand is continued by zero where H_n(z)^2 underflows to zero
-    (u ln u -> 0 at the polynomial roots).  The products run in place, in
-    the order e^{-z^2} * h^2 * ln(h^2) * w.
-    """
-    nodes = np.ascontiguousarray(nodes, dtype=np.float64)
-    weights = np.ascontiguousarray(weights, dtype=np.float64)
-    h2 = hermite_pair(n, nodes)[0]
-    h2 *= h2
-    logs = np.where(h2 > 0.0, h2, 1.0)
-    np.log(logs, out=logs)
-    terms = -nodes
-    terms *= nodes
-    np.exp(terms, out=terms)
-    terms *= h2
-    terms *= logs
-    terms *= weights
-    return panel_sum(terms)

@@ -21,7 +21,7 @@ fails a check writes nothing to stdout and leaves --out as it was.  A
 write can still fail after that: sweep writes its records, to stdout or
 --out, before its --svg file, so a failed --svg write exits 1 with the
 records already written.  --svg - writes the plot to stdout, so it needs
---out PATH for the records.
+--out PATH for the records, and --svg must not name the --out file.
 
 Each subcommand imports the modules it uses when it runs: only verify
 imports numpy.  sweep (its SVG included), threshold, criterion, diagonalize
@@ -211,6 +211,9 @@ def _cmd_sweep(args):
 
     if args.svg == "-" and args.out in (None, "-"):
         raise DomainError("--svg - needs --out PATH: the records already go to stdout")
+    paths = (args.out, args.svg)
+    if None not in paths and "-" not in paths and len({*map(os.path.realpath, paths)}) == 1:
+        raise DomainError("--svg and --out name one file: the plot would overwrite the records")
     modes = _parse_modes(args.modes)
     grid = _eta_grid(args.eta_min, args.eta_max, args.steps)
     # f = eta0 - eta, the f that criterion_f reports at each grid point,

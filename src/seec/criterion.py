@@ -13,8 +13,9 @@ The eta dependence of each entropy is analytic (a pure -ln t scale term
 with t = e^{eta/2}/sqrt(2)), so entropies decompose as S_k - ln t where
 S_k is the unit-scale level entropy.  Sweeps over eta therefore never
 re-integrate, and f(eta) = eta0 - eta holds exactly by construction.
-This S_k - ln t is the one route to each entropy.  S_k and the
-closed-form I3(k) of its oracle are read from the frozen tables in
+This S_k - ln t is the one route to each entropy.  S_k, the entropy of
+the density marginal evaluates at unit scale, and the closed-form I3(k)
+of its oracle are read from the frozen tables in
 ``scalars`` (``verification`` checks both against their live routes), so
 standard_entropy, threshold_eta0 and criterion_f never import numpy; only
 marginal imports it, when called.
@@ -69,20 +70,22 @@ def marginal(side, n, m, eta, u):
 
 
 def _entropy_from_i3(k, i3):
-    # S_k = ln(sqrt(pi) k! 2^k) + k + 1/2 - I3(k) / (2^k k! sqrt(pi))
+    # S_k = ln N_k + k + 1/2 - I3(k) / N_k, N_k = sqrt(pi) k! 2^k, the one
+    # identity between S_k and I3(k); _i3_from_entropy reads it backward
     norm = _norm(k)
     return math.log(norm) + k + 0.5 - i3 / norm
 
 
+def _i3_from_entropy(k, s_k):
+    return _norm(k) * (math.log(_norm(k)) + k + 0.5 - s_k)
+
+
 def standard_entropy(k):
-    """Entropy S_k of the unit-scale level-k density c_k^2 e^{-z^2} H_k^2(z):
-
-        S_k = ln(sqrt(pi) k! 2^k) + k + 1/2 - I3(k) / (2^k k! sqrt(pi))
-
-    with I3 from the normative panel quadrature at its default order: the
-    frozen ``scalars.S_TABLE`` entry of k, validated on every call (an
-    integer, np.int64(k) too).  Another panel order is
-    _entropy_from_i3(k, quadrature.entropy_integral_numeric(k, order)).
+    """Entropy S_k = -int psi_k^2 ln psi_k^2 of the unit-scale level-k
+    density psi_k^2 = c_k^2 e^{-z^2} H_k^2(z), integrated directly by the
+    normative panel quadrature at its default order: the frozen
+    ``scalars.S_TABLE`` entry of k, validated on every call (an integer,
+    np.int64(k) too).  Another panel order is quadrature._entropy(k, order).
     """
     return S_TABLE[_check_order(k, N_MAX, "k")]
 
@@ -107,12 +110,13 @@ class EntropyReport(
     eta-intercept, ``alt_f`` the alternate pairing H[w+] + H[v-] -
     ln(2 pi e) (reported, never substituted: its analytic form is
     eta0 + eta, not eta0 - eta), and ``oracle_delta`` the larger of the
-    two disagreements between the closed-form and the tabulated entropy
-    (both read from the frozen tables, which verify checks live).  Both
-    routes end in the same S_k formula, so oracle_delta measures only the
-    closed-form I3's disagreement (at most 3.63e-11, at k = 58), not the
-    formula's own rounding.  The fields, in this order, are the keys of
-    ``seec criterion``'s JSON.
+    two disagreements between the tabulated S_k, the direct entropy
+    quadrature, and S_k = ln N_k + k + 1/2 - I3(k) / N_k from the
+    closed-form I3(k) (both read from the frozen tables, which verify
+    checks live).  The two routes share no formula, so oracle_delta holds
+    the closed form's own error and the rounding of that identity, whose
+    terms cancel about two digits at k = 64: at most 3.61e-11, at k = 58.
+    The fields, in this order, are the keys of ``seec criterion``'s JSON.
     """
 
     __slots__ = ()

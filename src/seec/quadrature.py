@@ -2,9 +2,10 @@
 
 Gauss-Hermite rules handle the polynomial-weight integrals exactly; the
 panel-based Gauss-Legendre engine integrates the log-singular entropy
-integrand by splitting at the Hermite roots, where ln(H_n^2) is continuous
-but not smooth, and grading each side of a root geometrically toward it by
-a ratio of 8.  All results are pure functions of their inputs.  Every sum
+integrand -psi_n^2 ln(psi_n^2), from which I3(n) is derived, by splitting
+at the Hermite roots, where it is continuous but not smooth, and grading
+each side of a root geometrically toward it by a ratio of 8.  All results
+are pure functions of their inputs.  Every sum
 is ``_kernels.panel_sum``: numpy's pairwise ``np.add.reduce`` within a
 panel, ``math.fsum`` across panels, so its bits do not depend on the BLAS
 thread count; only numpy's SIMD ``exp`` and ``log`` can still round
@@ -18,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import _kernels, specfun
+from . import _kernels, criterion, specfun
 from .errors import DomainError
 from .scalars import (
     DEFAULT_PANEL_ORDER,
@@ -137,22 +138,29 @@ def _entropy_panel_boundaries(n):
 
 # public while the benchmark harness calls it by name (ROADMAP item 4)
 def entropy_integral_numeric(n, panel_order=DEFAULT_PANEL_ORDER):
-    """Integral of e^{-z^2} H_n^2(z) ln(H_n^2(z)) over the real line.
+    """Integral I3(n) of e^{-z^2} H_n^2(z) ln(H_n^2(z)) over the real line,
+    N_n (ln N_n + n + 1/2 - S_n) from the panel quadrature's entropy S_n.
 
-    Panels split at the roots of H_n (the integrand is continued by its
-    limit 0 there); per-panel Gauss-Legendre of ``panel_order`` points.
-    Truncation at |z| = sqrt(2n + 1) + 10 leaves a Gaussian tail below
-    1e-40 of the result.  Each (n, panel_order) is integrated once per
-    process, however the call spells it.
+    Panels split at the roots of H_n; per-panel Gauss-Legendre of
+    ``panel_order`` points.  Truncation at |z| = sqrt(2n + 1) + 10 leaves a
+    Gaussian tail below 1e-40 of the result.  Each (n, panel_order) is
+    integrated once per process, however the call spells it.
     """
     n = _check_order(n, N_MAX)
     panel_order = _check_order(panel_order, PANEL_ORDER_MAX, "panel order", n_min=1)
-    return _entropy_integral(n, panel_order)
+    return criterion._i3_from_entropy(n, _entropy(n, panel_order))
 
 
 @lru_cache(maxsize=None)
-def _entropy_integral(n, panel_order):
-    # keyed on validated ints, so (k), (k, 48) and (np.int64(k), 48) share
-    # one entry; the nodes, one row per panel, are dropped after the sum
+def _entropy(n, panel_order):
+    # S_n = -int p ln p, p = psi_n^2 the level-n density: the one entropy
+    # quadrature, with -p ln p continued by its limit 0 where p is 0.  Keyed
+    # on validated ints, so (k), (k, 48) and (np.int64(k), 48) share one
+    # entry; the nodes, one row per panel, are dropped after the sum
     nodes, weights = specfun._panel_nodes(panel_order, _entropy_panel_boundaries(n))
-    return _kernels.entropy_weighted_sum(n, nodes, weights)
+    p = _kernels.hermite_function(n, 1.0, nodes)
+    p *= p
+    terms = np.log(np.where(p > 0.0, p, 1.0))
+    terms *= p
+    terms *= weights
+    return -_kernels.panel_sum(terms)

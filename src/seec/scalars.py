@@ -75,80 +75,80 @@ def _mode_scale(eta, sign=1.0):
         raise DomainError(f"eta too large: e^(|eta|/2) overflows, got {eta}") from None
 
 
-# S_k, the Shannon entropy of the unit-scale level-k density
-# e^{-z^2} H_k(z)^2 / (2^k k! sqrt(pi)), for k = 0..N_MAX at
-# DEFAULT_PANEL_ORDER: the panel quadrature's own values, written out with
-# repr so that each literal reads back as the same double, as printed by
-#   [criterion._entropy_from_i3(k, quadrature.entropy_integral_numeric(k))
-#    for k in range(N_MAX + 1)]
+# S_k = -int psi_k^2 ln psi_k^2, the Shannon entropy of the unit-scale
+# level-k density psi_k^2 = e^{-z^2} H_k(z)^2 / (2^k k! sqrt(pi)), for
+# k = 0..N_MAX at DEFAULT_PANEL_ORDER: the panel quadrature's own values,
+# written out with repr so that each literal reads back as the same double,
+# as printed by
+#   [quadrature._entropy(k, DEFAULT_PANEL_ORDER) for k in range(N_MAX + 1)]
 # verify checks every row against the live quadrature and against the
 # closed form, and tests/test_criterion.py recomputes the whole table.
 S_TABLE = (
-    1.0723649429247,
-    1.3427277883861808,
-    1.4986092332517296,
-    1.6097118413016513,
+    1.0723649429246993,
+    1.3427277883861772,
+    1.4986092332517265,
+    1.6097118413016518,
     1.696550630680374,
-    1.7680612532383275,
-    1.8289684902728283,
-    1.8820845209089754,
-    1.9292233531088456,
-    1.9716255549652537,
-    2.0101781254674194,
-    2.045537879584451,
-    2.0782051612898087,
-    2.1085701431787527,
-    2.136943125810575,
-    2.163575057493425,
-    2.1886718409109065,
-    2.212404560180552,
-    2.2349169520664702,
-    2.2563309688724615,
-    2.2767509907937864,
-    2.296267063831948,
-    2.314957422403282,
-    2.332890478661426,
-    2.350126408625883,
-    2.3667184295743056,
-    2.38271383826401,
-    2.398154861898874,
-    2.4130793610432875,
-    2.4275214144213777,
-    2.4415118086937895,
-    2.4550784511979202,
-    2.468246719775692,
-    2.4810397608838173,
-    2.49347874491383,
-    2.505583085905073,
-    2.517370631455151,
-    2.528857827568686,
-    2.540059862309107,
-    2.5509907914575365,
-    2.5616636488179267,
-    2.57209054337153,
-    2.5822827451222565,
-    2.5922507611794003,
-    2.602004403382267,
-    2.611552848578441,
-    2.6209046924811332,
-    2.630067997930439,
-    2.6390503382236545,
-    2.6478588361235893,
-    2.6565001990439328,
-    2.664980750857893,
-    2.6733064607086874,
-    2.6814829691608395,
-    2.6895156119758497,
-    2.697409441772379,
-    2.70516924778957,
-    2.712799573951429,
-    2.7203047354044543,
-    2.727688833681839,
-    2.7349557706274936,
-    2.742109261202984,
-    2.7491528452778766,
-    2.756089898505479,
-    2.762923642364285,
+    1.768061253238332,
+    1.8289684902728376,
+    1.8820845209089798,
+    1.9292233531088587,
+    1.9716255549652695,
+    2.0101781254674367,
+    2.045537879584482,
+    2.0782051612898353,
+    2.108570143178772,
+    2.136943125810581,
+    2.1635750574934756,
+    2.1886718409109407,
+    2.2124045601805857,
+    2.234916952066504,
+    2.256330968872467,
+    2.2767509907938233,
+    2.296267063831966,
+    2.3149574224033223,
+    2.3328904786614344,
+    2.350126408625979,
+    2.3667184295743207,
+    2.382713838264036,
+    2.398154861898926,
+    2.4130793610433616,
+    2.4275214144213804,
+    2.4415118086939316,
+    2.4550784511980064,
+    2.468246719775757,
+    2.4810397608837875,
+    2.4934787449139324,
+    2.505583085904958,
+    2.5173706314553486,
+    2.5288578275688374,
+    2.540059862309169,
+    2.5509907914575742,
+    2.561663648817996,
+    2.5720905433716603,
+    2.5822827451223316,
+    2.5922507611791983,
+    2.602004403382617,
+    2.611552848578427,
+    2.6209046924814037,
+    2.630067997930485,
+    2.639050338223669,
+    2.6478588361236852,
+    2.656500199044258,
+    2.6649807508580263,
+    2.6733064607087322,
+    2.681482969160626,
+    2.6895156119756263,
+    2.697409441772305,
+    2.7051692477896627,
+    2.712799573951573,
+    2.720304735404644,
+    2.7276888336819742,
+    2.734955770627858,
+    2.7421092612031552,
+    2.7491528452778473,
+    2.7560898985055187,
+    2.7629236423644112,
 )
 
 

@@ -117,6 +117,21 @@ def hermite_pair_allocating(n, z):
     return h, h_prev
 
 
+def entropy_sum_allocating(n, nodes, weights):
+    """-sum w p ln p with p = psi_n^2 = (e^{-z^2/2} H_n(z) c_n)^2, continued
+    by 0 where p is 0, one expression per step and a new array each; nodes
+    and weights hold one panel per row, each summed on its own and the
+    panel sums by fsum: the reference for the entropy quadrature's sum."""
+    h = hermite_pair_allocating(n, nodes)[0]
+    # c_n = 1 / sqrt(N_n), from sqrt(pi) correctly rounded and the integer
+    # n! 2^n rounded once
+    c_n = 1.0 / math.sqrt(1.7724538509055160273 * float(math.factorial(n) << n))
+    psi = np.exp(-0.5 * (nodes * nodes)) * h * c_n
+    p = psi * psi
+    terms = np.log(np.where(p > 0.0, p, 1.0)) * p * weights
+    return -math.fsum(float(np.add.reduce(row)) for row in np.atleast_2d(terms))
+
+
 def log_potential_direct(n, x, levels=40, order=32, max_width=0.5):
     """-int e^{-z^2} H_n(z)^2 ln|z - x| dz by composite Gauss-Legendre in z:
     the reference for the Fourier-Laguerre V_n.

@@ -906,6 +906,20 @@ class TestUsageErrors:
         assert capsys.readouterr() == (
             "", "seec: error: --svg - needs --out PATH: the records already go to stdout\n")
 
+    @pytest.mark.parametrize("svg", ["P", "./P"])
+    def test_svg_and_out_naming_one_file_exit_one_before_any_work(self, svg, tmp_path):
+        # the SVG, written second, would overwrite the records; two
+        # spellings of one path are one file
+        code, out, err = run_cli(
+            "sweep", "--steps", "3", "--out", "P", "--svg", svg,
+            env=dict(os.environ, PYTHONPATH=SRC), cwd=tmp_path,
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            "seec: error: --svg and --out name one file: the plot would overwrite the records\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
     def test_svg_to_stdout_with_the_records_in_a_file(self, tmp_path, capsys):
         argv = ["sweep", "--steps", "3"]
         records, svg = tmp_path / "records.csv", tmp_path / "plot.svg"

@@ -23,49 +23,49 @@ GOLDEN = [
      '645d40040514b69ab82bdae37218bfdca7e6c9747d1b173cfc1780a18bc62370',
      None),
     ('sweep --modes 1:1 --steps 41 --format json',
-     'cdc4f19f8732dfd4576a73f697760ce93bda3f6f7c3f1cfe897446af6d2e693d',
+     'b2d1bf1dd180c35e49521e2b4e456e7a9cb3bbb9d388ea381d419afd5e580585',
      None),
     ('sweep --modes 0:0,1:1,2:3,5:0,7:7,32:32 --eta-min 0 --eta-max 3 --steps 257',
-     '3c80dee9d9d72eb2d1a37e58223dda8552450c20171981f947911d14809559b2',
+     '9991838f7057fb029889a5f75f6c97b4517127a4922cd205dbcc99817c1b8135',
      None),
     ('sweep --modes 0:0,1:1,2:3,5:0,7:7,32:32 --eta-min 0 --eta-max 3 --steps 257 --format json',
-     'ad6999586ccb8178e54d3e53ca3a4488fd687726cdf8e5bc9abaeabe6a48ac3b',
+     'fdbc0dab6a89db06d66ba094611114b54410080e1ac90064b3c528096bfba8fc',
      None),
     ('sweep --modes 2:2 --steps 101 --svg',
-     'e7dafaa64f61d9b1fe215c6c44570e2493948366e740b504315434f3654e3e96',
+     '63fc5081598492ba30e10ecdba14692c725a506b8683e4a14f4f1f8a101e973c',
      'cf947261b7cb7b0239f66de9e7367b826c45231f34d1fea8defeda08754a425f'),
     ('sweep --modes 0:0,1:1,2:3,5:0,7:7,32:32 --steps 201 --svg',
-     'c977903ee0faeba51f05c73168ea6165998aee74f1b4a45eb551c0b3ce22697c',
+     'f223be725b1e15e47c9a40f017d67a1a750cc3b99c9252121def6d97af0a72aa',
      'dada22857523eb2e04325fc18426be9ce1dbdbdb62dbb4c65f300c0f9f1e7a67'),
     ('sweep --modes 0:0,1:1,2:3,5:0,7:7,32:32 --steps 201 --format json --svg',
-     '0fd5de18c20efe763ce74ac2e2abbe628a807c5bd9028a799fc3b8f757bcfc8e',
+     'f980fa0ee22fc1535e0fc8c62de20e8fb96c38cfaa5d9e6f4e0ff85f712a562d',
      'dada22857523eb2e04325fc18426be9ce1dbdbdb62dbb4c65f300c0f9f1e7a67'),
     ('sweep --modes 0:0,3:1 --eta-min -2.5 --eta-max -0.25 --steps 99',
      '80f780c6e12b96a64252800a6a6e0c46e46ce390531461c7cde6f428f3e0b253',
      None),
     ('sweep --modes 0:0,3:1 --eta-min -2.5 --eta-max -0.25 --steps 99 --format json --svg',
-     '0f3b3338e37eb9b0d575c733f3e65b19a51456a0881f9c949e2c4d99afb7bbf5',
+     'a4610463d1b13570713e54c9461f9ce992834f9e3309a03d2a030101af4502b4',
      'ac91e55c397b19a5601a59a42fbcdebf8ea4a9601877beb292069119724ddb56'),
     ('threshold',
      '92d2266a6b2f022b6f533a1056ff8c64a988e6fe57a3ef7edf7875e60a41aa16',
      None),
     ('threshold --format json',
-     'aea2fdbeab6b7d24a7172d04dae0e026b5a93872fcae87eeb957c4b047828c6b',
+     '00ffe095cba744a8127542d4d113b3f8006b2afe208111d9a2cd399efd49d56c',
      None),
     ('threshold --n-max 32 --m-max 32',
-     'fac60bd456493882b6db919f657bde4068012ad0c215f8f91436b507c7941925',
+     '03a6827d68ae6572d9073adabaea6ee4a2becdddb74be394ed564688bce3132e',
      None),
     ('threshold --n-max 32 --m-max 32 --format json',
-     '963a6d253c8de4d64774c14d280e7c55597dc755976ce2399c10785d6c23af44',
+     '97506d3c6bfc4289a764146a91fed813b300caa21a800ddedb96e15f578904e4',
      None),
     ('threshold --n-max 64 --m-max 64',
-     '80b3d36c1d1047a7a2108fa2f657f5a4f9ce7997b6d235ace60ed2edc1401e36',
+     '79dd2a8dcb645ffed11a60311280ba0e0e307b77a74cd743cf74cc50ec86fdec',
      None),
     ('criterion --n 3 --m 2 --eta 0.4',
-     '007b3829c11dcd6050942550f75ec65f7840ed0cdfbbe4bbe90f490666da4c7a',
+     '934fde7e457ed429611443dbc688756cd2ca3c9c9569e514902f4b5193c118dc',
      None),
     ('criterion --n 32 --m 7 --eta -1.3',
-     '157b08de607a45c91c1c2e72344c863ea3d8085ff9fba4b8dad2ebd295aa7756',
+     'd6fc38e92ed2f54bf74fc3f582c65c465da1ab3a802918b350f0b317bab7c57d',
      None),
     ('diagonalize --m1 2 --m2 0.5 --A 3 --B 1 --C -0.4',
      '9da2fd4ebfd7448cb785d234d63b6ee262fc6184df13c5413220c21bd731034f',

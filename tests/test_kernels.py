@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from seec import _kernels, cli, oscillator, scalars
+from seec import _kernels, cli, oscillator, quadrature, scalars, specfun
 
 # panel-like points, exact roots and zeros, and points where H_n overflows
 _GRID = np.concatenate(
@@ -31,8 +31,6 @@ def _recurrence_points():
 
 
 def _panel_inputs(n):
-    from seec import quadrature, specfun
-
     nodes, weights = specfun._panel_nodes(32, quadrature._entropy_panel_boundaries(n))
     return nodes.ravel(), weights.ravel()
 
@@ -65,31 +63,35 @@ class TestHermitePairShape:
 
 
 class TestEntropyWeightedSum:
+    """The entropy quadrature's sum -sum w p ln p with p = psi_n^2, from
+    _kernels.hermite_function and _kernels.panel_sum."""
+
     def test_matches_explicit_formula(self):
         nodes, weights = _panel_inputs(3)
         h = _kernels.hermite_values(3, nodes)
-        h2 = h * h
-        expected = float(np.dot(weights, np.exp(-nodes * nodes) * h2 * np.log(h2)))
-        got = _kernels.entropy_weighted_sum(3, nodes, weights)
-        assert abs(got - expected) <= 1e-13 * max(1.0, abs(expected))
+        p = np.exp(-nodes * nodes) * h * h / scalars._norm(3)
+        expected = -float(np.dot(weights, p * np.log(p)))
+        got = quadrature._entropy(3, 32)
+        assert abs(got - expected) <= 1e-13 * abs(expected)
 
-    def test_order_zero_is_exactly_zero(self):
-        nodes, weights = _panel_inputs(0)
-        assert _kernels.entropy_weighted_sum(0, nodes, weights) == 0.0
+    def test_order_zero_is_the_gaussian_entropy(self):
+        # the ground state is Gaussian: S_0 = ln sqrt(pi) + 1/2
+        base = math.log(scalars._SQRT_PI) + 0.5
+        assert abs(quadrature._entropy(0, 48) - base) <= 4 * math.ulp(base)
 
     def test_determinism(self):
-        nodes, weights = _panel_inputs(5)
-        assert _kernels.entropy_weighted_sum(5, nodes, weights) == _kernels.entropy_weighted_sum(
-            5, nodes, weights
-        )
+        first = quadrature._entropy.__wrapped__(5, 48)
+        assert first == quadrature._entropy.__wrapped__(5, 48) == quadrature._entropy(5, 48)
 
-    def test_zero_polynomial_value_contributes_zero(self):
-        # force an exact root onto a node: H_1(0) = 0
-        nodes = np.array([0.0, 1.0])
-        weights = np.array([1.0, 1.0])
-        value = _kernels.entropy_weighted_sum(1, nodes, weights)
-        expected = np.exp(-1.0) * 4.0 * np.log(4.0)
-        assert abs(value - expected) <= 1e-15 * expected
+    def test_zero_polynomial_value_contributes_zero(self, monkeypatch):
+        # force an exact root onto a node: H_1(0) = 0, so p = 0 there and
+        # -p ln p is continued by its limit 0, not 0 * -inf = nan
+        nodes, weights = np.array([[0.0, 1.0]]), np.array([[1.0, 1.0]])
+        monkeypatch.setattr(specfun, "_panel_nodes", lambda order, edges: (nodes, weights))
+        value = quadrature._entropy.__wrapped__(1, 48)
+        p = math.exp(-1.0) * 4.0 / scalars._norm(1)
+        expected = -p * math.log(p)
+        assert abs(value - expected) <= 4e-16 * expected
 
 
 class TestPanelSum:
@@ -138,9 +140,4 @@ class TestInPlaceBitIdentity:
         # one row per 32-point panel; each panel summed on its own, then
         # the panel sums by fsum
         nodes, weights = (a.reshape(-1, 32) for a in _panel_inputs(n))
-        h = oracles.hermite_pair_allocating(n, nodes)[0]
-        h2 = h * h
-        logs = np.log(np.where(h2 > 0.0, h2, 1.0))
-        terms = np.exp(-nodes * nodes) * h2 * logs * weights
-        expected = math.fsum(float(np.add.reduce(row)) for row in terms)
-        assert _kernels.entropy_weighted_sum(n, nodes, weights) == expected
+        assert quadrature._entropy(n, 32) == oracles.entropy_sum_allocating(n, nodes, weights)

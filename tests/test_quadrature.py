@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from seec import _kernels, quadrature, scalars, specfun
+from seec import _kernels, criterion, quadrature, scalars, specfun
 from seec.errors import DomainError, UnsupportedOrderError
 
 import oracles
@@ -165,8 +165,10 @@ class TestPanelRule:
 
 
 class TestEntropyIntegral:
-    def test_order_zero_is_exactly_zero(self):
-        assert quadrature.entropy_integral_numeric(0) == 0.0
+    def test_order_zero_is_zero_to_rounding(self):
+        # I3(0) = N_0 (ln N_0 + 1/2 - S_0) = 0, derived from the direct S_0,
+        # which is a few ulps off: 1.2e-15
+        assert abs(quadrature.entropy_integral_numeric(0)) <= 8 * math.ulp(SQRT_PI)
 
     def test_analytic_anchor_at_order_one(self):
         analytic = 4.0 * SQRT_PI * (1.0 - 0.5 * EULER_GAMMA)
@@ -216,9 +218,9 @@ class TestEntropyIntegral:
         edges = quadrature._entropy_panel_boundaries(n)
         for order in (32, 48, 96):
             nodes, weights = oracles.panel_rule_loop(order, edges)
-            # the kernel sums one panel (a row of `order` points) at a time
+            # the sum runs one panel (a row of `order` points) at a time
             panels = (nodes.reshape(-1, order), weights.reshape(-1, order))
-            expected = _kernels.entropy_weighted_sum(n, *panels)
+            expected = criterion._i3_from_entropy(n, oracles.entropy_sum_allocating(n, *panels))
             assert quadrature.entropy_integral_numeric(n, order) == expected
 
     @pytest.mark.parametrize("window", [math.inf, math.nan, 0.5])
@@ -254,15 +256,16 @@ class TestEntropyIntegral:
             assert rule_weights.tobytes() == weights.tobytes()
 
     def test_one_integration_per_order_and_panel_order(self, monkeypatch):
+        # one psi_n evaluation on the panel nodes per integration
         calls = []
-        weighted_sum = _kernels.entropy_weighted_sum
+        hermite_function = _kernels.hermite_function
 
         def counted(*args):
             calls.append(args[0])
-            return weighted_sum(*args)
+            return hermite_function(*args)
 
-        monkeypatch.setattr(_kernels, "entropy_weighted_sum", counted)
-        quadrature._entropy_integral.cache_clear()
+        monkeypatch.setattr(_kernels, "hermite_function", counted)
+        quadrature._entropy.cache_clear()
         values = {
             quadrature.entropy_integral_numeric(7),
             quadrature.entropy_integral_numeric(7, 48),
