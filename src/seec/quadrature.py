@@ -4,8 +4,9 @@ Gauss-Hermite rules handle the polynomial-weight integrals exactly; the
 panel-based Gauss-Legendre engine integrates the log-singular entropy
 integrand -psi_n^2 ln(psi_n^2), from which I3(n) is derived, by splitting
 at the Hermite roots, where it is continuous but not smooth, and grading
-each side of a root geometrically toward it by a ratio of 8.  All results
-are pure functions of their inputs.  Every sum
+each side of a root geometrically toward it by a ratio of 8; the layout is
+mirror-exact, so the even integrand is evaluated on its z >= 0 half alone.
+All results are pure functions of their inputs.  Every sum
 is ``_kernels.panel_sum``: numpy's pairwise ``np.add.reduce`` within a
 panel, ``math.fsum`` across panels, so its bits do not depend on the BLAS
 thread count; only numpy's SIMD ``exp`` and ``log`` can still round
@@ -93,7 +94,8 @@ def _entropy_panel_boundaries(n):
     (about 1e-31 at q = 48) and only the innermost sliver (width 2^-9 of
     the half-gap, holding an O(width^3 ln width) share of the integral)
     sees the singularity at all.  Panels away from roots are at most 2
-    wide.
+    wide.  The layout is mirror-exact, so with the antisymmetric base rules
+    every node of a panel rule on it is the exact negative of its mirror's.
     """
     roots = specfun.hermite_roots(n).roots
     cut = specfun._entropy_window(n)
@@ -131,7 +133,10 @@ def _entropy_panel_boundaries(n):
     j = np.arange(pieces.sum()) - np.repeat(np.cumsum(pieces) - pieces, pieces)
     step = np.repeat(width, pieces) * j / np.repeat(pieces, pieces)
     refined = np.repeat(graded[:-1], pieces) + step
-    edges = np.append(refined, cut)
+    # the z >= 0 half, from 0 (a root or the middle roots' midpoint, an edge
+    # at every order), and its negation
+    right = np.append(refined, cut)[np.searchsorted(refined, 0.0) :]
+    edges = np.concatenate((-right[:0:-1], right))
     edges.setflags(write=False)
     return edges
 
@@ -142,8 +147,9 @@ def entropy_integral_numeric(n, panel_order=DEFAULT_PANEL_ORDER):
     N_n (ln N_n + n + 1/2 - S_n) from the panel quadrature's entropy S_n.
 
     Panels split at the roots of H_n; per-panel Gauss-Legendre of
-    ``panel_order`` points.  Truncation at |z| = sqrt(2n + 1) + 10 leaves a
-    Gaussian tail below 1e-40 of the result.  Each (n, panel_order) is
+    ``panel_order`` points on a mirror-exact layout, the even integrand
+    evaluated once per mirrored pair.  Truncation at |z| = sqrt(2n + 1) + 10
+    leaves a Gaussian tail below 1e-40 of the result.  Each (n, panel_order) is
     integrated once per process, however the call spells it.
     """
     n = _check_order(n, N_MAX)
@@ -156,11 +162,12 @@ def _entropy(n, panel_order):
     # S_n = -int p ln p, p = psi_n^2 the level-n density: the one entropy
     # quadrature, with -p ln p continued by its limit 0 where p is 0.  Keyed
     # on validated ints, so (k), (k, 48) and (np.int64(k), 48) share one
-    # entry; the nodes, one row per panel, are dropped after the sum
-    nodes, weights = specfun._panel_nodes(panel_order, _entropy_panel_boundaries(n))
+    # entry; the z >= 0 nodes, one row per panel, are dropped after the sum
+    edges = _entropy_panel_boundaries(n)
+    nodes, weights = specfun._panel_nodes(panel_order, edges[len(edges) // 2 :])
     p = _kernels.hermite_function(n, 1.0, nodes)
     p *= p
     terms = np.log(np.where(p > 0.0, p, 1.0))
     terms *= p
     terms *= weights
-    return -_kernels.panel_sum(terms)
+    return -_kernels.panel_sum(np.concatenate((np.flip(terms), terms)))

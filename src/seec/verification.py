@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
+import numpy as np
+
 from . import _kernels, criterion, quadrature, specfun
 from .scalars import I3_CLOSED_TABLE, S_TABLE, _check_order, _mode_scale, _norm
 from .scalars import _EULER_GAMMA, _SQRT_PI
@@ -25,10 +27,10 @@ I3_CLOSED_RTOL = 1e-12
 # the same bound carried to S_k = ... - I3 / (2^k k! sqrt(pi)): |I3| / norm
 # stays below 40 for n <= 12, so 1e-12 on I3 is at most 4e-11 on S_k
 S_CLOSED_TOL = 1e-10
-# the frozen tables against their live routes: equal where they were
-# printed, so these bound how a CPU rounds the sums.  On numpy's AVX2 path
-# S_k is 1 ulp off at one n <= 64 (n = 50), and the closed-form I3 up to
-# 4e-14 relative (n = 57) to max(1, |I3|)
+# the frozen tables against their live routes: these bound how a CPU rounds
+# the sums.  The live S_k is 1 ulp off at four n <= 64 (8, 9, 13, 19, moved
+# by the mirror-exact layout), at six on numpy's AVX2 path (also 14, 50), and
+# the closed-form I3 there up to 4e-14 relative (n = 57) to max(1, |I3|)
 S_TABLE_ULPS = 1
 I3_TABLE_RTOL = 1e-13
 _NORMALIZATION_CAP = 5  # (n, m) grid cap for the marginal-normalization block
@@ -59,18 +61,20 @@ def _check_at_most(name, value, bound, tol):
 
 def _marginal_rule(order, eta):
     # the density support in u is the z-window scaled by 1/t > 0, which
-    # keeps the edges finite and increasing; raveled, the rule is one panel
+    # keeps the edges finite, increasing and mirror-exact; raveled, the
+    # rule on their u >= 0 half is one panel
     edges = quadrature._entropy_panel_boundaries(order) / _mode_scale(eta)
-    nodes, weights = specfun._panel_nodes(32, edges)
+    nodes, weights = specfun._panel_nodes(32, edges[len(edges) // 2 :])
     return nodes.ravel(), weights.ravel()
 
 
 def _marginal_residual(side, order, eta, rule):
     # a marginal depends only on its own side's order: the other one is
-    # passed as the same order and does not enter
+    # passed as the same order and does not enter.  The density is even:
+    # the half, mirrored, is the whole line's panel
     nodes, weights = rule
-    density = criterion.marginal(side, order, order, eta, nodes)
-    return abs(_kernels.panel_sum(weights * density) - 1.0)
+    terms = weights * criterion.marginal(side, order, order, eta, nodes)
+    return abs(_kernels.panel_sum(np.concatenate((np.flip(terms), terms))) - 1.0)
 
 
 def collect_checks(n_max):

@@ -81,10 +81,11 @@ def panel_rule_loop(order, boundaries):
     return nodes, weights
 
 
-def entropy_panel_boundaries_loop(n, roots, max_width=2.0):
-    """Entropy panel boundaries built point by point from the roots of H_n,
-    graded toward each root by a ratio of 8 in three levels: the reference
-    for the array construction."""
+def entropy_panel_layout_loop(n, roots, max_width=2.0):
+    """The whole-line entropy panel layout built point by point from the
+    roots of H_n, graded toward each root by a ratio of 8 in three levels,
+    and gaps wider than ``max_width`` split from their left end on both
+    sides of 0, so not mirror-exact at every order."""
     cut = math.sqrt(2.0 * n + 1.0) + 10.0
     raw = [-cut, *(float(x) for x in roots), cut]
     boundaries = [-cut]
@@ -104,6 +105,14 @@ def entropy_panel_boundaries_loop(n, roots, max_width=2.0):
         refined.extend(a + (b - a) * j / pieces for j in range(pieces))
     refined.append(cut)
     return tuple(refined)
+
+
+def entropy_panel_boundaries_loop(n, roots, max_width=2.0):
+    """Entropy panel boundaries: the z >= 0 half of the layout, from its
+    edge at 0, and that half negated in reverse order below 0, so mirror-
+    exact: the reference for the array construction."""
+    right = [b for b in entropy_panel_layout_loop(n, roots, max_width) if b >= 0.0]
+    return tuple(-b for b in reversed(right[1:])) + tuple(right)
 
 
 def hermite_pair_allocating(n, z):

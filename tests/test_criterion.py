@@ -347,8 +347,9 @@ class TestEntropyTable:
                 eta_var = 0.5 * math.log((2 * n + 1) * (2 * m + 1))
                 assert criterion.threshold_eta0(n, m) <= eta_var, (n, m)
 
-    # The tables are the live routes bit for bit on the CPU that printed
-    # them.  numpy's AVX2 exp and log round some sums differently, so each
+    # The tables were the live routes bit for bit on the CPU that printed
+    # them.  The mirror-exact entropy layout moved four live S_k by 1 ulp,
+    # and numpy's AVX2 exp and log round some sums differently, so each
     # table is held to its live route at verify's stated bound instead
     @pytest.mark.parametrize("k", range(scalars.N_MAX + 1))
     def test_is_the_default_quadrature_bit_for_bit(self, k):

@@ -85,12 +85,13 @@ class TestEntropyWeightedSum:
 
     def test_zero_polynomial_value_contributes_zero(self, monkeypatch):
         # force an exact root onto a node: H_1(0) = 0, so p = 0 there and
-        # -p ln p is continued by its limit 0, not 0 * -inf = nan
+        # -p ln p is continued by its limit 0, not 0 * -inf = nan.  The one
+        # patched panel is the z >= 0 half, summed with its mirror: twice
         nodes, weights = np.array([[0.0, 1.0]]), np.array([[1.0, 1.0]])
         monkeypatch.setattr(specfun, "_panel_nodes", lambda order, edges: (nodes, weights))
         value = quadrature._entropy.__wrapped__(1, 48)
         p = math.exp(-1.0) * 4.0 / scalars._norm(1)
-        expected = -p * math.log(p)
+        expected = -2.0 * p * math.log(p)
         assert abs(value - expected) <= 4e-16 * expected
 
 

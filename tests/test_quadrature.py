@@ -255,6 +255,44 @@ class TestEntropyIntegral:
             assert rule_nodes.tobytes() == nodes.tobytes()
             assert rule_weights.tobytes() == weights.tobytes()
 
+    @pytest.mark.parametrize("n", range(0, scalars.N_MAX + 1))
+    def test_boundaries_are_mirror_exact(self, n):
+        # 0.0 - x negates every edge but the one at 0, which stays +0.0
+        # (-edges[::-1] would turn it into -0.0, another bit pattern)
+        edges = quadrature._entropy_panel_boundaries(n)
+        assert edges.tobytes() == (0.0 - edges[::-1]).tobytes()
+        assert np.count_nonzero(edges == 0.0) == 1
+        # the z >= 0 half is that of the whole-line layout, split from the
+        # left end of each gap on both sides of 0 before the mirror
+        layout = oracles.entropy_panel_layout_loop(n, specfun.hermite_roots(n).roots)
+        right = np.array([b for b in layout if b >= 0.0])
+        assert edges[len(edges) // 2 :].tobytes() == right.tobytes()
+
+    @pytest.mark.parametrize("n", range(0, scalars.N_MAX + 1))
+    def test_half_evaluation_is_the_whole_line_sum_bit_for_bit(self, n):
+        # psi_n^2 is even and each node the exact negative of its mirror's,
+        # so the z >= 0 terms, mirrored, are every panel of the layout
+        edges = quadrature._entropy_panel_boundaries(n)
+        for order in (48, 96):
+            nodes, weights = oracles.panel_rule_loop(order, edges)
+            panels = (nodes.reshape(-1, order), weights.reshape(-1, order))
+            assert quadrature._entropy(n, order) == oracles.entropy_sum_allocating(n, *panels)
+
+    def test_psi_is_evaluated_on_half_the_nodes(self, monkeypatch):
+        sizes = []
+        hermite_function = _kernels.hermite_function
+
+        def counted(*args):
+            sizes.append(np.size(args[2]))
+            return hermite_function(*args)
+
+        monkeypatch.setattr(_kernels, "hermite_function", counted)
+        for n in (0, 1, 8, 64):
+            panels = len(quadrature._entropy_panel_boundaries(n)) - 1
+            for order in (48, 96):
+                quadrature._entropy.__wrapped__(n, order)
+                assert 2 * sizes.pop() == panels * order and not sizes, (n, order)
+
     def test_one_integration_per_order_and_panel_order(self, monkeypatch):
         # one psi_n evaluation on the panel nodes per integration
         calls = []
