@@ -5,10 +5,10 @@ eta0(n, m) table), criterion (single-point JSON report), diagonalize
 (couplings to normal-mode report), verify (closed forms against the
 numeric oracle), wavefunction (grid samples of the eigenfunctions).
 
-Output is deterministic: identical invocations produce byte-identical
-CSV/JSON, files are written atomically (temp + rename), numeric CSV fields
-carry 12 significant digits.  Exit codes: 0 success, 1 usage or domain
-error, 2 verification failure.
+Identical invocations produce byte-identical CSV/JSON, numeric CSV fields
+carry 12 significant digits.  A file or a symlink's target is written
+atomically (temp + rename), a FIFO or a device in place.  Exit codes: 0
+success, 1 usage or domain error, 2 verification failure.
 
 sweep, threshold and wavefunction stream their rows in blocks, each one
 join and one %, so the whole document is never held in memory.  A sweep
@@ -35,6 +35,7 @@ import argparse
 import math
 import os
 import re
+import stat
 import sys
 
 from . import __version__
@@ -59,10 +60,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _write_text(text, out_path):
     """Write text, a str or an iterable of str chunks, to stdout or to
-    out_path.  A file is written atomically: an error while writing, or
-    raised by a chunk, leaves out_path as it was and no temp file, and an
-    OSError names out_path.  It ends with the mode open(out_path, "w")
-    would leave: an existing target's, else 0o666 less the umask."""
+    out_path, an OSError naming out_path.  A file or a symlink's target is
+    written atomically, left as it was and no temp file on an error, with
+    the mode open() would leave: an existing file's, else 0o666 less the
+    umask.  A FIFO or a device is written in place: a rename would replace it."""
     chunks = (text,) if isinstance(text, str) else text
     if out_path is None or out_path == "-":
         try:
@@ -78,20 +79,25 @@ def _write_text(text, out_path):
     import tempfile
 
     try:
-        mode = os.stat(out_path).st_mode & 0o7777
-    except FileNotFoundError:
-        # mkstemp's file is 0600, whatever the umask
-        umask = os.umask(0)
-        os.umask(umask)
-        mode = 0o666 & ~umask
-    directory = os.path.dirname(os.path.abspath(out_path))
-    try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".seec-", suffix=".tmp")
+        try:
+            st_mode = os.stat(out_path).st_mode
+        except FileNotFoundError:
+            # a new file; mkstemp's is 0600, whatever the umask
+            umask = os.umask(0)
+            os.umask(umask)
+            st_mode = stat.S_IFREG | 0o666 & ~umask
+        # out_path, not its realpath: a pipe behind /dev/stdout has no path
+        if not stat.S_ISREG(st_mode):
+            with open(out_path, "w", encoding="utf-8", newline="") as fh:
+                fh.writelines(chunks)
+            return
+        target = os.path.realpath(out_path)
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".seec-", suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-                os.fchmod(fh.fileno(), mode)
+                os.fchmod(fh.fileno(), stat.S_IMODE(st_mode))
                 fh.writelines(chunks)
-            os.replace(tmp, out_path)
+            os.replace(tmp, target)
         except BaseException:
             if os.path.exists(tmp):
                 os.unlink(tmp)

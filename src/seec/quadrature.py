@@ -4,8 +4,8 @@ Gauss-Hermite rules handle the polynomial-weight integrals exactly; the
 panel-based Gauss-Legendre engine integrates the log-singular entropy
 integrand -psi_n^2 ln(psi_n^2), from which I3(n) is derived, by splitting
 at the Hermite roots, where it is continuous but not smooth, and grading
-each side of a root geometrically toward it by a ratio of 8; the layout is
-mirror-exact, so the even integrand is evaluated on its z >= 0 half alone.
+each side of a root geometrically toward it by a ratio of 8, on the z >= 0
+half of a mirror-exact layout: the even integrand is evaluated there alone.
 All results are pure functions of their inputs.  Every sum
 is ``_kernels.panel_sum``: numpy's pairwise ``np.add.reduce`` within a
 panel, ``math.fsum`` across panels, so its bits do not depend on the BLAS
@@ -83,10 +83,10 @@ _GRADE_TOWARD = 8.0 ** -np.arange(1, _GRADING_LEVELS + 1)
 
 @lru_cache(maxsize=None)
 def _entropy_panel_boundaries(n):
-    """Panel boundaries for the entropy integrand of a checked order n, as
-    one read-only array built once per order.
+    """Panel boundaries for the entropy integrand of a checked order n on
+    z >= 0, as one read-only array built once per order.
 
-    The window [-L, L] with L = sqrt(2n + 1) + 10 is split at every root
+    The window [0, L] with L = sqrt(2n + 1) + 10 is split at every root
     of H_n, and each root-adjacent half-gap is graded toward the root by a
     ratio of 8 in three levels: on every graded subpanel [d, 8d] the factor
     ln(H_n^2) is analytic, its nearest singularity at distance d from the
@@ -94,12 +94,13 @@ def _entropy_panel_boundaries(n):
     (about 1e-31 at q = 48) and only the innermost sliver (width 2^-9 of
     the half-gap, holding an O(width^3 ln width) share of the integral)
     sees the singularity at all.  Panels away from roots are at most 2
-    wide.  The layout is mirror-exact, so with the antisymmetric base rules
-    every node of a panel rule on it is the exact negative of its mirror's.
+    wide.  The roots and base rules are antisymmetric, so the half negated
+    is its mirror on z < 0, every node there the exact negative of one here.
     """
     roots = specfun.hermite_roots(n).roots
     cut = specfun._entropy_window(n)
-    raw = np.concatenate(([-cut], roots, [cut]))
+    # from 0, exactly: the middle root (odd n) or middle gap's midpoint (even n)
+    raw = np.concatenate(([-cut], roots, [cut]))[(n + 1) // 2 :]
     a, b = raw[:-1], raw[1:]
     mid = 0.5 * (a + b)
     # one row per gap between consecutive raw points: the points graded
@@ -112,13 +113,11 @@ def _entropy_panel_boundaries(n):
         )
     )
     keep = np.ones(rows.shape, dtype=bool)
-    # the window edges are not roots: the first gap starts at its midpoint
-    # (set exactly, since a + (mid - a) need not round to mid), and the last
-    # one is not graded toward its right end
-    keep[0, :_GRADING_LEVELS] = False
-    rows[0, _GRADING_LEVELS] = mid[0]
+    # for even n the half enters the first gap at its midpoint, 0; the
+    # window edge is not a root, so the last gap is not graded toward it
+    keep[0, : _GRADING_LEVELS + 1] = n % 2 == 1
     keep[-1, _GRADING_LEVELS + 1 : -1] = False
-    graded = np.concatenate(([-cut], rows[keep]))
+    graded = np.concatenate(([0.0], rows[keep]))
     width = graded[1:] - graded[:-1]
     # the guarantees of a panel rule, decided here once per order: the
     # split below cuts a gap wider than 2 into equal pieces 1 to 2 wide, so
@@ -132,11 +131,7 @@ def _entropy_panel_boundaries(n):
     # piece j of a gap split into `pieces` starts at a + (b - a) * j / pieces
     j = np.arange(pieces.sum()) - np.repeat(np.cumsum(pieces) - pieces, pieces)
     step = np.repeat(width, pieces) * j / np.repeat(pieces, pieces)
-    refined = np.repeat(graded[:-1], pieces) + step
-    # the z >= 0 half, from 0 (a root or the middle roots' midpoint, an edge
-    # at every order), and its negation
-    right = np.append(refined, cut)[np.searchsorted(refined, 0.0) :]
-    edges = np.concatenate((-right[:0:-1], right))
+    edges = np.append(np.repeat(graded[:-1], pieces) + step, cut)
     edges.setflags(write=False)
     return edges
 
@@ -163,8 +158,7 @@ def _entropy(n, panel_order):
     # quadrature, with -p ln p continued by its limit 0 where p is 0.  Keyed
     # on validated ints, so (k), (k, 48) and (np.int64(k), 48) share one
     # entry; the z >= 0 nodes, one row per panel, are dropped after the sum
-    edges = _entropy_panel_boundaries(n)
-    nodes, weights = specfun._panel_nodes(panel_order, edges[len(edges) // 2 :])
+    nodes, weights = specfun._panel_nodes(panel_order, _entropy_panel_boundaries(n))
     p = _kernels.hermite_function(n, 1.0, nodes)
     p *= p
     terms = np.log(np.where(p > 0.0, p, 1.0))

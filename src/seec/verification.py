@@ -60,11 +60,10 @@ def _check_at_most(name, value, bound, tol):
 
 
 def _marginal_rule(order, eta):
-    # the density support in u is the z-window scaled by 1/t > 0, which
-    # keeps the edges finite, increasing and mirror-exact; raveled, the
-    # rule on their u >= 0 half is one panel
+    # the u >= 0 half of the density support, the z >= 0 edges scaled by
+    # 1/t > 0: finite, increasing, mirror-exact; raveled, the rule is one panel
     edges = quadrature._entropy_panel_boundaries(order) / _mode_scale(eta)
-    nodes, weights = specfun._panel_nodes(32, edges[len(edges) // 2 :])
+    nodes, weights = specfun._panel_nodes(32, edges)
     return nodes.ravel(), weights.ravel()
 
 

@@ -108,11 +108,15 @@ def entropy_panel_layout_loop(n, roots, max_width=2.0):
 
 
 def entropy_panel_boundaries_loop(n, roots, max_width=2.0):
-    """Entropy panel boundaries: the z >= 0 half of the layout, from its
-    edge at 0, and that half negated in reverse order below 0, so mirror-
-    exact: the reference for the array construction."""
-    right = [b for b in entropy_panel_layout_loop(n, roots, max_width) if b >= 0.0]
-    return tuple(-b for b in reversed(right[1:])) + tuple(right)
+    """Entropy panel boundaries: the z >= 0 half of the whole-line layout,
+    from its edge at 0: the reference for the array construction."""
+    return tuple(b for b in entropy_panel_layout_loop(n, roots, max_width) if b >= 0.0)
+
+
+def whole_line(half):
+    """The mirror-exact whole line of a z >= 0 half that starts at 0: the
+    half negated in reverse order below 0, then the half itself."""
+    return np.concatenate((-half[:0:-1], half))
 
 
 def hermite_pair_allocating(n, z):

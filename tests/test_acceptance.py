@@ -138,7 +138,7 @@ def test_criterion_08_normalization():
             for eta in (0.0, 0.5, 1.0):
                 t = math.exp(0.5 * eta) / math.sqrt(2.0)
                 for side, order in (("w_minus", n), ("v_plus", m)):
-                    edges = quadrature._entropy_panel_boundaries(order) / t
+                    edges = oracles.whole_line(quadrature._entropy_panel_boundaries(order)) / t
                     nodes, weights = specfun._panel_nodes(32, edges)
                     density = criterion.marginal(side, n, m, eta, nodes)
                     total = _kernels.panel_sum(weights * density)

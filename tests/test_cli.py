@@ -6,8 +6,10 @@ import json
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -678,6 +680,60 @@ class TestStreamedOutput:
         assert out_path.stat().st_mode & 0o7777 == 0o640
         assert out_path.read_bytes() == b"new bytes\n"
 
+    def test_symlink_is_written_through_to_its_target(self, tmp_path, capsys):
+        # a rename over the link would turn it into a file and leave the
+        # target as it was
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_bytes(b"old bytes\n")
+        target.chmod(0o640)
+        link.symlink_to(target)
+        assert cli.main(["threshold"]) == 0
+        expected = capsys.readouterr().out.encode()
+        assert cli.main(["threshold", "--out", str(link)]) == 0
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == expected
+        assert target.stat().st_mode & 0o7777 == 0o640
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "target.csv"]
+
+    def test_dangling_symlink_creates_its_target(self, tmp_path):
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        link.symlink_to(target)
+        old = os.umask(0o022)
+        try:
+            cli._write_text("new bytes\n", str(link))
+        finally:
+            os.umask(old)
+        assert link.is_symlink() and target.read_bytes() == b"new bytes\n"
+        assert target.stat().st_mode & 0o7777 == 0o644
+
+    def test_fifo_is_written_in_place(self, tmp_path, capsys):
+        # a rename would replace the FIFO with a file, and its reader would
+        # get nothing; the reader is a daemon, so a failing write cannot
+        # hang the suite
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        assert cli.main(["threshold", "--out", str(fifo)]) == 0
+        reader.join(timeout=30)
+        assert cli.main(["threshold"]) == 0
+        assert received == [capsys.readouterr().out.encode()]
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert [p.name for p in tmp_path.iterdir()] == ["fifo"]
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_pipe_behind_a_proc_link_is_written_in_place(self):
+        # /dev/stdout links to /proc/self/fd/1: behind it a pipe has no path
+        # that realpath could name, but open() follows the link
+        r, w = os.pipe()
+        try:
+            cli._write_text(iter(["a\n", "b\n"]), f"/proc/self/fd/{w}")
+            assert os.read(r, 100) == b"a\nb\n"
+        finally:
+            os.close(r)
+            os.close(w)
+
     def _patch_axes(self, monkeypatch, patch):
         axes_of = oscillator._wavefunction_axes
         monkeypatch.setattr(oscillator, "_wavefunction_axes", lambda *a: patch(*axes_of(*a)))
@@ -919,6 +975,18 @@ class TestUsageErrors:
             "seec: error: --svg and --out name one file: the plot would overwrite the records\n"
         )
         assert list(tmp_path.iterdir()) == []
+
+    def test_svg_naming_the_target_of_the_out_link_exits_one(self, tmp_path, capsys):
+        # written through, the link and its target are one file
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_bytes(b"old bytes\n")
+        link.symlink_to(target)
+        argv = ["sweep", "--steps", "3", "--out", str(link), "--svg", str(target)]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr() == (
+            "", "seec: error: --svg and --out name one file: the plot would overwrite the records\n"
+        )
+        assert link.is_symlink() and target.read_bytes() == b"old bytes\n"
 
     def test_svg_to_stdout_with_the_records_in_a_file(self, tmp_path, capsys):
         argv = ["sweep", "--steps", "3"]

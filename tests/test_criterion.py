@@ -17,6 +17,7 @@ from oracles import (
     hermite_polynomial,
     log_hermite_function,
     uniform_panel_integral,
+    whole_line,
 )
 
 SQRT_PI = scalars._SQRT_PI
@@ -428,8 +429,9 @@ class TestNormalizationRows:
             eta = float(eta)
             order = n if tag == "w" else m
             t = scalars._mode_scale(eta)
-            # the rule raveled to one panel, as verify sums it
-            edges = quadrature._entropy_panel_boundaries(order) / t
+            # the rule raveled to one panel, as verify sums it: its u >= 0
+            # half and that half's mirror
+            edges = whole_line(quadrature._entropy_panel_boundaries(order)) / t
             nodes, weights = specfun._panel_nodes(32, edges)
             density = criterion.marginal(sides[tag], n, m, eta, nodes.ravel())
             total = _kernels.panel_sum(weights.ravel() * density)

@@ -31,7 +31,10 @@ def _recurrence_points():
 
 
 def _panel_inputs(n):
-    nodes, weights = specfun._panel_nodes(32, quadrature._entropy_panel_boundaries(n))
+    # the rule on the whole line, which the entropy quadrature sums as its
+    # z >= 0 half and that half's mirror
+    edges = oracles.whole_line(quadrature._entropy_panel_boundaries(n))
+    nodes, weights = specfun._panel_nodes(32, edges)
     return nodes.ravel(), weights.ravel()
 
 

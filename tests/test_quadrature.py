@@ -214,8 +214,8 @@ class TestEntropyIntegral:
 
     @pytest.mark.parametrize("n", range(0, 33))
     def test_is_the_kernel_over_the_public_panel_rule(self, n):
-        # over the panel rule built one panel at a time from the edges
-        edges = quadrature._entropy_panel_boundaries(n)
+        # over the panel rule built one panel at a time from the whole line
+        edges = oracles.whole_line(quadrature._entropy_panel_boundaries(n))
         for order in (32, 48, 96):
             nodes, weights = oracles.panel_rule_loop(order, edges)
             # the sum runs one panel (a row of `order` points) at a time
@@ -235,14 +235,16 @@ class TestEntropyIntegral:
         assert quadrature._entropy_panel_boundaries(5) is edges
         assert not edges.flags.writeable
 
-    def test_boundaries_cover_window_and_roots(self):
-        n = 4
+    @pytest.mark.parametrize("n", range(0, scalars.N_MAX + 1))
+    def test_boundaries_cover_window_and_roots(self, n):
+        # the z >= 0 half: from +0.0 to the window edge, every non-negative
+        # root an edge exactly
         bounds = quadrature._entropy_panel_boundaries(n)
-        cut = math.sqrt(2.0 * n + 1.0) + 10.0
-        assert bounds[0] == -cut and bounds[-1] == cut
-        for root in specfun.hermite_roots(n).roots:
-            assert any(abs(b - root) < 1e-12 for b in bounds)
-        assert all(a < b for a, b in zip(bounds, bounds[1:]))
+        assert bounds[:1].tobytes() == np.zeros(1).tobytes()
+        assert bounds[-1] == math.sqrt(2.0 * n + 1.0) + 10.0
+        roots = specfun.hermite_roots(n).roots
+        assert np.isin(roots[roots >= 0.0], bounds).all()
+        assert np.all(bounds[1:] > bounds[:-1])
 
     @pytest.mark.parametrize("n", range(0, 33))
     def test_boundaries_and_rules_bit_identical_to_loops(self, n):
@@ -258,21 +260,23 @@ class TestEntropyIntegral:
     @pytest.mark.parametrize("n", range(0, scalars.N_MAX + 1))
     def test_boundaries_are_mirror_exact(self, n):
         # 0.0 - x negates every edge but the one at 0, which stays +0.0
-        # (-edges[::-1] would turn it into -0.0, another bit pattern)
-        edges = quadrature._entropy_panel_boundaries(n)
+        # (-edges[::-1] would turn it into -0.0, another bit pattern), so
+        # the whole line is mirror-exact only if the half starts at +0.0
+        half = quadrature._entropy_panel_boundaries(n)
+        edges = oracles.whole_line(half)
         assert edges.tobytes() == (0.0 - edges[::-1]).tobytes()
         assert np.count_nonzero(edges == 0.0) == 1
-        # the z >= 0 half is that of the whole-line layout, split from the
-        # left end of each gap on both sides of 0 before the mirror
+        # the half is the z >= 0 half of the whole-line layout, split from
+        # the left end of each gap on both sides of 0
         layout = oracles.entropy_panel_layout_loop(n, specfun.hermite_roots(n).roots)
         right = np.array([b for b in layout if b >= 0.0])
-        assert edges[len(edges) // 2 :].tobytes() == right.tobytes()
+        assert half.tobytes() == right.tobytes()
 
     @pytest.mark.parametrize("n", range(0, scalars.N_MAX + 1))
     def test_half_evaluation_is_the_whole_line_sum_bit_for_bit(self, n):
         # psi_n^2 is even and each node the exact negative of its mirror's,
-        # so the z >= 0 terms, mirrored, are every panel of the layout
-        edges = quadrature._entropy_panel_boundaries(n)
+        # so the z >= 0 terms, mirrored, are every panel of the whole line
+        edges = oracles.whole_line(quadrature._entropy_panel_boundaries(n))
         for order in (48, 96):
             nodes, weights = oracles.panel_rule_loop(order, edges)
             panels = (nodes.reshape(-1, order), weights.reshape(-1, order))
@@ -291,7 +295,7 @@ class TestEntropyIntegral:
             panels = len(quadrature._entropy_panel_boundaries(n)) - 1
             for order in (48, 96):
                 quadrature._entropy.__wrapped__(n, order)
-                assert 2 * sizes.pop() == panels * order and not sizes, (n, order)
+                assert sizes.pop() == panels * order and not sizes, (n, order)
 
     def test_one_integration_per_order_and_panel_order(self, monkeypatch):
         # one psi_n evaluation on the panel nodes per integration
