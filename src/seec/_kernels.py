@@ -69,15 +69,12 @@ def hermite_function(k, t, x):
 
 
 def panel_sum(terms):
-    """Sum of ``terms`` laid out as (..., panel, point): ``np.add.reduce``
-    over the points of each panel, then ``math.fsum`` over the panel sums.
-    A 1-D ``terms`` is one panel.  A float, or an array of the leading
-    shape for more than two axes.
+    """Sum of ``terms`` laid out as (panel, point), a float:
+    ``np.add.reduce`` over the points of each panel, then ``math.fsum``
+    over the panel sums.  A 1-D ``terms`` is one panel.
 
     The order of every addition is fixed by the shape alone: no BLAS call,
     whose threaded sum splits by the thread count, and the fsum over the
     panels is correctly rounded.
     """
-    sums = np.add.reduce(np.atleast_2d(terms), axis=-1)
-    totals = [math.fsum(row) for row in sums.reshape(-1, sums.shape[-1]).tolist()]
-    return totals[0] if sums.ndim == 1 else np.array(totals).reshape(sums.shape[:-1])
+    return math.fsum(np.add.reduce(np.atleast_2d(terms), axis=-1).tolist())

@@ -14,11 +14,10 @@ with t = e^{eta/2}/sqrt(2)), so entropies decompose as S_k - ln t where
 S_k is the unit-scale level entropy.  Sweeps over eta therefore never
 re-integrate, and f(eta) = eta0 - eta holds exactly by construction.
 This S_k - ln t is the one route to each entropy.  S_k, the entropy of
-the density marginal evaluates at unit scale, and the closed-form I3(k)
-of its oracle are read from the frozen tables in
-``scalars`` (``verification`` checks both against their live routes), so
-standard_entropy, threshold_eta0 and criterion_f never import numpy; only
-marginal imports it, when called.
+the density that marginal evaluates, taken at unit scale, is read from
+the frozen table in ``scalars`` (``verification`` checks it against its
+live quadrature), so standard_entropy, threshold_eta0 and criterion_f
+never import numpy; only marginal imports it, when called.
 
 criterion_f is the route to the verdict at one point, and ``seec sweep``
 the route to a curve.  The array answer is one subtraction from the
@@ -32,9 +31,9 @@ from collections import namedtuple
 
 from .errors import DomainError
 from .scalars import (
-    I3_CLOSED_TABLE,
     N_MAX,
     S_TABLE,
+    S_TABLE_REF_ULPS,
     _check_eta,
     _check_mode_pair,
     _check_order,
@@ -69,14 +68,9 @@ def marginal(side, n, m, eta, u):
     return t * psi * psi
 
 
-def _entropy_from_i3(k, i3):
-    # S_k = ln N_k + k + 1/2 - I3(k) / N_k, N_k = sqrt(pi) k! 2^k, the one
-    # identity between S_k and I3(k); _i3_from_entropy reads it backward
-    norm = _norm(k)
-    return math.log(norm) + k + 0.5 - i3 / norm
-
-
 def _i3_from_entropy(k, s_k):
+    # I3(k) = N_k (ln N_k + k + 1/2 - S_k), N_k = sqrt(pi) k! 2^k: the one
+    # identity between S_k and I3(k)
     return _norm(k) * (math.log(_norm(k)) + k + 0.5 - s_k)
 
 
@@ -96,11 +90,6 @@ def _eta0(n, m):
     return (S_TABLE[n] - S_TABLE[0]) + (S_TABLE[m] - S_TABLE[0])
 
 
-def _oracle_delta(k, i3):
-    # |S_k from the table - S_k from the closed-form I3(k)|, k validated
-    return abs(S_TABLE[k] - _entropy_from_i3(k, i3))
-
-
 class EntropyReport(
     namedtuple("EntropyReport", "n m eta H_w_minus H_v_plus f eta0 entangled alt_f oracle_delta")
 ):
@@ -109,14 +98,11 @@ class EntropyReport(
     ``f`` is the criterion function (entangled iff f < 0), ``eta0`` its
     eta-intercept, ``alt_f`` the alternate pairing H[w+] + H[v-] -
     ln(2 pi e) (reported, never substituted: its analytic form is
-    eta0 + eta, not eta0 - eta), and ``oracle_delta`` the larger of the
-    two disagreements between the tabulated S_k, the direct entropy
-    quadrature, and S_k = ln N_k + k + 1/2 - I3(k) / N_k from the
-    closed-form I3(k) (both read from the frozen tables, which verify
-    checks live).  The two routes share no formula, so oracle_delta holds
-    the closed form's own error and the rounding of that identity, whose
-    terms cancel about two digits at k = 64: at most 3.61e-11, at k = 58.
-    The fields, in this order, are the keys of ``seec criterion``'s JSON.
+    eta0 + eta, not eta0 - eta), and ``oracle_delta`` how far either
+    entropy's S_k can be off the exact one: S_TABLE_REF_ULPS ulps of the
+    larger of the two table entries, the bound the tests hold the table to
+    against a 40-digit reference, at most 4.0e-15.  The fields, in this order, are
+    the keys of ``seec criterion``'s JSON.
     """
 
     __slots__ = ()
@@ -186,7 +172,5 @@ def criterion_f(n, m, eta):
         eta0=eta0,
         entangled=_verdict(eta0, eta),
         alt_f=eta0 + eta,
-        oracle_delta=max(
-            _oracle_delta(n, I3_CLOSED_TABLE[n]), _oracle_delta(m, I3_CLOSED_TABLE[m])
-        ),
+        oracle_delta=S_TABLE_REF_ULPS * math.ulp(max(S_TABLE[n], S_TABLE[m])),
     )

@@ -1,7 +1,7 @@
 """The scalar decisions that load without numpy: the order cap and the one
 order check, the one eta check, the constants, the Hermite norm and its
 constant c_k, the mode scale t = e^{eta/2}/sqrt(2), and the frozen
-tables of S_k and of its oracle I3(k).
+table of S_k with its bound against the exact entropies.
 
 ``criterion``, ``oscillator`` and ``cli`` answer their scalar questions
 (the threshold table, the criterion report, the normal modes) from here,
@@ -81,8 +81,9 @@ def _mode_scale(eta, sign=1.0):
 # written out with repr so that each literal reads back as the same double,
 # as printed by
 #   [quadrature._entropy(k, DEFAULT_PANEL_ORDER) for k in range(N_MAX + 1)]
-# verify checks every row against the live quadrature and against the
-# closed form, and tests/test_criterion.py recomputes the whole table.
+# verify checks every row against the live quadrature, tests/test_criterion.py
+# recomputes the whole table, and tests/test_reference.py holds every entry
+# to the exact S_k of a stdlib decimal reference within S_TABLE_REF_ULPS.
 S_TABLE = (
     1.0723649429246993,
     1.3427277883861772,
@@ -151,78 +152,6 @@ S_TABLE = (
     2.7629236423644112,
 )
 
-
-# I3(k) by the closed form from the logarithmic potential, for
-# k = 0..N_MAX: the independent oracle of the quadrature behind
-# S_TABLE, written out with repr as printed by
-#   [specfun.entropy_integral_closed_form(k) for k in range(N_MAX + 1)]
-# criterion_f reports its disagreement with S_TABLE as oracle_delta; verify
-# checks every row against the live closed form, and
-# tests/test_criterion.py recomputes the whole table.
-I3_CLOSED_TABLE = (
-    0.0,
-    5.043639147506609,
-    51.80098829022174,
-    538.8702774158004,
-    6347.794323984259,
-    85469.35592856043,
-    1305286.3050714247,
-    22374336.455456004,
-    426146961.6090957,
-    8937828949.721745,
-    204819536667.14404,
-    5093687703977.231,
-    136664242949874.33,
-    3935524810704552.5,
-    1.210904788308505e+17,
-    3.9649600894996127e+18,
-    1.3767117027783098e+20,
-    5.052885310925209e+21,
-    1.954718942884689e+23,
-    7.949752884787227e+24,
-    3.390993776600389e+26,
-    1.5138200306070293e+28,
-    7.059016006739431e+29,
-    3.4320607242160534e+31,
-    1.736945655418725e+33,
-    9.136336082063916e+34,
-    4.987640876530306e+36,
-    2.8221609628346175e+38,
-    1.6530927288743704e+40,
-    1.0012489894193766e+42,
-    6.263959388662837e+43,
-    4.043702943658291e+45,
-    2.6910446262680585e+47,
-    1.8445305631458385e+49,
-    1.3010922985342065e+51,
-    9.437171942416979e+52,
-    7.033313176621752e+54,
-    5.382107023343816e+56,
-    4.225954174440655e+58,
-    3.402497146980224e+60,
-    2.8074067080678006e+62,
-    2.3724340389588852e+64,
-    2.0522139436609558e+66,
-    1.816185382125762e+68,
-    1.643563093476581e+70,
-    1.5201639230216899e+72,
-    1.4363835711281367e+74,
-    1.3859033140175174e+76,
-    1.3648733396018776e+78,
-    1.3714201107262304e+80,
-    1.4053879824542744e+82,
-    1.4682665617713733e+84,
-    1.5632848965290837e+86,
-    1.6956779410460986e+88,
-    1.8731546388832501e+90,
-    2.106624709017311e+92,
-    2.4112776723247486e+94,
-    2.808159232532944e+96,
-    3.3264661761704525e+98,
-    4.006895760975944e+100,
-    4.90656150029412e+102,
-    6.106259917217557e+104,
-    7.721299462695034e+106,
-    9.917776202171523e+108,
-    1.2937252941486647e+111,
-)
+# how far each S_TABLE entry may sit from the exact S_k, in ulps of the
+# entry: the worst is 8.27 ulps (k = 53), against the 40-digit reference
+S_TABLE_REF_ULPS = 9

@@ -1,10 +1,8 @@
 """Hermite roots, the Gauss-Legendre base rule and its composite panel
-rule, and the logarithmic potential V_n with the closed-form entropy
-integral built on it.  The base rules of orders 32, 48 and 96, the three
-seec uses, are frozen tables; any other order is numpy.polynomial's
+rule, and the entropy window.  The base rules of orders 32, 48 and 96, the
+three seec uses, are frozen tables; any other order is numpy.polynomial's
 leggauss, imported only then.  H_n itself is ``_kernels.hermite_values``.
-The order cap, the order check, the constants and the Hermite norm come
-from ``scalars``.
+The order cap and the order check come from ``scalars``.
 
 Everything here is a pure function of its arguments.  Cached values (root
 sets, base rules) are immutable after construction, so sharing across
@@ -21,8 +19,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import DomainError
-from .scalars import DEFAULT_PANEL_ORDER, N_MAX
-from .scalars import _EULER_GAMMA, _check_order, _LN2, _norm
+from .scalars import N_MAX, _check_order
 
 
 class RootSet(namedtuple("RootSet", "n roots")):
@@ -80,11 +77,10 @@ def _checked_roots(n, roots):
 
 
 # The three base rules seec uses, frozen: 32 points (the marginal
-# normalization rows of verify), 48 (DEFAULT_PANEL_ORDER, and the k rule
-# of _log_potential) and 96 (verify's convergence reference).  Each is
-# (nodes, weights) over its non-negative nodes, ascending: the symmetrized
-# nodes are exactly antisymmetric and the weights exactly symmetric, so the
-# half fixes the rule.  Written out with repr so that each literal reads
+# normalization rows of verify), 48 (DEFAULT_PANEL_ORDER) and 96 (verify's
+# convergence reference).  Each is (nodes, weights) over its non-negative
+# nodes, ascending: the symmetrized nodes are exactly antisymmetric and the
+# weights exactly symmetric, so the half fixes the rule.  Written out with repr so that each literal reads
 # back as the same double, as printed by
 #   {q: tuple(tuple(map(float, a[q // 2:]))
 #             for a in numpy.polynomial.legendre.leggauss(q))
@@ -175,7 +171,7 @@ _LEGGAUSS_HALVES = {
 @lru_cache(maxsize=None)
 def _leggauss(order):
     # the Gauss-Legendre base rule on [-1, 1], once per order and shared by
-    # the entropy panel quadrature and the k rule of V_n: unfolded from
+    # the entropy quadrature and verify's normalization rows: unfolded from
     # _LEGGAUSS_HALVES where it holds the order, numpy's otherwise.  Only
     # that branch imports numpy.polynomial, so no command loads it.
     half = _LEGGAUSS_HALVES.get(order)
@@ -209,75 +205,3 @@ def _panel_nodes(order, edges):
 def _entropy_window(n):
     # half-width of the z window outside which e^{-z^2} H_n^2 is negligible
     return math.sqrt(2.0 * n + 1.0) + 10.0
-
-
-def _k_cutoff(n):
-    # e^{-k^2/4} L_n(k^2/2) oscillates up to k = 2 sqrt(2n + 1) and has
-    # decayed below 1e-21 twelve units beyond
-    return 2.0 * math.sqrt(2.0 * n + 1.0) + 12.0
-
-
-# ln|y| = _LN_ABS_C0 + int_0^inf (e^{-k^2/4} - cos ky) / k dk
-_LN_ABS_C0 = -(_LN2 + 0.5 * _EULER_GAMMA)
-# radians of integrand phase per k panel: 48-point panels stay at roundoff
-# up to about 120
-_K_PANEL_PHASE = 80.0
-
-
-def _fourier_laguerre_rule(n, panels):
-    """(k, c, a) for V_n on ``panels`` equal Gauss-Legendre panels over
-    [0, 2 sqrt(2n+1) + 12]: the nodes k, one row per panel, the constant
-    c = ln-constant + sum w e^{-k^2/4} / k, and a = w e^{-k^2/4} L_n(k^2/2) / k,
-    so that -V_n(x) / (2^n n! sqrt(pi)) = c - sum a cos(k x)."""
-    # the panel quadrature's default order, so the two share one base rule
-    k, w = _panel_nodes(DEFAULT_PANEL_ORDER, np.linspace(0.0, _k_cutoff(n), panels + 1))
-    w_over_k = w / k
-    t = 0.5 * k * k
-    gauss = np.exp(-0.5 * t)
-    # e^{-t/2} L_j(t) by (j + 1) L_{j+1} = (2j + 1 - t) L_j - j L_{j-1};
-    # bounded by 1 in magnitude, so nothing overflows or cancels
-    lag_prev, lag = np.zeros_like(k), gauss
-    for j in range(n):
-        lag_prev, lag = lag, ((2.0 * j + 1.0 - t) * lag - j * lag_prev) / (j + 1.0)
-    return k, _LN_ABS_C0 + _kernels.panel_sum(w_over_k * gauss), w_over_k * lag
-
-
-def _log_potential(n, x):
-    """Logarithmic potential V_n(x) = -int e^{-z^2} H_n(z)^2 ln|z - x| dz
-    for n >= 1, at finite points x (a float or an array of them) within
-    the entropy window |x| <= sqrt(2n + 1) + 10, such as the roots of H_n.
-
-    Exact to roundoff by the Fourier-Frullani form of the logarithm and the
-    characteristic function int e^{-z^2} H_n^2 e^{ikz} dz
-    = 2^n n! sqrt(pi) e^{-k^2/4} L_n(k^2/2):
-
-        V_n(x) = -2^n n! sqrt(pi) [ -(ln 2 + gamma/2)
-                 + int_0^inf e^{-k^2/4} (1 - L_n(k^2/2) cos kx) / k dk ]
-
-    The integrand is smooth and bounded; the k integral takes a composite
-    Gauss-Legendre rule whose panel count grows with max |x|, summed for
-    each x by ``_kernels.panel_sum``.  A float, or an array of x's shape.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    # the integrand's phase rate in k is at most |x| + sqrt(2n + 1)
-    rate = float(np.max(np.abs(x), initial=0.0)) + math.sqrt(2.0 * n + 1.0)
-    panels = math.ceil(rate * _k_cutoff(n) / _K_PANEL_PHASE)
-    k, constant, amplitude = _fourier_laguerre_rule(n, panels)
-    wave = _kernels.panel_sum(np.cos(np.multiply.outer(x, k)) * amplitude)
-    return -_norm(n) * (constant - wave)
-
-
-def entropy_integral_closed_form(n):
-    """The integral of e^{-z^2} H_n^2 ln(H_n^2) assembled from V_n:
-
-        2^n n! sqrt(pi) ln(2^{2n}) - 2 sum_k V_n(x_{n,k})
-
-    summed over the roots x_{n,k} of H_n, from one _log_potential call.  The
-    independent oracle of the panel quadrature in ``quadrature``, which
-    stays the normative route.
-    """
-    n = _check_order(n, N_MAX)
-    if n == 0:
-        return 0.0
-    v_sum = math.fsum(_log_potential(n, hermite_roots(n).roots))
-    return _norm(n) * (2.0 * n * _LN2) - 2.0 * v_sum

@@ -1,13 +1,12 @@
 """Self-verification: cross-checks every closed form against the numeric
-oracle, the panel quadrature's entropy integral against its closed-form
-oracle from the logarithmic potential, the frozen S_k table against both
-and against the Gaussian entropy bound, and the frozen closed-form table
-against its live route.
+oracle, the panel quadrature of each entropy against its order-96
+convergence reference and its analytic anchors, and the frozen S_k table
+against its live quadrature and against the Gaussian entropy bound.  The
+table's independent oracle, a 40-digit stdlib reference, lives with the
+tests (tests/reference.py), which hold every entry to it.
 
-collect_checks visits each order once, so it calls the live closed form
-of I3 directly, once per order, with no cache of its own.  Its marginal
-normalization rows take one integral per (side, order, eta), shared by
-every (n, m) row that needs it."""
+Its marginal normalization rows take one integral per (side, order, eta),
+shared by every (n, m) row that needs it."""
 
 from __future__ import annotations
 
@@ -17,22 +16,14 @@ from collections import namedtuple
 import numpy as np
 
 from . import _kernels, criterion, quadrature, specfun
-from .scalars import I3_CLOSED_TABLE, S_TABLE, _check_order, _mode_scale, _norm
+from .scalars import S_TABLE, _check_order, _mode_scale, _norm
 from .scalars import _EULER_GAMMA, _SQRT_PI
 
 VERIFY_N_MAX = 12
-# I3 closed form vs panel quadrature, relative to max(1, |I3|); both agree
-# to below 1.4e-13 through n = 64 (worst n = 58)
-I3_CLOSED_RTOL = 1e-12
-# the same bound carried to S_k = ... - I3 / (2^k k! sqrt(pi)): |I3| / norm
-# stays below 40 for n <= 12, so 1e-12 on I3 is at most 4e-11 on S_k
-S_CLOSED_TOL = 1e-10
-# the frozen tables against their live routes: these bound how a CPU rounds
-# the sums.  The live S_k is 1 ulp off at four n <= 64 (8, 9, 13, 19, moved
-# by the mirror-exact layout), at six on numpy's AVX2 path (also 14, 50), and
-# the closed-form I3 there up to 4e-14 relative (n = 57) to max(1, |I3|)
+# the frozen table against its live route: this bounds how a CPU rounds the
+# sums.  The live S_k is 1 ulp off at four n <= 64 (8, 9, 13, 19, moved by
+# the mirror-exact layout), and at six on numpy's AVX2 path (also 14, 50)
 S_TABLE_ULPS = 1
-I3_TABLE_RTOL = 1e-13
 _NORMALIZATION_CAP = 5  # (n, m) grid cap for the marginal-normalization block
 
 
@@ -110,19 +101,6 @@ def collect_checks(n_max):
         checks.append(
             _check_at_most(f"S_gauss_bound[{n}]", S_TABLE[n], gauss, 4 * math.ulp(gauss))
         )
-        closed = specfun.entropy_integral_closed_form(n)
-        s_delta = criterion._oracle_delta(n, closed)
-        checks.append(
-            _check(f"I3closed[{n}]", closed, i3, I3_CLOSED_RTOL, scale=max(1.0, abs(i3)))
-        )
-        checks.append(
-            _check(
-                f"I3closed_table[{n}]", I3_CLOSED_TABLE[n], closed, I3_TABLE_RTOL,
-                scale=max(1.0, abs(closed)),
-            )
-        )
-        # the table against the closed form
-        checks.append(_check(f"S_closed_delta[{n}]", s_delta, 0.0, S_CLOSED_TOL))
     cap = min(n_max, _NORMALIZATION_CAP)
     etas = (0.0, 0.5)
     # a marginal's rule and residual depend only on its side, its own order

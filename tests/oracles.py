@@ -1,8 +1,9 @@
 """Independent brute-force oracles for the test suite.
 
 Deliberately separate from the package's own quadrature code: uniform
-panels here (no root splitting), loops instead of broadcasting, direct
-integrals in z instead of the k transform of V_n.
+panels here (no root splitting), loops instead of broadcasting.  The
+exact entropies, roots and weights come from the stdlib reference in
+reference.py.
 Expected constants frozen in the tests were computed with 40-digit
 arithmetic.
 """
@@ -143,32 +144,3 @@ def entropy_sum_allocating(n, nodes, weights):
     p = psi * psi
     terms = np.log(np.where(p > 0.0, p, 1.0)) * p * weights
     return -math.fsum(float(np.add.reduce(row)) for row in np.atleast_2d(terms))
-
-
-def log_potential_direct(n, x, levels=40, order=32, max_width=0.5):
-    """-int e^{-z^2} H_n(z)^2 ln|z - x| dz by composite Gauss-Legendre in z:
-    the reference for the Fourier-Laguerre V_n.
-
-    The range covers the density window and x; panels are graded
-    dyadically toward the logarithmic singularity at x from both sides
-    (down to 2^-levels of a unit gap, whose sliver holds a negligible
-    share) and capped at ``max_width`` elsewhere."""
-    reach = math.sqrt(2.0 * n + 1.0) + 10.0 + abs(x)
-    graded = [x + 2.0 ** -j for j in range(levels - 1, -1, -1)]
-    right = [x, *graded, reach]
-    left = [-reach, *(2.0 * x - b for b in reversed(graded)), x]
-    base_x, base_w = leggauss(order)
-    total = 0.0
-    for points in (left, right):
-        edges = []
-        for a, b in zip(points, points[1:]):
-            pieces = max(1, math.ceil((b - a) / max_width))
-            edges.extend(a + (b - a) * j / pieces for j in range(pieces))
-        edges = np.array(edges + [points[-1]])
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * (edges[1:] - edges[:-1])
-        z = (mid[:, None] + half[:, None] * base_x).ravel()
-        w = (half[:, None] * base_w).ravel()
-        h = hermite_pair_allocating(n, z)[0]
-        total += math.fsum(w * np.exp(-z * z) * h * h * np.log(np.abs(z - x)))
-    return -total

@@ -223,17 +223,17 @@ def test_criterion_10_cli_reproduction():
     verify_ok = code_ver == 0
     if verify_ok:
         payload = json.loads(out_ver)
-        closed = {c["name"]: c for c in payload["checks"] if c["name"].startswith("I3closed[")}
+        table = {c["name"]: c for c in payload["checks"] if c["name"].startswith("S_table[")}
         verify_ok = (
             payload["pass"] is True
             and all(c["status"] == "ok" for c in payload["checks"])
-            and sorted(closed) == sorted(f"I3closed[{n}]" for n in range(9))
-            and all(c["normative"] and c["status"] == "ok" for c in closed.values())
+            and sorted(table) == sorted(f"S_table[{n}]" for n in range(9))
+            and all(c["normative"] and c["status"] == "ok" for c in table.values())
         )
     ok = sweep_ok and brackets_ok and threshold_ok and verify_ok
     _report(
         10,
-        "CLI sweep brackets the thresholds; threshold emits the 6x6 grid; verify passes with normative I3closed rows",
+        "CLI sweep brackets the thresholds; threshold emits the 6x6 grid; verify passes with normative S_table rows",
         ok,
         f"sweep={sweep_ok} brackets={brackets_ok} threshold={threshold_ok} verify={verify_ok}",
     )

@@ -494,12 +494,15 @@ class TestDiagonalize:
 
 class TestVerify:
     def test_exit_zero_with_normative_closed_form_rows(self):
+        # I0 to I2 against their closed forms, and the entropy against its
+        # convergence reference and the frozen table
         code, out, _ = run_cli("verify", "--n-max", "2")
         assert code == 0
         rows = {line.split()[0]: line.split()[-1] for line in out.splitlines()[1:-2]}
         for n in range(3):
-            assert rows[f"I3closed[{n}]"] == "ok"
-            assert rows[f"S_closed_delta[{n}]"] == "ok"
+            for name in ("I0", "I1", "I2", "I3conv", "S_table"):
+                assert rows[f"{name}[{n}]"] == "ok"
+        assert not any(name.startswith(("I3closed", "S_closed")) for name in rows)
         assert set(rows.values()) <= {"ok"}
         assert out.splitlines()[-1] == "normative checks: all passed"
 
@@ -512,9 +515,9 @@ class TestVerify:
         assert "I3anchor[1]" in names
         statuses = {c["status"] for c in payload["checks"]}
         assert statuses <= {"ok"}
-        closed = [c for c in payload["checks"] if c["name"].startswith("I3closed[")]
-        assert len(closed) == 2 and all(c["normative"] for c in closed)
-        assert all(c["tol"] == 1e-12 * max(1.0, abs(c["reference"])) for c in closed)
+        table = [c for c in payload["checks"] if c["name"].startswith("S_table[")]
+        assert len(table) == 2 and all(c["normative"] for c in table)
+        assert all(c["tol"] == math.ulp(c["reference"]) for c in table)
 
     def test_json_check_keys_in_field_order(self):
         code, out, _ = run_cli("verify", "--n-max", "1", "--format", "json")

@@ -19,27 +19,12 @@ from oracles import (
     uniform_panel_integral,
     whole_line,
 )
+from test_reference import S_REFERENCE
 
 SQRT_PI = scalars._SQRT_PI
 LN_2PI_E = math.log(2.0 * math.pi) + 1.0
 EULER_GAMMA = scalars._EULER_GAMMA
 
-# 40-digit references
-S_REFERENCE = {
-    0: 1.0723649429247000871,
-    1: 1.3427277883861782571,
-    2: 1.4986092332517278406,
-    3: 1.6097118413016531148,
-    4: 1.6965506306803752611,
-    5: 1.7680612532383330453,
-    12: 2.0782051612898364613,
-    20: 2.2767509907938236804,
-    32: 2.4682467197757582830,
-    51: 2.6649807508580267869,
-    58: 2.7203047354046436439,
-    60: 2.7349557706278570865,
-    64: 2.7629236423644124643,
-}
 ETA0_REFERENCE = {
     (1, 0): 0.270362845461478,
     (1, 1): 0.540725690922956,
@@ -55,15 +40,6 @@ H_W_MINUS_1M = 1.6893013786661509118  # ln(2 sqrt(pi)) + gamma - 1/2 + ln(sqrt 2
 def _s_table_tol(s_k):
     # verify's bound on a frozen S_k against its live quadrature
     return verification.S_TABLE_ULPS * math.ulp(s_k)
-
-
-def _oracle_delta_tol(k):
-    # how far oracle_delta moves when the closed-form I3(k) moves within
-    # verify's I3_TABLE_RTOL: that change over N_k, plus the rounding of
-    # I3 / N_k and of S_k = ln N_k + k + 1/2 - I3 / N_k
-    norm = scalars._norm(k)
-    shift = verification.I3_TABLE_RTOL * max(1.0, abs(scalars.I3_CLOSED_TABLE[k])) / norm
-    return shift + 2 * math.ulp(math.log(norm) + k + 0.5)
 
 
 class TestScalingTransform:
@@ -101,8 +77,8 @@ class TestScalingTransform:
 class TestIntegralBundle:
     """The integrals of the entropy expansion H = -(q/t){(ln q) I1 + I2 + I3}
     and the marginal prefactors q_nm, r_nm, pinned where they are still
-    computed: verify's rows, the quadrature and closed form behind the
-    reported entropies, and marginal."""
+    computed: verify's rows, the quadrature behind the reported entropies,
+    and marginal."""
 
     def test_closed_forms(self):
         # I1 = 2^n n! sqrt(pi) and I2 = -I1 (n + 1/2) as verify's references
@@ -124,9 +100,7 @@ class TestIntegralBundle:
         norm = scalars._norm(0)
         base = math.log(norm) + 0.5
         assert abs(quadrature.entropy_integral_numeric(0)) <= 8 * math.ulp(norm * base)
-        assert abs(criterion.standard_entropy(0) - criterion._entropy_from_i3(0, 0.0)) <= (
-            4 * math.ulp(base)
-        )
+        assert abs(criterion.standard_entropy(0) - base) <= 4 * math.ulp(base)
 
     def test_quadrature_is_normative_source(self):
         rep = criterion.criterion_f(3, 2, 0.4)
@@ -135,16 +109,6 @@ class TestIntegralBundle:
             assert h == scalars.S_TABLE[k] - ln_t
             live = quadrature._entropy(k, scalars.DEFAULT_PANEL_ORDER)
             assert abs(scalars.S_TABLE[k] - live) <= _s_table_tol(live)
-
-    @pytest.mark.parametrize("n,m", [(1, 2), (2, 2), (7, 0), (12, 32)])
-    def test_closed_form_recorded_at_every_order(self, n, m):
-        closed = {k: specfun.entropy_integral_closed_form(k) for k in (n, m)}
-        for k, i3 in closed.items():
-            reference = quadrature.entropy_integral_numeric(k)
-            assert abs(i3 - reference) <= 1e-12 * max(1.0, abs(reference))
-        delta = max(criterion._oracle_delta(k, i3) for k, i3 in closed.items())
-        tol = max(_oracle_delta_tol(k) for k in closed)
-        assert abs(criterion.criterion_f(n, m, 0.0).oracle_delta - delta) <= tol
 
     def test_prefactor_matches_expanded_constant(self):
         # q_nm = t I0 / (pi n! m! 2^{n+m}) with I0 = 2^m m! sqrt(pi); r_nm mirror
@@ -288,10 +252,10 @@ class TestShannonEntropy:
 
 
 class TestStandardEntropy:
-    @pytest.mark.parametrize("k,expected", sorted(S_REFERENCE.items()))
+    @pytest.mark.parametrize("k,expected", sorted((k, float(s)) for k, s in S_REFERENCE.items()))
     def test_reference_values(self, k, expected):
-        # the direct entropy quadrature: within 6 ulps at these orders, and
-        # 8.3 ulps at worst through k = 64 (k = 53) against 30-digit values
+        # the direct entropy quadrature: within 6.3 ulps at these orders, and
+        # 8.27 ulps at worst through k = 64 (k = 53)
         assert abs(criterion.standard_entropy(k) - expected) <= 16 * math.ulp(expected)
 
     def test_analytic_anchors(self):
@@ -357,52 +321,15 @@ class TestEntropyTable:
         live = quadrature._entropy(k, scalars.DEFAULT_PANEL_ORDER)
         assert abs(scalars.S_TABLE[k] - live) <= _s_table_tol(live)
 
-    @pytest.mark.parametrize("k", range(scalars.N_MAX + 1))
-    def test_closed_form_table_is_the_live_closed_form_bit_for_bit(self, k):
-        assert len(scalars.I3_CLOSED_TABLE) == scalars.N_MAX + 1
-        live = specfun.entropy_integral_closed_form(k)
-        rtol = verification.I3_TABLE_RTOL
-        assert abs(scalars.I3_CLOSED_TABLE[k] - live) <= rtol * max(1.0, abs(live))
-
-    def test_oracle_delta_is_the_live_one(self):
-        # criterion_f reads the tables, and the live closed form moves each
-        # entry by at most its tolerance
-        table = [
-            criterion._oracle_delta(k, scalars.I3_CLOSED_TABLE[k])
-            for k in range(scalars.N_MAX + 1)
-        ]
-        live = [
-            criterion._oracle_delta(k, specfun.entropy_integral_closed_form(k))
-            for k in range(scalars.N_MAX + 1)
-        ]
-        tol = [_oracle_delta_tol(k) for k in range(scalars.N_MAX + 1)]
+    def test_oracle_delta_is_the_ledger_bound(self):
+        # how far the larger of the two entries can be off the exact S_k:
+        # S_TABLE_REF_ULPS of its ulps, the bound tests/test_reference.py
+        # holds the table to
         for n in range(scalars.N_MAX + 1):
             for m in range(scalars.N_MAX + 1):
+                larger = max(scalars.S_TABLE[n], scalars.S_TABLE[m])
                 reported = criterion.criterion_f(n, m, 0.25).oracle_delta
-                assert reported == max(table[n], table[m])
-                assert abs(reported - max(live[n], live[m])) <= max(tol[n], tol[m])
-
-
-class TestClosedFormOracle:
-    def test_collect_checks_computes_each_order_once(self, monkeypatch):
-        calls = []
-
-        def counted(n):
-            calls.append(n)
-            return closed_form(n)
-
-        closed_form = specfun.entropy_integral_closed_form
-        monkeypatch.setattr(specfun, "entropy_integral_closed_form", counted)
-        checks = verification.collect_checks(4)
-        criterion.criterion_f(2, 1, 0.3)
-        assert calls == [0, 1, 2, 3, 4]
-        names = {c.name: c for c in checks}
-        for n in range(5):
-            assert names[f"I3closed[{n}]"].normative and names[f"I3closed[{n}]"].status == "ok"
-            assert names[f"S_closed_delta[{n}]"].normative
-            assert names[f"S_closed_delta[{n}]"].status == "ok"
-            assert names[f"I3closed_table[{n}]"].normative
-            assert names[f"I3closed_table[{n}]"].status == "ok"
+                assert reported == scalars.S_TABLE_REF_ULPS * math.ulp(larger)
 
 
 class TestNormalizationRows:
@@ -494,7 +421,7 @@ class TestCriterionF:
                 for eta in (-1.3, 0.0, 0.4):
                     digest.update(repr(tuple(criterion.criterion_f(n, m, eta))).encode())
         assert digest.hexdigest() == (
-            "460da90c2680ac44e12beb30b2e2fc3604ae21b16b01bdd26168fb18cb05a0f5"
+            "4b05c7b0e77a1f46e67a06288ff6001dfe59fde439d7440c829cca804ba23ce1"
         )
 
     def test_finite_where_the_scale_overflows(self):

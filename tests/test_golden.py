@@ -62,10 +62,10 @@ GOLDEN = [
      '79dd2a8dcb645ffed11a60311280ba0e0e307b77a74cd743cf74cc50ec86fdec',
      None),
     ('criterion --n 3 --m 2 --eta 0.4',
-     '934fde7e457ed429611443dbc688756cd2ca3c9c9569e514902f4b5193c118dc',
+     'a15108bb58205d3e2a0d9dceeb9db801c84784d28dbf0ba5c2b8d96a24c447a5',
      None),
     ('criterion --n 32 --m 7 --eta -1.3',
-     'd6fc38e92ed2f54bf74fc3f582c65c465da1ab3a802918b350f0b317bab7c57d',
+     '454e7088f0fe794b76ae94183bd057c6aa1b298ce3e27194b943c6c5295a3c37',
      None),
     ('diagonalize --m1 2 --m2 0.5 --A 3 --B 1 --C -0.4',
      '9da2fd4ebfd7448cb785d234d63b6ee262fc6184df13c5413220c21bd731034f',

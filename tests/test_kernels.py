@@ -101,13 +101,11 @@ class TestEntropyWeightedSum:
 class TestPanelSum:
     def test_sums_each_panel_then_fsums_the_panels(self):
         rng = np.random.default_rng(7)
-        terms = rng.standard_normal((3, 5, 40, 48)) * 10.0 ** rng.integers(-8, 9, (3, 5, 40, 1))
-        got = _kernels.panel_sum(terms)
-        assert got.shape == (3, 5)
-        for index in np.ndindex(3, 5):
-            panels = terms[index]
+        for _ in range(15):
+            panels = rng.standard_normal((40, 48)) * 10.0 ** rng.integers(-8, 9, (40, 1))
             expected = math.fsum(float(np.add.reduce(row)) for row in panels)
-            assert got[index] == expected == _kernels.panel_sum(panels)
+            got = _kernels.panel_sum(panels)
+            assert type(got) is float and got == expected
 
     def test_one_dimensional_terms_are_one_panel(self):
         terms = np.linspace(-1.0, 3.0, 1001) ** 3

@@ -100,6 +100,20 @@ class TestDiagonalize:
         assert up.eta > 0.0
         assert down.eta < 0.0
 
+    def test_degeneracy_branch_begins_exactly_at_its_threshold(self):
+        # A + B is a double S with 1e-12 * S == 2^-40 exactly, and B - A is
+        # 2^-40: |A - B| equals the threshold, so the branch is taken and
+        # eta keeps its sign, though A < B.  One ulp more of B is past it:
+        # eta takes the sign of A - B, and alpha that of C
+        a, b = 0.45474735088600937, 0.45474735088691887
+        assert b - a == 2.0**-40 == oscillator.DEGENERACY_THRESHOLD * (a + b)
+        at = oscillator.diagonalize(oscillator.CoupledHamiltonian(1.0, 1.0, a, b, 0.1))
+        assert at.degenerate_branch and at.eta > 0.0 and at.alpha == -math.pi / 4.0
+        b = math.nextafter(b, math.inf)
+        past = oscillator.diagonalize(oscillator.CoupledHamiltonian(1.0, 1.0, a, b, 0.1))
+        assert not past.degenerate_branch and past.eta < 0.0 and past.alpha > 0.0
+        assert abs(past.eta + at.eta) <= 1e-15
+
     def test_limit_formula_consistency(self):
         # full expression against the A -> B limit one step outside the
         # degeneracy threshold

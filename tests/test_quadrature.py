@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -7,20 +8,15 @@ from seec import _kernels, criterion, quadrature, scalars, specfun
 from seec.errors import DomainError, UnsupportedOrderError
 
 import oracles
+import reference
+from test_reference import I3_REFERENCE
 
 SQRT_PI = scalars._SQRT_PI
 EULER_GAMMA = scalars._EULER_GAMMA
 
-# 40-digit quadrature of e^{-z^2} H_n^2 ln(H_n^2)
-I3_REFERENCE = {
-    0: 0.0,
-    1: 5.0436391475066444583,
-    2: 51.800988290221849756,
-    3: 538.87027741580162596,
-    4: 6347.7943239842902189,
-    5: 85469.355928560770588,
-    6: 1305286.3050714251221,
-}
+# every Gauss-Hermite weight of order <= N_MAX against the stdlib
+# reference's, relative: the worst is 3.7e-14 (order 54)
+WEIGHT_RTOL = 1e-13
 
 
 def _double_factorial_moment(k):
@@ -72,6 +68,12 @@ class TestGaussHermiteRule:
             h_prev = _kernels.hermite_values(order - 1, rule.nodes)
             expected = scalars._norm(order) / (2.0 * np.square(order * h_prev))
             assert rule.weights.tobytes() == expected.tobytes(), order
+
+    def test_every_weight_matches_the_stdlib_reference(self):
+        for order in range(1, scalars.N_MAX + 1):
+            exact = reference.gauss_hermite_weights(order)
+            for w, w_ref in zip(quadrature.gauss_hermite_rule(order).weights.tolist(), exact):
+                assert abs(Decimal(w) - w_ref) <= Decimal(WEIGHT_RTOL) * w_ref, (order, w)
 
     def test_order_bounds(self):
         with pytest.raises(UnsupportedOrderError):
@@ -174,7 +176,7 @@ class TestEntropyIntegral:
         analytic = 4.0 * SQRT_PI * (1.0 - 0.5 * EULER_GAMMA)
         assert abs(quadrature.entropy_integral_numeric(1) - analytic) <= 1e-9
 
-    @pytest.mark.parametrize("n,expected", sorted(I3_REFERENCE.items()))
+    @pytest.mark.parametrize("n,expected", sorted((n, float(s)) for n, s in I3_REFERENCE.items()))
     def test_reference_values(self, n, expected):
         value = quadrature.entropy_integral_numeric(n)
         assert abs(value - expected) <= 1e-11 * max(1.0, abs(expected))

@@ -1,0 +1,151 @@
+"""The stdlib reference of ``reference.py`` against 20-digit values, and the
+frozen entropy table and the threshold grid against it, with no numpy.
+
+This module imports nothing that loads numpy, nor pytest.  Its ledger is
+computed once, in a child interpreter where numpy cannot be imported (the
+``stdlib_ledger`` fixture of conftest.py).  The child runs the checks
+below on it, and this process runs them again, each as its own test.
+"""
+
+import ast
+import math
+import sys
+from decimal import Decimal
+
+import reference
+from seec import criterion, scalars
+
+# 20-digit references: S_k, and I3(k), the integral of e^{-z^2} H_k^2 ln(H_k^2)
+S_REFERENCE = {
+    0: "1.0723649429247000871",
+    1: "1.3427277883861782571",
+    2: "1.4986092332517278406",
+    3: "1.6097118413016531148",
+    4: "1.6965506306803752611",
+    5: "1.7680612532383330453",
+    12: "2.0782051612898364613",
+    20: "2.2767509907938236804",
+    32: "2.4682467197757582830",
+    51: "2.6649807508580267869",
+    58: "2.7203047354046436439",
+    60: "2.7349557706278570865",
+    64: "2.7629236423644124643",
+}
+I3_REFERENCE = {
+    0: "0.0",
+    1: "5.0436391475066444583",
+    2: "51.800988290221849756",
+    3: "538.87027741580162596",
+    4: "6347.7943239842902189",
+    5: "85469.355928560770588",
+    6: "1305286.3050714251221",
+}
+
+# |threshold_eta0(n, m) - eta0(n, m)| over the whole (N_MAX + 1)^2 grid: the
+# worst is 5.78e-15, at (53, 53), where both S_53 carry their 8.27 ulps
+ETA0_TOL = 6e-15
+
+
+def ledger():
+    """The reference and the package side by side.  Per order k: S_k and
+    I3(k) to 40 digits, the digits to which the reference's two precisions
+    agree, and the ulps of S_TABLE[k] off S_k; over the grid, the worst
+    threshold error and its pair."""
+    entropies = [reference.entropy(k) for k in range(scalars.N_MAX + 1)]
+    worst = (0.0, 0, 0)
+    for n in range(scalars.N_MAX + 1):
+        for m in range(scalars.N_MAX + 1):
+            exact = reference.threshold(n, m)
+            error = abs(float(Decimal(criterion.threshold_eta0(n, m)) - exact))
+            worst = max(worst, (error, n, m))
+    return {
+        "entropy": [str(s_k) for s_k in entropies],
+        "i3": [str(reference.entropy_integral(k)) for k in range(scalars.N_MAX + 1)],
+        "agreement": [reference.agreement(k) for k in range(scalars.N_MAX + 1)],
+        "s_ulps": [reference.ulps(s_k, exact) for s_k, exact in zip(scalars.S_TABLE, entropies)],
+        "eta0_worst": worst,
+        "numpy": sys.modules.get("numpy") is not None,
+    }
+
+
+def check(ledger):
+    """Every check of this module that reads a ledger."""
+    test_matches_the_20_digit_values(ledger)
+    test_two_precisions_agree(ledger)
+    test_entropy_table_within_its_bound(ledger)
+    test_bound_is_the_measured_worst_rounded_up(ledger)
+    test_thresholds_within_their_bound(ledger)
+
+
+def test_the_checks_pass_where_numpy_cannot_load(stdlib_ledger):
+    code, stderr = stdlib_ledger["child"]
+    assert stdlib_ledger["numpy"] is False
+    assert code == 0, stderr
+
+
+def _within_half_a_unit(value, expected):
+    # a 40-digit value, rounded to the digits written in ``expected``
+    expected = Decimal(expected)
+    return abs(Decimal(value) - expected) <= Decimal(5).scaleb(expected.adjusted() - 20)
+
+
+def test_matches_the_20_digit_values(stdlib_ledger):
+    for k, expected in S_REFERENCE.items():
+        assert _within_half_a_unit(stdlib_ledger["entropy"][k], expected), k
+    for k, expected in I3_REFERENCE.items():
+        assert _within_half_a_unit(stdlib_ledger["i3"][k], expected), k
+
+
+def test_two_precisions_agree(stdlib_ledger):
+    # to more digits than the reference returns, at every order
+    assert min(stdlib_ledger["agreement"]) >= reference.REF_DIGITS
+
+
+def test_entropy_table_within_its_bound(stdlib_ledger):
+    ulps = stdlib_ledger["s_ulps"]
+    assert len(ulps) == scalars.N_MAX + 1 == len(scalars.S_TABLE)
+    off = {k: u for k, u in enumerate(ulps) if not abs(u) <= scalars.S_TABLE_REF_ULPS}
+    assert not off, off
+
+
+def test_bound_is_the_measured_worst_rounded_up(stdlib_ledger):
+    # a tighter table must bring its bound down with it
+    assert math.ceil(max(map(abs, stdlib_ledger["s_ulps"]))) == scalars.S_TABLE_REF_ULPS
+
+
+def test_thresholds_within_their_bound(stdlib_ledger):
+    error, n, m = stdlib_ledger["eta0_worst"]
+    assert error <= ETA0_TOL, (n, m)
+
+
+def test_the_precision_check_has_teeth():
+    # summed with too few digits, order 20 loses the last of its 40 to the
+    # cancellation in the sum over r, and the two precisions disagree
+    short = reference._entropy_and_i3(20, 45)[0]
+    exact = reference._sums(20)[1][0]
+    assert abs(short - exact) > Decimal(10) ** -reference.REF_DIGITS
+
+
+def test_reference_imports_the_stdlib_alone():
+    with open(reference.__file__) as source:
+        tree = ast.parse(source.read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module.split(".")[0])
+    assert imported and imported <= set(sys.stdlib_module_names), imported
+
+
+def test_constants():
+    assert str(reference.pi(40)) == "3.141592653589793238462643383279502884197"
+    assert str(reference.euler_gamma(40)) == "0.5772156649015328606065120900824024310422"
+
+
+if __name__ == "__main__":
+    # the ledger, one order a line: k, S_k, and S_TABLE[k]'s ulps off it
+    ledger = ledger()
+    for k, (s_k, ulps) in enumerate(zip(ledger["entropy"], ledger["s_ulps"])):
+        print(f"{k:2d} {s_k} {ulps:+6.2f}")
+    print("worst threshold error %.3g at (%d, %d)" % tuple(ledger["eta0_worst"]))

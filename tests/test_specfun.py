@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -10,15 +11,11 @@ from seec import _kernels, criterion, errors, oscillator, quadrature, scalars, s
 from seec.errors import DomainError, UnsupportedOrderError
 
 import oracles
+import reference
 
-V1_AT_ZERO = -0.064676794897770027658
-I3_QUADRATURE = {
-    1: 5.0436391475066444583,
-    2: 51.800988290221849756,
-    3: 538.87027741580162596,
-    4: 6347.7943239842902189,
-}
-
+# every node of H_n, n <= N_MAX, against the 70-digit roots of the stdlib
+# reference, relative: the worst is 2.4e-16 (n = 34), 1.7 ulps
+NODE_RTOL = 5e-16
 
 class TestHermiteEval:
     def test_degree_zero_is_one(self):
@@ -99,6 +96,12 @@ class TestHermiteRoots:
     def test_cached_object_reused(self):
         assert specfun.hermite_roots(7) is specfun.hermite_roots(7)
 
+    def test_every_node_matches_the_stdlib_reference(self):
+        for n in range(1, scalars.N_MAX + 1):
+            exact = reference.hermite_roots(n)
+            for x, x_ref in zip(specfun.hermite_roots(n).roots.tolist(), exact):
+                assert abs(Decimal(x) - x_ref) <= Decimal(NODE_RTOL) * abs(x_ref), (n, x)
+
     @pytest.mark.parametrize(
         "n,roots,message",
         [
@@ -172,68 +175,12 @@ class TestConstants:
         assert abs(scalars._SQRT_PI - math.sqrt(math.pi)) < 1e-15
 
 
-class TestLogPotential:
-    def test_value_at_origin_order_one(self):
-        v = specfun._log_potential(1, 0.0)
-        assert isinstance(v, float)
-        assert abs(v - V1_AT_ZERO) <= 1e-12
-
-    def test_even_in_x(self):
-        left = specfun._log_potential(2, -0.7071068)
-        right = specfun._log_potential(2, 0.7071068)
-        assert left == right
-
-    def test_array_keeps_its_shape(self):
-        x = np.array([[0.0, 0.5], [-1.5, 2.25]])
-        v = specfun._log_potential(3, x)
-        assert v.shape == x.shape
-        norm = 48.0 * math.sqrt(math.pi)  # 2^3 3! sqrt(pi)
-        for p, vp in zip(x.ravel(), v.ravel()):
-            assert abs(vp - specfun._log_potential(3, p)) <= 1e-13 * norm
-
-    @pytest.mark.parametrize("n", [1, 5, 12, 32])
-    def test_matches_direct_integral_off_the_roots(self, n):
-        # across the whole window, including its edges, against the z
-        # integral graded toward the logarithmic singularity
-        window = math.sqrt(2.0 * n + 1.0) + 10.0
-        x = np.concatenate((np.linspace(-window, window, 23) + 0.0137, [-window, window, 1e-9]))
-        x = x[np.abs(x) <= window]
-        norm = math.exp(n * math.log(2.0) + math.lgamma(n + 1.0) + 0.5 * math.log(math.pi))
-        expected = np.array([oracles.log_potential_direct(n, float(p)) for p in x])
-        assert np.max(np.abs(specfun._log_potential(n, x) - expected)) <= 1e-13 * norm
-
-    def test_closed_form_entropy_integral_matches_oracle_at_n1(self):
-        from seec import quadrature
-
-        closed = specfun.entropy_integral_closed_form(1)
-        assert abs(closed - quadrature.entropy_integral_numeric(1)) <= 1e-9
-        analytic = 4.0 * scalars._SQRT_PI * (1.0 - 0.5 * scalars._EULER_GAMMA)
-        assert abs(closed - analytic) <= 1e-12
-
-    @pytest.mark.parametrize("n", range(scalars.N_MAX + 1))
-    def test_closed_form_matches_quadrature(self, n):
-        from seec import quadrature
-
-        closed = specfun.entropy_integral_closed_form(n)
-        reference = quadrature.entropy_integral_numeric(n)
-        assert abs(closed - reference) <= 1e-12 * max(1.0, abs(reference))
-
-    def test_closed_form_frozen_references(self):
-        for n, expected in I3_QUADRATURE.items():
-            closed = specfun.entropy_integral_closed_form(n)
-            assert abs(closed - expected) <= 1e-13 * expected
-
-    def test_closed_form_zero_at_order_zero(self):
-        assert specfun.entropy_integral_closed_form(0) == 0.0
-
-
 # every public entry that takes an order, as a call of the order alone,
 # with its cap
 ORDER_ENTRIES = {
     "hermite_roots": (specfun.hermite_roots, scalars.N_MAX),
     "gauss_hermite_rule": (quadrature.gauss_hermite_rule, scalars.N_MAX),
     "entropy_integral_numeric": (quadrature.entropy_integral_numeric, scalars.N_MAX),
-    "entropy_integral_closed_form": (specfun.entropy_integral_closed_form, scalars.N_MAX),
     "standard_entropy": (criterion.standard_entropy, scalars.N_MAX),
     "threshold_eta0": (lambda n: criterion.threshold_eta0(n, 0), scalars.N_MAX),
     "variance_threshold": (lambda n: criterion.variance_threshold(0, n), scalars.N_MAX),
@@ -257,6 +204,11 @@ REMOVED_NAMES = (
     "entropy_panel_boundaries",
     "hermite_values",
     "log_potential",
+    "entropy_integral_closed_form",
+    "I3_CLOSED_TABLE",
+    "I3_CLOSED_RTOL",
+    "S_CLOSED_TOL",
+    "I3_TABLE_RTOL",
     "MathConstants",
     "CONSTANTS",
     "ln_factorial",
