@@ -175,6 +175,32 @@ class TestConstants:
         assert abs(scalars._SQRT_PI - math.sqrt(math.pi)) < 1e-15
 
 
+# |entropy_integral_numeric(n) - I3(n)| / max(1, |I3(n)|) against the
+# reference, n <= N_MAX: the worst is 1.2e-15, at n = 0
+I3_REF_TOL = 4e-15
+
+
+class TestLogPotential:
+    """The quadrature's I3(n) against the closed form of the logarithmic
+    potential, int e^{-z^2} H_j ln (z - x)^2 = 2 Q_{j-1}(x) over Dawson's
+    integral, summed at the roots of H_n by the stdlib reference."""
+
+    def test_closed_form_entropy_integral_matches_oracle_at_n1(self, stdlib_ledger):
+        closed = float(stdlib_ledger["i3"][1])
+        assert abs(closed - quadrature.entropy_integral_numeric(1)) <= 1e-9
+        analytic = 4.0 * scalars._SQRT_PI * (1.0 - 0.5 * scalars._EULER_GAMMA)
+        assert abs(closed - analytic) <= 1e-12
+
+    @pytest.mark.parametrize("n", range(scalars.N_MAX + 1))
+    def test_closed_form_matches_quadrature(self, stdlib_ledger, n):
+        closed = Decimal(stdlib_ledger["i3"][n])
+        error = abs(Decimal(quadrature.entropy_integral_numeric(n)) - closed)
+        assert float(error / max(1, abs(closed))) <= I3_REF_TOL
+
+    def test_closed_form_zero_at_order_zero(self, stdlib_ledger):
+        assert Decimal(stdlib_ledger["i3"][0]) == 0
+
+
 # every public entry that takes an order, as a call of the order alone,
 # with its cap
 ORDER_ENTRIES = {
