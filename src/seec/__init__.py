@@ -2,7 +2,8 @@
 
 Diagonalizes a pair of harmonically coupled masses into normal modes,
 evaluates the Shannon entropies of the sum/difference-coordinate marginal
-densities (closed forms cross-checked against panel quadrature), and
+densities (from a frozen table of level entropies, checked against their
+panel quadrature), and
 reports the entanglement criterion f(eta) = eta0 - eta with its threshold
 table eta0(n, m).
 
@@ -38,8 +39,8 @@ _EXPORTS = {
     "QuadratureRule": "quadrature",
     "entropy_integral_numeric": "quadrature",
     "gauss_hermite_rule": "quadrature",
-    "RootSet": "specfun",
-    "hermite_roots": "specfun",
+    "RootSet": "quadrature",
+    "hermite_roots": "quadrature",
 }
 
 _SUBMODULES = frozenset(
@@ -51,7 +52,6 @@ _SUBMODULES = frozenset(
         "oscillator",
         "quadrature",
         "scalars",
-        "specfun",
         "svgplot",
         "verification",
     }

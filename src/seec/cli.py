@@ -2,8 +2,9 @@
 
 Subcommands: sweep (criterion curves over an eta grid), threshold (the
 eta0(n, m) table), criterion (single-point JSON report), diagonalize
-(couplings to normal-mode report), verify (closed forms against the
-numeric oracle), wavefunction (grid samples of the eigenfunctions).
+(couplings to normal-mode report), verify (the quadrature and the frozen
+entropy table against their references), wavefunction (grid samples of
+the eigenfunctions).
 
 Identical invocations produce byte-identical CSV/JSON, numeric CSV fields
 carry 12 significant digits.  A file or a symlink's target is written
@@ -391,7 +392,7 @@ def build_parser():
     p.add_argument("--C", type=float, default=0.0)
     p.set_defaults(func=_cmd_diagonalize)
 
-    p = sub.add_parser("verify", help="cross-check closed forms against quadrature")
+    p = sub.add_parser("verify", help="check the quadrature and the frozen entropy table")
     p.add_argument("--n-max", type=int, default=8)
     p.add_argument("--format", choices=("table", "json"), default="table")
     p.set_defaults(func=_cmd_verify)

@@ -1,26 +1,34 @@
-"""Deterministic numerical integration.
+"""Deterministic numerical integration: the Hermite root sets, the
+Gauss-Hermite and Gauss-Legendre rules, and the entropy panel layout.
 
-Gauss-Hermite rules handle the polynomial-weight integrals exactly; the
-panel-based Gauss-Legendre engine integrates the log-singular entropy
-integrand -psi_n^2 ln(psi_n^2), from which I3(n) is derived, by splitting
-at the Hermite roots, where it is continuous but not smooth, and grading
-each side of a root geometrically toward it by a ratio of 8, on the z >= 0
-half of a mirror-exact layout: the even integrand is evaluated there alone.
-All results are pure functions of their inputs.  Every sum
+The checked root set of H_n, built once per order, gives both the nodes of
+the Gauss-Hermite rule of order n, exact for the polynomial-weight
+integrals, and the cuts of the panels on which the log-singular entropy
+integrand -psi_n^2 ln(psi_n^2), whence I3(n), is integrated: continuous
+but not smooth at each root, each side graded toward it by a ratio of 8,
+on the z >= 0 half of a mirror-exact layout, where alone the even
+integrand is evaluated.  The Gauss-Legendre base rules of orders 32, 48
+and 96 are frozen tables; any other order is numpy.polynomial's leggauss,
+imported only then.  H_n itself is ``_kernels.hermite_values``.  Every sum
 is ``_kernels.panel_sum``: numpy's pairwise ``np.add.reduce`` within a
 panel, ``math.fsum`` across panels, so its bits do not depend on the BLAS
 thread count; only numpy's SIMD ``exp`` and ``log`` can still round
 differently on another CPU.
+
+All results are pure functions of their inputs, and every cached value is
+immutable once built, so a raced cache fill can only install identical
+objects.
 """
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from functools import lru_cache
 
 import numpy as np
 
-from . import _kernels, criterion, specfun
+from . import _kernels, criterion
 from .errors import DomainError
 from .scalars import (
     DEFAULT_PANEL_ORDER,
@@ -31,7 +39,190 @@ from .scalars import (
     _norm,
 )
 
-_MAX_PANEL_WIDTH = 2.0
+
+class RootSet(namedtuple("RootSet", "n roots")):
+    """All real roots of H_n, ascending, as a read-only array.  Built only
+    by ``_checked_roots``, which checks their count, order, symmetry about
+    zero and Newton residual."""
+
+    __slots__ = ()
+
+
+# public while the benchmark harness calls it by name (ROADMAP item 4)
+def hermite_roots(n):
+    """RootSet of H_n for 0 <= n <= N_MAX (n = 0 gives an empty set), the
+    Gauss-Hermite nodes too.  Validated on every call, then built once."""
+    return _root_set(_check_order(n, N_MAX))[0]
+
+
+@lru_cache(maxsize=None)
+def _root_set(n):
+    # (RootSet, H_{n-1} at the roots) of H_n: Jacobi-matrix eigenvalues
+    # (off-diagonal sqrt(k/2)) polished by two Newton steps with H_n' = 2 n H_{n-1}
+    if n == 0:
+        roots = np.empty(0)
+    elif n == 1:
+        roots = np.zeros(1)
+    else:
+        band = np.sqrt(np.arange(1, n) / 2.0)
+        jacobi = np.diag(band, 1) + np.diag(band, -1)
+        roots = np.linalg.eigvalsh(jacobi)
+        for _ in range(2):
+            hn, hm1 = _kernels.hermite_pair(n, roots)
+            roots = roots - hn / (2.0 * n * hm1)
+        roots = 0.5 * (roots - roots[::-1])
+    return _checked_roots(n, roots)
+
+
+def _checked_roots(n, roots):
+    # (RootSet, H_{n-1} at the roots) once candidate roots of H_n pass every
+    # check (each fails on nan), made read-only; H_{n-1}, kept from the
+    # residual check, gives the Gauss-Hermite weights of order n
+    if len(roots) != n:
+        raise DomainError(f"expected {n} roots, got {len(roots)}")
+    if not np.all(np.diff(roots) > 0.0):
+        raise DomainError("roots must be strictly increasing")
+    if not np.max(np.abs(roots + roots[::-1]), initial=0.0) <= 1e-13:
+        raise DomainError("roots must be symmetric about zero")
+    hn, hm1 = _kernels.hermite_pair(n, roots)
+    bad = ~(np.abs(hn) <= 1e-10 * np.maximum(1.0, np.abs(2.0 * n * hm1)))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DomainError(f"root {roots[i]} has residual {hn[i]} above tolerance")
+    roots.setflags(write=False)
+    hm1.setflags(write=False)
+    return RootSet(n, roots), hm1
+
+
+# The three base rules seec uses, frozen: 32 points (the marginal
+# normalization rows of verify), 48 (DEFAULT_PANEL_ORDER) and 96 (verify's
+# convergence reference).  Each is (nodes, weights) over its non-negative
+# nodes, ascending: the symmetrized nodes are exactly antisymmetric and the
+# weights exactly symmetric, so the half fixes the rule.  Written out with
+# repr so that each literal reads back as the same double, as printed by
+#   {q: tuple(tuple(map(float, a[q // 2:]))
+#             for a in numpy.polynomial.legendre.leggauss(q))
+#    for q in (32, 48, 96)}
+# tests/test_specfun.py checks each against numpy's leggauss, bit for bit.
+_LEGGAUSS_HALVES = {
+    32: (
+        (
+            0.048307665687738324, 0.1444719615827965, 0.23928736225213706,
+            0.33186860228212767, 0.42135127613063533, 0.5068999089322294,
+            0.5877157572407623, 0.6630442669302152, 0.7321821187402897,
+            0.7944837959679424, 0.84936761373257, 0.8963211557660521,
+            0.9349060759377397, 0.9647622555875064, 0.9856115115452684,
+            0.9972638618494816,
+        ),
+        (
+            0.09654008851472766, 0.09563872007927471, 0.09384439908080451,
+            0.09117387869576378, 0.08765209300440378, 0.08331192422694671,
+            0.07819389578707023, 0.07234579410884834, 0.06582222277636168,
+            0.058684093478535565, 0.05099805926237609, 0.042835898022226836,
+            0.034273862913021765, 0.025392065309262024, 0.016274394730905743,
+            0.007018610009470506,
+        ),
+    ),
+    48: (
+        (
+            0.03238017096286937, 0.0970046992094627, 0.1612223560688917,
+            0.22476379039468905, 0.28736248735545555, 0.3487558862921607,
+            0.4086864819907167, 0.4669029047509584, 0.523160974722233,
+            0.5772247260839727, 0.6288673967765136, 0.6778723796326639,
+            0.7240341309238146, 0.7671590325157404, 0.8070662040294426,
+            0.8435882616243935, 0.8765720202742479, 0.9058791367155696,
+            0.9313866907065543, 0.9529877031604308, 0.9705915925462473,
+            0.9841245837228269, 0.9935301722663508, 0.9987710072524261,
+        ),
+        (
+            0.06473769681268365, 0.06446616443594982, 0.06392423858464787,
+            0.06311419228625373, 0.06203942315989242, 0.0607044391658936,
+            0.059114839698395344, 0.057277292100402916, 0.05519950369998403,
+            0.05289018948519344, 0.0503590355538542, 0.04761665849249024,
+            0.04467456085669423, 0.04154508294346455, 0.0382413510658305,
+            0.034777222564770394, 0.031167227832798097, 0.027426509708357034,
+            0.023570760839324047, 0.019616160457356056, 0.015579315722943226,
+            0.011477234579234614, 0.007327553901276135, 0.0031533460523098414,
+        ),
+    ),
+    96: (
+        (
+            0.016276744849602967, 0.04881298513604974, 0.08129749546442555,
+            0.11369585011066592, 0.14597371465489695, 0.17809688236761861,
+            0.2100313104605672, 0.24174315616384, 0.27319881259104917,
+            0.30436494435449635, 0.3352085228926254, 0.3656968614723136,
+            0.3957976498289086, 0.42547898840730053, 0.454709422167743,
+            0.48345797392059636, 0.5116941771546677, 0.5393881083243575,
+            0.5665104185613972, 0.593032364777572, 0.6189258401254686,
+            0.6441634037849671, 0.6687183100439161, 0.6925645366421715,
+            0.7156768123489676, 0.7380306437444001, 0.7596023411766475,
+            0.7803690438674332, 0.8003087441391408, 0.8194003107379316,
+            0.8376235112281871, 0.8549590334346014, 0.8713885059092965,
+            0.8868945174024204, 0.9014606353158523, 0.9150714231208981,
+            0.9277124567223087, 0.9393703397527552, 0.9500327177844377,
+            0.9596882914487426, 0.9683268284632642, 0.9759391745851365,
+            0.9825172635630147, 0.9880541263296237, 0.9925439003237626,
+            0.9959818429872093, 0.9983643758631817, 0.9996895038832307,
+        ),
+        (
+            0.03255061449236328, 0.03251611871386895, 0.0324471637140644,
+            0.03234382256857602, 0.03220620479403032, 0.032034456231992796,
+            0.03182875889441112, 0.03158933077072725, 0.03131642559686141,
+            0.03101033258631393, 0.030671376123669266, 0.03029991542082777,
+            0.029896344136328506, 0.029461089958168016, 0.02899461415055532,
+            0.028497411065085413, 0.02797000761684837, 0.027412962726029232,
+            0.02682686672559185, 0.026212340735672593, 0.025570036005349364,
+            0.024900633222483814, 0.02420484179236482, 0.023483399085926292,
+            0.022737069658329466, 0.02196664443874457, 0.021172939892191354,
+            0.020356797154333365, 0.019519081140145382, 0.01866067962741174,
+            0.017782502316045286, 0.016885479864245195, 0.015970562902562345,
+            0.015038721026994927, 0.014090941772314894, 0.013128229566961646,
+            0.012151604671088057, 0.01116210209983861, 0.010160770535008306,
+            0.009148671230783011, 0.0081268769256983, 0.007096470791153821,
+            0.006058545504235195, 0.005014202742928604, 0.003964554338444405,
+            0.0029107318179352943, 0.0018539607889441585, 0.0007967920655518723,
+        ),
+    ),
+}
+
+
+@lru_cache(maxsize=None)
+def _leggauss(order):
+    # the Gauss-Legendre base rule on [-1, 1], once per order and shared by
+    # the entropy quadrature and verify's normalization rows: unfolded from
+    # _LEGGAUSS_HALVES where it holds the order, numpy's otherwise.  Only
+    # that branch imports numpy.polynomial, so no command loads it.
+    half = _LEGGAUSS_HALVES.get(order)
+    if half is None:
+        from numpy.polynomial.legendre import leggauss
+
+        x, w = leggauss(order)
+    else:
+        pos, w_pos = np.array(half[0]), np.array(half[1])
+        x = np.concatenate((-pos[::-1], pos))
+        w = np.concatenate((w_pos[::-1], w_pos))
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
+def _panel_nodes(order, edges):
+    # (nodes, weights) of the composite rule with ``order`` Gauss-Legendre
+    # points on each panel between consecutive edges, in ascending order,
+    # one row per panel: the layout _kernels.panel_sum sums
+    base_x, base_w = _leggauss(order)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    nodes = mid[:, None] + half[:, None] * base_x
+    weights = half[:, None] * base_w
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
+def _entropy_window(n):
+    # half-width of the z window outside which e^{-z^2} H_n^2 is negligible
+    return math.sqrt(2.0 * n + 1.0) + 10.0
 
 
 class QuadratureRule(namedtuple("QuadratureRule", "nodes weights")):
@@ -47,11 +238,10 @@ class QuadratureRule(namedtuple("QuadratureRule", "nodes weights")):
 def gauss_hermite_rule(order):
     """Gauss-Hermite rule of the given order (1 <= order <= N_MAX).
 
-    The nodes are the roots of H_order from the validated root set that
-    ``specfun.hermite_roots`` shares (the same array object, checked for
-    count, order, symmetry and Newton residual); weights come from the
-    analytic identity w_i = 2^{n-1} n! sqrt(pi) / (n H_{n-1}(x_i))^2
-    from the exact norm and must sum to sqrt(pi).  A rule of order
+    The nodes are the array of the validated root set of H_order (checked
+    for count, order, symmetry and Newton residual); weights come from the
+    analytic identity w_i = 2^{n-1} n! sqrt(pi) / (n H_{n-1}(x_i))^2 from
+    the exact norm and must sum to sqrt(pi).  A rule of order
     q integrates z^p e^{-z^2} exactly (to roundoff) for p <= 2q - 1.
     Validated on every call, then built once per order.
     """
@@ -61,7 +251,7 @@ def gauss_hermite_rule(order):
 @lru_cache(maxsize=None)
 def _gauss_hermite_rule(order):
     # H_{order-1} at the nodes, from the root set's residual check
-    root_set, h_prev = specfun._root_set(order)
+    root_set, h_prev = _root_set(order)
     # w_i = 2^{n-1} n! sqrt(pi) / (n H_{n-1})^2; a square that overflows
     # gives a 0 weight, which the check below refuses
     with np.errstate(over="ignore"):
@@ -74,6 +264,7 @@ def _gauss_hermite_rule(order):
     return QuadratureRule(root_set.roots, weights)
 
 
+_MAX_PANEL_WIDTH = 2.0
 _GRADING_LEVELS = 3
 # grading factors by a ratio of 8: away from a root (8^-3 .. 8^0) and
 # toward one (8^-1 .. 8^-3)
@@ -97,8 +288,8 @@ def _entropy_panel_boundaries(n):
     wide.  The roots and base rules are antisymmetric, so the half negated
     is its mirror on z < 0, every node there the exact negative of one here.
     """
-    roots = specfun.hermite_roots(n).roots
-    cut = specfun._entropy_window(n)
+    roots = hermite_roots(n).roots
+    cut = _entropy_window(n)
     # from 0, exactly: the middle root (odd n) or middle gap's midpoint (even n)
     raw = np.concatenate(([-cut], roots, [cut]))[(n + 1) // 2 :]
     a, b = raw[:-1], raw[1:]
@@ -158,7 +349,7 @@ def _entropy(n, panel_order):
     # quadrature, with -p ln p continued by its limit 0 where p is 0.  Keyed
     # on validated ints, so (k), (k, 48) and (np.int64(k), 48) share one
     # entry; the z >= 0 nodes, one row per panel, are dropped after the sum
-    nodes, weights = specfun._panel_nodes(panel_order, _entropy_panel_boundaries(n))
+    nodes, weights = _panel_nodes(panel_order, _entropy_panel_boundaries(n))
     p = _kernels.hermite_function(n, 1.0, nodes)
     p *= p
     terms = np.log(np.where(p > 0.0, p, 1.0))

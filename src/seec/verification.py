@@ -1,12 +1,13 @@
-"""Self-verification: cross-checks every closed form against the numeric
-oracle, the panel quadrature of each entropy against its order-96
-convergence reference and its analytic anchors, and the frozen S_k table
-against its live quadrature and against the Gaussian entropy bound.  The
-table's independent oracle, a 40-digit stdlib reference, lives with the
-tests (tests/reference.py), which hold every entry to it.
+"""Self-verification: checks the Gauss-Hermite integrals I0, I1 and I2
+against their exact norms, the panel quadrature of each entropy against
+its order-96 convergence reference and its analytic anchors, and the
+frozen S_k table against its live quadrature and against the Gaussian
+entropy bound.  The table's independent oracle, a 40-digit stdlib
+reference, lives with the tests (tests/reference.py), which hold every
+entry to it.
 
-Its marginal normalization rows take one integral per (side, order, eta),
-shared by every (n, m) row that needs it."""
+Its marginal normalization rows take one integral per (order, eta),
+shared by both sides and by every (n, m) row that needs it."""
 
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from . import _kernels, criterion, quadrature, specfun
+from . import _kernels, criterion, quadrature
 from .scalars import S_TABLE, _check_order, _mode_scale, _norm
 from .scalars import _EULER_GAMMA, _SQRT_PI
 
@@ -50,20 +51,16 @@ def _check_at_most(name, value, bound, tol):
     return Check(name, value, bound, excess, tol, True, "ok" if excess <= tol else "FAIL")
 
 
-def _marginal_rule(order, eta):
-    # the u >= 0 half of the density support, the z >= 0 edges scaled by
-    # 1/t > 0: finite, increasing, mirror-exact; raveled, the rule is one panel
+def _marginal_residual(order, eta):
+    # the rule: the u >= 0 half of the density support, the z >= 0 edges
+    # scaled by 1/t > 0: finite, increasing, mirror-exact; raveled, one panel.
+    # A marginal depends only on its own side's order, and v_plus(n, m) is
+    # w_minus(m, n) bit for bit, so one side stands for both: the other
+    # order is passed as the same and does not enter.  The density is
+    # even: the half, mirrored, is the whole line's panel
     edges = quadrature._entropy_panel_boundaries(order) / _mode_scale(eta)
-    nodes, weights = specfun._panel_nodes(32, edges)
-    return nodes.ravel(), weights.ravel()
-
-
-def _marginal_residual(side, order, eta, rule):
-    # a marginal depends only on its own side's order: the other one is
-    # passed as the same order and does not enter.  The density is even:
-    # the half, mirrored, is the whole line's panel
-    nodes, weights = rule
-    terms = weights * criterion.marginal(side, order, order, eta, nodes)
+    nodes, weights = (a.ravel() for a in quadrature._panel_nodes(32, edges))
+    terms = weights * criterion.marginal("w_minus", order, order, eta, nodes)
     return abs(_kernels.panel_sum(np.concatenate((np.flip(terms), terms))) - 1.0)
 
 
@@ -103,19 +100,14 @@ def collect_checks(n_max):
         )
     cap = min(n_max, _NORMALIZATION_CAP)
     etas = (0.0, 0.5)
-    # a marginal's rule and residual depend only on its side, its own order
-    # and eta: one integral each, shared by every (n, m) row that needs it
-    residuals = {}
-    for k in range(cap + 1):
-        for eta in etas:
-            rule = _marginal_rule(k, eta)
-            for tag, side in (("w", "w_minus"), ("v", "v_plus")):
-                residuals[tag, k, eta] = _marginal_residual(side, k, eta, rule)
+    # a marginal's rule and residual depend only on its own order and eta:
+    # one integral each, shared by both sides and every (n, m) row
+    residuals = {(k, eta): _marginal_residual(k, eta) for k in range(cap + 1) for eta in etas}
     for n in range(cap + 1):
         for m in range(cap + 1):
             for eta in etas:
                 for tag, order in (("w", n), ("v", m)):
-                    res = residuals[tag, order, eta]
+                    res = residuals[order, eta]
                     checks.append(
                         _check(f"norm_{tag}[{n},{m},eta={eta}]", 1.0 + res, 1.0, 1e-8)
                     )

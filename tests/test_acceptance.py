@@ -12,7 +12,7 @@ import sys
 import numpy as np
 
 import oracles
-from seec import _kernels, criterion, oscillator, quadrature, scalars, specfun
+from seec import _kernels, criterion, oscillator, quadrature, scalars
 
 SQRT_PI = scalars._SQRT_PI
 EULER_GAMMA = scalars._EULER_GAMMA
@@ -139,7 +139,7 @@ def test_criterion_08_normalization():
                 t = math.exp(0.5 * eta) / math.sqrt(2.0)
                 for side, order in (("w_minus", n), ("v_plus", m)):
                     edges = oracles.whole_line(quadrature._entropy_panel_boundaries(order)) / t
-                    nodes, weights = specfun._panel_nodes(32, edges)
+                    nodes, weights = quadrature._panel_nodes(32, edges)
                     density = criterion.marginal(side, n, m, eta, nodes)
                     total = _kernels.panel_sum(weights * density)
                     worst_marginal = max(worst_marginal, abs(total - 1.0))

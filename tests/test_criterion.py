@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from seec import _kernels, criterion, quadrature, scalars, specfun, verification
+from seec import _kernels, criterion, quadrature, scalars, verification
 from seec.errors import DomainError, UnsupportedOrderError
 
 from oracles import (
@@ -337,14 +337,14 @@ class TestNormalizationRows:
         calls = []
         residual = verification._marginal_residual
 
-        def counted(side, order, eta, rule):
-            calls.append((side, order, eta))
-            return residual(side, order, eta, rule)
+        def counted(order, eta):
+            calls.append((order, eta))
+            return residual(order, eta)
 
         monkeypatch.setattr(verification, "_marginal_residual", counted)
         checks = verification.collect_checks(12)
-        # sides x orders 0..5 x two etas, each once
-        assert len(calls) == len(set(calls)) == 2 * 6 * 2
+        # orders 0..5 x two etas, each once, shared by both sides
+        assert len(calls) == len(set(calls)) == 6 * 2
         rows = [c for c in checks if c.name.startswith("norm_")]
         assert len(rows) == 2 * 6 * 6 * 2
         # every row as its own integral over the marginal of its (n, m)
@@ -359,7 +359,7 @@ class TestNormalizationRows:
             # the rule raveled to one panel, as verify sums it: its u >= 0
             # half and that half's mirror
             edges = whole_line(quadrature._entropy_panel_boundaries(order)) / t
-            nodes, weights = specfun._panel_nodes(32, edges)
+            nodes, weights = quadrature._panel_nodes(32, edges)
             density = criterion.marginal(sides[tag], n, m, eta, nodes.ravel())
             total = _kernels.panel_sum(weights.ravel() * density)
             assert row.value == 1.0 + abs(total - 1.0), row.name

@@ -163,12 +163,19 @@ def test_array_command_imports_numpy():
 LAZY_SCRIPT = """
 import json, sys
 import seec
+try:
+    import seec.specfun
+    folded = False
+except ModuleNotFoundError:
+    folded = "specfun" not in dir(seec)
 resolved = [name for name in seec.__all__ if getattr(seec, name) is not None]
 checks = {
     "all": resolved == seec.__all__,
     "dir": set(seec.__all__) <= set(dir(seec)),
     "same_object": seec.criterion_f is seec.criterion.criterion_f
-    and seec.hermite_roots is seec.specfun.hermite_roots,
+    and seec.hermite_roots is seec.quadrature.hermite_roots
+    and seec.RootSet is seec.quadrature.RootSet,
+    "folded": folded,
     "oscillator": seec.oscillator.ModePair(1, 2).n == 1,
     "verification": callable(seec.verification.collect_checks),
     "unknown": not hasattr(seec, "hyp1f1_gauss"),
@@ -181,7 +188,8 @@ def test_public_names_and_submodules_resolve_lazily():
     code, out, err = run_python(LAZY_SCRIPT)
     assert code == 0, err
     assert json.loads(out) == dict.fromkeys(
-        ("all", "dir", "same_object", "oscillator", "verification", "unknown"), True
+        ("all", "dir", "same_object", "folded", "oscillator", "verification", "unknown"),
+        True,
     )
 
 

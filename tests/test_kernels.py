@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from seec import _kernels, cli, oscillator, quadrature, scalars, specfun
+from seec import _kernels, cli, oscillator, quadrature, scalars
 
 # panel-like points, exact roots and zeros, and points where H_n overflows
 _GRID = np.concatenate(
@@ -34,7 +34,7 @@ def _panel_inputs(n):
     # the rule on the whole line, which the entropy quadrature sums as its
     # z >= 0 half and that half's mirror
     edges = oracles.whole_line(quadrature._entropy_panel_boundaries(n))
-    nodes, weights = specfun._panel_nodes(32, edges)
+    nodes, weights = quadrature._panel_nodes(32, edges)
     return nodes.ravel(), weights.ravel()
 
 
@@ -91,7 +91,7 @@ class TestEntropyWeightedSum:
         # -p ln p is continued by its limit 0, not 0 * -inf = nan.  The one
         # patched panel is the z >= 0 half, summed with its mirror: twice
         nodes, weights = np.array([[0.0, 1.0]]), np.array([[1.0, 1.0]])
-        monkeypatch.setattr(specfun, "_panel_nodes", lambda order, edges: (nodes, weights))
+        monkeypatch.setattr(quadrature, "_panel_nodes", lambda order, edges: (nodes, weights))
         value = quadrature._entropy.__wrapped__(1, 48)
         p = math.exp(-1.0) * 4.0 / scalars._norm(1)
         expected = -2.0 * p * math.log(p)

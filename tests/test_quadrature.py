@@ -4,7 +4,7 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
-from seec import _kernels, criterion, quadrature, scalars, specfun
+from seec import _kernels, criterion, quadrature, scalars
 from seec.errors import DomainError, UnsupportedOrderError
 
 import oracles
@@ -57,7 +57,7 @@ class TestGaussHermiteRule:
 
     def test_nodes_are_the_shared_root_set(self):
         for n in range(1, scalars.N_MAX + 1):
-            assert quadrature.gauss_hermite_rule(n).nodes is specfun.hermite_roots(n).roots
+            assert quadrature.gauss_hermite_rule(n).nodes is quadrature.hermite_roots(n).roots
 
     def test_weights_equal_a_separate_recurrence_pass_bit_for_bit(self):
         # the weights, built from the H_{n-1} the root set kept from its
@@ -95,8 +95,8 @@ class TestGaussHermiteRule:
         # of those its own bad roots), so the rule's builder must catch
         # its weights
         roots = np.array(nodes)
-        pair = (specfun.RootSet(order, roots), _kernels.hermite_values(order - 1, roots))
-        monkeypatch.setattr(specfun, "_root_set", lambda n: pair)
+        pair = (quadrature.RootSet(order, roots), _kernels.hermite_values(order - 1, roots))
+        monkeypatch.setattr(quadrature, "_root_set", lambda n: pair)
         quadrature._gauss_hermite_rule.cache_clear()
         try:
             with pytest.raises(DomainError, match=message):
@@ -119,7 +119,7 @@ class TestGaussHermiteRule:
 
 def _panel_rule(order, boundaries):
     # the composite Gauss-Legendre rule as one panel of (nodes, weights)
-    nodes, weights = specfun._panel_nodes(order, np.array(boundaries, dtype=np.float64))
+    nodes, weights = quadrature._panel_nodes(order, np.array(boundaries, dtype=np.float64))
     return nodes.ravel(), weights.ravel()
 
 
@@ -209,10 +209,10 @@ class TestEntropyIntegral:
 
     def test_panel_order_cap(self):
         # refused before its order x order base rule is built
-        built = specfun._leggauss.cache_info().currsize
+        built = quadrature._leggauss.cache_info().currsize
         with pytest.raises(UnsupportedOrderError):
             quadrature.entropy_integral_numeric(0, scalars.PANEL_ORDER_MAX + 1)
-        assert specfun._leggauss.cache_info().currsize == built
+        assert quadrature._leggauss.cache_info().currsize == built
 
     @pytest.mark.parametrize("n", range(0, 33))
     def test_is_the_kernel_over_the_public_panel_rule(self, n):
@@ -228,7 +228,7 @@ class TestEntropyIntegral:
     @pytest.mark.parametrize("window", [math.inf, math.nan, 0.5])
     def test_boundaries_must_be_finite_and_increasing(self, window, monkeypatch):
         # a window inside the outer roots of H_3 (+-1.22) folds the edges back
-        monkeypatch.setattr(specfun, "_entropy_window", lambda n: window)
+        monkeypatch.setattr(quadrature, "_entropy_window", lambda n: window)
         with np.errstate(invalid="ignore"), pytest.raises(DomainError, match="increasing"):
             quadrature._entropy_panel_boundaries.__wrapped__(3)
 
@@ -244,14 +244,14 @@ class TestEntropyIntegral:
         bounds = quadrature._entropy_panel_boundaries(n)
         assert bounds[:1].tobytes() == np.zeros(1).tobytes()
         assert bounds[-1] == math.sqrt(2.0 * n + 1.0) + 10.0
-        roots = specfun.hermite_roots(n).roots
+        roots = quadrature.hermite_roots(n).roots
         assert np.isin(roots[roots >= 0.0], bounds).all()
         assert np.all(bounds[1:] > bounds[:-1])
 
     @pytest.mark.parametrize("n", range(0, 33))
     def test_boundaries_and_rules_bit_identical_to_loops(self, n):
         edges = quadrature._entropy_panel_boundaries(n)
-        reference = oracles.entropy_panel_boundaries_loop(n, specfun.hermite_roots(n).roots)
+        reference = oracles.entropy_panel_boundaries_loop(n, quadrature.hermite_roots(n).roots)
         assert edges.tobytes() == np.array(reference).tobytes()
         for order in (32, 48, 96):
             rule_nodes, rule_weights = _panel_rule(order, edges)
@@ -270,7 +270,7 @@ class TestEntropyIntegral:
         assert np.count_nonzero(edges == 0.0) == 1
         # the half is the z >= 0 half of the whole-line layout, split from
         # the left end of each gap on both sides of 0
-        layout = oracles.entropy_panel_layout_loop(n, specfun.hermite_roots(n).roots)
+        layout = oracles.entropy_panel_layout_loop(n, quadrature.hermite_roots(n).roots)
         right = np.array([b for b in layout if b >= 0.0])
         assert half.tobytes() == right.tobytes()
 

@@ -7,7 +7,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import seec
-from seec import _kernels, criterion, errors, oscillator, quadrature, scalars, specfun, verification
+from seec import _kernels, criterion, errors, oscillator, quadrature, scalars, verification
 from seec.errors import DomainError, UnsupportedOrderError
 
 import oracles
@@ -67,24 +67,24 @@ class TestHermiteEval:
 
 class TestHermiteRoots:
     def test_small_orders(self):
-        assert specfun.hermite_roots(1).roots.tolist() == [0.0]
+        assert quadrature.hermite_roots(1).roots.tolist() == [0.0]
         np.testing.assert_allclose(
-            specfun.hermite_roots(2).roots, [-0.7071067811865476, 0.7071067811865476], atol=1e-14
+            quadrature.hermite_roots(2).roots, [-0.7071067811865476, 0.7071067811865476], atol=1e-14
         )
         np.testing.assert_allclose(
-            specfun.hermite_roots(3).roots, [-1.224744871391589, 0.0, 1.224744871391589], atol=1e-14
+            quadrature.hermite_roots(3).roots, [-1.224744871391589, 0.0, 1.224744871391589], atol=1e-14
         )
 
     def test_zero_order_is_empty(self):
-        assert len(specfun.hermite_roots(0).roots) == 0
+        assert len(quadrature.hermite_roots(0).roots) == 0
 
     def test_order_above_cap_rejected(self):
         with pytest.raises(UnsupportedOrderError):
-            specfun.hermite_roots(scalars.N_MAX + 1)
+            quadrature.hermite_roots(scalars.N_MAX + 1)
 
     @pytest.mark.parametrize("n", range(1, scalars.N_MAX + 1))
     def test_rootset_invariants(self, n):
-        roots = specfun.hermite_roots(n).roots
+        roots = quadrature.hermite_roots(n).roots
         assert len(roots) == n
         assert np.all(np.diff(roots) > 0)
         assert np.max(np.abs(roots + roots[::-1])) <= 1e-13
@@ -94,12 +94,12 @@ class TestHermiteRoots:
             assert abs(h_n) <= 1e-10 * max(1.0, abs(h_prime))
 
     def test_cached_object_reused(self):
-        assert specfun.hermite_roots(7) is specfun.hermite_roots(7)
+        assert quadrature.hermite_roots(7) is quadrature.hermite_roots(7)
 
     def test_every_node_matches_the_stdlib_reference(self):
         for n in range(1, scalars.N_MAX + 1):
             exact = reference.hermite_roots(n)
-            for x, x_ref in zip(specfun.hermite_roots(n).roots.tolist(), exact):
+            for x, x_ref in zip(quadrature.hermite_roots(n).roots.tolist(), exact):
                 assert abs(Decimal(x) - x_ref) <= Decimal(NODE_RTOL) * abs(x_ref), (n, x)
 
     @pytest.mark.parametrize(
@@ -116,10 +116,10 @@ class TestHermiteRoots:
         # the checks of the one builder of a RootSet, each fed roots that
         # pass every check before it; nan fails rather than slips through
         with pytest.raises(DomainError, match=message):
-            specfun._checked_roots(n, np.array(roots))
+            quadrature._checked_roots(n, np.array(roots))
 
     def test_records_hold_read_only_arrays(self):
-        roots = specfun.hermite_roots(5)
+        roots = quadrature.hermite_roots(5)
         rule = quadrature.gauss_hermite_rule(5)
         for array in (roots.roots, rule.nodes, rule.weights):
             assert not array.flags.writeable
@@ -130,19 +130,19 @@ class TestHermiteRoots:
 class TestGaussLegendre:
     @pytest.mark.parametrize("order", [*range(1, 97), 128, 200, scalars.PANEL_ORDER_MAX])
     def test_base_rule_is_numpys_bit_for_bit(self, order):
-        nodes, weights = specfun._leggauss(order)
+        nodes, weights = quadrature._leggauss(order)
         ref_nodes, ref_weights = oracles.leggauss(order)
         assert nodes.tobytes() == ref_nodes.tobytes()
         assert weights.tobytes() == ref_weights.tobytes()
         assert not (nodes.flags.writeable or weights.flags.writeable)
         # the three orders seec uses are read from the frozen tables
-        assert (order in specfun._LEGGAUSS_HALVES) == (order in (32, 48, 96))
+        assert (order in quadrature._LEGGAUSS_HALVES) == (order in (32, 48, 96))
 
     @pytest.mark.parametrize("order", [32, 48, 96])
     def test_tabulated_rule_is_the_live_one_bit_for_bit(self, order):
         # each table holds the recipe its comment gives, numpy's live rule
         # cut at order // 2, literal for literal
-        half_nodes, half_weights = specfun._LEGGAUSS_HALVES[order]
+        half_nodes, half_weights = quadrature._LEGGAUSS_HALVES[order]
         live_nodes, live_weights = oracles.leggauss(order)
         assert half_nodes == tuple(map(float, live_nodes[order // 2:]))
         assert half_weights == tuple(map(float, live_weights[order // 2:]))
@@ -204,7 +204,7 @@ class TestLogPotential:
 # every public entry that takes an order, as a call of the order alone,
 # with its cap
 ORDER_ENTRIES = {
-    "hermite_roots": (specfun.hermite_roots, scalars.N_MAX),
+    "hermite_roots": (quadrature.hermite_roots, scalars.N_MAX),
     "gauss_hermite_rule": (quadrature.gauss_hermite_rule, scalars.N_MAX),
     "entropy_integral_numeric": (quadrature.entropy_integral_numeric, scalars.N_MAX),
     "standard_entropy": (criterion.standard_entropy, scalars.N_MAX),
@@ -269,5 +269,5 @@ def test_public_names():
         assert hasattr(seec, name), name
     for name in REMOVED_NAMES:
         assert name not in seec.__all__, name
-        for module in (seec, specfun, criterion, quadrature, scalars, errors, verification):
+        for module in (seec, criterion, quadrature, scalars, errors, verification):
             assert not hasattr(module, name), name
