@@ -21,8 +21,6 @@ from collections import namedtuple
 from .errors import DomainError, UnboundModeError, UnsupportedRegimeError
 from .scalars import _check_eta, _check_mode_pair, _mode_scale, _norm_constant
 
-DEGENERACY_THRESHOLD = 1e-12
-
 
 def _checked_tuple(typename, field_names):
     # a namedtuple base whose _make, and so _replace, builds through the
@@ -85,9 +83,9 @@ def diagonalize(h):
     principal branch, which is exactly the branch that makes reconstruct()
     a round trip.
 
-    tan(2 alpha) is undefined at A = B, so inside the degeneracy threshold
-    alpha = +/-45 degrees (+ for C < 0), or 0 when C = 0, and eta is not
-    negated: the threshold selects only these two.
+    tan(2 alpha) is undefined at A = B exactly, so there alpha = +/-45
+    degrees (+ for C < 0), or 0 when C = 0, and eta >= 0: the tie selects
+    only these two, and degenerate_branch records it.
     """
     M = math.sqrt(h.m1 * h.m2)
     k2 = h.A * h.B - 0.25 * h.C * h.C
@@ -104,7 +102,7 @@ def diagonalize(h):
     # disc^2 / s since disc^2 = (A + B)^2 - 4K^2: every term is positive
     disc = math.hypot(h.A - h.B, h.C)
     eta = 0.5 * math.log1p(disc / (2.0 * K) * (1.0 + disc / (h.A + h.B + 2.0 * K)))
-    if abs(h.A - h.B) <= DEGENERACY_THRESHOLD * (h.A + h.B):
+    if h.A == h.B:
         alpha = 0.0 if h.C == 0.0 else math.copysign(math.pi / 4.0, -h.C)
         return DiagonalizedSystem(M, K, omega, eta, alpha, True)
     if h.A < h.B:

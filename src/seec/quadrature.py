@@ -213,11 +213,7 @@ def _panel_nodes(order, edges):
     base_x, base_w = _leggauss(order)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = mid[:, None] + half[:, None] * base_x
-    weights = half[:, None] * base_w
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
+    return mid[:, None] + half[:, None] * base_x, half[:, None] * base_w
 
 
 def _entropy_window(n):

@@ -113,6 +113,16 @@ class TestSweep:
         assert code == 1
         assert "n:m" in err
 
+    def test_empty_mode_chunks_are_skipped(self):
+        # a trailing comma, or a blank chunk, is accepted; a list of
+        # nothing but commas is not
+        for modes in ("0:0,", "0:0, "):
+            code, out, _ = run_cli("sweep", "--modes", modes, "--steps", "2")
+            assert code == 0 and out.count("\n") == 3
+        code, out, err = run_cli("sweep", "--modes", ",")
+        assert code == 1 and out == ""
+        assert "no modes given" in err
+
     def test_mode_order_out_of_range(self):
         code, _, err = run_cli("sweep", "--modes", f"{N_MAX + 1}:0")
         assert code == 1
@@ -303,6 +313,8 @@ def _svg(*args):
 _SVG_SWEEPS = sorted({c for c, _, svg_sha in GOLDEN if svg_sha is not None} | {
     "sweep --eta-min -1e-3 --steps 201 --svg",
     "sweep --modes 0:0,1:1 --eta-min 0 --eta-max 1e-310 --steps 9 --svg",
+    # f moves by less than an ulp: a flat curve, whose y span is widened
+    "sweep --modes 1:1 --eta-min 0 --eta-max 1e-300 --steps 2 --svg",
 })
 
 
@@ -319,6 +331,15 @@ class TestSvgPlot:
     def test_int_pairs_plot_as_the_float_pairs_they_equal(self):
         ints = [("i", [(0, 1), (2, -3), (5, 4)])]
         assert _svg(ints, "x", "y") == _svg([("i", [(0.0, 1.0), (2.0, -3.0), (5.0, 4.0)])], "x", "y")
+        # numpy ints too, whose pixel products would wrap around in int64
+        big = [("i", [(np.int64(0), np.int64(0)), (np.int64(2**62), np.int64(1))])]
+        assert _svg(big, "x", "y") == _svg([("i", [(0.0, 0.0), (2.0**62, 1.0)])], "x", "y")
+
+    def test_one_point_plots_on_unit_spans(self):
+        # both spans vanish, so each is widened to 1 (then y padded by 5%)
+        svg = _svg([("a", [(1.0, 2.0)])], "x", "y")
+        assert svg.count("<polyline") == 1
+        assert svgplot._spans([(1.0, 2.0)]) == (1.0, 2.0, 1.95, 3.05)
 
     @pytest.mark.parametrize("series", [[], [("a", [])]])
     def test_no_point_to_plot_is_a_domain_error(self, series):
@@ -477,12 +498,13 @@ class TestDiagonalize:
         assert "4AB - C^2" in err
 
     def test_unbound_edge_exits_zero(self):
-        # A + B - |C| rounds to 0 here: the route may not divide by it
+        # A + B - |C| rounds to 0 here: the route may not divide by it.
+        # A < B by one ulp, so eta is negative and the tie is not taken
         code, out, err = run_cli("diagonalize", "--A", "1", "--B", "1.0000000000000002", "--C", "2")
         assert code == 0, err
         payload = json.loads(out)
-        assert payload["eta"] == 9.357486937559262
-        assert payload["degenerate_branch"] is True
+        assert payload["eta"] == -9.357486937559262
+        assert payload["degenerate_branch"] is False
 
     def test_asymmetric_couplings(self):
         code, out, _ = run_cli("diagonalize", "--A", "2", "--B", "1", "--C", "1")
@@ -495,16 +517,19 @@ class TestDiagonalize:
 class TestVerify:
     def test_exit_zero_with_normative_closed_form_rows(self):
         # I0 to I2 against their closed forms, and the entropy against its
-        # convergence reference and the frozen table
+        # convergence reference and the frozen table; the table is a header,
+        # one line per row, a blank line and the summary
         code, out, _ = run_cli("verify", "--n-max", "2")
         assert code == 0
-        rows = {line.split()[0]: line.split()[-1] for line in out.splitlines()[1:-2]}
+        lines = out.splitlines()
+        assert lines[0].split() == ["check", "value", "reference", "delta", "status"]
+        assert lines[-2:] == ["", "normative checks: all passed"]
+        rows = {line.split()[0]: line.split()[-1] for line in lines[1:-2]}
         for n in range(3):
             for name in ("I0", "I1", "I2", "I3conv", "S_table"):
                 assert rows[f"{name}[{n}]"] == "ok"
         assert not any(name.startswith(("I3closed", "S_closed")) for name in rows)
         assert set(rows.values()) <= {"ok"}
-        assert out.splitlines()[-1] == "normative checks: all passed"
 
     def test_json_format(self):
         code, out, _ = run_cli("verify", "--n-max", "1", "--format", "json")
@@ -668,8 +693,9 @@ class TestStreamedOutput:
         try:
             cli._write_text(iter(["a\n", "b\n"]), str(out_path))
         finally:
-            os.umask(old)
+            found = os.umask(old)
         assert out_path.stat().st_mode & 0o7777 == mode
+        assert found == umask  # the umask is read, and left as it was
 
     def test_existing_file_keeps_its_mode(self, tmp_path):
         out_path = tmp_path / "old.csv"

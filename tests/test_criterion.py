@@ -412,6 +412,11 @@ class TestCriterionF:
         with pytest.raises(DomainError):
             criterion.criterion_f(0, 0, math.nan)
 
+    @pytest.mark.parametrize("eta", [1, np.float64(0.5)])
+    def test_reports_eta_as_a_float(self, eta):
+        rep = criterion.criterion_f(0, 0, eta)
+        assert type(rep.eta) is float and rep.eta == eta
+
     def test_every_field_of_the_table_is_pinned(self):
         # the repr of each field of every report over the 33x33 mode pairs
         # n, m <= 32 at three couplings, hashed
@@ -540,6 +545,22 @@ class TestCriticalCoupling:
             criterion.critical_coupling(0, scalars.N_MAX + 1)
         with pytest.raises(DomainError):
             criterion.critical_coupling(1, 0.5)
+
+
+class TestVerifyRows:
+    def test_row_names_in_order(self):
+        # the 224 rows of verify --n-max 12, rebuilt from their spec: six
+        # per order, the two I3 anchors, then w and v for each (n, m) <= 5
+        # at eta 0 and 0.5
+        names = []
+        for n in range(13):
+            names += [f"I0[{n}]", f"I1[{n}]", f"I2[{n}]", f"I3conv[{n}]"]
+            names += [f"I3anchor[{n}]"] if n <= 1 else []
+            names += [f"S_table[{n}]", f"S_gauss_bound[{n}]"]
+        names += [f"norm_{tag}[{n},{m},eta={eta}]"
+                  for n in range(6) for m in range(6) for eta in (0.0, 0.5) for tag in "wv"]
+        assert len(names) == 224
+        assert [c.name for c in verification.collect_checks(12)] == names
 
 
 class TestGaussianBoundRows:

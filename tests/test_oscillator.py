@@ -59,6 +59,13 @@ class TestCoupledHamiltonian:
         with pytest.raises(DomainError, match="discriminant 4AB - C\\^2 is not finite.*nan"):
             oscillator.CoupledHamiltonian(1e273, 1e273, 1e273, 1e273, 1.7e308)
 
+    @pytest.mark.parametrize("c", [math.inf, -math.inf, math.nan])
+    def test_rejects_nonfinite_coupling(self, c):
+        # 4AB - C^2 is -inf or nan here, which the discriminant checks
+        # would report as an unbound or unknown sign instead
+        with pytest.raises(DomainError, match="C must be finite"):
+            oscillator.CoupledHamiltonian(1.0, 1.0, 1.0, 1.0, c)
+
     def test_replace_and_make_validate(self):
         h = oscillator.CoupledHamiltonian(1.0, 1.0, 1.0, 1.0, 0.0)
         with pytest.raises(UnboundModeError):
@@ -100,23 +107,21 @@ class TestDiagonalize:
         assert up.eta > 0.0
         assert down.eta < 0.0
 
-    def test_degeneracy_branch_begins_exactly_at_its_threshold(self):
-        # A + B is a double S with 1e-12 * S == 2^-40 exactly, and B - A is
-        # 2^-40: |A - B| equals the threshold, so the branch is taken and
-        # eta keeps its sign, though A < B.  One ulp more of B is past it:
-        # eta takes the sign of A - B, and alpha that of C
-        a, b = 0.45474735088600937, 0.45474735088691887
-        assert b - a == 2.0**-40 == oscillator.DEGENERACY_THRESHOLD * (a + b)
-        at = oscillator.diagonalize(oscillator.CoupledHamiltonian(1.0, 1.0, a, b, 0.1))
-        assert at.degenerate_branch and at.eta > 0.0 and at.alpha == -math.pi / 4.0
-        b = math.nextafter(b, math.inf)
+    def test_degenerate_branch_is_the_exact_tie(self):
+        # A == B is the one input where tan(2 alpha) = C / (B - A) is
+        # undefined: alpha is -45 degrees for C > 0 and eta >= 0.  One ulp
+        # more of B is already the general route: eta takes the sign of
+        # A - B, alpha that of C, and |eta| moves by at most an ulp or so
+        a = 1.0
+        tie = oscillator.diagonalize(oscillator.CoupledHamiltonian(1.0, 1.0, a, a, 0.1))
+        assert tie.degenerate_branch and tie.eta > 0.0 and tie.alpha == -math.pi / 4.0
+        b = math.nextafter(a, math.inf)
         past = oscillator.diagonalize(oscillator.CoupledHamiltonian(1.0, 1.0, a, b, 0.1))
         assert not past.degenerate_branch and past.eta < 0.0 and past.alpha > 0.0
-        assert abs(past.eta + at.eta) <= 1e-15
+        assert abs(past.eta + tie.eta) <= 1e-15
 
     def test_limit_formula_consistency(self):
-        # full expression against the A -> B limit one step outside the
-        # degeneracy threshold
+        # the general route against its A -> B limit, 1e-8 from the tie
         a = 1.0 + 1e-8
         d = oscillator.diagonalize(oscillator.CoupledHamiltonian(1.0, 1.0, a, 1.0, -0.5))
         assert not d.degenerate_branch
@@ -150,10 +155,7 @@ class TestDiagonalize:
         d = oscillator.diagonalize(oscillator.CoupledHamiltonian(1.0, 1.0, a, b, c))
         expected = _eta_decimal(a, b, c)
         assert abs(abs(d.eta) - expected) <= 1e-14 * expected
-        if d.degenerate_branch:
-            assert d.eta >= 0.0
-        else:
-            assert (d.eta < 0.0) == (a < b)
+        assert (d.eta < 0.0) == (a < b)
 
     @given(
         st.floats(min_value=-3.0, max_value=3.0),
@@ -239,9 +241,25 @@ class TestReconstruct:
             finite += 1
         assert finite >= 100
 
+    def test_near_tie_seeded(self):
+        # 0 < |A - B| <= 1e-12 (A + B): the general route, no special case,
+        # gives back A, B and C to within about an ulp of the largest
+        rng = np.random.default_rng(38)
+        for _ in range(2000):
+            a = 10.0 ** rng.uniform(-3.0, 3.0)
+            b = a * (1.0 + float(rng.choice([-1.0, 1.0])) * 10.0 ** rng.uniform(-16.0, -11.7))
+            c = rng.uniform(-0.99, 0.99) * 2.0 * math.sqrt(a * b)
+            if a != b:
+                assert _rel_roundtrip_error(oscillator.CoupledHamiltonian(1.0, 1.0, a, b, c)) <= 1e-15
+
     def test_omega_consistency_enforced(self):
         with pytest.raises(DomainError):
             oscillator.DiagonalizedSystem(M=1.0, K=4.0, omega=1.0, eta=0.0, alpha=0.0)
+
+    def test_negative_scales_rejected(self):
+        # sqrt(K/M) = 2 = omega: only the sign check can refuse these
+        with pytest.raises(DomainError, match="M and K must be positive"):
+            oscillator.DiagonalizedSystem(-1.0, -4.0, 2.0, 0.0, 0.0)
 
     @pytest.mark.parametrize(
         "fields",
@@ -383,6 +401,11 @@ class TestWavefunction:
             oscillator.wavefunction(
                 oscillator.ModePair(0, 0), 0.1, "position", 0.0, 0.0, alpha_deg=alpha_deg
             )
+
+    def test_rejects_nan_eta(self):
+        # without the check every factor, and so the value, would be nan
+        with pytest.raises(DomainError, match="eta must be finite"):
+            oscillator.wavefunction(oscillator.ModePair(0, 0), math.nan, "position", 0.0, 0.0)
 
     def test_rejects_unknown_space(self):
         with pytest.raises(DomainError):

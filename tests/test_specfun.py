@@ -119,9 +119,10 @@ class TestHermiteRoots:
             quadrature._checked_roots(n, np.array(roots))
 
     def test_records_hold_read_only_arrays(self):
+        # H_{n-1} at the roots is cached with them, for the weights
         roots = quadrature.hermite_roots(5)
         rule = quadrature.gauss_hermite_rule(5)
-        for array in (roots.roots, rule.nodes, rule.weights):
+        for array in (roots.roots, quadrature._root_set(5)[1], rule.nodes, rule.weights):
             assert not array.flags.writeable
         with pytest.raises(AttributeError):
             roots.roots = np.zeros(5)
