@@ -12,11 +12,12 @@ atomically (temp + rename), a FIFO or a device in place.  Exit codes: 0
 success, 1 usage or domain error, 2 verification failure.
 
 sweep, threshold and wavefunction stream their rows in blocks, each one
-join and one %, so the whole document is never held in memory.  A sweep
-block is at most _SWEEP_ROWS rows of one mode: its memory is the eta grid
-and its eta column, formatted once for every mode, plus one block; its
---svg plot draws each curve as one segment.  A threshold block is one n,
-and a wavefunction block one grid row.
+replace and one %, so the whole document is never held in memory.  A
+sweep block is at most _SWEEP_ROWS rows of one mode: its memory is the
+eta grid, an array('d') of 8 B a point, and its eta column, formatted once
+for every mode as one text per block, plus one block; its --svg plot
+draws each curve as one segment.  A threshold block is one n, and a
+wavefunction block one grid row.
 Every check that can fail runs before the first byte: a command that
 fails a check writes nothing to stdout and leaves --out as it was.  A
 write can still fail after that: sweep writes its records, to stdout or
@@ -140,34 +141,42 @@ def _finite(name, values):
 
 
 def _eta_grid(lo, hi, steps, names=("eta-min", "eta-max")):
-    """np.linspace(lo, hi, steps) as a list, bit for bit; a DomainError,
-    naming the options ``names`` of lo and hi, unless steps >= 2,
+    """np.linspace(lo, hi, steps) as an array('d'), bit for bit; a
+    DomainError, naming the options ``names`` of lo and hi, unless steps >= 2,
     lo < hi and that grid is finite."""
+    from array import array
+
     if steps < 2:
         raise DomainError(f"steps must be >= 2, got {steps}")
     if not lo < hi:
         raise DomainError(f"{names[0]} must be below {names[1]}, got [{lo}, {hi}]")
-    div = steps - 1
     delta = hi - lo
-    step = delta / div
-    if step == 0.0:
-        # a denormal span: numpy scales each index before multiplying
-        grid = [i / div * delta + lo for i in range(div)]
-    else:
-        grid = [i * step + lo for i in range(div)]
-    grid.append(hi)
-    if not all(map(math.isfinite, grid)):
-        # an infinite bound, or finite bounds whose span overflows
+    if not math.isfinite(delta):
+        # an infinite bound, or finite bounds whose span overflows: only then
+        # is a point not finite, as each lies between lo and hi
         raise DomainError(f"{names[0]} and {names[1]} must span a finite grid, got [{lo}, {hi}]")
+    div = steps - 1
+    step = delta / div
+    grid = array("d")
+    # a block of points at a time: one list of them all would hold 32 B a
+    # point on the way
+    for a in range(0, div, _SWEEP_ROWS):
+        block = range(a, min(a + _SWEEP_ROWS, div))
+        if step == 0.0:
+            # a denormal span: numpy scales each index before multiplying
+            grid.fromlist([i / div * delta + lo for i in block])
+        else:
+            grid.fromlist([i * step + lo for i in block])
+    grid.append(hi)
     return grid
 
 
 def _block(before, cells, after, values, sep=""):
-    """Rows reading before, cells[i], after, with sep between them and
-    values[i] in the one % field of before or after: one join builds the
-    template, one % fills it.  cells is a non-empty list of str, and no
-    text but that % field may contain "%"."""
-    return (before + (after + sep + before).join(cells) + after) % tuple(values)
+    """Rows reading before, the i-th cell, after, with sep between them
+    and values[i] in the one % field of before or after: one replace builds
+    the template, one % fills it.  cells is the block's cells joined by
+    _CELLS, and no text but that % field may contain "%"."""
+    return (before + cells.replace(_CELLS, after + sep + before) + after) % tuple(values)
 
 
 def _csv(header, blocks):
@@ -197,8 +206,10 @@ def _json_records(keys, blocks):
 # --format of sweep and threshold: the % field of a number, and the writer
 _RECORDS = {"csv": ("%.12g", _csv), "json": ("%r", _json_records)}
 
-# the rows of one block of sweep records: the text a sweep holds at once
-_SWEEP_ROWS = 2048
+# the rows of one block of sweep records, and of the grid's build: a JSON
+# block holds about 0.45 KB per row at once (its template, the filled text,
+# that text encoded and the value tuple)
+_SWEEP_ROWS = 512
 
 
 def _json_text(payload):
@@ -237,19 +248,29 @@ def _cmd_sweep(args):
                   for (n, m), e0 in zip(modes, eta0)]
         svg = svgplot.line_plot(curves, "eta", "f")
     field, records = _RECORDS[args.format]
-    # the eta column, formatted once for every mode
-    etas = list(map(field.__mod__, grid))
+    # the eta column, formatted once for every mode: one text per block of
+    # _SWEEP_ROWS rows, its cells joined by _CELLS
+    rows = _SWEEP_ROWS
+    starts = range(0, len(grid), rows)
+    etas = [_CELLS.join(map(field.__mod__, grid[a:a + rows])) for a in starts]
 
     def blocks():
         # blocks of at most _SWEEP_ROWS rows, each f computed and formatted
         # when the writer takes it; n, m and the verdict are shared texts.
-        # f falls, so the verdict flips once, at the first point where it holds
+        # f falls, so the verdict flips once, at the first point where it
+        # holds: the one block that holds that cut is split there
         for (n, m), e0 in zip(modes, eta0):
             cut = bisect_left(grid, True, key=partial(criterion._verdict, e0))
-            edges = sorted({*range(0, len(grid), _SWEEP_ROWS), cut, len(grid)})
-            for a, b in zip(edges, edges[1:]):
-                texts = (_CELLS, str(n), str(m), field, _BOOL_TEXT[a >= cut])
-                yield texts, etas[a:b], map(e0.__sub__, grid[a:b])
+            for a, cells in zip(starts, etas):
+                b = min(a + rows, len(grid))
+                if a < cut < b:
+                    tail = cells.split(_CELLS, cut - a)[-1]
+                    parts = ((a, cut, cells[:-len(tail) - 1]), (cut, b, tail))
+                else:
+                    parts = ((a, b, cells),)
+                for start, stop, text in parts:
+                    texts = (_CELLS, str(n), str(m), field, _BOOL_TEXT[start >= cut])
+                    yield texts, text, map(e0.__sub__, grid[start:stop])
 
     _write_text(records(("eta", "n", "m", "f", "entangled"), blocks()), args.out)
     if args.svg:
@@ -271,7 +292,7 @@ def _cmd_threshold(args):
     ]
     field, records = _RECORDS[args.format]
     # one block per n: n a shared text, the m column formatted once
-    m_cells = list(map(str, ms))
+    m_cells = _CELLS.join(map(str, ms))
     blocks = (((str(n), _CELLS, field), m_cells, row) for n, row in enumerate(table))
     _write_text(records(("n", "m", "eta0"), blocks), args.out)
     return 0
@@ -352,8 +373,9 @@ def _cmd_wavefunction(args):
     _finite("wavefunction value", [*f1, *f2, max(map(abs, f1)) * max(map(abs, f2))])
     u = list(map("%.12g".__mod__, grid))
     # one block per grid row: its u_plus a shared text, the u_minus column
-    # formatted once
-    rows = (((x, _CELLS, "%.12g"), u, [v * a for a in f1]) for x, v in zip(u, f2))
+    # formatted and joined once
+    u_cells = _CELLS.join(u)
+    rows = (((x, _CELLS, "%.12g"), u_cells, [v * a for a in f1]) for x, v in zip(u, f2))
     _write_text(_csv(("u_plus", "u_minus", "value"), rows), args.out)
     return 0
 
@@ -422,6 +444,9 @@ def main(argv=None):
         return 1
     except OSError as exc:
         print(f"seec: error: cannot write output: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("seec: error: not enough memory for these inputs", file=sys.stderr)
         return 1
 
 

@@ -146,6 +146,10 @@ class TestSweepGrid:
     @example(bounds=[1e-310, 1.5e-310], steps=1001)
     @example(bounds=[-1e308, 1e308], steps=11)  # hi - lo overflows
     @example(bounds=[-1.7976931348623157e308, 1.7976931348623157e308], steps=2)
+    # hi - lo is DBL_MAX itself: finite, and so is every point
+    @example(bounds=[-1e308, 7.976931348623157e307], steps=3)
+    @example(bounds=[-1e308, 7.976931348623157e307], steps=100_001)
+    @example(bounds=[-5e-324, 5e-324], steps=100_001)  # step == 0 in every block
     def test_grid_equals_linspace(self, bounds, steps):
         lo, hi = bounds
         with np.errstate(all="ignore"):
@@ -154,8 +158,9 @@ class TestSweepGrid:
             with pytest.raises(DomainError, match="finite grid"):
                 cli._eta_grid(lo, hi, steps)
             return
-        grid = np.array(cli._eta_grid(lo, hi, steps), dtype=np.float64)
-        np.testing.assert_array_equal(grid.view(np.uint64), expected.view(np.uint64))
+        grid = cli._eta_grid(lo, hi, steps)
+        assert grid.typecode == "d"
+        np.testing.assert_array_equal(np.array(grid).view(np.uint64), expected.view(np.uint64))
 
     @pytest.mark.parametrize(
         "lo,hi,steps,message",
@@ -260,7 +265,9 @@ class TestSweepVerdict:
         grid = cli._eta_grid(lo, hi, steps)
         mode_text = ",".join(f"{n}:{m}" for n, m in modes)
         out = io.StringIO()
-        # blocks of a few rows put the cut before, inside and after a block
+        # blocks of a few rows put the cut before, inside and after a block;
+        # the sweep reads _SWEEP_ROWS when it runs, for its grid, its eta
+        # column's texts and its blocks alike
         with mock.patch.object(cli, "_SWEEP_ROWS", rows), contextlib.redirect_stdout(out):
             code = cli.main(["sweep", "--modes", mode_text, f"--eta-min={lo!r}",
                              f"--eta-max={hi!r}", "--steps", str(steps), "--format", fmt])
@@ -821,15 +828,27 @@ class TestStreamedOutput:
 
     def test_sweep_memory_does_not_grow_with_the_modes(self):
         # a 20,001-step sweep holds its grid, its eta column and one block of
-        # rows (about 2.3 MB), for 8 modes as for 1 (8 modes peak at 4.8 MB
-        # with each mode's text in one block).  CI runs a larger sweep with
+        # rows (about 0.4 MB), for 8 modes as for 1 (8 modes peak at 4.8 MB
+        # with each mode's text in one block, 2.2 MB with the grid a list
+        # and the column one str per point).  CI runs a larger sweep with
         # --svg under an RSS bound
         argv = ["sweep", "--steps", "20001", "--modes"]
         warm_up = ["sweep", "--steps", "5"]
         one = self._traced_peak(warm_up, argv + ["0:0"])
         eight = self._traced_peak(warm_up, argv + ["0:0,1:1,2:3,5:0,7:7,12:3,4:9,32:32"])
-        assert eight < 3_000_000, eight
+        assert eight < 1_000_000, eight
         assert eight < 1.1 * one, (one, eight)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_sweep_memory_per_step(self, fmt):
+        # what grows with the steps is the grid, 8 B a point, and the eta
+        # column, one text of about len + 1 B a point per block: about 16 B
+        # (CSV) and 23 B (JSON) a step.  A list of floats and one str per
+        # point held about 100 B a step
+        argv = ["sweep", "--modes", "0:0", "--format", fmt, "--steps"]
+        small, large = (self._traced_peak(argv + ["5"], argv + [str(steps)])
+                        for steps in (20_001, 100_001))
+        assert (large - small) / 80_000 <= 32, (small, large)
 
 
 NON_FINITE_FIELDS = {"nan", "-nan", "NaN", "inf", "-inf", "Infinity", "-Infinity"}
@@ -1075,6 +1094,17 @@ class TestInProcess:
         assert cli.main(["verify", "--n-max", "3"]) == 2
         out = capsys.readouterr().out
         assert "FAIL" in out and "FAILURES PRESENT" in out
+
+    @pytest.mark.parametrize("command", ["sweep", "wavefunction"])
+    def test_memory_error_is_a_one_line_error(self, command, monkeypatch, capsys):
+        # a grid too large for memory, such as --steps 100000000 under a
+        # small address-space limit, exits 1 without a traceback
+        def no_memory(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "_eta_grid", no_memory)
+        assert cli.main([command]) == 1
+        assert capsys.readouterr() == ("", "seec: error: not enough memory for these inputs\n")
 
     def test_domain_error_maps_to_exit_one(self, capsys):
         from seec import cli

@@ -141,7 +141,7 @@ def test_writers_match_json_dumps_and_csv_writer(case):
         for shared, cells, values in blocks:
             texts = list(map(_TEXT[fmt], shared))
             texts[cell], texts[value] = cli._CELLS, field
-            blocks_in.append((texts, list(map(_TEXT[fmt], cells)), values))
+            blocks_in.append((texts, cli._CELLS.join(map(_TEXT[fmt], cells)), values))
         return "".join(writer(keys, iter(blocks_in)))
 
     assert text("json") == json.dumps([dict(zip(keys, r)) for r in records], indent=2) + "\n"
