@@ -22,16 +22,14 @@ Every check that can fail runs before the first byte: a command that
 fails a check writes nothing to stdout and leaves --out as it was.  A
 write can still fail after that: sweep writes its records, to stdout or
 --out, before its --svg file, so a failed --svg write exits 1 with the
-records already written.  --svg - writes the plot to stdout, so it needs
---out PATH for the records, and --svg must not name the --out file.
+records already written.  --svg and --out must not name one destination,
+however spelled: --svg - or /dev/stdout needs --out PATH for the records.
 
 Each subcommand imports the modules it uses when it runs: only verify
-imports numpy.  sweep (its SVG included), threshold, criterion, diagonalize
-and wavefunction work on floats alone, and tempfile and json load only for
-the output that needs them.
+imports numpy, and exits 1 with one line without it.  sweep (its SVG
+included), threshold, criterion, diagonalize and wavefunction work on
+floats alone; tempfile and json load only for the output that needs them.
 """
-
-from __future__ import annotations
 
 import argparse
 import math
@@ -212,6 +210,18 @@ _RECORDS = {"csv": ("%.12g", _csv), "json": ("%r", _json_records)}
 _SWEEP_ROWS = 512
 
 
+def _destination(path):
+    # a key that every spelling of one destination shares: the file's
+    # (st_dev, st_ino), stdout's own for None or "-"; the realpath of a path
+    # not yet made, and "-" for a stdout with no file
+    stdout = path in (None, "-")
+    try:
+        st = os.stat(sys.stdout.fileno() if stdout else path)
+    except (OSError, ValueError):
+        return "-" if stdout else os.path.realpath(path)
+    return st.st_dev, st.st_ino
+
+
 def _json_text(payload):
     import json
 
@@ -227,10 +237,9 @@ def _cmd_sweep(args):
 
     from . import criterion, svgplot
 
-    if args.svg == "-" and args.out in (None, "-"):
-        raise DomainError("--svg - needs --out PATH: the records already go to stdout")
-    paths = (args.out, args.svg)
-    if None not in paths and "-" not in paths and len({*map(os.path.realpath, paths)}) == 1:
+    if args.svg and _destination(args.svg) == _destination(args.out):
+        if "-" in (args.svg, args.out or "-"):
+            raise DomainError(f"--svg {args.svg} needs --out PATH: the records already go to stdout")
         raise DomainError("--svg and --out name one file: the plot would overwrite the records")
     modes = _parse_modes(args.modes)
     grid = _eta_grid(args.eta_min, args.eta_max, args.steps)
@@ -328,7 +337,10 @@ def _cmd_diagonalize(args):
 
 
 def _cmd_verify(args):
-    import numpy as np
+    try:
+        import numpy as np
+    except ModuleNotFoundError:
+        raise DomainError("seec verify needs numpy: pip install numpy") from None
 
     from . import verification
 

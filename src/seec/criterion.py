@@ -24,8 +24,6 @@ the route to a curve.  The array answer is one subtraction from the
 threshold: f = threshold_eta0(n, m) - etas, entangled where f < 0.
 """
 
-from __future__ import annotations
-
 import math
 from collections import namedtuple
 
@@ -39,7 +37,6 @@ from .scalars import (
     _check_order,
     _LN2,
     _mode_scale,
-    _norm,
 )
 
 _SIDES = ("w_minus", "v_plus")
@@ -66,12 +63,6 @@ def marginal(side, n, m, eta, u):
     t = _mode_scale(_check_eta(eta))
     psi = hermite_function(n if side == "w_minus" else m, t, u)
     return t * psi * psi
-
-
-def _i3_from_entropy(k, s_k):
-    # I3(k) = N_k (ln N_k + k + 1/2 - S_k), N_k = sqrt(pi) k! 2^k: the one
-    # identity between S_k and I3(k)
-    return _norm(k) * (math.log(_norm(k)) + k + 0.5 - s_k)
 
 
 def standard_entropy(k):

@@ -13,8 +13,6 @@ Only the array form ``wavefunction`` imports numpy, through
 factors of its tensor grid as lists of floats and never imports it.
 """
 
-from __future__ import annotations
-
 import math
 from collections import namedtuple
 

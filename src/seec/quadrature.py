@@ -20,15 +20,13 @@ immutable once built, so a raced cache fill can only install identical
 objects.
 """
 
-from __future__ import annotations
-
 import math
 from collections import namedtuple
 from functools import lru_cache
 
 import numpy as np
 
-from . import _kernels, criterion
+from . import _kernels
 from .errors import DomainError
 from .scalars import (
     DEFAULT_PANEL_ORDER,
@@ -336,7 +334,13 @@ def entropy_integral_numeric(n, panel_order=DEFAULT_PANEL_ORDER):
     """
     n = _check_order(n, N_MAX)
     panel_order = _check_order(panel_order, PANEL_ORDER_MAX, "panel order", n_min=1)
-    return criterion._i3_from_entropy(n, _entropy(n, panel_order))
+    return _i3_from_entropy(n, _entropy(n, panel_order))
+
+
+def _i3_from_entropy(k, s_k):
+    # I3(k) = N_k (ln N_k + k + 1/2 - S_k), N_k = sqrt(pi) k! 2^k: the one
+    # identity between S_k and I3(k)
+    return _norm(k) * (math.log(_norm(k)) + k + 0.5 - s_k)
 
 
 @lru_cache(maxsize=None)

@@ -9,8 +9,6 @@ so those commands never import numpy; every other module imports these names
 from here rather than redefining them.
 """
 
-from __future__ import annotations
-
 import math
 import sys
 
@@ -25,7 +23,7 @@ _EULER_GAMMA = 0.57721566490153286061
 _SQRT_PI = 1.77245385090551602730
 
 
-def _check_order(n, n_max=math.inf, what="order", n_min=0):
+def _check_order(n, n_max, what="order", n_min=0):
     # the one order check: a Python or numpy integer (never a bool, a numpy
     # bool, an array or a float) in [n_min, n_max], returned as an int.  A
     # numpy integer can only exist once numpy is imported, so the check
@@ -37,8 +35,7 @@ def _check_order(n, n_max=math.inf, what="order", n_min=0):
         raise DomainError(f"{what} must be an integer, got {n!r}")
     n = int(n)
     if not n_min <= n <= n_max:
-        bound = f">= {n_min}" if n_max == math.inf else f"in [{n_min}, {n_max}]"
-        raise UnsupportedOrderError(f"{what} must be {bound}, got {n}")
+        raise UnsupportedOrderError(f"{what} must be in [{n_min}, {n_max}], got {n}")
     return n
 
 

@@ -9,8 +9,6 @@ entry to it.
 Its marginal normalization rows take one integral per (order, eta),
 shared by both sides and by every (n, m) row that needs it."""
 
-from __future__ import annotations
-
 import math
 from collections import namedtuple
 

@@ -1046,6 +1046,38 @@ class TestUsageErrors:
         assert out_path.read_bytes() == records.read_bytes()
 
     @pytest.mark.parametrize(
+        "args",
+        [("--svg", "/dev/stdout"), ("--out", "/dev/stdout", "--svg", "-")],
+        ids=" ".join,
+    )
+    def test_stdout_spelled_as_its_file_with_the_records_exits_one(self, args):
+        # /dev/stdout opens stdout's own file, here the pipe run_cli reads:
+        # the SVG would follow the records into it
+        code, out, err = run_cli("sweep", "--modes", "1:1", "--steps", "3", *args)
+        assert (code, out) == (1, "")
+        assert err == (
+            f"seec: error: --svg {args[-1]} needs --out PATH: the records already go to stdout\n"
+        )
+
+    def test_svg_to_stdout_spelled_as_its_file_with_the_records_in_a_file(self, tmp_path):
+        records = tmp_path / "records.csv"
+        code, out, err = run_cli("sweep", "--steps", "3", "--out", str(records),
+                                 "--svg", "/dev/stdout")
+        assert (code, err) == (0, "")
+        assert out.startswith("<svg") and records.read_text().startswith("eta,n,m,f,entangled\n")
+
+    def test_svg_naming_a_hard_link_of_the_out_file_exits_one(self, tmp_path, capsys):
+        # two names of one inode are one file
+        records, link = tmp_path / "records.csv", tmp_path / "link.csv"
+        records.write_bytes(b"old bytes\n")
+        os.link(records, link)
+        assert cli.main(["sweep", "--steps", "3", "--out", str(records), "--svg", str(link)]) == 1
+        assert capsys.readouterr() == (
+            "", "seec: error: --svg and --out name one file: the plot would overwrite the records\n"
+        )
+        assert records.read_bytes() == b"old bytes\n"
+
+    @pytest.mark.parametrize(
         "argv",
         [[command, "--out="] for command in COMMANDS] + [["sweep", "--svg="]],
         ids=" ".join,

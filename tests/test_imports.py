@@ -1,10 +1,13 @@
 """The package imports lazily, no command but verify imports numpy or
-inspect, and none imports dataclasses.
+inspect, and none imports dataclasses.  Where numpy cannot be imported, as
+in an install without it, those commands write the same bytes and verify
+exits 1 with one line.
 
 Each case runs in a fresh interpreter, since this test process has numpy
 loaded already.
 """
 
+import hashlib
 import json
 import math
 import os
@@ -14,6 +17,7 @@ import sys
 import pytest
 
 import seec
+from test_golden import GOLDEN
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(seec.__file__)))
 
@@ -30,6 +34,16 @@ sys.stdout.flush()
 loaded = [m for m in ("numpy", "dataclasses", "inspect") if m in sys.modules]
 sys.stderr.write("imported: %s\\n" % " ".join(loaded))
 sys.exit(code)
+"""
+
+
+# seec's CLI on argv where `import numpy` raises ModuleNotFoundError, as it
+# does where numpy is not installed
+NO_NUMPY_SCRIPT = """
+import sys
+sys.modules["numpy"] = None
+from seec import cli
+sys.exit(cli.main(sys.argv[1:]))
 """
 
 
@@ -236,3 +250,51 @@ def test_verification_skips_numpy_polynomial():
     )
     assert code == 0, err
     assert out == "True True False\n"
+
+
+@pytest.mark.parametrize("command,stdout_sha,svg_sha", GOLDEN, ids=[c for c, _, _ in GOLDEN])
+def test_scalar_commands_run_without_numpy(command, stdout_sha, svg_sha, tmp_path):
+    # the golden digests, which test_golden.py holds the run with numpy to
+    argv = command.split()
+    if "--svg" in argv:
+        argv.insert(argv.index("--svg") + 1, "plot.svg")
+    code, out, err = run_python(NO_NUMPY_SCRIPT, *argv, cwd=tmp_path)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == stdout_sha
+    if svg_sha is not None:
+        assert hashlib.sha256((tmp_path / "plot.svg").read_bytes()).hexdigest() == svg_sha
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_verify_without_numpy_exits_one_with_one_line(fmt, tmp_path):
+    out_path = tmp_path / "out.txt"
+    out_path.write_bytes(b"old bytes\n")
+    for out in ((), ("--out", str(out_path))):
+        code, stdout, err = run_python(
+            NO_NUMPY_SCRIPT, "verify", "--n-max", "2", "--format", fmt, *out, cwd=tmp_path
+        )
+        assert (code, stdout) == (1, "")
+        assert err == "seec: error: seec verify needs numpy: pip install numpy\n"
+    assert out_path.read_bytes() == b"old bytes\n"
+    assert list(tmp_path.iterdir()) == [out_path]
+
+
+def test_array_library_calls_without_numpy_raise_module_not_found():
+    # Python's own error, naming numpy: a missing package is no domain error
+    code, out, err = run_python(
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "import seec\n"
+        "calls = [lambda: seec.marginal('w_minus', 1, 1, 0.3, 0.5),\n"
+        "         lambda: seec.wavefunction(seec.ModePair(1, 1), 0.3, 'position', 0.5, 0.5),\n"
+        "         lambda: seec.hermite_roots(3), lambda: seec.gauss_hermite_rule(3),\n"
+        "         lambda: seec.entropy_integral_numeric(1),\n"
+        "         lambda: seec.verification.collect_checks(2)]\n"
+        "for call in calls:\n"
+        "    try:\n"
+        "        call()\n"
+        "    except ModuleNotFoundError as exc:\n"
+        "        print(exc.name)\n"
+    )
+    assert code == 0, err
+    assert out == "numpy\n" * 6

@@ -4,7 +4,7 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
-from seec import _kernels, criterion, quadrature, scalars
+from seec import _kernels, quadrature, scalars
 from seec.errors import DomainError, UnsupportedOrderError
 
 import oracles
@@ -222,7 +222,7 @@ class TestEntropyIntegral:
             nodes, weights = oracles.panel_rule_loop(order, edges)
             # the sum runs one panel (a row of `order` points) at a time
             panels = (nodes.reshape(-1, order), weights.reshape(-1, order))
-            expected = criterion._i3_from_entropy(n, oracles.entropy_sum_allocating(n, *panels))
+            expected = quadrature._i3_from_entropy(n, oracles.entropy_sum_allocating(n, *panels))
             assert quadrature.entropy_integral_numeric(n, order) == expected
 
     @pytest.mark.parametrize("window", [math.inf, math.nan, 0.5])
