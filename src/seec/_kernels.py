@@ -8,7 +8,7 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .scalars import _norm_constant
+from .scalars import _PI_M_QUARTER, _psi_steps
 
 
 def hermite_pair(n, z):
@@ -41,31 +41,35 @@ def hermite_values(n, z):
 
 
 def hermite_function(k, t, x):
-    """psi_k(a) = c_k e^{-a^2/2} H_k(a) with a = t x, the normalized
-    Hermite function: a float for a 0-d ``x``, else an array of its shape.
-    The one array home of the per-axis factor of the eigenfunction, behind
-    criterion.marginal, oscillator.wavefunction and the entropy quadrature;
+    """psi_k(a) with a = t x, the normalized Hermite function: a float for
+    a 0-d ``x``, else an array of its shape.  The one array home of the
+    per-axis factor of the eigenfunction, behind criterion.marginal,
+    oscillator.wavefunction and the entropy quadrature;
     oscillator._hermite_function_list is its list twin.
+
+    psi_0 = pi^{-1/4} e^{-a^2/2}, then the steps of scalars._psi_steps in
+    place in three rotating buffers.  No psi_j exceeds 1, so nothing
+    overflows; psi_k is +0.0 where the Gaussian is 0, a = +-inf included.
     """
     x = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(x)):
         raise DomainError("coordinates must be finite")
     with np.errstate(over="ignore", invalid="ignore"):
         a = t * x.reshape(-1)  # 1-D even for a 0-d x: the steps run in place
-        gauss = a * a
-        gauss *= -0.5
-        np.exp(gauss, out=gauss)
-        # c_k last: c_k e^{-a^2/2} would underflow before H_k restores it
-        value = hermite_values(k, a)
-        value *= gauss
-        value *= _norm_constant(k)
-    # far out the recurrence overflows to inf (or inf - inf) where the
-    # Gaussian has underflowed to 0; the product, whose true value rounds
-    # to 0 there, is then nan
-    nan = np.isnan(value)
-    if nan.any():
-        value[nan & (gauss == 0.0)] = 0.0
-    return float(value[0]) if x.ndim == 0 else value.reshape(x.shape)
+        psi = a * a
+        psi *= -0.5
+        np.exp(psi, out=psi)
+        zero = psi == 0.0
+        psi *= _PI_M_QUARTER
+        psi_prev, spare = np.zeros_like(a), np.empty_like(a)
+        for c1, c2 in _psi_steps(k):
+            np.multiply(a, psi, out=spare)
+            spare *= c1
+            psi_prev *= c2
+            spare -= psi_prev
+            psi_prev, psi, spare = psi, spare, psi_prev
+    psi[zero] = 0.0
+    return float(psi[0]) if x.ndim == 0 else psi.reshape(x.shape)
 
 
 def panel_sum(terms):

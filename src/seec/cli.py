@@ -58,12 +58,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+_STREAMS = {"/dev/stdin": 0, "/dev/stdout": 1, "/dev/stderr": 2}
+
+
 def _write_text(text, out_path):
     """Write text, a str or an iterable of str chunks, to stdout or to
     out_path, an OSError naming out_path.  A file or a symlink's target is
     written atomically, left as it was and no temp file on an error, with
     the mode open() would leave: an existing file's, else 0o666 less the
-    umask.  A FIFO or a device is written in place: a rename would replace it."""
+    umask.  A FIFO or a device is written in place: a rename would replace it.
+    A path spelled as one of this process's descriptors (/dev/stdout,
+    /dev/fd/N, /proc/self/fd/N) is written through that descriptor."""
     chunks = (text,) if isinstance(text, str) else text
     if out_path is None or out_path == "-":
         try:
@@ -78,7 +83,14 @@ def _write_text(text, out_path):
         return
     import tempfile
 
+    # the descriptor that out_path names by its spelling alone, else None
+    match = re.fullmatch(r"/(?:dev|proc/self)/fd/([0-9]{1,9})", out_path)
+    fd = int(match[1]) if match else _STREAMS.get(out_path)
     try:
+        if fd is not None:  # keeps its O_APPEND and offset: open() would truncate
+            with open(fd, "w", encoding="utf-8", newline="", closefd=False) as fh:
+                fh.writelines(chunks)
+            return
         try:
             st_mode = os.stat(out_path).st_mode
         except FileNotFoundError:

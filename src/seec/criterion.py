@@ -67,10 +67,10 @@ def marginal(side, n, m, eta, u):
 
 def standard_entropy(k):
     """Entropy S_k = -int psi_k^2 ln psi_k^2 of the unit-scale level-k
-    density psi_k^2 = c_k^2 e^{-z^2} H_k^2(z), integrated directly by the
-    normative panel quadrature at its default order: the frozen
-    ``scalars.S_TABLE`` entry of k, validated on every call (an integer,
-    np.int64(k) too).  Another panel order is quadrature._entropy(k, order).
+    density psi_k^2 = e^{-z^2} H_k^2(z) / (sqrt(pi) k! 2^k): the frozen
+    ``scalars.S_TABLE`` entry of k, the exact S_k correctly rounded,
+    validated on every call (an integer, np.int64(k) too).  The live panel
+    quadrature is quadrature._entropy(k, order), which verify holds to it.
     """
     return S_TABLE[_check_order(k, N_MAX, "k")]
 
@@ -92,8 +92,8 @@ class EntropyReport(
     eta0 + eta, not eta0 - eta), and ``oracle_delta`` how far either
     entropy's S_k can be off the exact one: S_TABLE_REF_ULPS ulps of the
     larger of the two table entries, the bound the tests hold the table to
-    against a 40-digit reference, at most 4.0e-15.  The fields, in this order, are
-    the keys of ``seec criterion``'s JSON.
+    against a 40-digit reference, at most 4.4e-16.  The fields, in this
+    order, are the keys of ``seec criterion``'s JSON.
     """
 
     __slots__ = ()

@@ -17,7 +17,7 @@ import math
 from collections import namedtuple
 
 from .errors import DomainError, UnboundModeError, UnsupportedRegimeError
-from .scalars import _check_eta, _check_mode_pair, _mode_scale, _norm_constant
+from .scalars import _PI_M_QUARTER, _check_eta, _check_mode_pair, _mode_scale, _psi_steps
 
 
 def _checked_tuple(typename, field_names):
@@ -189,34 +189,17 @@ def wavefunction(mode, eta, space, u_plus, u_minus, alpha_deg=45.0):
     return hermite_function(mode.n, t1, x1) * hermite_function(mode.m, t2, x2)
 
 
-def _hermite_list(n, zs):
-    """H_n at every float of ``zs`` as a list, without numpy: the recurrence
-    of ``_kernels.hermite_pair`` in its operation order, so each value
-    equals hermite_pair(n, zs)[0] bit for bit, overflows to inf and
-    inf - inf included."""
-    h_prev, h = [1.0] * len(zs), [2.0 * z for z in zs]
-    if n == 0:
-        return h_prev
-    z2 = h
-    for k in range(1, n):
-        c = 2.0 * k
-        h, h_prev = [a * b - c * p for a, b, p in zip(z2, h, h_prev)], h
-    return h
-
-
 def _hermite_function_list(k, zs):
     """psi_k at every float of ``zs`` as a list, without numpy: the list
-    twin of _kernels.hermite_function on scaled coordinates, in its
-    operation order and with its rule that a nan where the Gaussian is 0
-    is 0.  The values equal the array form's bit for bit wherever math.exp
-    and numpy's exp agree; the two may differ by 1 ulp."""
-    c = _norm_constant(k)
-    values = []
-    for z, h in zip(zs, _hermite_list(k, zs)):
-        gauss = math.exp(-0.5 * (z * z))
-        v = gauss * h * c
-        values.append(0.0 if v != v and gauss == 0.0 else v)
-    return values
+    twin of _kernels.hermite_function on scaled coordinates, the same
+    recurrence in its operation order, and +0.0 where the Gaussian is 0.
+    The values equal the array form's bit for bit wherever math.exp and
+    numpy's exp agree; the two may differ by 1 ulp."""
+    gauss = [math.exp(-0.5 * (z * z)) for z in zs]
+    psi_prev, psi = [0.0] * len(zs), [g * _PI_M_QUARTER for g in gauss]
+    for c1, c2 in _psi_steps(k):
+        psi, psi_prev = [c1 * (z * p) - c2 * q for z, p, q in zip(zs, psi, psi_prev)], psi
+    return [0.0 if g == 0.0 else p for g, p in zip(gauss, psi)]
 
 
 def _wavefunction_axes(mode, eta, space, grid):

@@ -9,7 +9,8 @@ but not smooth at each root, each side graded toward it by a ratio of 8,
 on the z >= 0 half of a mirror-exact layout, where alone the even
 integrand is evaluated.  The Gauss-Legendre base rules of orders 32, 48
 and 96 are frozen tables; any other order is numpy.polynomial's leggauss,
-imported only then.  H_n itself is ``_kernels.hermite_values``.  Every sum
+imported only then.  H_n itself is ``_kernels.hermite_values``, and psi_n
+``_kernels.hermite_function``.  Every sum
 is ``_kernels.panel_sum``: numpy's pairwise ``np.add.reduce`` within a
 panel, ``math.fsum`` across panels, so its bits do not depend on the BLAS
 thread count; only numpy's SIMD ``exp`` and ``log`` can still round

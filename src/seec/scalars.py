@@ -1,7 +1,7 @@
 """The scalar decisions that load without numpy: the order cap and the one
-order check, the one eta check, the constants, the Hermite norm and its
-constant c_k, the mode scale t = e^{eta/2}/sqrt(2), and the frozen
-table of S_k with its bound against the exact entropies.
+order check, the one eta check, the constants, the Hermite norm, the
+coefficients of the normalized psi_k recurrence, the mode scale
+t = e^{eta/2}/sqrt(2), and the frozen table of the exact S_k.
 
 ``criterion``, ``oscillator`` and ``cli`` answer their scalar questions
 (the threshold table, the criterion report, the normal modes) from here,
@@ -21,6 +21,7 @@ PANEL_ORDER_MAX = 256  # largest panel order: its base rule is an order x order 
 _LN2 = math.log(2.0)
 _EULER_GAMMA = 0.57721566490153286061
 _SQRT_PI = 1.77245385090551602730
+_PI_M_QUARTER = 0.75112554446494248286  # pi^{-1/4} = psi_0(0)
 
 
 def _check_order(n, n_max, what="order", n_min=0):
@@ -49,10 +50,12 @@ def _norm(k):
     return _SQRT_PI * float(math.factorial(k) << k)
 
 
-def _norm_constant(k):
-    # c_k = 1 / sqrt(sqrt(pi) k! 2^k): the factor that makes
-    # c_k e^{-z^2/2} H_k(z) the normalized psi_k
-    return 1.0 / math.sqrt(_norm(k))
+def _psi_steps(k):
+    # (sqrt(2/(j+1)), sqrt(j/(j+1))), j < k, of psi_{j+1} = sqrt(2/(j+1))
+    # (a psi_j) - sqrt(j/(j+1)) psi_{j-1} from psi_{-1} = 0: the recurrence
+    # of both Hermite-function twins, in this operation order (6.06 ulps of
+    # worst S_k error, where (sqrt(2/(j+1)) a) psi_j leaves 6.30)
+    return [(math.sqrt(2.0 / (j + 1)), math.sqrt(j / (j + 1))) for j in range(k)]
 
 
 def _check_eta(eta):
@@ -74,81 +77,80 @@ def _mode_scale(eta, sign=1.0):
 
 # S_k = -int psi_k^2 ln psi_k^2, the Shannon entropy of the unit-scale
 # level-k density psi_k^2 = e^{-z^2} H_k(z)^2 / (2^k k! sqrt(pi)), for
-# k = 0..N_MAX at DEFAULT_PANEL_ORDER: the panel quadrature's own values,
-# written out with repr so that each literal reads back as the same double,
-# as printed by
-#   [quadrature._entropy(k, DEFAULT_PANEL_ORDER) for k in range(N_MAX + 1)]
-# verify checks every row against the live quadrature, tests/test_criterion.py
-# recomputes the whole table, and tests/test_reference.py holds every entry
-# to the exact S_k of a stdlib decimal reference within S_TABLE_REF_ULPS.
+# k = 0..N_MAX: the exact S_k correctly rounded, written with repr, as
+# printed from the 40-digit stdlib decimal reference tests/reference.py by
+#   [float(reference.entropy(k)) for k in range(N_MAX + 1)]
+# whose digits decide every rounding (tests/test_reference.py checks it).
+# verify holds each entry to the live panel quadrature within
+# verification.S_TABLE_ULPS.
 S_TABLE = (
-    1.0723649429246993,
-    1.3427277883861772,
-    1.4986092332517265,
-    1.6097118413016518,
-    1.696550630680374,
-    1.768061253238332,
-    1.8289684902728376,
-    1.8820845209089798,
-    1.9292233531088587,
-    1.9716255549652695,
-    2.0101781254674367,
-    2.045537879584482,
-    2.0782051612898353,
-    2.108570143178772,
-    2.136943125810581,
-    2.1635750574934756,
-    2.1886718409109407,
-    2.2124045601805857,
-    2.234916952066504,
-    2.256330968872467,
-    2.2767509907938233,
-    2.296267063831966,
-    2.3149574224033223,
-    2.3328904786614344,
-    2.350126408625979,
-    2.3667184295743207,
-    2.382713838264036,
+    1.0723649429247002,
+    1.3427277883861783,
+    1.4986092332517278,
+    1.6097118413016531,
+    1.6965506306803753,
+    1.768061253238333,
+    1.8289684902728387,
+    1.8820845209089812,
+    1.92922335310886,
+    1.9716255549652706,
+    2.0101781254674376,
+    2.045537879584483,
+    2.0782051612898367,
+    2.108570143178773,
+    2.136943125810583,
+    2.1635750574934765,
+    2.188671840910942,
+    2.212404560180587,
+    2.2349169520665058,
+    2.2563309688724686,
+    2.2767509907938237,
+    2.2962670638319675,
+    2.3149574224033236,
+    2.332890478661436,
+    2.3501264086259797,
+    2.366718429574322,
+    2.3827138382640367,
     2.398154861898926,
-    2.4130793610433616,
-    2.4275214144213804,
+    2.413079361043363,
+    2.4275214144213826,
     2.4415118086939316,
-    2.4550784511980064,
-    2.468246719775757,
-    2.4810397608837875,
-    2.4934787449139324,
-    2.505583085904958,
-    2.5173706314553486,
-    2.5288578275688374,
-    2.540059862309169,
-    2.5509907914575742,
-    2.561663648817996,
-    2.5720905433716603,
-    2.5822827451223316,
-    2.5922507611791983,
-    2.602004403382617,
-    2.611552848578427,
-    2.6209046924814037,
-    2.630067997930485,
-    2.639050338223669,
-    2.6478588361236852,
+    2.4550784511980077,
+    2.4682467197757583,
+    2.4810397608837893,
+    2.4934787449139337,
+    2.50558308590496,
+    2.5173706314553477,
+    2.528857827568838,
+    2.5400598623091697,
+    2.550990791457576,
+    2.561663648817998,
+    2.5720905433716617,
+    2.582282745122333,
+    2.5922507611792014,
+    2.6020044033826153,
+    2.611552848578428,
+    2.620904692481404,
+    2.6300679979304853,
+    2.639050338223671,
+    2.6478588361236857,
     2.656500199044258,
-    2.6649807508580263,
-    2.6733064607087322,
-    2.681482969160626,
-    2.6895156119756263,
-    2.697409441772305,
-    2.7051692477896627,
-    2.712799573951573,
-    2.720304735404644,
-    2.7276888336819742,
-    2.734955770627858,
-    2.7421092612031552,
-    2.7491528452778473,
-    2.7560898985055187,
-    2.7629236423644112,
+    2.6649807508580268,
+    2.6733064607087327,
+    2.6814829691606294,
+    2.689515611975629,
+    2.6974094417723076,
+    2.7051692477896636,
+    2.7127995739515733,
+    2.7203047354046435,
+    2.727688833681975,
+    2.734955770627857,
+    2.742109261203156,
+    2.749152845277849,
+    2.75608989850552,
+    2.7629236423644126,
 )
 
 # how far each S_TABLE entry may sit from the exact S_k, in ulps of the
-# entry: the worst is 8.27 ulps (k = 53), against the 40-digit reference
-S_TABLE_REF_ULPS = 9
+# entry: correctly rounded, the worst is 0.49 ulp (k = 8)
+S_TABLE_REF_ULPS = 1

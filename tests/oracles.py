@@ -132,15 +132,16 @@ def hermite_pair_allocating(n, z):
 
 
 def entropy_sum_allocating(n, nodes, weights):
-    """-sum w p ln p with p = psi_n^2 = (e^{-z^2/2} H_n(z) c_n)^2, continued
-    by 0 where p is 0, one expression per step and a new array each; nodes
-    and weights hold one panel per row, each summed on its own and the
-    panel sums by fsum: the reference for the entropy quadrature's sum."""
-    h = hermite_pair_allocating(n, nodes)[0]
-    # c_n = 1 / sqrt(N_n), from sqrt(pi) correctly rounded and the integer
-    # n! 2^n rounded once
-    c_n = 1.0 / math.sqrt(1.7724538509055160273 * float(math.factorial(n) << n))
-    psi = np.exp(-0.5 * (nodes * nodes)) * h * c_n
+    """-sum w p ln p with p = psi_n^2, continued by 0 where p is 0, with
+    psi_n by the normalized recurrence psi_0 = pi^{-1/4} e^{-z^2/2},
+    psi_{j+1} = sqrt(2/(j+1)) (z psi_j) - sqrt(j/(j+1)) psi_{j-1}, one
+    expression per step and a new array each; nodes and weights hold one
+    panel per row, each summed on its own and the panel sums by fsum: the
+    reference for the entropy quadrature's sum."""
+    psi_prev, psi = np.zeros_like(nodes), np.exp(-0.5 * (nodes * nodes)) * 0.75112554446494248286
+    for j in range(n):
+        step = math.sqrt(2.0 / (j + 1)) * (nodes * psi) - math.sqrt(j / (j + 1)) * psi_prev
+        psi_prev, psi = psi, step
     p = psi * psi
     terms = np.log(np.where(p > 0.0, p, 1.0)) * p * weights
     return -math.fsum(float(np.add.reduce(row)) for row in np.atleast_2d(terms))

@@ -168,8 +168,9 @@ class TestMarginal:
                 assert type(value) is float and value == 0.0
 
     def test_far_tail_point(self):
-        # c_k^2 e^{-z^2} underflows here before H_k^2 could restore it; one
-        # factor psi_k does not (reference from 60-digit arithmetic)
+        # e^{-z^2} / (sqrt(pi) k! 2^k) underflows here before H_k^2 could
+        # restore it; psi_k from its normalized recurrence, squared last,
+        # does not (reference from 60-digit arithmetic)
         value = criterion.marginal("w_minus", 64, 64, 0.0, 32.0)
         assert abs(value - 9.362550814329894e-122) <= 1e-11 * 9.362550814329894e-122
 
@@ -254,9 +255,9 @@ class TestShannonEntropy:
 class TestStandardEntropy:
     @pytest.mark.parametrize("k,expected", sorted((k, float(s)) for k, s in S_REFERENCE.items()))
     def test_reference_values(self, k, expected):
-        # the direct entropy quadrature: within 6.3 ulps at these orders, and
-        # 8.27 ulps at worst through k = 64 (k = 53)
-        assert abs(criterion.standard_entropy(k) - expected) <= 16 * math.ulp(expected)
+        # the frozen table is the exact S_k correctly rounded, and so each
+        # 20-digit value rounded to a double
+        assert criterion.standard_entropy(k) == expected
 
     def test_analytic_anchors(self):
         assert abs(criterion.standard_entropy(0) - 0.5 * math.log(math.pi * math.e)) <= 1e-10
@@ -312,14 +313,22 @@ class TestEntropyTable:
                 eta_var = 0.5 * math.log((2 * n + 1) * (2 * m + 1))
                 assert criterion.threshold_eta0(n, m) <= eta_var, (n, m)
 
-    # The tables were the live routes bit for bit on the CPU that printed
-    # them.  The mirror-exact entropy layout moved four live S_k by 1 ulp,
-    # and numpy's AVX2 exp and log round some sums differently, so each
-    # table is held to its live route at verify's stated bound instead
+    # The table holds the exact S_k correctly rounded, not any CPU's
+    # quadrature, so each entry is held to its live route at verify's
+    # stated bound, on numpy's AVX-512 and AVX2 paths alike
     @pytest.mark.parametrize("k", range(scalars.N_MAX + 1))
     def test_is_the_default_quadrature_bit_for_bit(self, k):
         live = quadrature._entropy(k, scalars.DEFAULT_PANEL_ORDER)
         assert abs(scalars.S_TABLE[k] - live) <= _s_table_tol(live)
+
+    def test_verify_bound_is_the_measured_worst_rounded_up(self):
+        # a more accurate live route must bring verify's bound down with it
+        # (6.0 ulps at k = 54 on both numpy paths)
+        worst = 0.0
+        for k, s_k in enumerate(scalars.S_TABLE):
+            live = quadrature._entropy(k, scalars.DEFAULT_PANEL_ORDER)
+            worst = max(worst, abs(s_k - live) / math.ulp(live))
+        assert math.ceil(worst) == verification.S_TABLE_ULPS
 
     def test_oracle_delta_is_the_ledger_bound(self):
         # how far the larger of the two entries can be off the exact S_k:
@@ -426,7 +435,7 @@ class TestCriterionF:
                 for eta in (-1.3, 0.0, 0.4):
                     digest.update(repr(tuple(criterion.criterion_f(n, m, eta))).encode())
         assert digest.hexdigest() == (
-            "4b05c7b0e77a1f46e67a06288ff6001dfe59fde439d7440c829cca804ba23ce1"
+            "28f0c0a4282733d407c66149b1549b8454a2a0515376965d267145d48dcee4d9"
         )
 
     def test_finite_where_the_scale_overflows(self):

@@ -23,49 +23,49 @@ GOLDEN = [
      '645d40040514b69ab82bdae37218bfdca7e6c9747d1b173cfc1780a18bc62370',
      None),
     ('sweep --modes 1:1 --steps 41 --format json',
-     'b2d1bf1dd180c35e49521e2b4e456e7a9cb3bbb9d388ea381d419afd5e580585',
+     'dec75eaa0add9d46773caca9bca540b94815aaad7c8863e9724b6626ac5014ad',
      None),
     ('sweep --modes 0:0,1:1,2:3,5:0,7:7,32:32 --eta-min 0 --eta-max 3 --steps 257',
      '9991838f7057fb029889a5f75f6c97b4517127a4922cd205dbcc99817c1b8135',
      None),
     ('sweep --modes 0:0,1:1,2:3,5:0,7:7,32:32 --eta-min 0 --eta-max 3 --steps 257 --format json',
-     'fdbc0dab6a89db06d66ba094611114b54410080e1ac90064b3c528096bfba8fc',
+     '6584528d90cf7108508cb22de55122f9ad1ec571258f29c75abe86f7bac56471',
      None),
     ('sweep --modes 2:2 --steps 101 --svg',
-     '63fc5081598492ba30e10ecdba14692c725a506b8683e4a14f4f1f8a101e973c',
+     'e7dafaa64f61d9b1fe215c6c44570e2493948366e740b504315434f3654e3e96',
      'cf947261b7cb7b0239f66de9e7367b826c45231f34d1fea8defeda08754a425f'),
     ('sweep --modes 0:0,1:1,2:3,5:0,7:7,32:32 --steps 201 --svg',
-     'f223be725b1e15e47c9a40f017d67a1a750cc3b99c9252121def6d97af0a72aa',
+     'fe05f7eab8713d13a3cbf3a078c38944887150d7322b062e332e5997950d0e11',
      'dada22857523eb2e04325fc18426be9ce1dbdbdb62dbb4c65f300c0f9f1e7a67'),
     ('sweep --modes 0:0,1:1,2:3,5:0,7:7,32:32 --steps 201 --format json --svg',
-     'f980fa0ee22fc1535e0fc8c62de20e8fb96c38cfaa5d9e6f4e0ff85f712a562d',
+     '95d2b02310a208911062616314b95613f005af2b398910aa4c4f73d6e61e4c5a',
      'dada22857523eb2e04325fc18426be9ce1dbdbdb62dbb4c65f300c0f9f1e7a67'),
     ('sweep --modes 0:0,3:1 --eta-min -2.5 --eta-max -0.25 --steps 99',
      '80f780c6e12b96a64252800a6a6e0c46e46ce390531461c7cde6f428f3e0b253',
      None),
     ('sweep --modes 0:0,3:1 --eta-min -2.5 --eta-max -0.25 --steps 99 --format json --svg',
-     'a4610463d1b13570713e54c9461f9ce992834f9e3309a03d2a030101af4502b4',
+     'bba8ad3f8cb551788b56f314d9e14a69d534e6e9d87036f6fe02e336a9c88895',
      'ac91e55c397b19a5601a59a42fbcdebf8ea4a9601877beb292069119724ddb56'),
     ('threshold',
      '92d2266a6b2f022b6f533a1056ff8c64a988e6fe57a3ef7edf7875e60a41aa16',
      None),
     ('threshold --format json',
-     '00ffe095cba744a8127542d4d113b3f8006b2afe208111d9a2cd399efd49d56c',
+     '3d4f45a0367bf64ec14a33c8007483c38a1ffbb49e0a06eb14361fee0edd0c9a',
      None),
     ('threshold --n-max 32 --m-max 32',
      '03a6827d68ae6572d9073adabaea6ee4a2becdddb74be394ed564688bce3132e',
      None),
     ('threshold --n-max 32 --m-max 32 --format json',
-     '97506d3c6bfc4289a764146a91fed813b300caa21a800ddedb96e15f578904e4',
+     'ed7a75e9b5334cfa482129dbbba0f8fbf6d92c94e9bdad465feca5ce202f504e',
      None),
     ('threshold --n-max 64 --m-max 64',
-     '79dd2a8dcb645ffed11a60311280ba0e0e307b77a74cd743cf74cc50ec86fdec',
+     '980088001c5c9d8bcb4531ee837e82fa3ee63e92c9ceff695d0cd74a1b2cc855',
      None),
     ('criterion --n 3 --m 2 --eta 0.4',
-     'a15108bb58205d3e2a0d9dceeb9db801c84784d28dbf0ba5c2b8d96a24c447a5',
+     '4505958c44a82a129bb4a0557906ce69dac72dab10857eeacffdfded8e2edb84',
      None),
     ('criterion --n 32 --m 7 --eta -1.3',
-     '454e7088f0fe794b76ae94183bd057c6aa1b298ce3e27194b943c6c5295a3c37',
+     '122caf8678e49eb792c002dac0d4db1e87326f80f5953e5da1696c89c7ddf3ab',
      None),
     ('diagonalize --m1 2 --m2 0.5 --A 3 --B 1 --C -0.4',
      '9da2fd4ebfd7448cb785d234d63b6ee262fc6184df13c5413220c21bd731034f',
@@ -77,10 +77,10 @@ GOLDEN = [
      '6c78277171d6012666e5c6acb18d96a1d1db0cc8509c37ff8c425f2712316f66',
      None),
     ('wavefunction --n 3 --m 2 --eta -0.4 --steps 203',
-     '86e8fd59a821b5f80eaa7cd3572f445403999ec764c408fb20637983876b040e',
+     '36c67a5ec2959ea487e7317676849d68c63a3ed367b32c6aea467e58bf842826',
      None),
     ('wavefunction --n 1 --m 4 --eta 1.3 --space momentum --u-min -6 --u-max 5 --steps 203',
-     'b45deb1bf2b8b4348fd75d89a58db9d198a9575953a0db7942b2db60e3aad8ca',
+     'aaae9d537034c31c73e3ff65288c65784d26adf2d4f290438ba7f15c1b264c28',
      None),
 ]
 

@@ -1,9 +1,11 @@
+import decimal
 import math
 
 import numpy as np
 import pytest
 
 import oracles
+import reference
 from seec import _kernels, cli, oscillator, quadrature, scalars
 
 # panel-like points, exact roots and zeros, and points where H_n overflows
@@ -14,8 +16,8 @@ _GRID = np.concatenate(
 
 def _recurrence_points():
     # zero, denormals, the scaled points t1 u and t2 u of the golden
-    # wavefunction grids, and |z| up to 1e200, where H_n overflows to inf
-    # and the recurrence then meets inf - inf
+    # wavefunction grids, and |z| up to 1e200, where the Gaussian has
+    # underflowed to 0 and, from about 1.3e154, z^2 overflows to inf
     from test_golden import GOLDEN
 
     points = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308]
@@ -63,6 +65,38 @@ class TestHermitePairShape:
             for got, expected in zip(_kernels.hermite_pair(n, shaped), flat):
                 assert got.shape == shape
                 assert got.tobytes() == expected.tobytes()
+
+
+class TestHermiteFunction:
+    @pytest.mark.parametrize("k", [64, 151, 200])
+    def test_matches_the_decimal_reference(self, k):
+        # past the cap too, where sqrt(pi) k! 2^k no longer fits a double
+        # from k = 151: psi_k on 1001 points over its whole oscillating
+        # range and into the tail, against H_k of the reference's recurrence
+        # times e^{-z^2/2} / sqrt(sqrt(pi) k! 2^k) at 60 digits.  The worst
+        # absolute error is 2.4e-15 at k = 64 and 5.3e-15 at k = 151 and
+        # 200, where |psi_k| peaks near 0.41
+        cut = math.sqrt(2 * k + 1) + 3.0
+        z = np.linspace(-cut, cut, 1001)
+        got = _kernels.hermite_function(k, 1.0, z)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            norm = (reference.pi(60).sqrt() * (math.factorial(k) << k)).sqrt()
+            for x, value in zip(z.tolist(), got.tolist()):
+                x = decimal.Decimal(x)
+                exact = reference._hermite_pair(k, x)[0] * (-(x * x) / 2).exp() / norm
+                assert abs(decimal.Decimal(value) - exact) <= decimal.Decimal("6e-15"), x
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 33, 64])
+    def test_an_underflowed_gaussian_gives_positive_zero(self, k):
+        # t x overflows to +-inf at the first two points, and e^{-a^2/2}
+        # underflows at every one: psi_k is +0.0 there, not nan or -0.0
+        x = np.array([1e300, -1e300, 40.0, -40.0, -100.0])
+        for values in (_kernels.hermite_function(k, 1e10, x),
+                       oscillator._hermite_function_list(k, [1e10 * v for v in x.tolist()]),
+                       _kernels.hermite_function(k, 1.0, x[2:]),
+                       oscillator._hermite_function_list(k, x[2:].tolist())):
+            assert np.asarray(values).tobytes() == bytes(8 * len(values))
 
 
 class TestEntropyWeightedSum:
@@ -122,20 +156,27 @@ class TestInPlaceBitIdentity:
         for g, e in zip(got, expected):
             assert g.tobytes() == e.tobytes()
 
-    def test_pure_python_recurrence_matches_hermite_pair(self):
-        # the two implementations of the one recurrence: hermite_pair, and
-        # the list form behind the wavefunction command; compared as bit
-        # patterns, so a nan in the same place counts as equal
+    def test_psi_twins_match_bit_for_bit(self):
+        # the two implementations of the one psi_k recurrence:
+        # hermite_function, and the list form behind the wavefunction
+        # command.  Equal bit for bit wherever math.exp and numpy's exp
+        # give one Gaussian, and so one psi_0; compared as bit patterns, so
+        # the sign of a zero counts.  Every value is finite, and +0.0 where
+        # the Gaussian underflows
         points = _recurrence_points()
         z = np.array(points)
-        reached = set()
-        for n in range(scalars.N_MAX + 1):
-            with np.errstate(over="ignore", invalid="ignore"):
-                expected = _kernels.hermite_pair(n, z)[0]
-            got = np.array(oscillator._hermite_list(n, points))
-            assert got.tobytes() == expected.tobytes(), n
-            reached.update(str(v) for v in expected[~np.isfinite(expected)])
-        assert reached == {"inf", "-inf", "nan"}
+        with np.errstate(over="ignore"):
+            gauss = -0.5 * (z * z)
+        same = np.exp(gauss) == [math.exp(g) for g in gauss.tolist()]
+        far = np.exp(gauss) == 0.0
+        assert same.sum() >= 0.9 * len(points) and far.sum() >= 40
+        for k in range(scalars.N_MAX + 1):
+            expected = _kernels.hermite_function(k, 1.0, z)
+            got = np.array(oscillator._hermite_function_list(k, points))
+            assert got[same].tobytes() == expected[same].tobytes(), k
+            assert np.all(np.isfinite(got)) and np.all(np.isfinite(expected))
+            for values in (got, expected):
+                assert values[far].tobytes() == bytes(8 * far.sum()), k
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 32])
     def test_weighted_sum_matches_allocating_formula(self, n):

@@ -303,19 +303,25 @@ class TestReconstruct:
 
 class TestModePair:
     def test_normalization_constants(self):
-        # the ulp ledger of the Hermite norm N_k = sqrt(pi) k! 2^k and of
-        # c_k = 1 / sqrt(N_k) at every order, against a 50-digit decimal
-        # reference with k! 2^k exact: N_k is off by at most 1.01 ulps and
-        # c_k by 1.47
+        # the ulp ledger, against a 50-digit decimal reference, of the
+        # Hermite norm N_k = sqrt(pi) k! 2^k with k! 2^k exact (off by at
+        # most 1.01 ulps), of psi_0(0) = pi^{-1/4} (correctly rounded) and
+        # of the coefficients sqrt(2/(j+1)) and sqrt(j/(j+1)) of the psi_k
+        # recurrence, each the square root of a rounded quotient (at most
+        # 0.75 ulp off)
         with decimal.localcontext() as ctx:
             ctx.prec = 50
             sqrt_pi = PI_50.sqrt()
+            steps = scalars._psi_steps(scalars.N_MAX)
+            pairs = [(scalars._PI_M_QUARTER, 1 / sqrt_pi.sqrt(), 0.5)]
             for k in range(scalars.N_MAX + 1):
-                norm = sqrt_pi * (math.factorial(k) << k)
-                pairs = ((scalars._norm(k), norm), (scalars._norm_constant(k), 1 / norm.sqrt()))
-                for value, exact in pairs:
-                    ulp = decimal.Decimal(math.ulp(float(exact)))
-                    assert abs(decimal.Decimal(value) - exact) <= 2 * ulp, (k, value)
+                pairs.append((scalars._norm(k), sqrt_pi * (math.factorial(k) << k), 2))
+            for j, (c1, c2) in enumerate(steps):
+                pairs.append((c1, (decimal.Decimal(2) / (j + 1)).sqrt(), 0.75))
+                pairs.append((c2, (decimal.Decimal(j) / (j + 1)).sqrt(), 0.75))
+            for value, exact, ulps in pairs:
+                ulp = decimal.Decimal(math.ulp(float(exact)))
+                assert abs(decimal.Decimal(value) - exact) <= decimal.Decimal(ulps) * ulp, value
 
     def test_order_cap(self):
         with pytest.raises(DomainError):

@@ -10,7 +10,7 @@ below on it, and this process runs them again, each as its own test.
 import ast
 import math
 import sys
-from decimal import Decimal
+from decimal import Decimal, localcontext
 
 import reference
 from seec import criterion, scalars
@@ -42,8 +42,9 @@ I3_REFERENCE = {
 }
 
 # |threshold_eta0(n, m) - eta0(n, m)| over the whole (N_MAX + 1)^2 grid: the
-# worst is 5.78e-15, at (53, 53), where both S_53 carry their 8.27 ulps
-ETA0_TOL = 6e-15
+# worst is 6.58e-16, at (60, 6), from the correctly rounded table entries
+# and the rounding of the three subtractions and the sum
+ETA0_TOL = 7e-16
 
 
 def ledger():
@@ -73,6 +74,7 @@ def check(ledger):
     test_matches_the_20_digit_values(ledger)
     test_two_precisions_agree(ledger)
     test_entropy_table_within_its_bound(ledger)
+    test_entropy_table_is_correctly_rounded(ledger)
     test_bound_is_the_measured_worst_rounded_up(ledger)
     test_thresholds_within_their_bound(ledger)
 
@@ -106,6 +108,19 @@ def test_entropy_table_within_its_bound(stdlib_ledger):
     assert len(ulps) == scalars.N_MAX + 1 == len(scalars.S_TABLE)
     off = {k: u for k, u in enumerate(ulps) if not abs(u) <= scalars.S_TABLE_REF_ULPS}
     assert not off, off
+
+
+def test_entropy_table_is_correctly_rounded(stdlib_ledger):
+    # every entry is the exact S_k rounded once to a double: float() of a
+    # Decimal is correctly rounded, and the reference's digits decide every
+    # rounding, since S_k +- one unit in its last digit round alike
+    exact = [Decimal(s_k) for s_k in stdlib_ledger["entropy"]]
+    with localcontext() as ctx:
+        ctx.prec = 2 * reference.REF_DIGITS
+        for s_k in exact:
+            unit = Decimal(1).scaleb(s_k.adjusted() - reference.REF_DIGITS + 1)
+            assert float(s_k - unit) == float(s_k) == float(s_k + unit), s_k
+    assert list(scalars.S_TABLE) == [float(s_k) for s_k in exact]
 
 
 def test_bound_is_the_measured_worst_rounded_up(stdlib_ledger):
