@@ -252,6 +252,37 @@ def test_verification_skips_numpy_polynomial():
     assert out == "True True False\n"
 
 
+def test_default_paths_call_no_lapack():
+    # every root set is unfolded from its frozen table, and every base rule
+    # of the default and verify panel orders too, so with numpy's
+    # eigensolvers made to raise, verify's checks, every root set and
+    # Gauss-Hermite rule, and the entropy quadrature at panel orders 48 and
+    # 96 of every order still run; the one route left to LAPACK is leggauss
+    # at a panel order outside the tables
+    code, out, err = run_python(
+        "import numpy.linalg\n"
+        "def refuse(*args, **kwargs):\n"
+        "    raise AssertionError('LAPACK eigensolver called')\n"
+        "for name in ('eigvalsh', 'eigh', 'eigvals', 'eig'):\n"
+        "    setattr(numpy.linalg, name, refuse)\n"
+        "from seec import quadrature, scalars, verification\n"
+        "checks = verification.collect_checks(12)\n"
+        "for k in range(scalars.N_MAX + 1):\n"
+        "    quadrature.hermite_roots(k)\n"
+        "    quadrature.entropy_integral_numeric(k, 48)\n"
+        "    quadrature.entropy_integral_numeric(k, 96)\n"
+        "    if k:\n"
+        "        quadrature.gauss_hermite_rule(k)\n"
+        "print(all(c.status == 'ok' for c in checks))\n"
+        "try:\n"
+        "    quadrature.entropy_integral_numeric(3, 20)\n"
+        "except AssertionError as exc:\n"
+        "    print(exc)\n"
+    )
+    assert code == 0, err
+    assert out == "True\nLAPACK eigensolver called\n"
+
+
 @pytest.mark.parametrize("command,stdout_sha,svg_sha", GOLDEN, ids=[c for c, _, _ in GOLDEN])
 def test_scalar_commands_run_without_numpy(command, stdout_sha, svg_sha, tmp_path):
     # the golden digests, which test_golden.py holds the run with numpy to

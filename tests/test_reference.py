@@ -1,5 +1,6 @@
 """The stdlib reference of ``reference.py`` against 20-digit values, and the
-frozen entropy table and the threshold grid against it, with no numpy.
+frozen entropy table, the frozen Hermite roots and the threshold grid
+against it, with no numpy.
 
 This module imports nothing that loads numpy, nor pytest.  Its ledger is
 computed once, in a child interpreter where numpy cannot be imported (the
@@ -9,6 +10,7 @@ below on it, and this process runs them again, each as its own test.
 
 import ast
 import math
+import os
 import sys
 from decimal import Decimal, localcontext
 
@@ -49,9 +51,9 @@ ETA0_TOL = 7e-16
 
 def ledger():
     """The reference and the package side by side.  Per order k: S_k and
-    I3(k) to 40 digits, the digits to which the reference's two precisions
-    agree, and the ulps of S_TABLE[k] off S_k; over the grid, the worst
-    threshold error and its pair."""
+    I3(k) to 40 digits, the non-negative roots of H_k, the digits to which
+    the reference's two precisions agree, and the ulps of S_TABLE[k] off
+    S_k; over the grid, the worst threshold error and its pair."""
     entropies = [reference.entropy(k) for k in range(scalars.N_MAX + 1)]
     worst = (0.0, 0, 0)
     for n in range(scalars.N_MAX + 1):
@@ -61,6 +63,10 @@ def ledger():
             worst = max(worst, (error, n, m))
     return {
         "entropy": [str(s_k) for s_k in entropies],
+        "roots": [
+            [str(x) for x in reference.hermite_roots(k)[k // 2 :]]
+            for k in range(scalars.N_MAX + 1)
+        ],
         "i3": [str(reference.entropy_integral(k)) for k in range(scalars.N_MAX + 1)],
         "agreement": [reference.agreement(k) for k in range(scalars.N_MAX + 1)],
         "s_ulps": [reference.ulps(s_k, exact) for s_k, exact in zip(scalars.S_TABLE, entropies)],
@@ -75,6 +81,7 @@ def check(ledger):
     test_two_precisions_agree(ledger)
     test_entropy_table_within_its_bound(ledger)
     test_entropy_table_is_correctly_rounded(ledger)
+    test_root_table_is_correctly_rounded(ledger)
     test_bound_is_the_measured_worst_rounded_up(ledger)
     test_thresholds_within_their_bound(ledger)
 
@@ -121,6 +128,33 @@ def test_entropy_table_is_correctly_rounded(stdlib_ledger):
             unit = Decimal(1).scaleb(s_k.adjusted() - reference.REF_DIGITS + 1)
             assert float(s_k - unit) == float(s_k) == float(s_k + unit), s_k
     assert list(scalars.S_TABLE) == [float(s_k) for s_k in exact]
+
+
+def _root_halves():
+    # quadrature._ROOT_HALVES, read from its source: quadrature imports numpy
+    path = os.path.join(os.path.dirname(scalars.__file__), "quadrature.py")
+    with open(path) as source:
+        tree = ast.parse(source.read())
+    (table,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", "") == "_ROOT_HALVES"
+    ]
+    return table
+
+
+def test_root_table_is_correctly_rounded(stdlib_ledger):
+    # every frozen root is the exact root of H_k rounded once to a double,
+    # and the reference decides each rounding: its root +- one unit in its
+    # 40th digit rounds alike (0, the middle root of odd k, is exact)
+    halves = {k: [Decimal(x) for x in roots] for k, roots in enumerate(stdlib_ledger["roots"])}
+    with localcontext() as ctx:
+        ctx.prec = 2 * reference.REF_DIGITS
+        for k, half in halves.items():
+            for x in half:
+                unit = Decimal(1).scaleb(x.adjusted() - reference.REF_DIGITS + 1)
+                assert x == 0 or float(x - unit) == float(x) == float(x + unit), (k, x)
+    assert _root_halves() == {k: tuple(map(float, half)) for k, half in halves.items() if k}
 
 
 def test_bound_is_the_measured_worst_rounded_up(stdlib_ledger):
