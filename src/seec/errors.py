@@ -6,7 +6,7 @@ class DomainError(ValueError):
 
 
 class UnsupportedOrderError(DomainError):
-    """Polynomial or quadrature order above the supported cap."""
+    """Polynomial or quadrature order outside the supported ones."""
 
 
 class UnboundModeError(DomainError):

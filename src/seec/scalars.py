@@ -16,7 +16,6 @@ from .errors import DomainError, UnsupportedOrderError
 
 N_MAX = 64  # largest Hermite order: of every root set, rule, mode, entropy and table entry
 DEFAULT_PANEL_ORDER = 48  # Gauss-Legendre points per panel of the entropy quadrature
-PANEL_ORDER_MAX = 256  # largest panel order: its base rule is an order x order eigenproblem
 
 _LN2 = math.log(2.0)
 _EULER_GAMMA = 0.57721566490153286061
@@ -24,17 +23,22 @@ _SQRT_PI = 1.77245385090551602730
 _PI_M_QUARTER = 0.75112554446494248286  # pi^{-1/4} = psi_0(0)
 
 
-def _check_order(n, n_max, what="order", n_min=0):
-    # the one order check: a Python or numpy integer (never a bool, a numpy
-    # bool, an array or a float) in [n_min, n_max], returned as an int.  A
-    # numpy integer can only exist once numpy is imported, so the check
-    # looks numpy up in sys.modules instead of importing it.
+def _check_int(n, what):
+    # the type rule of every order: a Python or numpy integer (never a bool,
+    # a numpy bool, an array or a float), returned as an int.  A numpy
+    # integer can only exist once numpy is imported, so the check looks
+    # numpy up in sys.modules instead of importing it.
     np = sys.modules.get("numpy")
     if isinstance(n, bool) or not (
         isinstance(n, int) or (np is not None and isinstance(n, np.integer))
     ):
         raise DomainError(f"{what} must be an integer, got {n!r}")
-    n = int(n)
+    return int(n)
+
+
+def _check_order(n, n_max, what="order", n_min=0):
+    # the one order check: _check_int's integer, in [n_min, n_max]
+    n = _check_int(n, what)
     if not n_min <= n <= n_max:
         raise UnsupportedOrderError(f"{what} must be in [{n_min}, {n_max}], got {n}")
     return n

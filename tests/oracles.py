@@ -15,8 +15,8 @@ import numpy as np
 
 def leggauss(order):
     """numpy's Gauss-Legendre rule on [-1, 1]: the reference for the
-    package's frozen tables of orders 32, 48 and 96, and the rule it
-    builds every other order with."""
+    package's frozen tables of orders 32, 48 and 96, its only panel
+    orders, and the base rule of any other order a test integrates at."""
     return np.polynomial.legendre.leggauss(order)
 
 

@@ -236,15 +236,15 @@ def test_variance_threshold_skips_numpy():
 
 
 def test_verification_skips_numpy_polynomial():
-    # every base rule verify and the default entropy quadrature read, 32, 48
-    # and 96 points, comes from the frozen tables: numpy.polynomial is the
-    # only route to any other order, so a _leggauss that ignored the tables
-    # would load it here
+    # no route in seec imports numpy.polynomial: every base rule, of the
+    # panel orders 32, 48 and 96 alone, is a frozen table, so verify and
+    # the entropy quadrature at each panel order run without it
     code, out, err = run_python(
         "import sys\n"
         "from seec import quadrature, verification\n"
         "checks = verification.collect_checks(12)\n"
-        "quadrature.entropy_integral_numeric(32, 96)\n"
+        "for q in (32, 48, 96):\n"
+        "    quadrature.entropy_integral_numeric(32, q)\n"
         "print(all(c.status == 'ok' for c in checks), 'numpy' in sys.modules,\n"
         "      'numpy.polynomial' in sys.modules)\n"
     )
@@ -253,12 +253,12 @@ def test_verification_skips_numpy_polynomial():
 
 
 def test_default_paths_call_no_lapack():
-    # every root set is unfolded from its frozen table, and every base rule
-    # of the default and verify panel orders too, so with numpy's
-    # eigensolvers made to raise, verify's checks, every root set and
-    # Gauss-Hermite rule, and the entropy quadrature at panel orders 48 and
-    # 96 of every order still run; the one route left to LAPACK is leggauss
-    # at a panel order outside the tables
+    # no route in seec calls LAPACK: every root set is unfolded from its
+    # frozen table, and every base rule, of the panel orders 32, 48 and 96
+    # alone, too.  So with numpy's eigensolvers made to raise, verify's
+    # checks, every root set and Gauss-Hermite rule, and the entropy
+    # quadrature at every panel order of every order still run; a direct
+    # eigvalsh call shows the patch is live
     code, out, err = run_python(
         "import numpy.linalg\n"
         "def refuse(*args, **kwargs):\n"
@@ -269,13 +269,13 @@ def test_default_paths_call_no_lapack():
         "checks = verification.collect_checks(12)\n"
         "for k in range(scalars.N_MAX + 1):\n"
         "    quadrature.hermite_roots(k)\n"
-        "    quadrature.entropy_integral_numeric(k, 48)\n"
-        "    quadrature.entropy_integral_numeric(k, 96)\n"
+        "    for q in (32, 48, 96):\n"
+        "        quadrature.entropy_integral_numeric(k, q)\n"
         "    if k:\n"
         "        quadrature.gauss_hermite_rule(k)\n"
         "print(all(c.status == 'ok' for c in checks))\n"
         "try:\n"
-        "    quadrature.entropy_integral_numeric(3, 20)\n"
+        "    numpy.linalg.eigvalsh([[1.0]])\n"
         "except AssertionError as exc:\n"
         "    print(exc)\n"
     )

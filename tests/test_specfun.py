@@ -122,20 +122,23 @@ class TestHermiteRoots:
         rule = quadrature.gauss_hermite_rule(5)
         for array in (roots.roots, quadrature._root_set(5)[1], rule.nodes, rule.weights):
             assert not array.flags.writeable
-        with pytest.raises(AttributeError):
-            roots.roots = np.zeros(5)
+        # the records are bare tuples: no field is rebound, no attribute added
+        for record, field in ((roots, "roots"), (rule, "weights")):
+            for name in (field, "extra"):
+                with pytest.raises(AttributeError):
+                    setattr(record, name, np.zeros(5))
 
 
 class TestGaussLegendre:
-    @pytest.mark.parametrize("order", [*range(1, 97), 128, 200, scalars.PANEL_ORDER_MAX])
+    @pytest.mark.parametrize("order", [32, 48, 96])
     def test_base_rule_is_numpys_bit_for_bit(self, order):
         nodes, weights = quadrature._leggauss(order)
         ref_nodes, ref_weights = oracles.leggauss(order)
         assert nodes.tobytes() == ref_nodes.tobytes()
         assert weights.tobytes() == ref_weights.tobytes()
         assert not (nodes.flags.writeable or weights.flags.writeable)
-        # the three orders seec uses are read from the frozen tables
-        assert (order in quadrature._LEGGAUSS_HALVES) == (order in (32, 48, 96))
+        # the three frozen tables are the only base rules
+        assert sorted(quadrature._LEGGAUSS_HALVES) == [32, 48, 96]
 
     @pytest.mark.parametrize("order", [32, 48, 96])
     def test_tabulated_rule_is_the_live_one_bit_for_bit(self, order):
