@@ -1,5 +1,6 @@
 """The stdlib reference: S_k, I3(k), eta0(n, m) and the Gauss-Hermite rule
-of every order k <= 64, in ``decimal`` to REF_DIGITS correct digits.
+of every order k <= 64, in ``decimal`` to REF_DIGITS correct digits, and
+the Gauss-Legendre rules of the panel quadrature.
 
 It shares no formula with the package's panel quadrature.  H_k(z) =
 2^k prod (z - x_i) over its roots x_i, so
@@ -25,6 +26,11 @@ entropy is summed at two working precisions from the same inputs (the
 roots, D and int D, whose series have terms of one sign), and the two sums
 must agree to REF_DIGITS digits.
 
+The Gauss-Legendre nodes are the roots of P_q, each polished by Newton's
+method on Bonnet's recurrence from a float that an exact sign change of
+P_q within 2 ulps of it certifies, and the weights are
+2 / ((1 - x^2) P_q'(x)^2).
+
 Imports nothing outside the standard library, so it runs where numpy
 cannot be imported.  Run as a script, it prints k, S_k and I3(k) for
 every order.
@@ -32,6 +38,7 @@ every order.
 
 import math
 from decimal import Decimal, localcontext
+from fractions import Fraction
 from functools import lru_cache
 
 N_MAX = 64
@@ -215,6 +222,66 @@ def gauss_hermite_weights(k):
         ]
     mirror = half[:0:-1] if k % 2 else half[::-1]
     return tuple(mirror + half)
+
+
+def _legendre_pair(q, x):
+    # (P_q(x), P_{q-1}(x)) by Bonnet's recurrence
+    # (j + 1) P_{j+1} = (2j + 1) x P_j - j P_{j-1}, in the current context
+    p_prev, p = 0 * x, 1 + 0 * x
+    for j in range(q):
+        p_prev, p = p, ((2 * j + 1) * x * p - j * p_prev) / (j + 1)
+    return p, p_prev
+
+
+def _legendre_sign(q, x):
+    # the sign of P_q at the rational x = num / den, exactly: the integers
+    # Q_j = j! den^j P_j(x) obey Q_{j+1} = (2j + 1) num Q_j - j^2 den^2 Q_{j-1}
+    num, den = x.numerator, x.denominator
+    q_prev, q_j = 1, num
+    for j in range(1, q):
+        q_prev, q_j = q_j, (2 * j + 1) * num * q_j - j * j * den * den * q_prev
+    return (q_j > 0) - (q_j < 0)
+
+
+def legendre_rule(q, starts):
+    """The non-negative nodes of the Gauss-Legendre rule of even order q
+    on [-1, 1], ascending, and their weights, as two tuples of Decimals to
+    about 50 digits, from ``starts``, a float near each node.
+
+    P_q changes sign, exactly, between each start -+ 2 ulps, and these
+    q / 2 brackets are disjoint and positive, so with their mirrors they
+    hold all q roots of P_q, one each.  Newton's method polishes each root
+    from its start, and must end inside the bracket."""
+    if q % 2 or len(starts) != q // 2:
+        raise ValueError(f"expected {q // 2} starts for an even order, got {len(starts)}")
+    nodes, weights = [], []
+    below = Fraction(0)
+    for start in starts:
+        two_ulps = 2 * Fraction(math.ulp(start))
+        lo, hi = Fraction(start) - two_ulps, Fraction(start) + two_ulps
+        if not (below < lo and _legendre_sign(q, lo) * _legendre_sign(q, hi) < 0):
+            raise ArithmeticError(f"no root of P_{q} is certified within 2 ulps of {start}")
+        below = hi
+        with localcontext() as ctx:
+            # Newton's error squares each step: a step below 10^-30 leaves
+            # one far below 10^-50
+            ctx.prec = 60
+            tiny = Decimal(10) ** -30
+            x = Decimal(start)
+            for _ in range(10):
+                # (x^2 - 1) P_q' = q (x P_q - P_{q-1})
+                p, p_prev = _legendre_pair(q, x)
+                step = p * (1 - x * x) / (q * (p_prev - x * p))
+                x -= step
+                if abs(step) <= tiny:
+                    break
+            if not (abs(step) <= tiny and lo < Fraction(x) < hi):
+                raise ArithmeticError(f"Newton's method left the bracket of P_{q} at {start}")
+            p, p_prev = _legendre_pair(q, x)
+            derivative = q * (p_prev - x * p) / (1 - x * x)
+            weights.append(2 / ((1 - x * x) * derivative * derivative))
+        nodes.append(x)
+    return tuple(nodes), tuple(weights)
 
 
 def _entropy_and_i3(k, prec):

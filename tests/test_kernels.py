@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import oracles
 import reference
@@ -38,6 +40,54 @@ def _panel_inputs(n):
     edges = oracles.whole_line(quadrature._entropy_panel_boundaries(n))
     nodes, weights = quadrature._panel_nodes(32, edges)
     return nodes.ravel(), weights.ravel()
+
+
+class TestHermiteEval:
+    def test_degree_zero_is_one(self):
+        assert _kernels.hermite_values(0, [1.7]).tolist() == [1.0]
+
+    def test_known_low_orders(self):
+        assert _kernels.hermite_values(2, [1.0]).tolist() == [2.0]  # 4z^2 - 2
+        assert _kernels.hermite_values(3, [0.5]).tolist() == [-5.0]  # 8z^3 - 12z
+        assert _kernels.hermite_values(1, [-2.25]).tolist() == [-4.5]
+
+    @given(
+        st.integers(min_value=1, max_value=30),
+        st.floats(min_value=-6.0, max_value=6.0, allow_nan=False),
+    )
+    # near z = 0 with n even, H_{n+-1} vanish and the residual's scale sits
+    # far below |H_n| itself; numpy's series is then 1 ulp of H_n off
+    @example(n=24, z=3.6279513255451832e-09)
+    def test_recurrence_consistency(self, n, z):
+        h_np1, h_n, h_nm1 = (_kernels.hermite_values(k, [z])[0] for k in (n + 1, n, n - 1))
+        residual = h_np1 - 2.0 * z * h_n + 2.0 * n * h_nm1
+        scale = max(abs(h_np1), abs(2.0 * z * h_n), abs(2.0 * n * h_nm1), 1.0)
+        assert abs(residual) <= 1e-9 * scale
+        # and numpy's Hermite series, an independent route, agrees
+        assert abs(h_n - float(oracles.hermite_polynomial(n, z))) <= 1e-9 * max(scale, abs(h_n))
+
+    @given(
+        st.integers(min_value=0, max_value=40),
+        st.floats(min_value=-8.0, max_value=8.0, allow_nan=False),
+    )
+    def test_parity_exact(self, n, z):
+        # bitwise, not approximate: every recurrence step is sign-symmetric
+        h = _kernels.hermite_values(n, [z, -z])
+        assert h[1] == (-1.0) ** n * h[0]
+
+    def test_array_matches_scalar_bitwise(self):
+        # each element is the value at that point alone, and hermite_pair
+        # carries the same recurrence
+        z = np.linspace(-5.0, 5.0, 101)
+        ref = [
+            np.array([_kernels.hermite_values(n, [x])[0] for x in z])
+            for n in range(scalars.N_MAX + 1)
+        ]
+        for n in (0, 1, 5, 17, 32):
+            assert np.array_equal(_kernels.hermite_values(n, z), ref[n])
+        for n in range(1, scalars.N_MAX + 1):
+            hn, hm1 = _kernels.hermite_pair(n, z)
+            assert np.array_equal(hn, ref[n]) and np.array_equal(hm1, ref[n - 1])
 
 
 class TestHermiteValues:

@@ -4,7 +4,8 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
-from seec import _kernels, quadrature, scalars
+import seec
+from seec import _kernels, criterion, errors, oscillator, quadrature, scalars, verification
 from seec.errors import DomainError, UnsupportedOrderError
 
 import oracles
@@ -27,6 +28,60 @@ def _double_factorial_moment(k):
     return value
 
 
+class TestHermiteRoots:
+    def test_small_orders(self):
+        assert quadrature.hermite_roots(1).roots.tolist() == [0.0]
+        np.testing.assert_allclose(
+            quadrature.hermite_roots(2).roots, [-0.7071067811865476, 0.7071067811865476], atol=1e-14
+        )
+        np.testing.assert_allclose(
+            quadrature.hermite_roots(3).roots, [-1.224744871391589, 0.0, 1.224744871391589], atol=1e-14
+        )
+
+    def test_zero_order_is_empty(self):
+        assert len(quadrature.hermite_roots(0).roots) == 0
+
+    def test_order_above_cap_rejected(self):
+        with pytest.raises(UnsupportedOrderError):
+            quadrature.hermite_roots(scalars.N_MAX + 1)
+
+    @pytest.mark.parametrize("n", range(1, scalars.N_MAX + 1))
+    def test_rootset_invariants(self, n):
+        # the guarantees of every frozen root set, which no process
+        # re-checks: n roots, strictly increasing, exactly antisymmetric,
+        # each a root to its Newton residual (nan fails each)
+        roots = quadrature.hermite_roots(n).roots
+        assert len(roots) == n
+        assert np.all(np.diff(roots) > 0)
+        assert np.array_equal(roots, -roots[::-1])
+        for x in roots:
+            h_n = _kernels.hermite_values(n, [x])[0]
+            h_prime = 2.0 * n * _kernels.hermite_values(n - 1, [x])[0]
+            assert abs(h_n) <= 1e-10 * max(1.0, abs(h_prime))
+
+    def test_cached_object_reused(self):
+        assert quadrature.hermite_roots(7) is quadrature.hermite_roots(7)
+
+    def test_every_node_matches_the_stdlib_reference(self):
+        # every node of H_n, n <= N_MAX, is the 70-digit root of the stdlib
+        # reference correctly rounded, the same double on every machine
+        for n in range(1, scalars.N_MAX + 1):
+            exact = [float(x) for x in reference.hermite_roots(n)]
+            assert quadrature.hermite_roots(n).roots.tolist() == exact, n
+
+    def test_records_hold_read_only_arrays(self):
+        # H_{n-1} at the roots is cached with them, for the weights
+        roots = quadrature.hermite_roots(5)
+        rule = quadrature.gauss_hermite_rule(5)
+        for array in (roots.roots, quadrature._root_set(5)[1], rule.nodes, rule.weights):
+            assert not array.flags.writeable
+        # the records are bare tuples: no field is rebound, no attribute added
+        for record, field in ((roots, "roots"), (rule, "weights")):
+            for name in (field, "extra"):
+                with pytest.raises(AttributeError):
+                    setattr(record, name, np.zeros(5))
+
+
 class TestGaussHermiteRule:
     def test_order_one(self):
         rule = quadrature.gauss_hermite_rule(1)
@@ -38,10 +93,11 @@ class TestGaussHermiteRule:
         np.testing.assert_allclose(rule.nodes, [-1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0)], atol=1e-15)
         np.testing.assert_allclose(rule.weights, [SQRT_PI / 2.0, SQRT_PI / 2.0], rtol=1e-14)
 
-    @pytest.mark.parametrize("order", [1, 2, 3, 5, 8, 13, 21, 34, 48, 64])
+    @pytest.mark.parametrize("order", range(1, scalars.N_MAX + 1))
     def test_weights_sum_to_sqrt_pi(self, order):
+        # at every order: finite, positive weights that sum to sqrt(pi)
         rule = quadrature.gauss_hermite_rule(order)
-        assert np.all(rule.weights > 0)
+        assert np.all(np.isfinite(rule.weights) & (rule.weights > 0))
         assert abs(float(np.sum(rule.weights)) - SQRT_PI) <= 1e-12 * SQRT_PI
 
     @pytest.mark.parametrize("order", [3, 8, 20, 40])
@@ -60,9 +116,9 @@ class TestGaussHermiteRule:
             assert quadrature.gauss_hermite_rule(n).nodes is quadrature.hermite_roots(n).roots
 
     def test_weights_equal_a_separate_recurrence_pass_bit_for_bit(self):
-        # the weights, built from the H_{n-1} the root set kept from its
-        # residual check, are those of w_i = 2^{n-1} n! sqrt(pi) / (n H_{n-1})^2
-        # with H_{n-1} from a pass of its own
+        # the weights, built from the H_{n-1} kept with the root set, are
+        # those of w_i = 2^{n-1} n! sqrt(pi) / (n H_{n-1})^2 with H_{n-1}
+        # from a pass of its own
         for order in range(1, scalars.N_MAX + 1):
             rule = quadrature.gauss_hermite_rule(order)
             h_prev = _kernels.hermite_values(order - 1, rule.nodes)
@@ -81,29 +137,6 @@ class TestGaussHermiteRule:
         with pytest.raises(UnsupportedOrderError):
             quadrature.gauss_hermite_rule(65)
 
-    @pytest.mark.parametrize(
-        "order,nodes,message",
-        [
-            (2, [-0.8, 0.8], "sum to sqrt"),  # weights sum to sqrt(pi) / 1.28
-            (2, [-1e200, 1e200], "finite and strictly positive"),  # weights underflow to 0
-            (2, [math.nan, math.nan], "finite and strictly positive"),  # nan weights
-        ],
-    )
-    def test_rejects_a_rule_off_its_guarantees(self, monkeypatch, order, nodes, message):
-        # nodes off the roots, with H_{n-1} at them as a root set keeps it,
-        # are patched in past the root checks (TestHermiteRoots feeds each
-        # of those its own bad roots), so the rule's builder must catch
-        # its weights
-        roots = np.array(nodes)
-        pair = (quadrature.RootSet(order, roots), _kernels.hermite_values(order - 1, roots))
-        monkeypatch.setattr(quadrature, "_root_set", lambda n: pair)
-        quadrature._gauss_hermite_rule.cache_clear()
-        try:
-            with pytest.raises(DomainError, match=message):
-                quadrature.gauss_hermite_rule(order)
-        finally:
-            quadrature._gauss_hermite_rule.cache_clear()
-
     def test_closed_form_agreement_through_n12(self):
         # sum w H_n^2 = 2^n n! sqrt(pi) and the z^2-weighted mirror
         for n in range(13):
@@ -115,6 +148,46 @@ class TestGaussHermiteRule:
             i2 = -float(np.dot(rule.weights, rule.nodes**2 * h2))
             exact = -norm * (n + 0.5)
             assert abs(i2 - exact) <= 1e-10 * abs(exact)
+
+
+class TestOrthogonality:
+    def test_spot_check(self):
+        # quadrature of H_a H_b e^{-z^2}: zero off the diagonal (relative to
+        # the diagonal norm scale), 2^a a! sqrt(pi) on it
+        rule = quadrature.gauss_hermite_rule(12)
+        norms = {}
+        for a in range(11):
+            norms[a] = math.exp(0.5 * math.log(math.pi) + math.lgamma(a + 1.0) + a * math.log(2.0))
+        for a in range(11):
+            ha = _kernels.hermite_values(a, rule.nodes)
+            for b in range(a, 11):
+                hb = _kernels.hermite_values(b, rule.nodes)
+                integral = float(np.dot(rule.weights, ha * hb))
+                if a == b:
+                    assert abs(integral - norms[a]) <= 1e-10 * norms[a]
+                else:
+                    assert abs(integral) <= 1e-8 * math.sqrt(norms[a] * norms[b])
+
+
+class TestGaussLegendre:
+    @pytest.mark.parametrize("order", [32, 48, 96])
+    def test_base_rule_is_numpys_bit_for_bit(self, order):
+        nodes, weights = quadrature._leggauss(order)
+        ref_nodes, ref_weights = oracles.leggauss(order)
+        assert nodes.tobytes() == ref_nodes.tobytes()
+        assert weights.tobytes() == ref_weights.tobytes()
+        assert not (nodes.flags.writeable or weights.flags.writeable)
+        # the three frozen tables are the only base rules
+        assert sorted(quadrature._LEGGAUSS_HALVES) == [32, 48, 96]
+
+    @pytest.mark.parametrize("order", [32, 48, 96])
+    def test_tabulated_rule_is_the_live_one_bit_for_bit(self, order):
+        # each table holds the recipe its comment gives, numpy's live rule
+        # cut at order // 2, literal for literal
+        half_nodes, half_weights = quadrature._LEGGAUSS_HALVES[order]
+        live_nodes, live_weights = oracles.leggauss(order)
+        assert half_nodes == tuple(map(float, live_nodes[order // 2:]))
+        assert half_weights == tuple(map(float, live_weights[order // 2:]))
 
 
 def _panel_rule(order, boundaries):
@@ -247,13 +320,6 @@ class TestEntropyIntegral:
             expected = quadrature._i3_from_entropy(n, oracles.entropy_sum_allocating(n, *panels))
             assert quadrature.entropy_integral_numeric(n, order) == expected
 
-    @pytest.mark.parametrize("window", [math.inf, math.nan, 0.5])
-    def test_boundaries_must_be_finite_and_increasing(self, window, monkeypatch):
-        # a window inside the outer roots of H_3 (+-1.22) folds the edges back
-        monkeypatch.setattr(quadrature, "_entropy_window", lambda n: window)
-        with np.errstate(invalid="ignore"), pytest.raises(DomainError, match="increasing"):
-            quadrature._entropy_panel_boundaries.__wrapped__(3)
-
     def test_boundary_array_is_cached_read_only(self):
         edges = quadrature._entropy_panel_boundaries(5)
         assert quadrature._entropy_panel_boundaries(5) is edges
@@ -261,9 +327,10 @@ class TestEntropyIntegral:
 
     @pytest.mark.parametrize("n", range(0, scalars.N_MAX + 1))
     def test_boundaries_cover_window_and_roots(self, n):
-        # the z >= 0 half: from +0.0 to the window edge, every non-negative
-        # root an edge exactly
+        # the z >= 0 half: finite, from +0.0 to the window edge, strictly
+        # increasing, every non-negative root an edge exactly
         bounds = quadrature._entropy_panel_boundaries(n)
+        assert np.all(np.isfinite(bounds))
         assert bounds[:1].tobytes() == np.zeros(1).tobytes()
         assert bounds[-1] == math.sqrt(2.0 * n + 1.0) + 10.0
         roots = quadrature.hermite_roots(n).roots
@@ -342,3 +409,107 @@ class TestEntropyIntegral:
         for bad in (48.0, True):
             with pytest.raises(DomainError):
                 quadrature.entropy_integral_numeric(7, bad)
+
+
+class TestConstants:
+    def test_literal_values(self):
+        assert scalars._EULER_GAMMA == 0.5772156649015329
+        assert abs(scalars._SQRT_PI - math.sqrt(math.pi)) < 1e-15
+
+
+# |entropy_integral_numeric(n) - I3(n)| / max(1, |I3(n)|) against the
+# reference, n <= N_MAX: the worst is 1.2e-15, at n = 0
+I3_REF_TOL = 4e-15
+
+
+class TestLogPotential:
+    """The quadrature's I3(n) against the closed form of the logarithmic
+    potential, int e^{-z^2} H_j ln (z - x)^2 = 2 Q_{j-1}(x) over Dawson's
+    integral, summed at the roots of H_n by the stdlib reference."""
+
+    def test_closed_form_entropy_integral_matches_oracle_at_n1(self, stdlib_ledger):
+        closed = float(stdlib_ledger["i3"][1])
+        assert abs(closed - quadrature.entropy_integral_numeric(1)) <= 1e-9
+        analytic = 4.0 * scalars._SQRT_PI * (1.0 - 0.5 * scalars._EULER_GAMMA)
+        assert abs(closed - analytic) <= 1e-12
+
+    @pytest.mark.parametrize("n", range(scalars.N_MAX + 1))
+    def test_closed_form_matches_quadrature(self, stdlib_ledger, n):
+        closed = Decimal(stdlib_ledger["i3"][n])
+        error = abs(Decimal(quadrature.entropy_integral_numeric(n)) - closed)
+        assert float(error / max(1, abs(closed))) <= I3_REF_TOL
+
+    def test_closed_form_zero_at_order_zero(self, stdlib_ledger):
+        assert Decimal(stdlib_ledger["i3"][0]) == 0
+
+
+# every public entry that takes an order, as a call of the order alone,
+# with its cap
+ORDER_ENTRIES = {
+    "hermite_roots": (quadrature.hermite_roots, scalars.N_MAX),
+    "gauss_hermite_rule": (quadrature.gauss_hermite_rule, scalars.N_MAX),
+    "entropy_integral_numeric": (quadrature.entropy_integral_numeric, scalars.N_MAX),
+    "standard_entropy": (criterion.standard_entropy, scalars.N_MAX),
+    "threshold_eta0": (lambda n: criterion.threshold_eta0(n, 0), scalars.N_MAX),
+    "variance_threshold": (lambda n: criterion.variance_threshold(0, n), scalars.N_MAX),
+    "mode_pair": (lambda n: oscillator.ModePair(0, n), scalars.N_MAX),
+    "collect_checks": (verification.collect_checks, verification.VERIFY_N_MAX),
+}
+REMOVED_NAMES = (
+    "SeriesValue",
+    "hyp1f1_gauss",
+    "hyp2f2_gauss",
+    "HYP1F1_VALID_RANGE",
+    "HYP2F2_VALID_RANGE",
+    "IntegralBundle",
+    "integral_bundle",
+    "shannon_entropy",
+    "hermite_eval",
+    "ScalingTransform",
+    "legendre_panel_rule",
+    "integrate_panels",
+    "IntegrandEvaluationError",
+    "entropy_panel_boundaries",
+    "hermite_values",
+    "log_potential",
+    "entropy_integral_closed_form",
+    "I3_CLOSED_TABLE",
+    "I3_CLOSED_RTOL",
+    "S_CLOSED_TOL",
+    "I3_TABLE_RTOL",
+    "MathConstants",
+    "CONSTANTS",
+    "ln_factorial",
+    "criterion_curve",
+    "is_entangled",
+    "all_normative_pass",
+    "_check_panel_order",
+)
+
+
+@pytest.mark.parametrize("entry", sorted(ORDER_ENTRIES))
+def test_order_entries_share_one_check(entry):
+    call, cap = ORDER_ENTRIES[entry]
+    # numpy integers are orders; warming 1 and 2 this way also puts equal
+    # keys in any cache, which must not answer for True or 2.0
+    call(np.int64(1))
+    call(np.int64(2))
+    for bad in (True, np.True_, np.array(2), 2.0, -1):
+        with pytest.raises(DomainError):
+            call(bad)
+    with pytest.raises(UnsupportedOrderError):
+        call(-1)
+    call(cap)
+    with pytest.raises(UnsupportedOrderError):
+        call(cap + 1)
+
+
+def test_public_names():
+    assert "variance_threshold" in seec.__all__
+    assert "critical_coupling" in seec.__all__
+    for name in seec.__all__:
+        assert hasattr(seec, name), name
+    for name in REMOVED_NAMES:
+        assert name not in seec.__all__, name
+        for module in (seec, criterion, quadrature, scalars, errors, verification):
+            assert not hasattr(module, name), name

@@ -1,6 +1,6 @@
 """The stdlib reference of ``reference.py`` against 20-digit values, and the
-frozen entropy table, the frozen Hermite roots and the threshold grid
-against it, with no numpy.
+frozen entropy table, the frozen Hermite roots, the frozen Gauss-Legendre
+rules and the threshold grid against it, with no numpy.
 
 This module imports nothing that loads numpy, nor pytest.  Its ledger is
 computed once, in a child interpreter where numpy cannot be imported (the
@@ -12,7 +12,8 @@ import ast
 import math
 import os
 import sys
-from decimal import Decimal, localcontext
+from decimal import ROUND_CEILING, Decimal, localcontext
+from functools import lru_cache
 
 import reference
 from seec import criterion, scalars
@@ -48,12 +49,20 @@ I3_REFERENCE = {
 # and the rounding of the three subtractions and the sum
 ETA0_TOL = 7e-16
 
+# each frozen Gauss-Legendre rule against the exact one, per order: the
+# worst node's ulps off its root and the worst weight's relative error,
+# 1.16 ulps and 5.83e-14 (32), 0.77 and 1.27e-12 (48), 0.87 and 1.49e-12 (96)
+LEGGAUSS_NODE_ULPS = {32: 2, 48: 1, 96: 1}
+LEGGAUSS_WEIGHT_RTOL = {32: 5.9e-14, 48: 1.3e-12, 96: 1.5e-12}
+
 
 def ledger():
     """The reference and the package side by side.  Per order k: S_k and
     I3(k) to 40 digits, the non-negative roots of H_k, the digits to which
     the reference's two precisions agree, and the ulps of S_TABLE[k] off
-    S_k; over the grid, the worst threshold error and its pair."""
+    S_k; over the grid, the worst threshold error and its pair; per
+    Gauss-Legendre order q, [q, the worst node's ulps, the worst weight's
+    relative error] of the frozen rule against the exact one."""
     entropies = [reference.entropy(k) for k in range(scalars.N_MAX + 1)]
     worst = (0.0, 0, 0)
     for n in range(scalars.N_MAX + 1):
@@ -71,6 +80,9 @@ def ledger():
         "agreement": [reference.agreement(k) for k in range(scalars.N_MAX + 1)],
         "s_ulps": [reference.ulps(s_k, exact) for s_k, exact in zip(scalars.S_TABLE, entropies)],
         "eta0_worst": worst,
+        "leggauss": [
+            _leggauss_errors(q, *rule) for q, rule in sorted(_frozen("_LEGGAUSS_HALVES").items())
+        ],
         "numpy": sys.modules.get("numpy") is not None,
     }
 
@@ -84,6 +96,8 @@ def check(ledger):
     test_root_table_is_correctly_rounded(ledger)
     test_bound_is_the_measured_worst_rounded_up(ledger)
     test_thresholds_within_their_bound(ledger)
+    test_leggauss_tables_within_their_bounds(ledger)
+    test_leggauss_bounds_are_the_measured_worst_rounded_up(ledger)
 
 
 def test_the_checks_pass_where_numpy_cannot_load(stdlib_ledger):
@@ -130,17 +144,30 @@ def test_entropy_table_is_correctly_rounded(stdlib_ledger):
     assert list(scalars.S_TABLE) == [float(s_k) for s_k in exact]
 
 
-def _root_halves():
-    # quadrature._ROOT_HALVES, read from its source: quadrature imports numpy
+@lru_cache(maxsize=None)
+def _frozen(name):
+    # a frozen table of quadrature, read from its source: quadrature
+    # imports numpy
     path = os.path.join(os.path.dirname(scalars.__file__), "quadrature.py")
     with open(path) as source:
         tree = ast.parse(source.read())
     (table,) = [
         ast.literal_eval(node.value)
         for node in tree.body
-        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", "") == "_ROOT_HALVES"
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", "") == name
     ]
     return table
+
+
+def _leggauss_errors(q, nodes, weights):
+    # [q, worst |ulps| of a node, worst relative error of a weight] of the
+    # frozen half rule of order q against the exact rule
+    exact_nodes, exact_weights = reference.legendre_rule(q, nodes)
+    return [
+        q,
+        max(abs(reference.ulps(x, exact)) for x, exact in zip(nodes, exact_nodes)),
+        max(float(abs(Decimal(w) - exact) / exact) for w, exact in zip(weights, exact_weights)),
+    ]
 
 
 def test_root_table_is_correctly_rounded(stdlib_ledger):
@@ -154,7 +181,9 @@ def test_root_table_is_correctly_rounded(stdlib_ledger):
             for x in half:
                 unit = Decimal(1).scaleb(x.adjusted() - reference.REF_DIGITS + 1)
                 assert x == 0 or float(x - unit) == float(x) == float(x + unit), (k, x)
-    assert _root_halves() == {k: tuple(map(float, half)) for k, half in halves.items() if k}
+    assert _frozen("_ROOT_HALVES") == {
+        k: tuple(map(float, half)) for k, half in halves.items() if k
+    }
 
 
 def test_bound_is_the_measured_worst_rounded_up(stdlib_ledger):
@@ -165,6 +194,29 @@ def test_bound_is_the_measured_worst_rounded_up(stdlib_ledger):
 def test_thresholds_within_their_bound(stdlib_ledger):
     error, n, m = stdlib_ledger["eta0_worst"]
     assert error <= ETA0_TOL, (n, m)
+
+
+def test_leggauss_tables_within_their_bounds(stdlib_ledger):
+    # every node and weight of the three frozen rules, held to the exact
+    # rule, whose nodes an exact sign change of P_q certifies
+    errors = stdlib_ledger["leggauss"]
+    assert [q for q, _, _ in errors] == sorted(LEGGAUSS_NODE_ULPS) == [32, 48, 96]
+    for q, node_ulps, weight_rtol in errors:
+        assert node_ulps <= LEGGAUSS_NODE_ULPS[q], q
+        assert weight_rtol <= LEGGAUSS_WEIGHT_RTOL[q], q
+
+
+def _rounded_up(value, digits):
+    # ``value`` rounded up to ``digits`` significant digits
+    exact = Decimal(value)
+    return float(exact.quantize(Decimal(1).scaleb(exact.adjusted() - digits + 1), ROUND_CEILING))
+
+
+def test_leggauss_bounds_are_the_measured_worst_rounded_up(stdlib_ledger):
+    # tighter tables must bring their bounds down with them
+    for q, node_ulps, weight_rtol in stdlib_ledger["leggauss"]:
+        assert math.ceil(node_ulps) == LEGGAUSS_NODE_ULPS[q], q
+        assert _rounded_up(weight_rtol, 2) == LEGGAUSS_WEIGHT_RTOL[q], q
 
 
 def test_the_precision_check_has_teeth():
