@@ -46,6 +46,7 @@ _EXPORTS = {
 _SUBMODULES = frozenset(
     {
         "_kernels",
+        "_tables",
         "cli",
         "criterion",
         "errors",

@@ -15,7 +15,7 @@ S_k is the unit-scale level entropy.  Sweeps over eta therefore never
 re-integrate, and f(eta) = eta0 - eta holds exactly by construction.
 This S_k - ln t is the one route to each entropy.  S_k, the entropy of
 the density that marginal evaluates, taken at unit scale, is read from
-the frozen table in ``scalars`` (``verification`` checks it against its
+the frozen table in ``_tables`` (``verification`` checks it against its
 live quadrature), so standard_entropy, threshold_eta0 and criterion_f
 never import numpy; only marginal imports it, when called.
 
@@ -27,10 +27,10 @@ threshold: f = threshold_eta0(n, m) - etas, entangled where f < 0.
 import math
 from collections import namedtuple
 
+from ._tables import S_TABLE
 from .errors import DomainError
 from .scalars import (
     N_MAX,
-    S_TABLE,
     S_TABLE_REF_ULPS,
     _check_eta,
     _check_mode_pair,
@@ -68,7 +68,7 @@ def marginal(side, n, m, eta, u):
 def standard_entropy(k):
     """Entropy S_k = -int psi_k^2 ln psi_k^2 of the unit-scale level-k
     density psi_k^2 = e^{-z^2} H_k^2(z) / (sqrt(pi) k! 2^k): the frozen
-    ``scalars.S_TABLE`` entry of k, the exact S_k correctly rounded,
+    ``_tables.S_TABLE`` entry of k, the exact S_k correctly rounded,
     validated on every call (an integer, np.int64(k) too).  The live panel
     quadrature is quadrature._entropy(k, order), which verify holds to it.
     """

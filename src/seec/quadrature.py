@@ -9,13 +9,14 @@ of the panels on which the log-singular entropy integrand
 smooth at each root, each side graded toward it by a ratio of 8, on the
 z >= 0 half of a mirror-exact layout, where alone the even integrand is
 evaluated.  The Gauss-Legendre base rules, of orders 32, 48 and 96
-alone, are frozen tables too, so no route calls LAPACK.  The tests prove
-each guarantee of this frozen data once, at every order, so no process
-re-checks it.  H_n itself is ``_kernels.hermite_values``, and psi_n
-``_kernels.hermite_function``.  Every sum is ``_kernels.panel_sum``:
-numpy's pairwise ``np.add.reduce`` within a panel, ``math.fsum`` across
-panels, so its bits do not depend on the BLAS thread count; only numpy's
-SIMD ``exp`` and ``log`` can still round differently on another CPU.
+alone, are frozen tables too, so no route calls LAPACK; both tables are
+read from ``_tables``.  The tests prove each guarantee of this frozen
+data once, at every order, so no process re-checks it.  H_n itself is
+``_kernels.hermite_values``, and psi_n ``_kernels.hermite_function``.
+Every sum is ``_kernels.panel_sum``: numpy's pairwise ``np.add.reduce``
+within a panel, ``math.fsum`` across panels, so its bits do not depend
+on the BLAS thread count; only numpy's SIMD ``exp`` and ``log`` can
+still round differently on another CPU.
 
 All results are pure functions of their inputs, and every cached value is
 immutable once built, so a raced cache fill can only install identical
@@ -29,6 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import _kernels
+from ._tables import _LEGGAUSS_HALVES, _ROOT_HALVES
 from .errors import UnsupportedOrderError
 from .scalars import DEFAULT_PANEL_ORDER, N_MAX, _check_int, _check_order, _norm
 
@@ -62,593 +64,6 @@ def _root_set(n):
     roots.setflags(write=False)
     hm1.setflags(write=False)
     return RootSet(n, roots), hm1
-
-
-# The roots of H_n for n = 1..N_MAX, frozen: each the exact root rounded
-# once to a double, so no LAPACK build and no CPU enters a root set, its
-# Gauss-Hermite rule or its panel edges.  H_n is even or odd, so its roots
-# are symmetric about zero, and the non-negative ones, ascending (0 first
-# for odd n), fix the set.  Written out with repr from the 70-digit roots
-# of the stdlib reference, as printed, with tests/ on the path, by
-#   {n: tuple(map(float, reference.hermite_roots(n)[n // 2:]))
-#    for n in range(1, 65)}
-# tests/test_reference.py checks every entry against the reference, and
-# that the reference's digits decide its rounding, where numpy cannot load.
-_ROOT_HALVES = {
-    1: (0.0,),
-    2: (0.7071067811865476,),
-    3: (0.0, 1.224744871391589),
-    4: (0.5246476232752904, 1.6506801238857844),
-    5: (0.0, 0.9585724646138185, 2.0201828704560856),
-    6: (0.4360774119276165, 1.335849074013697, 2.3506049736744923),
-    7: (0.0, 0.8162878828589647, 1.6735516287674714, 2.6519613568352334),
-    8: (
-        0.3811869902073221, 1.1571937124467802, 1.981656756695843,
-        2.930637420257244,
-    ),
-    9: (
-        0.0, 0.7235510187528376, 1.468553289216668, 2.266580584531843,
-        3.1909932017815277,
-    ),
-    10: (
-        0.3429013272237046, 1.0366108297895136, 1.7566836492998819,
-        2.5327316742327897, 3.4361591188377374,
-    ),
-    11: (
-        0.0, 0.6568095668820998, 1.3265570844949328, 2.0259480158257555,
-        2.783290099781652, 3.6684708465595826,
-    ),
-    12: (
-        0.31424037625435913, 0.9477883912401638, 1.5976826351526048,
-        2.2795070805010598, 3.0206370251208896, 3.889724897869782,
-    ),
-    13: (
-        0.0, 0.6057638791710601, 1.2200550365907483, 1.8531076516015121,
-        2.519735685678238, 3.24660897837241, 4.10133759617864,
-    ),
-    14: (
-        0.2917455106725621, 0.8787137873293994, 1.4766827311411408,
-        2.095183258507717, 2.7484707249854026, 3.4626569336022706,
-        4.304448570473632,
-    ),
-    15: (
-        0.0, 0.5650695832555758, 1.1361155852109206, 1.7199925751864888,
-        2.3257324861738575, 2.967166927905603, 3.6699503734044527,
-        4.499990707309392,
-    ),
-    16: (
-        0.27348104613815244, 0.8229514491446559, 1.3802585391988809,
-        1.9517879909162539, 2.5462021578474814, 3.176999161979956,
-        3.869447904860123, 4.688738939305819,
-    ),
-    17: (
-        0.0, 0.5316330013426547, 1.0676487257434506, 1.6129243142212313,
-        2.173502826666621, 2.7577629157038888, 3.378932091141494,
-        4.0619466758754745, 4.871345193674403,
-    ),
-    18: (
-        0.2582677505190968, 0.7766829192674116, 1.3009208583896175,
-        1.835531604261629, 2.386299089166686, 2.961377505531607,
-        3.573769068486266, 4.248117873568127, 5.048364008874467,
-    ),
-    19: (
-        0.0, 0.5035201634238882, 1.0103683871343114, 1.524170619393533,
-        2.0492317098506194, 2.591133789794543, 3.157848818347602,
-        3.76218735196402, 4.428532806603779, 5.220271690537482,
-    ),
-    20: (
-        0.24534070830090124, 0.7374737285453944, 1.234076215395323,
-        1.7385377121165861, 2.2549740020892757, 2.7888060584281305,
-        3.3478545673832163, 3.944764040115625, 4.603682449550744,
-        5.387480890011233,
-    ),
-    21: (
-        0.0, 0.4794507070791076, 0.961499634418369, 1.448934250650732,
-        1.944962949186254, 2.453552124512838, 2.979991207704598,
-        3.5319728771376777, 4.12199554749184, 4.773992343411219,
-        5.550351873264678,
-    ),
-    22: (
-        0.23417913993099063, 0.703686097170007, 1.1767139584812445,
-        1.6558743732864225, 2.1442335927985345, 2.645637441058173,
-        3.1652659092021374, 3.710701532877805, 4.294312480593161,
-        4.939834131060176, 5.7092013532052635,
-    ),
-    23: (
-        0.0, 0.4585383500681048, 0.9191514654425638, 1.3840395856824952,
-        1.8556770376713712, 2.337016211474456, 2.831803787126157,
-        3.3451271599412244, 3.884472708106102, 4.462091173740006,
-        5.101534610476677, 5.864309498984572,
-    ),
-    24: (
-        0.22441454747251557, 0.6741711070372123, 1.1267608176112451,
-        1.5842500109616942, 2.049003573661699, 2.5238810170114268,
-        3.0125461375655647, 3.5200068130345246, 4.05366440244815,
-        4.625662756423787, 5.259382927668044, 6.01592556142574,
-    ),
-    25: (
-        0.0, 0.4401472986453083, 0.8819827562138214, 1.327280702073084,
-        1.7780011243371474, 2.236420130267281, 2.705320237173026,
-        3.188294924425105, 3.690282876998356, 4.218609444386561,
-        4.785320367352224, 5.413636355280034, 6.164272434052452,
-    ),
-    26: (
-        0.21577785624346343, 0.6480952139934483, 1.0827330110778834,
-        1.5213615166519214, 1.9658547856411366, 2.418415764773779,
-        2.8817622195430874, 3.35942718235083, 3.856288419909149,
-        4.379602662983305, 4.941324957241379, 5.564524981950103,
-        6.309550385625694,
-    ),
-    27: (
-        0.0, 0.42380790054385303, 0.8490113420601031, 1.277066817339858,
-        1.7095607392603374, 2.1482966453616275, 2.5954163389108182,
-        3.053582419822255, 3.526275340134353, 4.018318670408739,
-        4.5369066633724415, 5.093910003113184, 5.712255552816536,
-        6.4519401407534716,
-    ),
-    28: (
-        0.20806738269073688, 0.6248367195052092, 1.0435352737542083,
-        1.465537263457409, 1.8923604968376853, 2.325749842656441,
-        2.767795352913594, 3.2211120765614556, 3.6891342384616794,
-        4.1766367421292685, 4.690756523943118, 5.243285373202936,
-        5.85701464138285, 6.591605442367743,
-    ),
-    29: (
-        0.0, 0.4091646363949287, 0.8194986812709116, 1.232215755084753,
-        1.6486229138923165, 2.070181076053428, 2.498585691019404,
-        2.9358825042901264, 3.3846451410922143, 3.8482667922136202,
-        4.33147829381915, 4.841363651059164, 5.389640521966752,
-        5.99897128946382, 6.72869519860885,
-    ),
-    30: (
-        0.20112857654887148, 0.6039210586255523, 1.0083382710467235,
-        1.4155278001981886, 1.826741143603688, 2.243391467761504,
-        2.667132124535617, 3.0999705295864417, 3.54444387315535,
-        4.003908603861229, 4.4830553570925185, 4.988918968589944,
-        5.533147151567496, 6.138279220123935, 6.863345293529892,
-    ),
-    31: (
-        0.0, 0.3959427364714231, 0.7928769769153089, 1.1918269983500465,
-        1.5938858604721398, 2.000258548935639, 2.41231770548042,
-        2.8316804533902054, 3.260320732313541, 3.700743403231469,
-        4.156271755818145, 4.63155950631286, 5.133595577112381,
-        5.673961444618588, 6.27507870494286, 6.99568012371854,
-    ),
-    32: (
-        0.19484074156939932, 0.5849787654359324, 0.9765004635896828,
-        1.3703764109528718, 1.7676541094632017, 2.169499183606112,
-        2.5772495377323175, 2.992490825002374, 3.417167492818571,
-        3.853755485471445, 4.305547953351199, 4.777164503502596,
-        5.2755509865158805, 5.812225949515914, 6.409498149269661,
-        7.125813909830727,
-    ),
-    33: (
-        0.0, 0.3839260145084091, 0.7687013797588687, 1.1552002041267897,
-        1.5443482612431219, 1.9371545818222067, 2.334751151529515,
-        2.7384458243513548, 3.149796681703825, 3.5707219802327184,
-        4.003671609956932, 4.451911148832827, 4.920028520595008,
-        5.414929002614192, 5.948071182087144, 6.541655445738077,
-        7.253851822015201,
-    ),
-    34: (
-        0.1891080605271425, 0.5677172685548746, 0.9475164580334473,
-        1.3293355518847858, 1.7140625533873382, 2.1026736904673324,
-        2.4962719408165475, 2.8961389431744315, 3.303808431564416,
-        3.721175232476153, 4.150665602970781, 4.59551974810817,
-        5.0602960186057615, 5.551861330988777, 6.081616993936316,
-        6.67165913607017, 7.379890950481246,
-    ),
-    35: (
-        0.0, 0.37294171704961687, 0.7466176398798671, 1.1217809907203027,
-        1.49922448861173, 1.879803988730917, 2.2644675010425686,
-        2.654292781197172, 3.050538420430447, 3.454716495751991,
-        3.8687007309691546, 4.294895814492763, 4.7365184774132105,
-        5.198099346197752, 5.686468948090441, 6.212973747633717,
-        6.79960941328413, 7.504021146448936,
-    ),
-    36: (
-        0.1838533671058128, 0.5519014332904228, 0.9209818015707532,
-        1.291810958820924, 1.6651500018434144, 2.04182718355442,
-        2.4227660420535617, 2.8090222351311036, 3.2018339457881586,
-        3.6026938571484757, 4.01345656774947, 4.436506970192857,
-        4.875039972467084, 5.333560107113064, 5.818863279505577,
-        6.342243330994412, 6.925598990259942, 7.6263257540038945,
-    ),
-    37: (
-        0.0, 0.362849905050658, 0.7263396166051201, 1.091123764975933,
-        1.457887646874209, 1.8273652487636047, 2.200360934009252,
-        2.577776858113272, 2.960649181303289, 3.3501978949725357,
-        3.74789820647548, 4.155587281126479, 4.575631748667359,
-        5.011206138573073, 5.46679033596856, 5.949147217461971,
-        6.469520036524031, 7.049713855778229, 7.746882249649456,
-    ),
-    38: (
-        0.1790137232958775, 0.5373398108709835, 0.8965683461931361,
-        1.2573231317007134, 1.6202627556330143, 1.9860977780390658,
-        2.3556117330355084, 2.7296879628883257, 3.109345311717942,
-        3.4957874548356265, 3.890473760963341, 4.295225419749605,
-        4.712392132084887, 5.145129320740823, 5.597893514184678,
-        6.077416003537561, 6.594891327265493, 7.172033935320031,
-        7.865762803380041,
-    ),
-    39: (
-        0.0, 0.35353584699632934, 0.7076332733485723, 1.0628655672811786,
-        1.4198301576857357, 1.7791625828543134, 2.14155301198688,
-        2.5077666938913192, 2.8786703113749548, 3.2552672359922292,
-        3.6387464248745363, 4.030552814602468, 4.432492882593038,
-        4.846900568743526, 5.276913315230426, 5.726965451782105,
-        6.203757997728109, 6.718438506444093, 7.292633670865722,
-        7.9830347727197815,
-    ),
-    40: (
-        0.1745372145975824, 0.5238747138322772, 0.8740066123570881,
-        1.225480109046289, 1.5788698949316138, 1.9347914722822959,
-        2.293917141875083, 2.6569959984428957, 3.0248798839012845,
-        3.3985582658596285, 3.7792067534352234, 4.1682570668325,
-        4.567502072844395, 4.9792609785452555, 5.406654247970128,
-        5.8540950560304, 6.328255351220082, 6.840237305249356,
-        7.411582531485469, 8.09876113925085,
-    ),
-    41: (
-        0.0, 0.34490446301543276, 0.6903050523302081, 1.036707252924206,
-        1.3846357891600325, 1.7346456088220292, 2.0873346819187244,
-        2.443359553123411, 2.8034549614843187, 3.1684594539419857,
-        3.5393499373637116, 3.917289854837782, 4.303698767154651,
-        4.7003568963041165, 5.109569626533134, 5.534441340613446,
-        5.979365004165134, 6.450984597174753, 6.960358400636749,
-        7.528945464539621, 8.213000895598281,
-    ),
-    42: (
-        0.17038058556181698, 0.5113749183154693, 0.8530729091605537,
-        1.19595779437781, 1.540534800915546, 1.8873416205434848,
-        2.236960787054318, 2.5900348706171266, 2.9472857823054794,
-        3.309540096510922, 3.677763316388557, 4.053107744424767,
-        4.436981705881031, 4.831153629128276, 5.2379158850176495,
-        5.6603575812830575, 6.102852334381526, 6.5720171713874755,
-        7.078867873049108, 7.644783295704742, 8.325809389566931,
-    ),
-    43: (
-        0.0, 0.33687619662553303, 0.6741932767423139, 1.0123996845633199,
-        1.3519593686708704, 1.6933605309399098, 2.0371256888641938,
-        2.38382370728436, 2.734084694537905, 3.0886190396004185,
-        3.448242482220003, 3.8139101240654276, 4.186764021366003,
-        4.568202075544155, 4.959981675194955, 5.364382901151557,
-        5.784480314077557, 6.224628966894221, 6.691419872712108,
-        7.195827612346434, 7.759153084732534, 8.437238631083376,
-    ),
-    44: (
-        0.1665074670736324, 0.49973020830067433, 0.8335797610020734,
-        1.1684854631902055, 1.5048944344828716, 1.8432799206176103,
-        2.184151019566526, 2.528064427147665, 2.875639082170442,
-        3.2275749742774265, 3.5846779931052284, 3.947893711524655,
-        4.318354723442113, 4.697449223001439, 5.086924229758253,
-        5.489048183880743, 5.906881759027546, 6.344762164896892,
-        6.809255271535833, 7.3112956789163315, 7.872108442774851,
-        8.54733756673554,
-    ),
-    45: (
-        0.0, 0.32938389969666915, 0.6591616888741352, 0.9897334248657114,
-        1.321511785639231, 1.6549291191547923, 1.9904454586466385,
-        2.3285579714531894, 2.669812465251346, 3.0148178197492257,
-        3.3642645958565405, 3.7189496893415632, 4.0798099079253936,
-        4.447969073601931, 4.824806308703258, 5.212058863162008,
-        5.611984121839665, 6.027629472253695, 6.463314943664254,
-        6.925582073277595, 7.4253266258561945, 7.9836998162220025,
-        8.656152325990329,
-    ),
-    46: (
-        0.16288702795526222, 0.48884723585117473, 0.8153686793446816,
-        1.1428349031264304, 1.4716439717320724, 1.802215195057495,
-        2.1349968729707256, 2.4704755132281426, 2.8091871354772673,
-        3.151731519638471, 3.4987906412463645, 3.851153150502552,
-        4.209747761326976, 4.575690134570433, 4.950350886739886,
-        5.33545803605723, 5.7332584418499435, 6.146786754505402,
-        6.580346434737409, 7.040455442805218, 7.5379717872258265,
-        8.093974741267118, 8.763726442576393,
-    ),
-    47: (
-        0.0, 0.32237044915615065, 0.6450945230276884, 0.9685309227378149,
-        1.2930487170109526, 1.619033081359051, 1.9468917579991862,
-        2.2770625758595004, 2.6100224744061524, 2.946298635192171,
-        3.2864825713246675, 3.6312484092926165, 3.9813772107064693,
-        4.337790188492421, 4.701595384967936, 5.074155416985066,
-        5.457189555681651, 5.852934616125421, 6.264413014970474,
-        6.695912211063252, 7.153927294775717, 7.649279536628988,
-        8.202978072797794, 8.870101054023253,
-    ),
-    48: (
-        0.15949293584886248, 0.4786463375944961, 0.7983046277785623,
-        1.1188121524021566, 1.4405252201375651, 1.7638175798953,
-        2.0890866609442766, 2.4167609048732164, 2.747308624822383,
-        3.0812489886451058, 3.4191659693638847, 3.761726490228358,
-        4.109704603560591, 4.464014546934459, 4.8257572281332095,
-        5.196287718792364, 5.577316981223729, 5.971072225013545,
-        6.3805640961864105, 6.810064578074141, 7.26604655416435,
-        7.759295519765774, 8.310752190704784, 8.975315081931686,
-    ),
-    49: (
-        0.0, 0.3157869005237549, 0.6318926995109617, 0.9486405076102574,
-        1.266362023687358, 1.5854022514550468, 1.906124760988361,
-        2.228917745385947, 2.554201193951963, 2.8824356106456,
-        3.2141328684568564, 3.549870037212095, 3.8903074057661615,
-        4.236212530068787, 4.588493140274482, 4.948243443004892,
-        5.316811374183517, 5.695899985035209, 6.087727281054756,
-        6.495292565007659, 6.922852834959762, 7.376859390631928,
-        7.868062864081665, 8.417337186267979, 9.079405395199434,
-    ),
-    50: (
-        0.15630254688946868, 0.4690590566782361, 0.7822717295546069,
-        1.0962511289576817, 1.4113177548983, 1.7278065475158986,
-        2.0460719686864093, 2.3664939042986637, 2.689484702267745,
-        3.015497769574522, 3.345038313937891, 3.6786770625152694,
-        4.017068172858134, 4.360973160454579, 4.711293666169043,
-        5.069117584917235, 5.435786087224948, 5.8129946754204065,
-        6.202952519274672, 6.608647973855359, 7.03432350977061,
-        7.486409429864194, 7.975622368205636, 8.522771030917804,
-        9.182406958129317,
-    ),
-    51: (
-        0.0, 0.3095910409372404, 0.6194708497471526, 0.929931715600176,
-        1.2412730966236114, 1.553805529455422, 1.8678549556995605,
-        2.183767652536193, 2.5019160040577373, 2.82270542330543,
-        3.1465828437716956, 3.4740473616558587, 3.805663856751934,
-        4.142080801962062, 4.48405407905735, 4.832479614578075,
-        5.188439342938137, 5.553268005264918, 5.928653885873137,
-        6.316797657903406, 6.720677095868753, 7.144520571479617,
-        7.594737944583595, 8.082012673504014, 8.627089729363684,
-        9.284352965094795,
-    ),
-    52: (
-        0.15329626692045753, 0.4600261924374608, 0.7671699001240914,
-        1.0750086571198576, 1.383832046210863, 1.6939417005414366,
-        2.0056554817328665, 2.319312282799457, 2.6352776875892854,
-        2.9539507925538846, 3.275772605807692, 3.601236601018142,
-        3.9309022499573145, 4.265412738877919, 4.605518679996212,
-        4.952110622935373, 5.306264859365641, 5.669310006856368,
-        6.042927434919693, 6.429309633114982, 6.831424137068604,
-        7.2534856216969725, 7.701884027567917, 8.187270419767158,
-        8.730327458820911, 9.38527496322314,
-    ),
-    53: (
-        0.0, 0.3037462433499153, 0.6077549658872969, 0.9122916108899887,
-        1.2176276482547366, 1.524043840508758, 1.8318338313140425,
-        2.141308198430237, 2.4527991478588036, 2.766666076967539,
-        3.083302308939136, 3.403143410259918, 3.7266776654942126,
-        4.0544595295034735, 4.387127257772073, 4.725426520096115,
-        5.070242793781716, 5.422647016161452, 5.783961960485946,
-        6.155862360131193, 6.540532810875763, 6.940930928214753,
-        7.361258068369046, 7.807884748700396, 8.291430386783011,
-        8.832516695845415, 9.48520296437273,
-    ),
-    54: (
-        0.15045704292086298, 0.45149624980624276, 0.7529121774748871,
-        1.054960541873899, 1.3579040662442226, 1.6620156026589967,
-        1.9675815973920672, 2.2749060375416974, 2.5843150518736273,
-        2.8961623904571474, 3.210836082528294, 3.528766681491086,
-        3.8504376683661063, 4.176398830478485, 4.507283811819901,
-        4.843833634581988, 5.1869289795928895, 5.537635692403302,
-        5.897270957641122, 6.267503129369752, 6.650509178566493,
-        7.049237098678378, 7.467875283483622, 7.912775297812495,
-        8.394525623327203, 8.933688332096194, 9.58416554752347,
-    ),
-    55: (
-        0.0, 0.2982205504927667, 0.5966805254757169, 0.8956218604622909,
-        1.1952915904152335, 1.4959445977962447, 1.797846612603698,
-        2.1012775733291407, 2.406535482620652, 2.7139409275561,
-        3.02384248641918, 3.336623318934166, 3.652709346413298,
-        3.9725795904787464, 4.296779484033698, 4.625938346919412,
-        4.960792820227557, 5.302219038845791, 5.651277996255865,
-        6.009281523253668, 6.377891831912768, 6.759278518684085,
-        7.156380234342911, 7.5733727465412, 8.01658911485583,
-        8.496587564907564, 9.033871780182407, 9.682189952563727,
-    ),
-    56: (
-        0.14776995439420115, 0.4434241950503535, 0.7394225852343012,
-        1.0359984385570031, 1.3333910111792098, 1.6318481297059444,
-        1.931629088364007, 2.2330079208452407, 2.536277177659774,
-        2.841752376380992, 3.149777344419969, 3.4607307491477983,
-        3.775034219641124, 4.093162626299798, 4.415657329100217,
-        4.74314358311813, 5.076353889963992, 5.416160066790047,
-        5.763618474471578, 6.120035806141993, 6.487068351744626,
-        6.866878566625288, 7.26239602128679, 7.67778417532815,
-        8.119358008747469, 8.597646141436213, 9.133095070612102,
-        9.77930216634031,
-    ),
-    57: (
-        0.0, 0.2929859360477887, 0.5861909815719069, 0.8798363858917307,
-        1.1741477394031905, 1.4693573011471874, 1.7657065251132764,
-        2.0634488697846303, 2.362852993448532, 2.664206463708791,
-        2.9678201464818934, 3.2740334921948344, 3.5832210121368795,
-        3.895800347286384, 4.212242493640622, 4.533084992073816,
-        4.858949267721148, 5.190563902383836, 5.528796603909366,
-        5.874699302021254, 6.229573751723347, 6.595070525003887,
-        6.973345154295624, 7.367318376778574, 7.781141645335701,
-        8.221112266067717, 8.697729875860624, 9.231384940738655,
-        9.875527001736769,
-    ),
-    58: (
-        0.1452218822981067, 0.4357704487339135, 0.7266344070464916,
-        1.0180273335786967, 1.3101678741366003, 1.6032819710214763,
-        1.8976053029060735, 2.1933860192661303, 2.4908878695658667,
-        2.7903938536440545, 3.0922105568140124, 3.3966733857420293,
-        3.7041529964081, 4.0150633146985, 4.329871711595944, 4.649112138400022,
-        4.973402403484493, 5.303467369097512, 5.6401708246496876,
-        5.9845604541065045, 6.337933258968622, 6.701934283317641,
-        7.078712341066074, 7.4711795689242475, 7.883475699004148,
-        8.321880750647363, 8.796865974662767, 9.32876691649644,
-        9.970888170457462,
-    ),
-    59: (
-        0.0, 0.28801770388153514, 0.5762365369411496, 0.8648594619670577,
-        1.1540931580511036, 1.4441500040985724, 1.7352502204281333,
-        2.0276242346848043, 2.3215153515122373, 2.617182824272893,
-        2.9149054536014396, 3.2149858747990208, 3.5177557486926583,
-        3.8235821457915504, 4.132875522667987, 4.446099850598943,
-        4.763785699432975, 5.08654745482466, 5.415106442496795,
-        5.7503227086468645, 6.093239862510668, 6.445150323318537,
-        6.80769378453566, 7.183012533410677, 7.574010326142795,
-        7.984815445829713, 8.421690994958613, 8.895080411029436,
-        9.4252653876264, 10.065408350118515,
-    ),
-    60: (
-        0.14280123870343886, 0.42850006422062753, 0.7144887816725786,
-        1.000963499560718, 1.2881246748688937, 1.5761790119750203,
-        1.8653415312330317, 2.155837871229211, 2.4479069023076856,
-        2.741803748069692, 3.0378033382307494, 3.336204653547587,
-        3.6373358761707317, 3.9415607339261847, 4.249286435956007,
-        4.560973757935836, 4.877150077473151, 5.198426534576294,
-        5.525521086138684, 5.859290196394235, 6.200773557993438,
-        6.551259167062921, 6.912381532189319, 7.286276594395599,
-        7.675839937504888, 8.085188654249022, 8.52056928411763,
-        8.992398001404945, 9.520903677013319, 10.159109246180087,
-    ),
-    61: (
-        0.0, 0.28329399584293824, 0.5667731411702205, 0.8506241647708146,
-        1.1350369935815598, 1.4202064526026656, 1.7063340915790624,
-        1.9936301908281087, 2.2823160084101852, 2.572626344709719,
-        2.8648125198053047, 3.1591458858192856, 3.455922033831639,
-        3.755465907585378, 4.058138111276734, 4.364342807465423,
-        4.674537761599919, 4.989247331493994, 5.3090795734924505,
-        5.634749229673676, 5.967109331041395, 6.307195800219426,
-        6.656292358498873, 7.016028484838869, 7.388533944049984,
-        7.7766963448476245, 8.184621836109951, 8.618540733214251,
-        9.088842476057339, 9.61570410468756, 10.252011649196145,
-    ),
-    62: (
-        0.14049774444160384, 0.4215820525964276, 0.7029335505504108,
-        0.9847328224675955, 1.2671642017112603, 1.5504173991942525,
-        1.8346892680544815, 2.120185755262089, 2.40712410086995,
-        2.695735359704175, 2.986267339752862, 3.278988078416254,
-        3.5741900152128516, 3.872195072154289, 4.1733609279699495,
-        4.478088880909108, 4.786833854973824, 5.100117345733242,
-        5.4185444743952305, 5.742826909995824, 6.073814387802594,
-        6.412539196526612, 6.760280921023562, 7.118664156333585,
-        7.4898126515277035, 7.87660622747251, 8.283140324445416,
-        8.715629358604138, 9.184436544219452, 9.709688046983944,
-        10.344135487806897,
-    ),
-    63: (
-        0.0, 0.27879538567115225, 0.5577616642790822, 0.8370710955894761,
-        1.1168987050996462, 1.3974237486049625, 1.6788312791720137,
-        1.9613138583081486, 2.2450734604812066, 2.530323630471201,
-        2.817291967283798, 3.1062230279282566, 3.3973817713303913,
-        3.6910577000963465, 3.9875699104197158, 4.287273335282441,
-        4.590566574443519, 4.897901864497574, 5.209797983040835,
-        5.526857252640303, 5.849788400081067, 6.179437992270597,
-        6.516834810682116, 6.863254433179537, 7.220316707888968,
-        7.590139519864107, 7.975595080142037, 8.380768345186322,
-        8.811858143728454, 9.279201954305039, 9.802875991297496,
-        10.435499877854168,
-    ),
-    64: (
-        0.13830224498700971, 0.4149888241210787, 0.6919223058100445,
-        0.969269423071178, 1.247200156943118, 1.5258891402098638,
-        1.805517171465545, 2.086272879881762, 2.3683545886324016,
-        2.651972435430635, 2.9373508230046217, 3.2247312919920357,
-        3.5143759357409063, 3.8065715139453604, 4.101634474566657,
-        4.3999171682281375, 4.7018156474075, 5.007779602198768,
-        5.318325224633271, 5.634052164349972, 5.955666326799486,
-        6.284011228774828, 6.620112262636027, 6.965241120551108,
-        7.321013032780949, 7.689540164040497, 8.073687285010225,
-        8.477529083379864, 8.907249099964769, 9.37315954964672,
-        9.89528758682954, 10.526123167960545,
-    ),
-}
-
-
-# The three base rules, frozen, and the only panel orders: 32 points (the
-# marginal normalization rows of verify), 48 (DEFAULT_PANEL_ORDER) and 96
-# (verify's convergence reference).  Each is (nodes, weights) over its
-# non-negative nodes, ascending: the symmetrized nodes are exactly
-# antisymmetric and the weights exactly symmetric, so the half fixes the
-# rule.  Written out with repr so that each literal reads back as the same
-# double, as printed by
-#   {q: tuple(tuple(map(float, a[q // 2:]))
-#             for a in numpy.polynomial.legendre.leggauss(q))
-#    for q in (32, 48, 96)}
-# tests/test_quadrature.py checks each against numpy's leggauss, bit for
-# bit, and tests/test_reference.py against the exact rule of the stdlib
-# reference, within a measured bound per order.
-_LEGGAUSS_HALVES = {
-    32: (
-        (
-            0.048307665687738324, 0.1444719615827965, 0.23928736225213706,
-            0.33186860228212767, 0.42135127613063533, 0.5068999089322294,
-            0.5877157572407623, 0.6630442669302152, 0.7321821187402897,
-            0.7944837959679424, 0.84936761373257, 0.8963211557660521,
-            0.9349060759377397, 0.9647622555875064, 0.9856115115452684,
-            0.9972638618494816,
-        ),
-        (
-            0.09654008851472766, 0.09563872007927471, 0.09384439908080451,
-            0.09117387869576378, 0.08765209300440378, 0.08331192422694671,
-            0.07819389578707023, 0.07234579410884834, 0.06582222277636168,
-            0.058684093478535565, 0.05099805926237609, 0.042835898022226836,
-            0.034273862913021765, 0.025392065309262024, 0.016274394730905743,
-            0.007018610009470506,
-        ),
-    ),
-    48: (
-        (
-            0.03238017096286937, 0.0970046992094627, 0.1612223560688917,
-            0.22476379039468905, 0.28736248735545555, 0.3487558862921607,
-            0.4086864819907167, 0.4669029047509584, 0.523160974722233,
-            0.5772247260839727, 0.6288673967765136, 0.6778723796326639,
-            0.7240341309238146, 0.7671590325157404, 0.8070662040294426,
-            0.8435882616243935, 0.8765720202742479, 0.9058791367155696,
-            0.9313866907065543, 0.9529877031604308, 0.9705915925462473,
-            0.9841245837228269, 0.9935301722663508, 0.9987710072524261,
-        ),
-        (
-            0.06473769681268365, 0.06446616443594982, 0.06392423858464787,
-            0.06311419228625373, 0.06203942315989242, 0.0607044391658936,
-            0.059114839698395344, 0.057277292100402916, 0.05519950369998403,
-            0.05289018948519344, 0.0503590355538542, 0.04761665849249024,
-            0.04467456085669423, 0.04154508294346455, 0.0382413510658305,
-            0.034777222564770394, 0.031167227832798097, 0.027426509708357034,
-            0.023570760839324047, 0.019616160457356056, 0.015579315722943226,
-            0.011477234579234614, 0.007327553901276135, 0.0031533460523098414,
-        ),
-    ),
-    96: (
-        (
-            0.016276744849602967, 0.04881298513604974, 0.08129749546442555,
-            0.11369585011066592, 0.14597371465489695, 0.17809688236761861,
-            0.2100313104605672, 0.24174315616384, 0.27319881259104917,
-            0.30436494435449635, 0.3352085228926254, 0.3656968614723136,
-            0.3957976498289086, 0.42547898840730053, 0.454709422167743,
-            0.48345797392059636, 0.5116941771546677, 0.5393881083243575,
-            0.5665104185613972, 0.593032364777572, 0.6189258401254686,
-            0.6441634037849671, 0.6687183100439161, 0.6925645366421715,
-            0.7156768123489676, 0.7380306437444001, 0.7596023411766475,
-            0.7803690438674332, 0.8003087441391408, 0.8194003107379316,
-            0.8376235112281871, 0.8549590334346014, 0.8713885059092965,
-            0.8868945174024204, 0.9014606353158523, 0.9150714231208981,
-            0.9277124567223087, 0.9393703397527552, 0.9500327177844377,
-            0.9596882914487426, 0.9683268284632642, 0.9759391745851365,
-            0.9825172635630147, 0.9880541263296237, 0.9925439003237626,
-            0.9959818429872093, 0.9983643758631817, 0.9996895038832307,
-        ),
-        (
-            0.03255061449236328, 0.03251611871386895, 0.0324471637140644,
-            0.03234382256857602, 0.03220620479403032, 0.032034456231992796,
-            0.03182875889441112, 0.03158933077072725, 0.03131642559686141,
-            0.03101033258631393, 0.030671376123669266, 0.03029991542082777,
-            0.029896344136328506, 0.029461089958168016, 0.02899461415055532,
-            0.028497411065085413, 0.02797000761684837, 0.027412962726029232,
-            0.02682686672559185, 0.026212340735672593, 0.025570036005349364,
-            0.024900633222483814, 0.02420484179236482, 0.023483399085926292,
-            0.022737069658329466, 0.02196664443874457, 0.021172939892191354,
-            0.020356797154333365, 0.019519081140145382, 0.01866067962741174,
-            0.017782502316045286, 0.016885479864245195, 0.015970562902562345,
-            0.015038721026994927, 0.014090941772314894, 0.013128229566961646,
-            0.012151604671088057, 0.01116210209983861, 0.010160770535008306,
-            0.009148671230783011, 0.0081268769256983, 0.007096470791153821,
-            0.006058545504235195, 0.005014202742928604, 0.003964554338444405,
-            0.0029107318179352943, 0.0018539607889441585, 0.0007967920655518723,
-        ),
-    ),
-}
 
 
 @lru_cache(maxsize=None)

@@ -1,10 +1,10 @@
 """Self-verification: checks the Gauss-Hermite integrals I0, I1 and I2
 against their exact norms, the panel quadrature of each entropy against
 its order-96 convergence reference and its analytic anchors, and the
-frozen S_k table against its live quadrature and against the Gaussian
-entropy bound.  The table's independent oracle, a 40-digit stdlib
-reference, lives with the tests (tests/reference.py), which hold every
-entry to it.
+frozen S_k table, ``_tables.S_TABLE``, against its live quadrature and
+against the Gaussian entropy bound.  The table's independent oracle, a
+40-digit stdlib reference, lives with the tests (tests/reference.py),
+which hold every entry to it.
 
 Its marginal normalization rows take one integral per (order, eta),
 shared by both sides and by every (n, m) row that needs it."""
@@ -15,7 +15,8 @@ from collections import namedtuple
 import numpy as np
 
 from . import _kernels, criterion, quadrature
-from .scalars import S_TABLE, _check_order, _mode_scale, _norm
+from ._tables import S_TABLE
+from .scalars import _check_order, _mode_scale, _norm
 from .scalars import _EULER_GAMMA, _SQRT_PI
 
 VERIFY_N_MAX = 12

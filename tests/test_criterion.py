@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from seec import _kernels, criterion, quadrature, scalars, verification
+from seec import _kernels, _tables, criterion, quadrature, scalars, verification
 from seec.errors import DomainError, UnsupportedOrderError
 
 from oracles import (
@@ -106,9 +106,9 @@ class TestIntegralBundle:
         rep = criterion.criterion_f(3, 2, 0.4)
         ln_t = criterion._ln_t(0.4)
         for h, k in ((rep.H_w_minus, 3), (rep.H_v_plus, 2)):
-            assert h == scalars.S_TABLE[k] - ln_t
+            assert h == _tables.S_TABLE[k] - ln_t
             live = quadrature._entropy(k, scalars.DEFAULT_PANEL_ORDER)
-            assert abs(scalars.S_TABLE[k] - live) <= _s_table_tol(live)
+            assert abs(_tables.S_TABLE[k] - live) <= _s_table_tol(live)
 
     def test_prefactor_matches_expanded_constant(self):
         # q_nm = t I0 / (pi n! m! 2^{n+m}) with I0 = 2^m m! sqrt(pi); r_nm mirror
@@ -279,7 +279,7 @@ class TestStandardEntropy:
 
     def test_integer_spellings_read_the_table(self):
         for k in (4, np.int64(4), np.int32(4)):
-            assert criterion.standard_entropy(k) == scalars.S_TABLE[4]
+            assert criterion.standard_entropy(k) == _tables.S_TABLE[4]
         for bad in (4.0, True, np.True_, np.array(4), -1, scalars.N_MAX + 1):
             with pytest.raises(DomainError):
                 criterion.standard_entropy(bad)
@@ -287,18 +287,18 @@ class TestStandardEntropy:
     def test_reads_agree_across_threads(self):
         with ThreadPoolExecutor(max_workers=8) as pool:
             results = list(pool.map(criterion.standard_entropy, [3] * 64))
-        assert results == [scalars.S_TABLE[3]] * 64
+        assert results == [_tables.S_TABLE[3]] * 64
 
 
 class TestEntropyTable:
     def test_one_entry_per_mode_order(self):
-        assert len(scalars.S_TABLE) == scalars.N_MAX + 1
+        assert len(_tables.S_TABLE) == scalars.N_MAX + 1
 
     def test_every_entry_is_below_the_gaussian_bound(self):
         # the level-k density has variance k + 1/2, and no density of that
         # variance has more entropy than the Gaussian's 1/2 ln(pi e (2k + 1));
         # only the ground state is Gaussian.  Exact, with no quadrature
-        for k, s_k in enumerate(scalars.S_TABLE):
+        for k, s_k in enumerate(_tables.S_TABLE):
             bound = 0.5 * math.log(math.pi * math.e * (2 * k + 1))
             if k == 0:
                 assert abs(s_k - bound) <= 4 * math.ulp(bound)
@@ -319,13 +319,13 @@ class TestEntropyTable:
     @pytest.mark.parametrize("k", range(scalars.N_MAX + 1))
     def test_is_the_default_quadrature_bit_for_bit(self, k):
         live = quadrature._entropy(k, scalars.DEFAULT_PANEL_ORDER)
-        assert abs(scalars.S_TABLE[k] - live) <= _s_table_tol(live)
+        assert abs(_tables.S_TABLE[k] - live) <= _s_table_tol(live)
 
     def test_verify_bound_is_the_measured_worst_rounded_up(self):
         # a more accurate live route must bring verify's bound down with it
         # (6.0 ulps at k = 54 on both numpy paths)
         worst = 0.0
-        for k, s_k in enumerate(scalars.S_TABLE):
+        for k, s_k in enumerate(_tables.S_TABLE):
             live = quadrature._entropy(k, scalars.DEFAULT_PANEL_ORDER)
             worst = max(worst, abs(s_k - live) / math.ulp(live))
         assert math.ceil(worst) == verification.S_TABLE_ULPS
@@ -336,7 +336,7 @@ class TestEntropyTable:
         # holds the table to
         for n in range(scalars.N_MAX + 1):
             for m in range(scalars.N_MAX + 1):
-                larger = max(scalars.S_TABLE[n], scalars.S_TABLE[m])
+                larger = max(_tables.S_TABLE[n], _tables.S_TABLE[m])
                 reported = criterion.criterion_f(n, m, 0.25).oracle_delta
                 assert reported == scalars.S_TABLE_REF_ULPS * math.ulp(larger)
 
@@ -577,7 +577,7 @@ class TestGaussianBoundRows:
         checks = {c.name: c for c in verification.collect_checks(12)}
         for k in range(13):
             row = checks[f"S_gauss_bound[{k}]"]
-            assert row.status == "ok" and row.value == scalars.S_TABLE[k]
+            assert row.status == "ok" and row.value == _tables.S_TABLE[k]
             assert row.reference == 0.5 * math.log(math.pi * math.e * (2 * k + 1))
             if k == 0:
                 assert abs(row.value - row.reference) <= 4 * math.ulp(row.reference)

@@ -175,10 +175,13 @@ def test_array_command_imports_numpy():
 
 
 LAZY_SCRIPT = """
-import json, sys
+import json, os, sys
 import seec
-# before any name resolves and is cached in the module's globals
-listed = set(seec.__all__) | {"criterion", "quadrature"} <= set(dir(seec))
+# before any name resolves and is cached in the module's globals; every
+# module file of the package but __init__ and __main__ is a submodule
+files = os.listdir(os.path.dirname(seec.__file__))
+modules = {f[:-3] for f in files if f.endswith(".py")} - {"__init__", "__main__"}
+listed = seec._SUBMODULES == modules and set(seec.__all__) | modules <= set(dir(seec))
 try:
     import seec.specfun
     folded = False

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import seec
-from seec import _kernels, criterion, errors, oscillator, quadrature, scalars, verification
+from seec import _kernels, _tables, criterion, errors, oscillator, quadrature, scalars, verification
 from seec.errors import DomainError, UnsupportedOrderError
 
 import oracles
@@ -26,6 +26,60 @@ def _double_factorial_moment(k):
     for j in range(1, k + 1):
         value *= (2.0 * j - 1.0) / 2.0
     return value
+
+
+class TestHermiteRoots:
+    def test_small_orders(self):
+        assert quadrature.hermite_roots(1).roots.tolist() == [0.0]
+        np.testing.assert_allclose(
+            quadrature.hermite_roots(2).roots, [-0.7071067811865476, 0.7071067811865476], atol=1e-14
+        )
+        np.testing.assert_allclose(
+            quadrature.hermite_roots(3).roots, [-1.224744871391589, 0.0, 1.224744871391589], atol=1e-14
+        )
+
+    def test_zero_order_is_empty(self):
+        assert len(quadrature.hermite_roots(0).roots) == 0
+
+    def test_order_above_cap_rejected(self):
+        with pytest.raises(UnsupportedOrderError):
+            quadrature.hermite_roots(scalars.N_MAX + 1)
+
+    @pytest.mark.parametrize("n", range(1, scalars.N_MAX + 1))
+    def test_rootset_invariants(self, n):
+        # the guarantees of every frozen root set, which no process
+        # re-checks: n roots, strictly increasing, exactly antisymmetric,
+        # each a root to its Newton residual (nan fails each)
+        roots = quadrature.hermite_roots(n).roots
+        assert len(roots) == n
+        assert np.all(np.diff(roots) > 0)
+        assert np.array_equal(roots, -roots[::-1])
+        for x in roots:
+            h_n = _kernels.hermite_values(n, [x])[0]
+            h_prime = 2.0 * n * _kernels.hermite_values(n - 1, [x])[0]
+            assert abs(h_n) <= 1e-10 * max(1.0, abs(h_prime))
+
+    def test_cached_object_reused(self):
+        assert quadrature.hermite_roots(7) is quadrature.hermite_roots(7)
+
+    def test_every_node_matches_the_stdlib_reference(self):
+        # every node of H_n, n <= N_MAX, is the 70-digit root of the stdlib
+        # reference correctly rounded, the same double on every machine
+        for n in range(1, scalars.N_MAX + 1):
+            exact = [float(x) for x in reference.hermite_roots(n)]
+            assert quadrature.hermite_roots(n).roots.tolist() == exact, n
+
+    def test_records_hold_read_only_arrays(self):
+        # H_{n-1} at the roots is cached with them, for the weights
+        roots = quadrature.hermite_roots(5)
+        rule = quadrature.gauss_hermite_rule(5)
+        for array in (roots.roots, quadrature._root_set(5)[1], rule.nodes, rule.weights):
+            assert not array.flags.writeable
+        # the records are bare tuples: no field is rebound, no attribute added
+        for record, field in ((roots, "roots"), (rule, "weights")):
+            for name in (field, "extra"):
+                with pytest.raises(AttributeError):
+                    setattr(record, name, np.zeros(5))
 
 
 class TestGaussHermiteRule:
@@ -124,13 +178,13 @@ class TestGaussLegendre:
         assert weights.tobytes() == ref_weights.tobytes()
         assert not (nodes.flags.writeable or weights.flags.writeable)
         # the three frozen tables are the only base rules
-        assert sorted(quadrature._LEGGAUSS_HALVES) == [32, 48, 96]
+        assert sorted(_tables._LEGGAUSS_HALVES) == [32, 48, 96]
 
     @pytest.mark.parametrize("order", [32, 48, 96])
     def test_tabulated_rule_is_the_live_one_bit_for_bit(self, order):
         # each table holds the recipe its comment gives, numpy's live rule
         # cut at order // 2, literal for literal
-        half_nodes, half_weights = quadrature._LEGGAUSS_HALVES[order]
+        half_nodes, half_weights = _tables._LEGGAUSS_HALVES[order]
         live_nodes, live_weights = oracles.leggauss(order)
         assert half_nodes == tuple(map(float, live_nodes[order // 2:]))
         assert half_weights == tuple(map(float, live_weights[order // 2:]))
@@ -157,7 +211,7 @@ def any_panel_order(monkeypatch):
     monkeypatch.setattr(
         quadrature,
         "_leggauss",
-        lambda q: tabulated(q) if q in quadrature._LEGGAUSS_HALVES else oracles.leggauss(q),
+        lambda q: tabulated(q) if q in _tables._LEGGAUSS_HALVES else oracles.leggauss(q),
     )
     return lambda n, q: quadrature._i3_from_entropy(n, quadrature._entropy.__wrapped__(n, q))
 

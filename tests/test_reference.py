@@ -2,7 +2,9 @@
 frozen entropy table, the frozen Hermite roots, the frozen Gauss-Legendre
 rules and the threshold grid against it, with no numpy.
 
-This module imports nothing that loads numpy, nor pytest.  Its ledger is
+The three tables are those the package imports, from ``seec._tables``,
+which holds literals alone and so loads without numpy.  This module
+imports nothing that loads numpy, nor pytest.  Its ledger is
 computed once, in a child interpreter where numpy cannot be imported (the
 ``stdlib_ledger`` fixture of conftest.py).  The child runs the checks
 below on it, and this process runs them again, each as its own test.
@@ -10,13 +12,11 @@ below on it, and this process runs them again, each as its own test.
 
 import ast
 import math
-import os
 import sys
 from decimal import ROUND_CEILING, Decimal, localcontext
-from functools import lru_cache
 
 import reference
-from seec import criterion, scalars
+from seec import _tables, criterion, scalars
 
 # 20-digit references: S_k, and I3(k), the integral of e^{-z^2} H_k^2 ln(H_k^2)
 S_REFERENCE = {
@@ -78,10 +78,10 @@ def ledger():
         ],
         "i3": [str(reference.entropy_integral(k)) for k in range(scalars.N_MAX + 1)],
         "agreement": [reference.agreement(k) for k in range(scalars.N_MAX + 1)],
-        "s_ulps": [reference.ulps(s_k, exact) for s_k, exact in zip(scalars.S_TABLE, entropies)],
+        "s_ulps": [reference.ulps(s_k, exact) for s_k, exact in zip(_tables.S_TABLE, entropies)],
         "eta0_worst": worst,
         "leggauss": [
-            _leggauss_errors(q, *rule) for q, rule in sorted(_frozen("_LEGGAUSS_HALVES").items())
+            _leggauss_errors(q, *rule) for q, rule in sorted(_tables._LEGGAUSS_HALVES.items())
         ],
         "numpy": sys.modules.get("numpy") is not None,
     }
@@ -126,7 +126,7 @@ def test_two_precisions_agree(stdlib_ledger):
 
 def test_entropy_table_within_its_bound(stdlib_ledger):
     ulps = stdlib_ledger["s_ulps"]
-    assert len(ulps) == scalars.N_MAX + 1 == len(scalars.S_TABLE)
+    assert len(ulps) == scalars.N_MAX + 1 == len(_tables.S_TABLE)
     off = {k: u for k, u in enumerate(ulps) if not abs(u) <= scalars.S_TABLE_REF_ULPS}
     assert not off, off
 
@@ -141,22 +141,7 @@ def test_entropy_table_is_correctly_rounded(stdlib_ledger):
         for s_k in exact:
             unit = Decimal(1).scaleb(s_k.adjusted() - reference.REF_DIGITS + 1)
             assert float(s_k - unit) == float(s_k) == float(s_k + unit), s_k
-    assert list(scalars.S_TABLE) == [float(s_k) for s_k in exact]
-
-
-@lru_cache(maxsize=None)
-def _frozen(name):
-    # a frozen table of quadrature, read from its source: quadrature
-    # imports numpy
-    path = os.path.join(os.path.dirname(scalars.__file__), "quadrature.py")
-    with open(path) as source:
-        tree = ast.parse(source.read())
-    (table,) = [
-        ast.literal_eval(node.value)
-        for node in tree.body
-        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", "") == name
-    ]
-    return table
+    assert list(_tables.S_TABLE) == [float(s_k) for s_k in exact]
 
 
 def _leggauss_errors(q, nodes, weights):
@@ -181,7 +166,7 @@ def test_root_table_is_correctly_rounded(stdlib_ledger):
             for x in half:
                 unit = Decimal(1).scaleb(x.adjusted() - reference.REF_DIGITS + 1)
                 assert x == 0 or float(x - unit) == float(x) == float(x + unit), (k, x)
-    assert _frozen("_ROOT_HALVES") == {
+    assert _tables._ROOT_HALVES == {
         k: tuple(map(float, half)) for k, half in halves.items() if k
     }
 
@@ -217,6 +202,19 @@ def test_leggauss_bounds_are_the_measured_worst_rounded_up(stdlib_ledger):
     for q, node_ulps, weight_rtol in stdlib_ledger["leggauss"]:
         assert math.ceil(node_ulps) == LEGGAUSS_NODE_ULPS[q], q
         assert _rounded_up(weight_rtol, 2) == LEGGAUSS_WEIGHT_RTOL[q], q
+
+
+def test_tables_module_holds_only_literals():
+    # a docstring, then NAME = <literal> alone: no import, def, class or
+    # other code can sit in it, so it loads where numpy cannot, and every
+    # line of it is data
+    with open(_tables.__file__) as source:
+        docstring, *body = ast.parse(source.read()).body
+    assert isinstance(docstring, ast.Expr) and isinstance(docstring.value.value, str)
+    for node in body:
+        assert isinstance(node, ast.Assign), node.lineno
+        assert [type(target) for target in node.targets] == [ast.Name], node.lineno
+        ast.literal_eval(node.value)
 
 
 def test_the_precision_check_has_teeth():
